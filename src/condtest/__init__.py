@@ -42,6 +42,7 @@ from .equality import (
 )
 from .errors import (
     BadBlockGeometry,
+    BadEpsilon,
     BadQuerySet,
     CondtestError,
     DisciplineViolation,
@@ -51,6 +52,7 @@ from .errors import (
     IllegalShapeForModel,
     IncompatibleOracleModel,
     NegativeWeight,
+    NonFiniteWeight,
     NotInNoGapRegime,
     OddN,
     SetsNotDisjoint,
@@ -100,4 +102,4 @@ from .subroutines import (
 )
 from .uniformity import ACCEPT, REJECT, pcond_test_uniform, query_budget
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .distcore import QuerySet
 from .oracles import OracleHandle
 from .profiles import DESK
 from .subroutines import compare_points, estimate_neighborhood, ratio_in_window
@@ -33,8 +34,6 @@ def find_reference(h: OracleHandle, kappa: float, profile=DESK):
     """
     n = h.dist.n
     log_term = math.log2(2.0 / kappa)
-    from .distcore import QuerySet
-
     x_size = int(min(math.ceil(profile["fr_x_c"] * log_term / kappa**2),
                      profile["fr_x_cap"]))
     candidates = h.draw_many(QuerySet.full(), x_size)

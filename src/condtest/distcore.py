@@ -21,6 +21,7 @@ from .errors import (
     BadQuerySet,
     DomainMismatch,
     NegativeWeight,
+    NonFiniteWeight,
     SpecParseError,
     ZeroMassSet,
     ZeroTotalMass,
@@ -140,6 +141,8 @@ class Distribution:
         w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise ZeroTotalMass("need at least one weight")
+        if not np.all(np.isfinite(w)):
+            raise NonFiniteWeight("weights must be finite")
         if np.any(w < 0):
             raise NegativeWeight("weights must be non-negative")
         s = float(w.sum())
@@ -441,7 +444,7 @@ def load_spec(source) -> Distribution:
             raise SpecParseError("explicit spec needs 'weights'")
         try:
             return Distribution(doc["weights"])
-        except (NegativeWeight, ZeroTotalMass, ValueError) as e:
+        except (NegativeWeight, NonFiniteWeight, ZeroTotalMass, ValueError) as e:
             raise SpecParseError(f"bad weights: {e}") from e
     if kind == "generator":
         from . import adversarial
@@ -452,6 +455,6 @@ def load_spec(source) -> Distribution:
             raise SpecParseError(f"unknown generator {name!r}")
         try:
             return adversarial.GENERATORS[name](**params)
-        except TypeError as e:
+        except (TypeError, ValueError) as e:
             raise SpecParseError(f"bad generator params: {e}") from e
     raise SpecParseError(f"unknown spec kind {kind!r}")

@@ -9,6 +9,10 @@ class NegativeWeight(CondtestError):
     pass
 
 
+class NonFiniteWeight(CondtestError):
+    pass
+
+
 class ZeroTotalMass(CondtestError):
     pass
 
@@ -67,3 +71,7 @@ class IncompatibleOracleModel(CondtestError):
 
 class SpecParseError(CondtestError):
     pass
+
+
+class BadEpsilon(CondtestError):
+    """The accuracy parameter must lie strictly between 0 and 1."""

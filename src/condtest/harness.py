@@ -19,7 +19,7 @@ import numpy as np
 from .distance import estimate_distance_to_uniformity
 from .distcore import Distribution, load_spec, uniform
 from .equality import eval_test_equality, pcond_test_equality
-from .errors import IncompatibleOracleModel
+from .errors import BadEpsilon, IncompatibleOracleModel
 from .identity import KnownTarget, cond_test_known, pcond_test_known
 from .interval import icond_test_uniform
 from .oracles import COND, ICOND, PCOND, PERMISSIVE, STRICT, OracleHandle, QueryLedger
@@ -61,6 +61,13 @@ TESTERS = {
 }
 
 
+def check_eps(eps):
+    """Refuse an accuracy parameter outside the open interval (0, 1);
+    NaN and infinities fail the comparison too."""
+    if not 0.0 < eps < 1.0:
+        raise BadEpsilon(f"eps must lie strictly between 0 and 1, got {eps!r}")
+
+
 @dataclass
 class ExperimentConfig:
     tester: str
@@ -75,6 +82,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.tester not in TESTERS:
             raise KeyError(f"unknown tester {self.tester!r}")
+        check_eps(self.eps)
         if self.trials < 1:
             raise ValueError("need at least one trial")
         needs_two = TESTERS[self.tester].second != "none"
@@ -268,6 +276,7 @@ def scaling_sweep(tester: str, n_grid, eps: float, trials: int, seed: int = 0,
                   profile="desk") -> SweepResult:
     """Mean query totals on uniform instances across a domain-size grid,
     with the least-squares exponent of queries against log2(n)."""
+    check_eps(eps)
     spec = TESTERS[tester]
     rows = []
     for n in sorted(n_grid):

@@ -105,6 +105,9 @@ def build_witnesses(target: KnownTarget, j: int, eps1: float) -> WitnessPartitio
     intervals of mass at most w(j); each has mass at least w(j)/2, and
     a light leftover prefix is merged into the last interval (mass at
     most 2 w(j)).
+
+    Cost: O(j log j) in numpy for the cuts, plus one Python step per
+    interval returned (up to j - 1 for a uniform target).
     """
     sp = target.split(eps1)
     if sp.heavy:
@@ -115,20 +118,21 @@ def build_witnesses(target: KnownTarget, j: int, eps1: float) -> WitnessPartitio
     if wj >= eps1:
         return WitnessPartition([(1, j - 1)], j, True)
     prefix = target.prefix_sums
+    # The greedy cut below every possible right end cur = 1..j-1, and
+    # whether the prefix ending at each cut is light, in two vector
+    # passes; the scan then only follows the chain of cuts from j-1.
+    cuts = np.minimum(np.searchsorted(prefix, prefix[1:j] - wj, side="left"),
+                      np.arange(j - 1)).tolist()
+    light = (prefix[:j] <= wj).tolist()
     intervals = []
     cur = j - 1
     while cur >= 1:
-        m = int(np.searchsorted(prefix, prefix[cur] - wj, side="left"))
-        m = min(m, cur - 1)
-        if m <= 0:
+        m = cuts[cur - 1]
+        if m <= 0 or light[m]:
             intervals.append((1, cur))
             break
         intervals.append((m + 1, cur))
         cur = m
-        if prefix[cur] <= wj:
-            lo, hi = intervals.pop()
-            intervals.append((1, hi))
-            break
     return WitnessPartition(intervals, j, False)
 
 

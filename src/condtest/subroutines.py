@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distcore import INTERVAL, QuerySet
+from .distcore import EXPLICIT, FULL, INTERVAL, QuerySet
 from .errors import SetsNotDisjoint
 from .oracles import OracleHandle
 from .profiles import DESK
@@ -21,6 +21,8 @@ from .profiles import DESK
 LOW = "low"
 HIGH = "high"
 RATIO = "ratio"
+
+_CONTIGUOUS = (FULL, INTERVAL)
 
 
 @dataclass(frozen=True)
@@ -62,17 +64,62 @@ def compare_budget(eta, K, delta, profile=DESK) -> int:
     return int(min(m, profile["compare_max_draws"]))
 
 
+def _bounds(s: QuerySet, n):
+    """Smallest and largest member of s."""
+    if s.shape == FULL:
+        return 1, n
+    if s.shape == EXPLICIT:
+        return int(s.indices[0]), int(s.indices[-1])
+    return s.a, s.b
+
+
+def _points(s: QuerySet):
+    """Sorted members of a pair or explicit set."""
+    return s.indices if s.shape == EXPLICIT else np.array([s.a, s.b])
+
+
+def _misses_range(points, lo, hi) -> bool:
+    """Whether no element of the sorted array points lies in [lo, hi]."""
+    return np.searchsorted(points, lo, side="left") == np.searchsorted(
+        points, hi, side="right")
+
+
+def _disjoint(x: QuerySet, y: QuerySet, n) -> bool:
+    """Whether x and y share no point, decided from their shapes.
+
+    O(1) when the bounds do not overlap or both sets are contiguous
+    (full or interval); O(log) for a pair or explicit set against a
+    contiguous one; O(s log l) for two explicit sets of sizes s <= l.
+    """
+    xlo, xhi = _bounds(x, n)
+    ylo, yhi = _bounds(y, n)
+    if xhi < ylo or yhi < xlo:
+        return True
+    if x.shape in _CONTIGUOUS and y.shape in _CONTIGUOUS:
+        return False
+    if y.shape in _CONTIGUOUS:
+        return _misses_range(_points(x), ylo, yhi)
+    if x.shape in _CONTIGUOUS:
+        return _misses_range(_points(y), xlo, xhi)
+    small, large = _points(x), _points(y)
+    if small.size > large.size:
+        small, large = large, small
+    pos = np.minimum(np.searchsorted(large, small), large.size - 1)
+    return not np.any(large[pos] == small)
+
+
 def _union_set(x: QuerySet, y: QuerySet, n) -> QuerySet:
+    """x union y for disjoint x and y: an interval when both are
+    adjacent intervals, a pair when both are single points, otherwise
+    an explicit set (the only case that builds member arrays)."""
     if x.shape == INTERVAL and y.shape == INTERVAL:
         if x.b + 1 == y.a:
             return QuerySet.interval(x.a, y.b)
         if y.b + 1 == x.a:
             return QuerySet.interval(y.a, x.b)
-    xi = x.members(n)
-    yi = y.members(n)
-    if xi.size == 1 and yi.size == 1:
-        return QuerySet.pair(int(xi[0]), int(yi[0]))
-    merged = np.concatenate((xi, yi))
+    if x.size(n) == 1 and y.size(n) == 1:
+        return QuerySet.pair(_bounds(x, n)[0], _bounds(y, n)[0])
+    merged = np.concatenate((x.members(n), y.members(n)))
     merged.sort()
     return QuerySet.explicit(merged)
 
@@ -91,11 +138,14 @@ def compare(
     Returns Low when the hit fraction for Y is below (2/3)/(K+1), High
     when the miss fraction is, and otherwise the ratio estimate
     mu/(1-mu). The draw budget is ceil(compare_c*K*ln(2/delta)/eta^2).
+
+    Cost does not grow with N: disjointness is decided from the set
+    shapes and one binomial draw stands for all m draws. A union that
+    is neither two adjacent intervals nor two single points is built
+    as an explicit set, in time linear in the sizes of x and y.
     """
     n = h.dist.n
-    xi = x.members(n)
-    yi = y.members(n)
-    if np.intersect1d(xi, yi).size:
+    if not _disjoint(x, y, n):
         raise SetsNotDisjoint("compare needs disjoint sets")
     union = _union_set(x, y, n)
     m = compare_budget(eta, K, delta, profile)

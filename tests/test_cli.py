@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from condtest.cli import main
@@ -72,6 +73,27 @@ class TestRun:
         assert r.exit_code != 0
         assert "two distribution specs" in r.output
 
+    @pytest.mark.parametrize("eps", ["0", "-0.5", "nan", "inf", "1"])
+    def test_bad_eps_fails_with_one_line(self, tmp_path, eps):
+        spec = uniform_spec(tmp_path)
+        r = CliRunner().invoke(main, [
+            "run", "--tester", "pcond_uniform", "--dist", spec, "--eps", eps,
+        ])
+        assert r.exit_code == 1
+        assert r.output.strip().splitlines() == [
+            f"Error: eps must lie strictly between 0 and 1, got {float(eps)!r}"]
+
+    def test_non_finite_weight_fails_with_one_line(self, tmp_path):
+        spec = tmp_path / "nan.json"
+        spec.write_text('{"kind": "explicit", "weights": [1, NaN]}')
+        r = CliRunner().invoke(main, [
+            "run", "--tester", "pcond_uniform", "--dist", str(spec),
+            "--eps", "0.5",
+        ])
+        assert r.exit_code == 1
+        assert len(r.output.strip().splitlines()) == 1
+        assert "weights must be finite" in r.output
+
     def test_unknown_tester_rejected(self, tmp_path):
         spec = uniform_spec(tmp_path)
         r = CliRunner().invoke(main, [
@@ -89,6 +111,15 @@ class TestSweep:
         assert r.exit_code == 0, r.output
         doc = json.loads(r.output)
         assert [row["n"] for row in doc["rows"]] == [256, 1024]
+
+    def test_bad_eps_fails_with_one_line(self):
+        r = CliRunner().invoke(main, [
+            "sweep", "--tester", "pcond_uniform", "--n-grid", "256",
+            "--eps", "nan",
+        ])
+        assert r.exit_code == 1
+        assert r.output.strip().splitlines() == [
+            "Error: eps must lie strictly between 0 and 1, got nan"]
 
     def test_bad_grid(self):
         r = CliRunner().invoke(main, [
@@ -116,3 +147,13 @@ class TestDistValidate:
         p.write_text("{\"kind\": \"generator\", \"name\": \"nope\"}")
         r = CliRunner().invoke(main, ["dist", "validate", str(p)])
         assert r.exit_code != 0
+
+    def test_validate_out_of_range_generator_param(self, tmp_path):
+        spec = write_spec(tmp_path, "hs.json", {
+            "kind": "generator", "name": "half_split",
+            "params": {"n": 64, "eps": 0.7},
+        })
+        r = CliRunner().invoke(main, ["dist", "validate", spec])
+        assert r.exit_code == 1
+        assert len(r.output.strip().splitlines()) == 1
+        assert "bad generator params" in r.output

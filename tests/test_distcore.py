@@ -30,6 +30,7 @@ from condtest.errors import (
     BadQuerySet,
     DomainMismatch,
     NegativeWeight,
+    NonFiniteWeight,
     SpecParseError,
     ZeroMassSet,
     ZeroTotalMass,
@@ -81,6 +82,11 @@ class TestDistribution:
             make_distribution([0.0, 0.0])
         with pytest.raises(ZeroTotalMass):
             make_distribution([])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(NonFiniteWeight):
+            make_distribution([1.0, bad])
 
     def test_mass_by_shape(self):
         d = make_distribution([1, 2, 3, 4])
@@ -310,3 +316,10 @@ class TestLoadSpec:
             load_spec({"kind": "generator", "name": "mystery", "params": {}})
         with pytest.raises(SpecParseError):
             load_spec({"kind": "explicit", "weights": [-1, 2]})
+        with pytest.raises(SpecParseError):
+            load_spec('{"kind": "explicit", "weights": [1, NaN]}')
+
+    def test_generator_range_error_is_spec_error(self):
+        with pytest.raises(SpecParseError, match="bad generator params"):
+            load_spec({"kind": "generator", "name": "half_split",
+                       "params": {"n": 64, "eps": 0.7}})

@@ -1,9 +1,10 @@
 import json
+import math
 
 import pytest
 
 from condtest.distcore import uniform
-from condtest.errors import IncompatibleOracleModel
+from condtest.errors import BadEpsilon, IncompatibleOracleModel
 from condtest.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -69,6 +70,11 @@ class TestConfig:
                 spec2={"kind": "explicit", "weights": [1, 1]},
                 eps=0.5,
             )
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf, 1.0, 1.5])
+    def test_rejects_bad_eps(self, eps):
+        with pytest.raises(BadEpsilon):
+            small_cfg(eps=eps)
 
     def test_unknown_tester(self):
         with pytest.raises(KeyError):
@@ -185,6 +191,11 @@ class TestScalingSweep:
         qs = {q for _, q in sw.rows}
         assert len(qs) == 1  # exact N-independence
         assert abs(sw.exponent) < 1e-9
+
+    @pytest.mark.parametrize("eps", [0.0, math.nan, 1.0])
+    def test_rejects_bad_eps(self, eps):
+        with pytest.raises(BadEpsilon):
+            scaling_sweep("pcond_uniform", [], eps, trials=1)
 
     def test_aggregate_helper(self):
         res = run_experiment(small_cfg(trials=3))

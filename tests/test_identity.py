@@ -117,6 +117,77 @@ class TestWitnessPartition:
             build_witnesses(heavy_t, 30, 0.05)
 
 
+def reference_witnesses(target, j, eps1):
+    """The scalar greedy scan build_witnesses replaced, kept verbatim as
+    the reference: one searchsorted call per interval."""
+    wj = target.weight_at(j)
+    prefix = target.prefix_sums
+    intervals = []
+    cur = j - 1
+    while cur >= 1:
+        m = int(np.searchsorted(prefix, prefix[cur] - wj, side="left"))
+        m = min(m, cur - 1)
+        if m <= 0:
+            intervals.append((1, cur))
+            break
+        intervals.append((m + 1, cur))
+        cur = m
+        if prefix[cur] <= wj:
+            lo, hi = intervals.pop()
+            intervals.append((1, hi))
+            break
+    return intervals
+
+
+def light_remainder_merged(target, intervals, j):
+    """Whether the last interval is a greedy cut with the light prefix
+    below it merged in: it starts at 1 yet weighs more than w(j)."""
+    lo, hi = intervals[-1]
+    return lo == 1 and target.prefix_mass(hi) > target.weight_at(j)
+
+
+class TestWitnessesMatchScalarScan:
+    def _check(self, t, js, eps1=0.05):
+        merged = 0
+        for j in js:
+            parts = build_witnesses(t, j, eps1)
+            if parts.heavy:
+                continue
+            want = reference_witnesses(t, j, eps1)
+            assert parts.intervals == want, j
+            merged += light_remainder_merged(t, want, j)
+        return merged
+
+    def test_random_targets(self):
+        rng = np.random.default_rng(22)
+        merged = 0
+        for _ in range(30):
+            n = int(rng.integers(16, 513))
+            t = KnownTarget(make_distribution(rng.random(n) ** 2 + 1e-6))
+            sp = t.split(0.05)
+            if sp.heavy:
+                continue
+            merged += self._check(t, range(sp.i_star, n + 1, 3))
+        assert merged > 0
+
+    def test_uniform_one_point_witnesses(self):
+        n = 2**12
+        t = KnownTarget(uniform(n))
+        js = [t.split(0.05).i_star, n // 2, n - 1, n]
+        self._check(t, js)
+        parts = build_witnesses(t, n, 0.05)
+        assert len(parts.intervals) >= n - 3
+        assert all(lo == hi for lo, hi in parts.intervals[:-1])
+
+    def test_light_remainder_merged(self):
+        # A light head of tiny points below a flat body: the greedy scan
+        # ends on a cut whose leftover prefix weighs at most w(j).
+        w = np.concatenate((np.full(30, 1e-5), np.full(200, 1.0 / 200)))
+        t = KnownTarget(make_distribution(w))
+        n = w.size
+        assert self._check(t, range(t.split(0.05).i_star, n + 1)) > 0
+
+
 class TestPcondTestKnown:
     def test_accepts_uniform_target(self):
         u = uniform(256)
