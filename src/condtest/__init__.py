@@ -44,6 +44,7 @@ from .errors import (
     BadBlockGeometry,
     BadEpsilon,
     BadQuerySet,
+    BadTrialCount,
     CondtestError,
     DisciplineViolation,
     DomainMismatch,
@@ -57,6 +58,7 @@ from .errors import (
     OddN,
     SetsNotDisjoint,
     SpecParseError,
+    UnknownTester,
     ZeroMassSet,
     ZeroTotalMass,
 )

@@ -55,7 +55,6 @@ def run(tester, dist_path, dist2_path, eps, trials, seed, profile, out_path, fmt
             trials=trials,
             seed=seed,
             profile=profile,
-            out_format=fmt,
         )
         result = run_experiment(cfg)
     except CondtestError as e:

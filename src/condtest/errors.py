@@ -75,3 +75,11 @@ class SpecParseError(CondtestError):
 
 class BadEpsilon(CondtestError):
     """The accuracy parameter must lie strictly between 0 and 1."""
+
+
+class UnknownTester(CondtestError):
+    pass
+
+
+class BadTrialCount(CondtestError):
+    """An experiment needs at least one trial."""

@@ -19,7 +19,13 @@ import numpy as np
 from .distance import estimate_distance_to_uniformity
 from .distcore import Distribution, load_spec, uniform
 from .equality import eval_test_equality, pcond_test_equality
-from .errors import BadEpsilon, IncompatibleOracleModel
+from .errors import (
+    BadEpsilon,
+    BadTrialCount,
+    DomainMismatch,
+    IncompatibleOracleModel,
+    UnknownTester,
+)
 from .identity import KnownTarget, cond_test_known, pcond_test_known
 from .interval import icond_test_uniform
 from .oracles import COND, ICOND, PCOND, PERMISSIVE, STRICT, OracleHandle, QueryLedger
@@ -61,6 +67,14 @@ TESTERS = {
 }
 
 
+def tester_spec(tester: str) -> TesterSpec:
+    """The registry entry of a tester; UnknownTester if there is none."""
+    try:
+        return TESTERS[tester]
+    except KeyError:
+        raise UnknownTester(f"unknown tester {tester!r}") from None
+
+
 def check_eps(eps):
     """Refuse an accuracy parameter outside the open interval (0, 1);
     NaN and infinities fail the comparison too."""
@@ -77,15 +91,12 @@ class ExperimentConfig:
     trials: int = 1
     seed: int = 0
     profile: object = "desk"
-    out_format: str = "json"
 
     def __post_init__(self):
-        if self.tester not in TESTERS:
-            raise KeyError(f"unknown tester {self.tester!r}")
+        needs_two = tester_spec(self.tester).second != "none"
         check_eps(self.eps)
         if self.trials < 1:
-            raise ValueError("need at least one trial")
-        needs_two = TESTERS[self.tester].second != "none"
+            raise BadTrialCount(f"need at least one trial, got {self.trials!r}")
         if needs_two and self.spec2 is None:
             raise IncompatibleOracleModel(
                 f"tester {self.tester!r} needs two distribution specs"
@@ -222,12 +233,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     spec = TESTERS[cfg.tester]
     profile = resolve_profile(cfg.profile)
     d1 = _resolve_dist(cfg.spec)
-    if spec.second == "target":
-        aux = KnownTarget(_resolve_dist(cfg.spec2))
-    elif spec.second == "oracle":
+    aux = None
+    if spec.second != "none":
         aux = _resolve_dist(cfg.spec2)
-    else:
-        aux = None
+        if aux.n != d1.n:
+            raise DomainMismatch(
+                f"spec has domain size {d1.n} but spec2 has {aux.n}")
+        if spec.second == "target":
+            aux = KnownTarget(aux)
     records = []
     for i in range(cfg.trials):
         rec = run_trial(cfg.tester, d1, aux, cfg.eps,
@@ -277,7 +290,7 @@ def scaling_sweep(tester: str, n_grid, eps: float, trials: int, seed: int = 0,
     """Mean query totals on uniform instances across a domain-size grid,
     with the least-squares exponent of queries against log2(n)."""
     check_eps(eps)
-    spec = TESTERS[tester]
+    spec = tester_spec(tester)
     rows = []
     for n in sorted(n_grid):
         d = uniform(n)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +45,17 @@ class KnownTarget:
     Positions 1..N refer to the ascending-weight order; sorted_order
     maps position -> original label and prefix_sums[k] is the target
     mass of positions 1..k.
+
+    Split points and witness-chain tables are cached on the instance,
+    so a target's cost is paid once per distinct eps1 and per distinct
+    target weight below eps1, and dies with the instance. Building a
+    chain table costs O(N log N) in numpy; prefix_labels is one O(N)
+    vector pass, without a sort.
     """
+
+    # At most this many chain tables are kept; a target with more
+    # distinct weights evicts the oldest.
+    MAX_CHAINS = 8
 
     def __init__(self, dstar: Distribution):
         self.dstar = dstar
@@ -56,6 +65,8 @@ class KnownTarget:
         self.prefix_sums = np.concatenate(([0.0], np.cumsum(self.sorted_weights)))
         self.position_of = np.empty(self.n, dtype=np.int64)
         self.position_of[self.sorted_order - 1] = np.arange(1, self.n + 1)
+        self._splits = {}
+        self._chains = {}
 
     def weight_at(self, pos):
         """Target weight of the point at ascending position pos."""
@@ -67,20 +78,33 @@ class KnownTarget:
 
     def prefix_labels(self, k):
         """Original labels of positions 1..k, sorted ascending."""
-        return np.sort(self.sorted_order[:k])
+        return np.flatnonzero(self.position_of <= k) + 1
 
     def interval_labels(self, lo, hi):
         """Original labels of positions lo..hi, sorted ascending."""
         return np.sort(self.sorted_order[lo - 1 : hi])
 
-    @lru_cache(maxsize=8)
     def split(self, eps1: float) -> SplitPoint:
-        # Tiny slack so accumulated float error in the prefix sums
-        # cannot flip a prefix that equals 2 eps1 exactly.
-        thr = 2.0 * eps1 * (1.0 + 1e-12) + 1e-15
-        i_star = int(np.searchsorted(self.prefix_sums, thr, side="right"))
-        heavy = self.prefix_mass(i_star - 1) <= eps1
-        return SplitPoint(i_star, i_star - 1, heavy)
+        sp = self._splits.get(eps1)
+        if sp is None:
+            # Tiny slack so accumulated float error in the prefix sums
+            # cannot flip a prefix that equals 2 eps1 exactly.
+            thr = 2.0 * eps1 * (1.0 + 1e-12) + 1e-15
+            i_star = int(np.searchsorted(self.prefix_sums, thr, side="right"))
+            heavy = self.prefix_mass(i_star - 1) <= eps1
+            sp = self._splits[eps1] = SplitPoint(i_star, i_star - 1, heavy)
+        return sp
+
+    def witness_chain(self, wj: float) -> WitnessChain:
+        """The greedy witness chains for target weight wj, built on the
+        first call for wj and cached."""
+        chain = self._chains.get(wj)
+        if chain is None:
+            if len(self._chains) >= self.MAX_CHAINS:
+                del self._chains[next(iter(self._chains))]
+            last = int(np.searchsorted(self.sorted_weights, wj, side="right"))
+            chain = self._chains[wj] = WitnessChain.build(self.prefix_sums, wj, last)
+        return chain
 
     def sample(self, rng, size):
         """size iid original labels drawn from the target itself."""
@@ -88,6 +112,56 @@ class KnownTarget:
         pos = np.searchsorted(self.dstar.prefix[1:], u, side="right")
         np.clip(pos, 0, self.n - 1, out=pos)
         return pos + 1
+
+
+@dataclass(frozen=True)
+class WitnessChain:
+    """Every greedy witness chain for one target weight wj, as a forest.
+
+    The greedy cut below a right end cur, and whether the prefix left
+    below it is light, depend on wj but not on the position j being
+    tested; so all positions of weight wj walk the same forest over
+    nodes 1..last-1 (last: the highest position of weight wj). Node cur
+    stands for the interval (lo[cur], cur); its parent is the right end
+    of the next interval down the chain, 0 past the end. The partition
+    for position j is the chain from node j-1, depth[j-1] intervals
+    long, rightmost first. up[k] is the 2^k-th ancestor, so the a-th
+    interval of a chain is reached in O(log N) gathers.
+    """
+
+    lo: np.ndarray     # int32, lo[cur]
+    depth: np.ndarray  # int32, intervals in the chain from cur; depth[0] = 0
+    up: tuple          # int32 arrays, up[k][cur] = 2^k-th ancestor of cur
+
+    @classmethod
+    def build(cls, prefix, wj, last):
+        cur = np.arange(1, last)
+        cut = np.minimum(np.searchsorted(prefix, prefix[1:last] - wj, side="left"),
+                         cur - 1)
+        end = (cut <= 0) | (prefix[cut] <= wj)
+        parent = np.zeros(last, dtype=np.int32)
+        parent[1:] = np.where(end, 0, cut)
+        lo = np.ones(last, dtype=np.int32)
+        lo[1:] = np.where(end, 1, cut + 1)
+        # Pointer jumping: after round k, depth counts the first 2^k
+        # intervals of each chain and p is the 2^k-th ancestor.
+        depth = (np.arange(last) > 0).astype(np.int32)
+        up = []
+        p = parent
+        while p.any():
+            up.append(p)
+            depth += depth[p]
+            p = p[p]
+        return cls(lo, depth, tuple(up))
+
+    def resolve(self, j, picks):
+        """(lo, hi) arrays of the picks-th intervals of j's chain;
+        every pick must lie in [0, depth[j-1])."""
+        node = np.full(len(picks), j - 1, dtype=np.int32)
+        for k, up in enumerate(self.up):
+            step = (picks >> k) & 1 == 1
+            node[step] = up[node[step]]
+        return self.lo[node], node
 
 
 @dataclass
@@ -106,8 +180,9 @@ def build_witnesses(target: KnownTarget, j: int, eps1: float) -> WitnessPartitio
     a light leftover prefix is merged into the last interval (mass at
     most 2 w(j)).
 
-    Cost: O(j log j) in numpy for the cuts, plus one Python step per
-    interval returned (up to j - 1 for a uniform target).
+    Cost: the intervals are read off the target's cached chain table
+    for w(j) (O(N log N) once per distinct weight), in O(d log N) numpy
+    gathers for the d intervals returned.
     """
     sp = target.split(eps1)
     if sp.heavy:
@@ -117,23 +192,9 @@ def build_witnesses(target: KnownTarget, j: int, eps1: float) -> WitnessPartitio
     wj = target.weight_at(j)
     if wj >= eps1:
         return WitnessPartition([(1, j - 1)], j, True)
-    prefix = target.prefix_sums
-    # The greedy cut below every possible right end cur = 1..j-1, and
-    # whether the prefix ending at each cut is light, in two vector
-    # passes; the scan then only follows the chain of cuts from j-1.
-    cuts = np.minimum(np.searchsorted(prefix, prefix[1:j] - wj, side="left"),
-                      np.arange(j - 1)).tolist()
-    light = (prefix[:j] <= wj).tolist()
-    intervals = []
-    cur = j - 1
-    while cur >= 1:
-        m = cuts[cur - 1]
-        if m <= 0 or light[m]:
-            intervals.append((1, cur))
-            break
-        intervals.append((m + 1, cur))
-        cur = m
-    return WitnessPartition(intervals, j, False)
+    chain = target.witness_chain(wj)
+    lo, hi = chain.resolve(j, np.arange(chain.depth[j - 1]))
+    return WitnessPartition(list(zip(lo.tolist(), hi.tolist())), j, False)
 
 
 # Pair-query tester -------------------------------------------------
@@ -271,10 +332,10 @@ def _test_known_main(h, target, eps, sp, profile):
                     <= (1.0 + eps2 / 8.0) * ratio_star):
                 reject = True
             continue
-        parts = build_witnesses(target, j, eps1)
-        picks = h.rng.integers(0, len(parts.intervals), size=h_count)
-        for a in picks:
-            lo, hi = parts.intervals[int(a)]
+        chain = target.witness_chain(wj)
+        picks = h.rng.integers(0, int(chain.depth[j - 1]), size=h_count)
+        los, his = chain.resolve(j, picks)
+        for lo, hi in zip(los.tolist(), his.tolist()):
             wit = QuerySet.explicit(target.interval_labels(lo, hi))
             try:
                 out = compare(

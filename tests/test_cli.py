@@ -94,6 +94,28 @@ class TestRun:
         assert len(r.output.strip().splitlines()) == 1
         assert "weights must be finite" in r.output
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_too_few_trials_fail_with_one_line(self, tmp_path, trials):
+        spec = uniform_spec(tmp_path)
+        r = CliRunner().invoke(main, [
+            "run", "--tester", "pcond_uniform", "--dist", spec,
+            "--eps", "0.5", "--trials", trials,
+        ])
+        assert r.exit_code == 1
+        assert r.output.strip().splitlines() == [
+            f"Error: need at least one trial, got {int(trials)}"]
+
+    def test_domain_mismatch_fails_with_one_line(self, tmp_path):
+        d1 = uniform_spec(tmp_path, n=64, name="a.json")
+        d2 = uniform_spec(tmp_path, n=32, name="b.json")
+        r = CliRunner().invoke(main, [
+            "run", "--tester", "cond_known", "--dist", d1, "--dist2", d2,
+            "--eps", "0.5",
+        ])
+        assert r.exit_code == 1
+        assert r.output.strip().splitlines() == [
+            "Error: spec has domain size 64 but spec2 has 32"]
+
     def test_unknown_tester_rejected(self, tmp_path):
         spec = uniform_spec(tmp_path)
         r = CliRunner().invoke(main, [

@@ -1,10 +1,19 @@
+import gc
 import json
 import math
+import weakref
 
 import pytest
 
+from condtest import harness
 from condtest.distcore import uniform
-from condtest.errors import BadEpsilon, IncompatibleOracleModel
+from condtest.errors import (
+    BadEpsilon,
+    BadTrialCount,
+    DomainMismatch,
+    IncompatibleOracleModel,
+    UnknownTester,
+)
 from condtest.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -77,8 +86,18 @@ class TestConfig:
             small_cfg(eps=eps)
 
     def test_unknown_tester(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(UnknownTester):
             ExperimentConfig(tester="psychic", spec={}, eps=0.5)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_rejects_too_few_trials(self, trials):
+        with pytest.raises(BadTrialCount):
+            small_cfg(trials=trials)
+
+    def test_no_output_format_field(self):
+        # The report format is chosen by the writer, not the config.
+        with pytest.raises(TypeError):
+            small_cfg(out_format="json")
 
     def test_registry_models(self):
         assert TESTERS["icond_uniform"].model == "icond"
@@ -145,6 +164,39 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         assert all(r.verdict in ("Accept", "Reject") for r in res.trials)
 
+    @pytest.mark.parametrize("tester", [
+        "pcond_known", "cond_known", "pcond_equality", "eval_equality"])
+    def test_refuses_domain_mismatch(self, tester):
+        cfg = ExperimentConfig(
+            tester=tester,
+            spec={"kind": "explicit", "weights": [1.0] * 64},
+            spec2={"kind": "explicit", "weights": [1.0] * 32},
+            eps=0.5,
+        )
+        with pytest.raises(DomainMismatch, match="64 but spec2 has 32"):
+            run_experiment(cfg)
+
+    def test_target_freed_after_experiment(self, monkeypatch):
+        refs = []
+
+        class Spy(harness.KnownTarget):
+            def __init__(self, dstar):
+                super().__init__(dstar)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(harness, "KnownTarget", Spy)
+        cfg = ExperimentConfig(
+            tester="cond_known",
+            spec={"kind": "explicit", "weights": [1.0] * 256},
+            spec2={"kind": "explicit", "weights": [1.0] * 256},
+            eps=0.5,
+        )
+        res = run_experiment(cfg)
+        assert len(refs) == 1
+        gc.collect()
+        assert refs[0]() is None
+        assert res.trials[0].verdict in ("Accept", "Reject")
+
 
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
@@ -196,6 +248,10 @@ class TestScalingSweep:
     def test_rejects_bad_eps(self, eps):
         with pytest.raises(BadEpsilon):
             scaling_sweep("pcond_uniform", [], eps, trials=1)
+
+    def test_unknown_tester(self):
+        with pytest.raises(UnknownTester):
+            scaling_sweep("psychic", [64], 0.5, 1)
 
     def test_aggregate_helper(self):
         res = run_experiment(small_cfg(trials=3))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from condtest.adversarial import gen_staircase
+from condtest.adversarial import gen_half_split, gen_block_profile, gen_staircase
 from condtest.distcore import make_distribution, uniform
 from condtest.errors import NotInNoGapRegime
 from condtest.identity import (
@@ -56,6 +56,24 @@ class TestKnownTarget:
         w[0] = 1.0
         t = KnownTarget(make_distribution(w))
         assert t.split(0.05).heavy
+
+    @pytest.mark.parametrize("make", [
+        lambda: uniform(300),
+        lambda: gen_half_split(300, 0.4),
+        lambda: make_distribution(np.random.default_rng(5).random(300)),
+    ])
+    def test_prefix_labels_sorted_without_sort(self, make):
+        t = KnownTarget(make())
+        for k in (0, 1, 2, 57, 150, 299, 300):
+            got = t.prefix_labels(k)
+            want = np.sort(t.sorted_order[:k])
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), k
+
+    def test_split_and_chain_cached(self):
+        t = KnownTarget(uniform(100))
+        assert t.split(0.05) is t.split(0.05)
+        assert t.witness_chain(0.01) is t.witness_chain(0.01)
 
     def test_internal_sampler_matches_target(self):
         d = make_distribution([1, 2, 3, 4])
@@ -186,6 +204,51 @@ class TestWitnessesMatchScalarScan:
         t = KnownTarget(make_distribution(w))
         n = w.size
         assert self._check(t, range(t.split(0.05).i_star, n + 1)) > 0
+
+
+class TestWitnessChainTable:
+    """The cached chain table against the scalar scan, pick by pick."""
+
+    def _check(self, t, js, eps1=0.05, seed=0):
+        rng = np.random.default_rng(seed)
+        checked = 0
+        for j in js:
+            wj = t.weight_at(j)
+            if wj >= eps1:
+                continue
+            want = reference_witnesses(t, j, eps1)
+            chain = t.witness_chain(wj)
+            assert chain.depth[j - 1] == len(want), j
+            for picks in (np.arange(len(want)),
+                          rng.integers(0, len(want), size=16)):
+                lo, hi = chain.resolve(j, picks)
+                assert list(zip(lo.tolist(), hi.tolist())) == [
+                    want[a] for a in picks], j
+            checked += 1
+        return checked
+
+    @pytest.mark.parametrize("make", [
+        lambda: uniform(2**12),
+        lambda: gen_staircase(2, 4),
+        lambda: gen_block_profile(256, 4, 11, ["up_down", "down_up"] * 8, 0.25),
+        lambda: make_distribution(np.random.default_rng(23).random(600) + 0.05),
+    ])
+    def test_matches_scalar_scan(self, make):
+        t = KnownTarget(make())
+        i_star = t.split(0.05).i_star
+        js = sorted({i_star, i_star + 1, (i_star + t.n) // 2, t.n - 1, t.n}
+                    | set(range(i_star, t.n + 1, max(1, (t.n - i_star) // 40))))
+        assert self._check(t, js) >= 5
+
+    def test_every_draw_misses_the_cache(self):
+        # All-distinct weights: each position brings a new w(j), so the
+        # cache evicts and rebuilds, and the intervals stay the scan's.
+        rng = np.random.default_rng(24)
+        t = KnownTarget(make_distribution(rng.random(400) ** 2 + 1e-6))
+        js = rng.integers(t.split(0.05).i_star, t.n + 1, size=40)
+        assert len({t.weight_at(int(j)) for j in js}) > KnownTarget.MAX_CHAINS
+        assert self._check(t, [int(j) for j in js]) > KnownTarget.MAX_CHAINS
+        assert len(t._chains) == KnownTarget.MAX_CHAINS
 
 
 class TestPcondTestKnown:
