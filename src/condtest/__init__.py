@@ -23,13 +23,10 @@ from .distcore import (
     Distribution,
     QuerySet,
     conditional_pmf,
-    heavy_set,
     light_set,
     load_spec,
     make_distribution,
-    neighborhood,
     neighborhood_mass,
-    psi,
     psi_vector,
     tv_distance,
     uniform,
@@ -43,7 +40,9 @@ from .equality import (
 from .errors import (
     BadBlockGeometry,
     BadEpsilon,
+    BadProfile,
     BadQuerySet,
+    BadSweepGrid,
     BadTrialCount,
     CondtestError,
     DisciplineViolation,

@@ -1,10 +1,11 @@
 """Exact computations on explicit discrete distributions.
 
 Everything here is deterministic: construction and normalization,
-conditional pmfs, total variation distance, weight neighborhoods,
-heavy sets, the per-point uniformity defect psi, and the bucket
-decompositions used by the testers. The randomized components are
-validated against these functions.
+conditional pmfs, total variation distance, weight-neighborhood
+masses, the uniformity defect vector psi, the light tail, and the
+dyadic bucket decomposition the pair-query identity tester screens
+with. The randomized components are validated against these
+functions.
 
 The domain is 1..N throughout the public API.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,6 +188,8 @@ def make_distribution(weights) -> Distribution:
 
 
 def uniform(n) -> Distribution:
+    if n < 1:
+        raise ZeroTotalMass("need at least one weight")
     return Distribution(np.full(n, 1.0 / n))
 
 
@@ -212,16 +215,8 @@ def tv_distance(d1: Distribution, d2: Distribution) -> float:
     return 0.5 * float(np.abs(d1.weights - d2.weights).sum())
 
 
-def neighborhood(d: Distribution, x: int, gamma: float):
-    """{ y : D(x)/(1+gamma) <= D(y) <= (1+gamma) D(x) } as a sorted array."""
-    wx = d.weight(x)
-    lo = wx / (1.0 + gamma)
-    hi = (1.0 + gamma) * wx
-    mask = (d.weights >= lo) & (d.weights <= hi)
-    return np.nonzero(mask)[0] + 1
-
-
 def neighborhood_mass(d: Distribution, x: int, gamma: float) -> float:
+    """D({ y : D(x)/(1+gamma) <= D(y) <= (1+gamma) D(x) })."""
     wx = d.weight(x)
     lo = wx / (1.0 + gamma)
     hi = (1.0 + gamma) * wx
@@ -229,19 +224,8 @@ def neighborhood_mass(d: Distribution, x: int, gamma: float) -> float:
     return float(d.weights[mask].sum())
 
 
-def heavy_set(d: Distribution, gamma: float):
-    """Points with D(i) >= 1/(gamma N), sorted array."""
-    thr = 1.0 / (gamma * d.n)
-    return np.nonzero(d.weights >= thr)[0] + 1
-
-
-def psi(d: Distribution, i: int) -> float:
-    """Per-point uniformity defect: 1 - N*D(i) when below 1/N, else 0."""
-    v = d.n * d.weight(i)
-    return 1.0 - v if v < 1.0 else 0.0
-
-
 def psi_vector(d: Distribution):
+    """Per-point uniformity defect: 1 - N*D(i) when below 1/N, else 0."""
     v = 1.0 - d.n * d.weights
     return np.maximum(v, 0.0)
 
@@ -264,154 +248,33 @@ def light_set(d: Distribution, tau: float):
     return np.unique(np.concatenate((out, zero)))
 
 
-def rank_in_set(d: Distribution, s: QuerySet, j: int) -> float:
-    """Conditional mass, within S, of the members no heavier than j.
-
-    Ties in weight count as 'no heavier'.
-    """
-    idx = s.members(d.n)
-    w = d.weights[idx - 1]
-    total = w.sum()
-    if total <= 0:
-        raise ZeroMassSet("rank within a zero-mass set")
-    wj = d.weight(j)
-    return float(w[w <= wj].sum() / total)
-
-
-# Bucket decompositions. Scheme parameter objects keep call sites readable.
-
-
-@dataclass(frozen=True)
-class KnownIdentity:
+@dataclass
+class BucketDecomposition:
     """Dyadic weight buckets for identity testing against a known target.
 
     Bucket 0 holds points below eta/N; bucket j (j >= 1) holds
     [2^(j-1) eta/N, 2^j eta/N). b = ceil(log2(N/eta)+1)+1 buckets total.
     """
 
-    eta: float
-
-
-@dataclass(frozen=True)
-class UniformSoundness:
-    """Geometric buckets around 1/N used in the uniformity analysis.
-
-    With t = log2(4/eps)+1: low buckets L_j collect points below 1/N in
-    geometric bands (1 - 2^j eps/4)/N < D(i) <= (1 - 2^(j-1) eps/4)/N,
-    high buckets H_j mirror them above 1/N with half-open bands
-    (1 + 2^(j-1) eps/4)/N <= D(i) < (1 + 2^j eps/4)/N. The extreme
-    buckets are unbounded (<= 1/(2N) and >= 2/N).
-    """
-
-    eps: float
-
-
-@dataclass(frozen=True)
-class MediumWeight:
-    """Multiplicative (1+kappa) bands over the medium weight range.
-
-    Light bucket below kappa/(2N); medium bands
-    [(1+kappa)^(j-1) kappa/(2N), (1+kappa)^j kappa/(2N)) for j = 1..r
-    with r = ceil(log(2/kappa^2)/log(1+kappa)); heavy bucket at and
-    above 1/(kappa N).
-    """
-
-    kappa: float
-
-
-@dataclass
-class BucketDecomposition:
     bucket_index_of: np.ndarray  # bucket id per point, 0-based positions
     bucket_bounds: list  # per-bucket (lo, hi) weight interval
-    b: int = field(default=0)
-    labels: list = field(default=None)
 
-    def __post_init__(self):
-        if not self.b:
-            self.b = len(self.bucket_bounds)
-
-    def bucket_of(self, i):
-        """Bucket id for point i (1-based)."""
-        return int(self.bucket_index_of[i - 1])
-
-    def members(self, j):
-        return np.nonzero(self.bucket_index_of == j)[0] + 1
+    @property
+    def b(self):
+        return len(self.bucket_bounds)
 
     def bucket_mass(self, d: Distribution, j) -> float:
         return float(d.weights[self.bucket_index_of == j].sum())
 
 
-def bucketize(d: Distribution, scheme) -> BucketDecomposition:
+def bucketize(d: Distribution, eta: float) -> BucketDecomposition:
     n = d.n
-    w = d.weights
-    if isinstance(scheme, KnownIdentity):
-        eta = scheme.eta
-        jmax = math.ceil(math.log2(n / eta) + 1)
-        edges = [0.0] + [2.0 ** (j - 1) * eta / n for j in range(1, jmax + 1)]
-        edges.append(math.inf)
-        ids = np.searchsorted(np.asarray(edges[1:]), w, side="right")
-        bounds = [(edges[k], edges[k + 1]) for k in range(len(edges) - 1)]
-        return BucketDecomposition(ids.astype(np.int64), bounds)
-    if isinstance(scheme, UniformSoundness):
-        eps = _pow2_floor(scheme.eps)
-        t = int(round(math.log2(4.0 / eps))) + 1
-        u = 1.0 / n
-        # Bands in ascending weight order. The extreme buckets (weight
-        # at most 1/(2N), weight at least 2/N) take priority and swallow
-        # the outermost geometric bands, so the result is a partition.
-        # Low bands are open below and closed above, high bands are
-        # closed below and open above.
-        bands = [("L%d" % t, 0.0, 0.5 * u, lambda v: v <= 0.5 * u)]
-        for j in range(t - 2, 0, -1):
-            lo = max((1.0 - 2.0**j * eps / 4.0) * u, 0.5 * u)
-            hi = (1.0 - 2.0 ** (j - 1) * eps / 4.0) * u
-            bands.append(
-                ("L%d" % j, lo, hi, lambda v, lo=lo, hi=hi: (v > lo) & (v <= hi))
-            )
-        lo0 = (1.0 - eps / 4.0) * u
-        bands.append(("L0", lo0, u, lambda v: (v > lo0) & (v < u)))
-        bands.append(
-            ("H0", u, (1.0 + eps / 4.0) * u,
-             lambda v: (v >= u) & (v < (1.0 + eps / 4.0) * u))
-        )
-        for j in range(1, t):
-            lo = (1.0 + 2.0 ** (j - 1) * eps / 4.0) * u
-            hi = min((1.0 + 2.0**j * eps / 4.0) * u, 2.0 * u)
-            bands.append(
-                ("H%d" % j, lo, hi, lambda v, lo=lo, hi=hi: (v >= lo) & (v < hi))
-            )
-        bands.append(("H%d" % t, 2.0 * u, math.inf, lambda v: v >= 2.0 * u))
-        ids = np.full(n, -1, dtype=np.int64)
-        bounds = []
-        labels = []
-        for bid, (label, lo, hi, pred) in enumerate(bands):
-            mask = pred(w) & (ids == -1)
-            ids[mask] = bid
-            labels.append(label)
-            bounds.append((lo, hi))
-        assert np.all(ids >= 0)
-        return BucketDecomposition(ids, bounds, labels=labels)
-    if isinstance(scheme, MediumWeight):
-        kappa = scheme.kappa
-        base = kappa / (2.0 * n)
-        r = math.ceil(math.log(2.0 / kappa**2) / math.log1p(kappa))
-        edges = [0.0] + [base * (1.0 + kappa) ** j for j in range(r + 1)]
-        edges.append(math.inf)
-        # The heavy threshold 1/(kappa N) equals base*(1+kappa)^r only
-        # approximately; the top band is clamped so everything at or
-        # above 1/(kappa N) lands in the heavy bucket.
-        heavy_thr = 1.0 / (kappa * n)
-        ids = np.searchsorted(np.asarray(edges[1:-1]), w, side="right")
-        ids[w >= heavy_thr] = r + 1
-        bounds = [(edges[k], edges[k + 1]) for k in range(len(edges) - 1)]
-        bounds[-1] = (heavy_thr, math.inf)
-        return BucketDecomposition(ids.astype(np.int64), bounds)
-    raise TypeError(f"unknown bucketing scheme {scheme!r}")
-
-
-def _pow2_floor(eps: float) -> float:
-    """Largest power of 1/2 that is <= eps."""
-    return 2.0 ** math.floor(math.log2(eps))
+    jmax = math.ceil(math.log2(n / eta) + 1)
+    edges = [0.0] + [2.0 ** (j - 1) * eta / n for j in range(1, jmax + 1)]
+    edges.append(math.inf)
+    ids = np.searchsorted(np.asarray(edges[1:]), d.weights, side="right")
+    bounds = [(edges[k], edges[k + 1]) for k in range(len(edges) - 1)]
+    return BucketDecomposition(ids.astype(np.int64), bounds)
 
 
 # Distribution spec files.

@@ -83,3 +83,11 @@ class UnknownTester(CondtestError):
 
 class BadTrialCount(CondtestError):
     """An experiment needs at least one trial."""
+
+
+class BadProfile(CondtestError):
+    """No such preset or profile file, not JSON, or an unknown base or key."""
+
+
+class BadSweepGrid(CondtestError):
+    """A sweep's fit takes log(log2 N), so every N must be at least 2."""

@@ -21,6 +21,7 @@ from .distcore import Distribution, load_spec, uniform
 from .equality import eval_test_equality, pcond_test_equality
 from .errors import (
     BadEpsilon,
+    BadSweepGrid,
     BadTrialCount,
     DomainMismatch,
     IncompatibleOracleModel,
@@ -291,6 +292,8 @@ def scaling_sweep(tester: str, n_grid, eps: float, trials: int, seed: int = 0,
     with the least-squares exponent of queries against log2(n)."""
     check_eps(eps)
     spec = tester_spec(tester)
+    if any(n < 2 for n in n_grid):
+        raise BadSweepGrid(f"sweep domain sizes must be at least 2, got {min(n_grid)}")
     rows = []
     for n in sorted(n_grid):
         d = uniform(n)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distcore import Distribution, KnownIdentity, QuerySet, bucketize
+from .distcore import Distribution, QuerySet, bucketize
 from .errors import NotInNoGapRegime, ZeroMassSet
 from .oracles import OracleHandle
 from .profiles import DESK
@@ -205,7 +205,7 @@ def pcond_test_known(h: OracleHandle, target: KnownTarget, eps: float,
     dstar = target.dstar
     n = h.dist.n
     eta = eps / 6.0
-    buckets = bucketize(dstar, KnownIdentity(eta))
+    buckets = bucketize(dstar, eta)
     b = buckets.b
     # Phase one: bucket weight screening from plain samples.
     m = math.ceil(profile["known_m_c"] * b * b * math.log2(2.0 * b) / eta**2)

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distcore import EXPLICIT, FULL, INTERVAL, PAIR, Distribution, QuerySet
+from .distcore import (EXPLICIT, FULL, INTERVAL, PAIR, Distribution, QuerySet,
+                       _check_domain)
 from .errors import (
-    BadQuerySet,
     DisciplineViolation,
     IllegalShapeForModel,
     ZeroMassSet,
@@ -119,9 +119,7 @@ class OracleHandle:
             raise IllegalShapeForModel(
                 f"{self.model} oracle cannot take a {s.shape} set"
             )
-        m = s.max_index()
-        if m is not None and m > self.dist.n:
-            raise BadQuerySet(f"index {m} outside 1..{self.dist.n}")
+        _check_domain(self.dist, s)
         if (
             self.discipline == STRICT
             and s.shape != FULL
@@ -221,11 +219,6 @@ class OracleHandle:
 
     def snapshot_ledger(self) -> QueryLedger:
         return self.ledger.copy()
-
-    def fork(self, new_seed) -> "OracleHandle":
-        return OracleHandle(
-            self.dist, model=self.model, seed=new_seed, discipline=self.discipline
-        )
 
     def __repr__(self):
         return (

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 
+from .errors import BadProfile
+
 
 _DESK = {
     # compare: draw budget ceil(compare_c * K * ln(2/delta) / eta^2),
@@ -133,12 +135,12 @@ class ConstantsProfile:
 
     def __init__(self, name="desk", overrides=None):
         if name not in PRESETS:
-            raise KeyError(f"unknown profile preset {name!r}")
+            raise BadProfile(f"unknown profile preset {name!r}")
         table = dict(PRESETS[name])
         if overrides:
             unknown = set(overrides) - set(table)
             if unknown:
-                raise KeyError(f"unknown profile keys: {sorted(unknown)}")
+                raise BadProfile(f"unknown profile keys: {sorted(unknown)}")
             table.update(overrides)
         self.name = name
         self.overrides = dict(overrides or {})
@@ -171,6 +173,14 @@ def resolve_profile(spec) -> ConstantsProfile:
         return spec
     if spec in PRESETS:
         return ConstantsProfile(spec)
-    with open(spec) as f:
-        doc = json.load(f)
+    try:
+        with open(spec) as f:
+            doc = json.load(f)
+    except OSError as e:
+        raise BadProfile(f"{spec!r} is neither a preset nor a readable file: "
+                         f"{e.strerror}") from e
+    except ValueError as e:
+        raise BadProfile(f"profile file {spec!r} is not JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise BadProfile(f"profile file {spec!r} must hold a JSON object")
     return ConstantsProfile(doc.get("base", "desk"), doc.get("overrides"))

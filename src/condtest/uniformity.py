@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .distcore import QuerySet, _pow2_floor
+from .distcore import QuerySet
 from .errors import ZeroMassSet
 from .oracles import OracleHandle
 from .profiles import DESK
@@ -31,7 +31,7 @@ REJECT = "Reject"
 
 def schedule(eps: float, profile=DESK):
     """Per-stage (s_j, eta_j, delta_j, window_j, m_j) for j = 1..t."""
-    eps = _pow2_floor(eps)
+    eps = 2.0 ** math.floor(math.log2(eps))  # largest power of 1/2 <= eps
     t = int(round(math.log2(4.0 / eps))) + 1
     delta = min(math.exp(-profile["unif_delta_c"] * t), 0.5)
     stages = []

@@ -116,6 +116,26 @@ class TestRun:
         assert r.output.strip().splitlines() == [
             "Error: spec has domain size 64 but spec2 has 32"]
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "'nonsense' is neither a preset nor a readable file"),
+        ('{"overrides": {"mystery_c": 1}}', "unknown profile keys: ['mystery_c']"),
+        ('{"base": "galactic"}', "unknown profile preset 'galactic'"),
+        ("base = desk", "profile file 'nonsense' is not JSON"),
+    ])
+    def test_bad_profile_fails_with_one_line(self, tmp_path, monkeypatch,
+                                             text, message):
+        spec = uniform_spec(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        if text is not None:
+            (tmp_path / "nonsense").write_text(text)
+        r = CliRunner().invoke(main, [
+            "run", "--tester", "pcond_uniform", "--dist", spec,
+            "--eps", "0.5", "--profile", "nonsense",
+        ])
+        assert r.exit_code == 1
+        [line] = r.output.strip().splitlines()
+        assert line.startswith(f"Error: {message}")
+
     def test_unknown_tester_rejected(self, tmp_path):
         spec = uniform_spec(tmp_path)
         r = CliRunner().invoke(main, [
@@ -142,6 +162,16 @@ class TestSweep:
         assert r.exit_code == 1
         assert r.output.strip().splitlines() == [
             "Error: eps must lie strictly between 0 and 1, got nan"]
+
+    @pytest.mark.parametrize("grid, small", [("1,16", 1), ("0", 0), ("-4", -4)])
+    def test_grid_below_two_fails_with_one_line(self, grid, small):
+        r = CliRunner().invoke(main, [
+            "sweep", "--tester", "pcond_uniform", f"--n-grid={grid}",
+            "--eps", "0.5",
+        ])
+        assert r.exit_code == 1
+        assert r.output.strip().splitlines() == [
+            f"Error: sweep domain sizes must be at least 2, got {small}"]
 
     def test_bad_grid(self):
         r = CliRunner().invoke(main, [

@@ -8,21 +8,14 @@ from hypothesis import strategies as st
 from condtest.distcore import (
     BucketDecomposition,
     Distribution,
-    KnownIdentity,
-    MediumWeight,
     QuerySet,
-    UniformSoundness,
     bucketize,
     conditional_pmf,
-    heavy_set,
     light_set,
     load_spec,
     make_distribution,
-    neighborhood,
     neighborhood_mass,
-    psi,
     psi_vector,
-    rank_in_set,
     tv_distance,
     uniform,
 )
@@ -82,6 +75,11 @@ class TestDistribution:
             make_distribution([0.0, 0.0])
         with pytest.raises(ZeroTotalMass):
             make_distribution([])
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_uniform_needs_a_point(self, n):
+        with pytest.raises(ZeroTotalMass):
+            uniform(n)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_weights(self, bad):
@@ -163,9 +161,6 @@ class TestPsi:
     def test_pointwise(self):
         d = make_distribution([3, 1, 0])
         # weights (0.75, 0.25, 0); N*w = (2.25, 0.75, 0)
-        assert psi(d, 1) == 0.0
-        assert psi(d, 2) == pytest.approx(0.25)
-        assert psi(d, 3) == 1.0
         assert psi_vector(d).tolist() == pytest.approx([0.0, 0.25, 1.0])
 
     @given(weights_strategy(32))
@@ -190,7 +185,6 @@ class TestNeighborhoods:
                 for y in range(1, 31)
                 if wx / (1 + gamma) <= d.weight(y) <= (1 + gamma) * wx
             ]
-            assert neighborhood(d, x, gamma).tolist() == brute
             assert neighborhood_mass(d, x, gamma) == pytest.approx(
                 sum(d.weight(y) for y in brute)
             )
@@ -200,17 +194,8 @@ class TestNeighborhoods:
         masses = [neighborhood_mass(d, 10, g) for g in (0.1, 0.5, 1.0, 3.0)]
         assert masses == sorted(masses)
 
-    def test_self_membership(self):
-        d = make_distribution([1, 2, 3])
-        assert 2 in neighborhood(d, 2, 0.01).tolist()
-
 
 class TestHeavyLight:
-    def test_heavy_set(self):
-        d = make_distribution([8, 1, 1, 0, 0, 0, 0, 0])
-        # threshold 1/(0.5*8) = 0.25; only point 1 (weight 0.8) qualifies
-        assert heavy_set(d, 0.5).tolist() == [1]
-
     def test_light_set_brute_force(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -227,13 +212,6 @@ class TestHeavyLight:
             brute |= {i + 1 for i in range(16) if d.weights[i] == 0}
             assert got == brute
 
-    def test_rank_in_set(self):
-        d = make_distribution([1, 2, 3, 4])
-        s = QuerySet.explicit([1, 3, 4])
-        assert rank_in_set(d, s, 3) == pytest.approx((1 + 3) / 8)
-        with pytest.raises(ZeroMassSet):
-            rank_in_set(make_distribution([1, 0, 0]), QuerySet.pair(2, 3), 2)
-
 
 class TestBucketize:
     def _assert_partition(self, d, dec: BucketDecomposition):
@@ -248,44 +226,21 @@ class TestBucketize:
         for _ in range(10):
             d = make_distribution(rng.random(40) ** 2)
             eta = 0.1
-            dec = bucketize(d, KnownIdentity(eta))
+            dec = bucketize(d, eta)
             self._assert_partition(d, dec)
             assert dec.b == math.ceil(math.log2(d.n / eta) + 1) + 1
             for i in range(1, d.n + 1):
-                lo, hi = dec.bucket_bounds[dec.bucket_of(i)]
+                lo, hi = dec.bucket_bounds[dec.bucket_index_of[i - 1]]
                 w = d.weight(i)
                 assert lo <= w < hi or (w == 0.0 and lo == 0.0)
 
     def test_known_identity_frozen(self):
         d = make_distribution([0.5, 0.25, 0.125, 0.125])
-        dec = bucketize(d, KnownIdentity(0.5))
+        dec = bucketize(d, 0.5)
         # eta/N = 0.125; bands [0.125,0.25), [0.25,0.5), [0.5,1), ...
-        assert dec.bucket_of(1) == 3
-        assert dec.bucket_of(2) == 2
-        assert dec.bucket_of(3) == 1
-
-    def test_uniform_soundness_partition(self):
-        rng = np.random.default_rng(13)
-        for eps in (0.5, 0.25, 0.125):
-            for _ in range(5):
-                d = make_distribution(rng.random(50))
-                dec = bucketize(d, UniformSoundness(eps))
-                self._assert_partition(d, dec)
-
-    def test_uniform_soundness_uniform_lands_center(self):
-        d = uniform(32)
-        dec = bucketize(d, UniformSoundness(0.5))
-        center = dec.labels.index("H0")
-        assert all(dec.bucket_of(i) == center for i in range(1, 33))
-
-    def test_medium_weight_heavy_override(self):
-        kappa = 0.25
-        d = make_distribution([60, 1, 1, 1, 1, 0, 0, 0])
-        dec = bucketize(d, MediumWeight(kappa))
-        heavy_id = dec.b - 1
-        assert dec.bucket_of(1) == heavy_id  # weight 60/64 >= 1/(kappa*8)=0.5
-        assert dec.bucket_of(6) == 0
-        self._assert_partition(d, dec)
+        assert dec.bucket_index_of[0] == 3
+        assert dec.bucket_index_of[1] == 2
+        assert dec.bucket_index_of[2] == 1
 
 
 class TestLoadSpec:

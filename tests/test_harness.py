@@ -9,6 +9,7 @@ from condtest import harness
 from condtest.distcore import uniform
 from condtest.errors import (
     BadEpsilon,
+    BadSweepGrid,
     BadTrialCount,
     DomainMismatch,
     IncompatibleOracleModel,
@@ -252,6 +253,15 @@ class TestScalingSweep:
     def test_unknown_tester(self):
         with pytest.raises(UnknownTester):
             scaling_sweep("psychic", [64], 0.5, 1)
+
+    @pytest.mark.parametrize("grid", [[1, 16], [16, 0], [-4]])
+    def test_rejects_n_below_two_before_any_trial(self, grid, monkeypatch):
+        def no_trials(cfg):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_experiment", no_trials)
+        with pytest.raises(BadSweepGrid):
+            scaling_sweep("pcond_uniform", grid, 0.5, trials=1)
 
     def test_aggregate_helper(self):
         res = run_experiment(small_cfg(trials=3))

@@ -1,0 +1,86 @@
+"""No code that only its own unit tests keep alive.
+
+Walks every module of src/condtest with `ast`. Each public function,
+class and method must be referenced, by a bare name, an attribute or
+an import, somewhere in the package other than `__init__.py`; or else
+sit on ALLOWED with a one-line reason. Attributes are matched by name
+alone, so a method counts as used when any `.name` access exists.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "condtest"
+
+ALLOWED = {
+    # CLI commands that click registers by decorator.
+    "cli.run": "the `condtest run` command",
+    "cli.sweep": "the `condtest sweep` command",
+    "cli.validate": "the `condtest dist validate` command",
+    # Exact reference implementations the acceptance criteria compare against.
+    "distcore.conditional_pmf": "criterion 1 holds oracle draws against it",
+    "distcore.neighborhood_mass": "criterion 3 holds estimate_neighborhood against it",
+    "distcore.light_set": "criterion 7 keeps its light tail out of approx_eval's points",
+    "distcore.psi_vector": "criterion 10 checks the mean-psi identity with it",
+    "identity.build_witnesses": "criterion 10 checks the witness partition bounds with it",
+    "harness.passes_guarantee": "the Wilson rule every acceptance criterion applies",
+    # Names the benchmark in perfbench/ calls.
+    "adversarial.rand_block_profile": "perfbench/workloads.py builds its block instances with it",
+    "uniformity.query_budget": "perfbench/workloads.py checks pcond_uniform ledgers against it",
+    # Report readers, the inverse of write_csv and write_json.
+    "harness.read_csv_trials": "reads back a CSV report written by write_csv",
+    "harness.read_json_report": "reads back a JSON report written by write_json",
+    # Library conveniences.
+    "adversarial.rand_staircase": "random staircase instances, the twin of rand_block_profile",
+    "oracles.OracleHandle.draw": "the single-draw form of draw_many",
+}
+
+
+def _public_definitions():
+    """(key, name) for every public module-level function or class and
+    every public method, keyed "module.name" or "module.Class.name"."""
+    for path in sorted(SRC.glob("*.py")):
+        mod = path.stem
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            yield f"{mod}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        yield f"{mod}.{node.name}.{item.name}", item.name
+
+
+def _referenced_names():
+    """Every name read, accessed as an attribute or imported, outside
+    __init__.py."""
+    seen = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                seen.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                seen.update(a.name for a in node.names)
+    return seen
+
+
+def test_every_public_definition_is_used_or_allowed():
+    used = _referenced_names()
+    dead = sorted(key for key, name in _public_definitions()
+                  if name not in used and key not in ALLOWED)
+    assert not dead, f"public definitions nothing in src/condtest uses: {dead}"
+
+
+def test_allowlist_names_real_unused_definitions():
+    defined = dict(_public_definitions())
+    used = _referenced_names()
+    stale = sorted(key for key in ALLOWED
+                   if key not in defined or defined[key] in used)
+    assert not stale, f"allowlist entries that are gone or now used: {stale}"

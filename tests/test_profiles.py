@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from condtest.errors import BadProfile
 from condtest.profiles import (
     DESK,
     PRESETS,
@@ -26,9 +27,9 @@ class TestConstantsProfile:
         assert p["unif_q"] == DESK["unif_q"]
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(BadProfile):
             ConstantsProfile("desk", {"mystery_c": 1.0})
-        with pytest.raises(KeyError):
+        with pytest.raises(BadProfile):
             ConstantsProfile("galactic")
 
     def test_echo_serializable(self):
@@ -49,3 +50,19 @@ class TestResolveProfile:
         p.write_text(json.dumps({"base": "desk", "overrides": {"unif_q": 2}}))
         prof = resolve_profile(str(p))
         assert prof["unif_q"] == 2
+
+    def test_unknown_name_is_bad_profile(self, tmp_path):
+        with pytest.raises(BadProfile, match="neither a preset"):
+            resolve_profile(str(tmp_path / "nonsense"))
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"base": "desk", "overrides": {"mystery_c": 1}}', "unknown profile keys"),
+        ('{"base": "galactic"}', "unknown profile preset"),
+        ("base = desk", "not JSON"),
+        ("[1, 2]", "JSON object"),
+    ])
+    def test_bad_file_is_bad_profile(self, tmp_path, text, match):
+        p = tmp_path / "prof.json"
+        p.write_text(text)
+        with pytest.raises(BadProfile, match=match):
+            resolve_profile(str(p))
