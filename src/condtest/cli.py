@@ -60,10 +60,13 @@ def run(tester, dist_path, dist2_path, eps, trials, seed, profile, out_path, fmt
     except CondtestError as e:
         raise click.ClickException(str(e))
     if out_path:
-        if fmt == "csv":
-            write_csv(result, out_path)
-        else:
-            write_json(result, out_path)
+        try:
+            if fmt == "csv":
+                write_csv(result, out_path)
+            else:
+                write_json(result, out_path)
+        except OSError as e:
+            raise click.ClickException(f"cannot write {out_path!r}: {e.strerror}")
     doc = result.aggregate.as_dict()
     doc["profile"] = {"name": result.profile_echo["name"],
                       "overrides": result.profile_echo["overrides"]}

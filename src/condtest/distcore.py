@@ -153,7 +153,9 @@ class Distribution:
         w.setflags(write=False)
         self.weights = w
         self.n = int(w.size)
-        self.prefix = np.concatenate(([0.0], np.cumsum(w)))
+        self.prefix = np.empty(w.size + 1)
+        self.prefix[0] = 0.0
+        np.cumsum(w, out=self.prefix[1:])
         self.prefix.setflags(write=False)
         self.total = float(w.sum())
 

@@ -86,7 +86,8 @@ class BadTrialCount(CondtestError):
 
 
 class BadProfile(CondtestError):
-    """No such preset or profile file, not JSON, or an unknown base or key."""
+    """No such preset or profile file, not JSON, an unknown base or key,
+    or a value of the wrong type or out of range."""
 
 
 class BadSweepGrid(CondtestError):

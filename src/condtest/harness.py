@@ -203,7 +203,8 @@ def run_trial(tester: str, d1: Distribution, aux, eps: float, seed: int,
               profile=DESK) -> TrialRecord:
     """One seeded run; aux is None, a KnownTarget, or the second
     Distribution depending on the tester."""
-    spec = TESTERS[tester]
+    spec = tester_spec(tester)
+    check_eps(eps)
     seed &= _SEED_MASK
     h1 = OracleHandle(d1, model=spec.model, seed=seed, discipline=spec.discipline)
     t0 = time.perf_counter()

@@ -18,7 +18,10 @@ Besides per-point draws the handle offers batched observations
 (draw_many, draw_counts, draw_subset_count, burn). Each batch of m
 draws is sampled in one shot from the exact joint distribution of m
 iid conditional draws, so testers that only consume counts can afford
-the full theoretical query budgets.
+the full theoretical query budgets. draw_subset_counts makes k
+draw_subset_count observations on k pairs or k intervals in one call,
+with the same checks, ledger charges and random numbers as k scalar
+calls in order.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import numpy as np
 from .distcore import (EXPLICIT, FULL, INTERVAL, PAIR, Distribution, QuerySet,
                        _check_domain)
 from .errors import (
+    BadQuerySet,
     DisciplineViolation,
     IllegalShapeForModel,
     ZeroMassSet,
@@ -68,6 +72,12 @@ def _fix_zero_hits(out, d, lo, hi):
         np.clip(out, lo, hi, out=out)
         bad = d.weights[out - 1] == 0.0
     return out
+
+
+def _meets(points, lo, hi):
+    """Whether the sorted array points has an element in each [lo, hi]."""
+    return (np.searchsorted(points, lo, side="left")
+            < np.searchsorted(points, hi, side="right"))
 
 
 @dataclass
@@ -142,8 +152,8 @@ class OracleHandle:
             return any(s.contains(p, self.dist.n) for p in self.returned_points)
         return bool(np.isin(s.indices, list(self.returned_points)).any())
 
-    def _count(self, s: QuerySet, m):
-        col = _SHAPE_COLUMN[s.shape]
+    def _count(self, shape, m):
+        col = _SHAPE_COLUMN[shape]
         setattr(self.ledger, col + "_count", getattr(self.ledger, col + "_count") + m)
 
     # Drawing -------------------------------------------------------
@@ -168,7 +178,7 @@ class OracleHandle:
             idx = s.members(d.n)
             p = d.weights[idx - 1] / mass
             out = self.rng.choice(idx, size=m, p=p)
-        self._count(s, m)
+        self._count(s.shape, m)
         self.returned_points.update(np.unique(out).tolist())
         return out
 
@@ -189,7 +199,7 @@ class OracleHandle:
         p = w[support] / mass
         p = p / p.sum()
         counts = self.rng.multinomial(int(m), p)
-        self._count(s, m)
+        self._count(s.shape, m)
         self.returned_points.update(idx[counts > 0].tolist())
         return idx, counts
 
@@ -202,8 +212,78 @@ class OracleHandle:
         mass = self._check(s)
         sub_mass = self.dist.mass(subset)
         p = min(sub_mass / mass, 1.0)
-        self._count(s, m)
+        self._count(s.shape, m)
         return int(self.rng.binomial(int(m), p))
+
+    def draw_subset_counts(self, shape, lo, hi, sub_lo, sub_hi, m, reached=None):
+        """draw_subset_count for k unions of one shape, in one call.
+
+        Element i conditions m draws on the pair {lo[i], hi[i]}
+        (shape PAIR, lo < hi) or the interval [lo[i], hi[i]] (shape
+        INTERVAL) and counts the hits in [sub_lo[i], sub_hi[i]]: one
+        point of the pair, or an interval inside the union. Every
+        element passes the checks of draw_subset_count, its masses take
+        the same float operations as Distribution.mass, and one
+        binomial call draws all k counts, which with PCG64 gives the
+        numbers and the generator state of k scalar calls in order. A
+        refused element raises before anything is drawn or charged.
+
+        A union of zero mass, where the scalar call raises ZeroMassSet,
+        is neither drawn nor charged and reads -1.
+
+        reached, if given, maps the k counts to the number of leading
+        elements a caller going one element at a time would query
+        before it stops. The handle then ends as if only those had
+        been queried: only they are charged, the generator is rewound
+        and replays only their draws, and only their counts are
+        returned.
+        """
+        if shape not in (PAIR, INTERVAL):
+            raise BadQuerySet(f"draw_subset_counts takes pairs or intervals, not {shape}")
+        if shape not in _ALLOWED[self.model]:
+            raise IllegalShapeForModel(
+                f"{self.model} oracle cannot take a {shape} set"
+            )
+        lo, hi, sub_lo, sub_hi = (np.asarray(v, dtype=np.int64)
+                                  for v in (lo, hi, sub_lo, sub_hi))
+        d = self.dist
+        if shape == PAIR:
+            ok = (lo < hi) & (sub_lo == sub_hi) & ((sub_lo == lo) | (sub_lo == hi))
+        else:
+            ok = (lo <= sub_lo) & (sub_lo <= sub_hi) & (sub_hi <= hi)
+        if not (ok & (lo >= 1) & (hi <= d.n)).all():
+            raise BadQuerySet(f"{shape} unions and their subsets must lie in 1..{d.n}")
+        if self.discipline == STRICT:
+            seen = np.sort(np.fromiter(self.returned_points, np.int64,
+                                       len(self.returned_points)))
+            if shape == PAIR:
+                touched = _meets(seen, lo, lo) | _meets(seen, hi, hi)
+            else:
+                touched = _meets(seen, lo, hi)
+            if not touched.all():
+                raise DisciplineViolation(
+                    "conditioning on a set with no previously returned point"
+                )
+        if shape == PAIR:
+            mass = d.weights[lo - 1] + d.weights[hi - 1]
+            sub_mass = d.weights[sub_lo - 1]
+        else:
+            mass = d.prefix[hi] - d.prefix[lo - 1]
+            sub_mass = d.prefix[sub_hi] - d.prefix[sub_lo - 1]
+        live = mass > 0.0
+        p = np.minimum(sub_mass[live] / mass[live], 1.0)
+        if reached is not None:
+            state = self.rng.bit_generator.state
+        hits = np.full(lo.size, -1, dtype=np.int64)
+        hits[live] = self.rng.binomial(int(m), p)
+        if reached is not None:
+            k = reached(hits)
+            if k < hits.size:
+                hits, live = hits[:k], live[:k]
+                self.rng.bit_generator.state = state
+                self.rng.binomial(int(m), p[:np.count_nonzero(live)])
+        self._count(shape, int(m) * int(np.count_nonzero(live)))
+        return hits
 
     def burn(self, s: QuerySet, m: int):
         """Issue m conditional draws and discard the results.
@@ -213,7 +293,7 @@ class OracleHandle:
         responses is observed.
         """
         self._check(s)
-        self._count(s, m)
+        self._count(s.shape, m)
 
     # Bookkeeping ---------------------------------------------------
 

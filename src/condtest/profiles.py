@@ -22,6 +22,7 @@ overrides applied on top of a preset.
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import BadProfile
 
@@ -129,6 +130,31 @@ _THEORETICAL.update(
 
 PRESETS = {"desk": _DESK, "theoretical": _THEORETICAL}
 
+# Value rules. Sample sizes and caps on them are integers >= 1; the
+# delta floors are confidences in (0, 1); caps on draws per call lie in
+# [1, 2^63), the counts numpy's samplers take; every other constant is
+# a finite number > 0.
+_COUNTS = ("unif_q", "en_sample_cap", "eq_en_sample_cap", "fr_x_cap",
+           "fr_y_cap", "fr_en_sample_cap")
+_CONFIDENCES = ("en_compare_delta_floor", "eq_compare_delta_floor",
+                "fr_compare_delta_floor")
+_DRAW_CAPS = ("compare_max_draws", "ae_m_cap", "ae_m_min")
+
+
+def _check_value(key, v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise BadProfile(f"profile key {key!r} must be a number, got {v!r}")
+    if key in _COUNTS:
+        ok, want = isinstance(v, int) and v >= 1, "an integer >= 1"
+    elif key in _CONFIDENCES:
+        ok, want = 0.0 < v < 1.0, "in (0, 1)"
+    elif key in _DRAW_CAPS:
+        ok, want = 1 <= v < 2**63, "in [1, 2^63)"
+    else:
+        ok, want = 0.0 < v < math.inf, "a finite number > 0"
+    if not ok:
+        raise BadProfile(f"profile key {key!r} must be {want}, got {v!r}")
+
 
 class ConstantsProfile:
     """Immutable view over a flat constants table."""
@@ -138,9 +164,13 @@ class ConstantsProfile:
             raise BadProfile(f"unknown profile preset {name!r}")
         table = dict(PRESETS[name])
         if overrides:
+            if not isinstance(overrides, dict):
+                raise BadProfile(f"profile overrides must be an object, got {overrides!r}")
             unknown = set(overrides) - set(table)
             if unknown:
                 raise BadProfile(f"unknown profile keys: {sorted(unknown)}")
+            for key, v in overrides.items():
+                _check_value(key, v)
             table.update(overrides)
         self.name = name
         self.overrides = dict(overrides or {})

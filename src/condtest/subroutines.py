@@ -42,15 +42,6 @@ class CompareOutcome:
     def is_ratio(self):
         return self.tag == RATIO
 
-    def hit_fraction(self):
-        """The underlying hit-rate estimate mapped back from the ratio;
-        0 and 1 for the saturated outcomes."""
-        if self.tag == LOW:
-            return 0.0
-        if self.tag == HIGH:
-            return 1.0
-        return self.rho / (1.0 + self.rho)
-
 
 @dataclass(frozen=True)
 class NeighborhoodEstimate:
@@ -62,6 +53,34 @@ class NeighborhoodEstimate:
 def compare_budget(eta, K, delta, profile=DESK) -> int:
     m = math.ceil(profile["compare_c"] * K * math.log(2.0 / delta) / eta**2)
     return int(min(m, profile["compare_max_draws"]))
+
+
+def _saturation(K):
+    """The hit (or miss) fraction below which compare answers Low (or
+    High) instead of a ratio."""
+    return (2.0 / 3.0) / (K + 1.0)
+
+
+def classify(hits, m, K):
+    """compare's outcome for each count in the array hits of m draws:
+    (low, high, rho), the masks of the Low and High outcomes and the
+    ratio estimate mu/(1-mu), NaN where the outcome is Low or High.
+
+    Takes the thresholds and float operations of compare, so each
+    element matches the scalar outcome exactly.
+    """
+    if m <= 2**53:
+        mu = hits / m
+    else:
+        # Above 2^53 a float64 holds neither m nor every count exactly;
+        # Python's int division rounds the exact quotient once.
+        mu = np.array([k / m for k in hits.tolist()])
+    thr = _saturation(K)
+    low = mu < thr
+    high = ~low & (1.0 - mu < thr)
+    rho = np.divide(mu, 1.0 - mu, out=np.full(mu.shape, np.nan),
+                    where=~(low | high))
+    return low, high, rho
 
 
 def _bounds(s: QuerySet, n):
@@ -151,7 +170,7 @@ def compare(
     m = compare_budget(eta, K, delta, profile)
     hits = h.draw_subset_count(union, y, m)
     mu = hits / m
-    thr = (2.0 / 3.0) / (K + 1.0)
+    thr = _saturation(K)
     if mu < thr:
         return CompareOutcome(LOW)
     if 1.0 - mu < thr:

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 
-from .distcore import QuerySet
-from .errors import ZeroMassSet
+import numpy as np
+
+from .distcore import PAIR, QuerySet
 from .oracles import OracleHandle
 from .profiles import DESK
-from .subroutines import compare_budget, compare_points
+from .subroutines import classify, compare_budget
 
 
 ACCEPT = "Accept"
@@ -58,26 +59,26 @@ def pcond_test_uniform(h: OracleHandle, eps: float, profile=DESK) -> str:
     refs = h.rng.integers(1, n + 1, size=q)
     full = QuerySet.full()
     reject = False
-    for s_j, eta_j, delta_j, window, m_j in schedule(eps, profile):
+    for s_j, _, _, window, m_j in schedule(eps, profile):
         drawn = h.draw_many(full, s_j)
         fresh = h.rng.integers(1, n + 1, size=s_j)
-        for x in refs:
-            x = int(x)
-            for batch in (drawn, fresh):
-                for y in batch:
-                    y = int(y)
-                    if x == y:
-                        # Exact ratio 1: inside every window. Burn the
-                        # comparison budget to keep the schedule oblivious.
-                        h.burn(full, m_j)
-                        continue
-                    try:
-                        out = compare_points(h, x, y, eta_j, 2.0, delta_j, profile)
-                    except ZeroMassSet:
-                        # Impossible under uniformity: certain rejection.
-                        reject = True
-                        h.burn(full, m_j)
-                        continue
-                    if abs(out.hit_fraction() - 0.5) > window:
-                        reject = True
+        # Each reference point against the drawn, then the fresh points,
+        # in one batched call that draws in the order of that loop.
+        x = np.repeat(refs, 2 * s_j)
+        y = np.tile(np.concatenate((drawn, fresh)), q)
+        distinct = x != y
+        x, y = x[distinct], y[distinct]
+        hits = h.draw_subset_counts(PAIR, np.minimum(x, y), np.maximum(x, y),
+                                    y, y, m_j)
+        live = hits >= 0
+        # x == y has ratio exactly 1, inside every window; a zero-mass
+        # pair is impossible under uniformity: certain rejection. Both
+        # burn the comparison budget to keep the schedule oblivious.
+        h.burn(full, m_j * (q * 2 * s_j - int(np.count_nonzero(live))))
+        low, high, rho = classify(hits[live], m_j, 2.0)
+        ratio = ~(low | high)
+        frac = np.where(high, 1.0, 0.0)
+        frac[ratio] = rho[ratio] / (1.0 + rho[ratio])
+        if not live.all() or np.any(np.abs(frac - 0.5) > window):
+            reject = True
     return REJECT if reject else ACCEPT

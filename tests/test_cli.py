@@ -43,6 +43,18 @@ class TestRun:
         assert lines[0] == "trial,seed,verdict,estimate,samp,cond,pcond,icond,total,millis"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unwritable_output_fails_with_one_line(self, tmp_path, fmt):
+        spec = uniform_spec(tmp_path)
+        out = tmp_path / "no" / "such" / "dir" / "x.csv"
+        r = CliRunner().invoke(main, [
+            "run", "--tester", "pcond_uniform", "--dist", spec,
+            "--eps", "0.5", "--out", str(out), "--format", fmt,
+        ])
+        assert r.exit_code == 1
+        [line] = r.output.strip().splitlines()
+        assert line.startswith(f"Error: cannot write '{out}': ")
+
     def test_json_output_file(self, tmp_path):
         spec = uniform_spec(tmp_path)
         out = tmp_path / "report.json"
@@ -121,6 +133,10 @@ class TestRun:
         ('{"overrides": {"mystery_c": 1}}', "unknown profile keys: ['mystery_c']"),
         ('{"base": "galactic"}', "unknown profile preset 'galactic'"),
         ("base = desk", "profile file 'nonsense' is not JSON"),
+        ('{"overrides": {"unif_q": -1}}',
+         "profile key 'unif_q' must be an integer >= 1, got -1"),
+        ('{"overrides": {"compare_c": "x"}}',
+         "profile key 'compare_c' must be a number, got 'x'"),
     ])
     def test_bad_profile_fails_with_one_line(self, tmp_path, monkeypatch,
                                              text, message):

@@ -109,6 +109,18 @@ class TestDistribution:
             assert got == pytest.approx(brute, abs=1e-12)
 
 
+    def test_prefix_bit_identical_to_concatenated_cumsum(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 17, 1000, 2**16 + 3):
+            w = rng.random(n) ** 4
+            w[rng.random(n) < 0.2] = 0.0
+            w[0] = 1.0
+            d = make_distribution(w)
+            old = np.concatenate(([0.0], np.cumsum(d.weights)))
+            assert np.array_equal(d.prefix, old)
+            assert not d.prefix.flags.writeable
+
+
 class TestConditionalPmf:
     def test_exact_values(self):
         d = make_distribution([1, 2, 3, 4])

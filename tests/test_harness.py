@@ -199,6 +199,17 @@ class TestRunExperiment:
         assert res.trials[0].verdict in ("Accept", "Reject")
 
 
+class TestRunTrial:
+    def test_unknown_tester(self):
+        with pytest.raises(UnknownTester, match="'nope'"):
+            harness.run_trial("nope", uniform(8), None, 0.5, 0)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, 1.0])
+    def test_rejects_bad_eps(self, eps):
+        with pytest.raises(BadEpsilon):
+            harness.run_trial("pcond_uniform", uniform(8), None, eps, 0)
+
+
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
         res = run_experiment(small_cfg(trials=4))

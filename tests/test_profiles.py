@@ -32,6 +32,35 @@ class TestConstantsProfile:
         with pytest.raises(BadProfile):
             ConstantsProfile("galactic")
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("unif_q", -1, "integer >= 1"),
+        ("unif_q", 0, "integer >= 1"),
+        ("unif_q", 2.5, "integer >= 1"),
+        ("en_sample_cap", 400.0, "integer >= 1"),
+        ("compare_c", "x", "must be a number"),
+        ("compare_c", True, "must be a number"),
+        ("compare_c", None, "must be a number"),
+        ("compare_c", 0.0, "finite number > 0"),
+        ("compare_c", float("nan"), "finite number > 0"),
+        ("compare_c", float("inf"), "finite number > 0"),
+        ("icond_t_c", -20.0, "finite number > 0"),
+        ("en_compare_delta_floor", 1.0, r"in \(0, 1\)"),
+        ("fr_compare_delta_floor", 0.0, r"in \(0, 1\)"),
+        ("compare_max_draws", 0.5, r"in \[1, 2\^63\)"),
+        ("compare_max_draws", 1e19, r"in \[1, 2\^63\)"),
+    ])
+    def test_bad_value_rejected(self, key, value, match):
+        with pytest.raises(BadProfile, match=match):
+            ConstantsProfile("desk", {key: value})
+
+    def test_overrides_must_be_an_object(self):
+        with pytest.raises(BadProfile, match="must be an object"):
+            ConstantsProfile("desk", [["unif_q", 2]])
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_values_pass_the_rules(self, name):
+        ConstantsProfile(name, dict(PRESETS[name]))
+
     def test_echo_serializable(self):
         p = ConstantsProfile("desk", {"compare_c": 4.0})
         doc = json.loads(json.dumps(p.echo()))

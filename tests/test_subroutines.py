@@ -42,12 +42,6 @@ def handle(weights, seed=0):
 
 
 class TestCompareOutcome:
-    def test_hit_fraction_mapping(self):
-        assert CompareOutcome(LOW).hit_fraction() == 0.0
-        assert CompareOutcome(HIGH).hit_fraction() == 1.0
-        assert CompareOutcome(RATIO, 1.0).hit_fraction() == 0.5
-        assert CompareOutcome(RATIO, 3.0).hit_fraction() == 0.75
-
     def test_flags(self):
         assert CompareOutcome(LOW).is_low
         assert CompareOutcome(HIGH).is_high
