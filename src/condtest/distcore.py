@@ -78,7 +78,7 @@ class QuerySet:
             raise BadQuerySet("empty query set")
         if idx[0] < 1:
             raise BadQuerySet("indices start at 1")
-        if idx.size > 1 and not np.all(np.diff(idx) > 0):
+        if idx.size > 1 and not (idx[1:] > idx[:-1]).all():
             raise BadQuerySet("explicit indices must be strictly increasing")
         return cls(EXPLICIT, indices=idx)
 
@@ -100,16 +100,6 @@ class QuerySet:
         if self.shape == INTERVAL:
             return self.b - self.a + 1
         return int(self.indices.size)
-
-    def contains(self, i, n):
-        if self.shape == FULL:
-            return 1 <= i <= n
-        if self.shape == PAIR:
-            return i == self.a or i == self.b
-        if self.shape == INTERVAL:
-            return self.a <= i <= self.b
-        pos = np.searchsorted(self.indices, i)
-        return pos < self.indices.size and self.indices[pos] == i
 
     def max_index(self):
         if self.shape == FULL:
@@ -142,11 +132,12 @@ class Distribution:
         w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise ZeroTotalMass("need at least one weight")
-        if not np.all(np.isfinite(w)):
-            raise NonFiniteWeight("weights must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = float(w.sum())
+        if not math.isfinite(s):
+            raise NonFiniteWeight("weights must be finite, and so must their sum")
         if np.any(w < 0):
             raise NegativeWeight("weights must be non-negative")
-        s = float(w.sum())
         if s <= 0:
             raise ZeroTotalMass("weights sum to zero")
         w = w / s

@@ -12,7 +12,9 @@ zero-mass set raises ZeroMassSet, matching the oracle failure rule.
 Under the default Strict discipline, any non-full-domain query set
 must contain at least one point the oracle returned earlier; this
 catches testers that condition on sets they have no business knowing
-are non-empty.
+are non-empty. For r returned points the check costs O(1) on a pair,
+O(log r) on an interval and O(k log r) on k explicit members, plus an
+O(r log r) re-sort only after the returned points have grown.
 
 Besides per-point draws the handle offers batched observations
 (draw_many, draw_counts, draw_subset_count, burn). Each batch of m
@@ -121,6 +123,7 @@ class OracleHandle:
         self.rng = np.random.Generator(np.random.PCG64(self.seed))
         self.ledger = QueryLedger()
         self.returned_points = set()
+        self._seen = np.empty(0, dtype=np.int64)
 
     # Validation ----------------------------------------------------
 
@@ -130,11 +133,8 @@ class OracleHandle:
                 f"{self.model} oracle cannot take a {s.shape} set"
             )
         _check_domain(self.dist, s)
-        if (
-            self.discipline == STRICT
-            and s.shape != FULL
-            and not self._touches_returned(s)
-        ):
+        if (self.discipline == STRICT and s.shape != FULL
+                and not self._touches_returned(s)):
             raise DisciplineViolation(
                 "conditioning on a set with no previously returned point"
             )
@@ -143,14 +143,23 @@ class OracleHandle:
             raise ZeroMassSet("oracle failure: query set has zero mass")
         return mass
 
+    def _sorted_returned(self):
+        """returned_points sorted; the set only grows, so a new size means re-sort."""
+        if self._seen.size != len(self.returned_points):
+            self._seen = np.sort(np.fromiter(self.returned_points, np.int64,
+                                             len(self.returned_points)))
+        return self._seen
+
     def _touches_returned(self, s: QuerySet):
         if s.shape == PAIR:
             return s.a in self.returned_points or s.b in self.returned_points
+        seen = self._sorted_returned()
         if s.shape == INTERVAL:
-            return any(s.a <= p <= s.b for p in self.returned_points)
-        if len(self.returned_points) <= s.indices.size:
-            return any(s.contains(p, self.dist.n) for p in self.returned_points)
-        return bool(np.isin(s.indices, list(self.returned_points)).any())
+            return bool(_meets(seen, s.a, s.b))
+        if seen.size == 0:
+            return False
+        pos = np.searchsorted(seen, s.indices)
+        return bool((seen.take(pos, mode="clip") == s.indices).any())
 
     def _count(self, shape, m):
         col = _SHAPE_COLUMN[shape]
@@ -254,8 +263,7 @@ class OracleHandle:
         if not (ok & (lo >= 1) & (hi <= d.n)).all():
             raise BadQuerySet(f"{shape} unions and their subsets must lie in 1..{d.n}")
         if self.discipline == STRICT:
-            seen = np.sort(np.fromiter(self.returned_points, np.int64,
-                                       len(self.returned_points)))
+            seen = self._sorted_returned()
             if shape == PAIR:
                 touched = _meets(seen, lo, lo) | _meets(seen, hi, hi)
             else:

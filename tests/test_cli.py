@@ -216,6 +216,14 @@ class TestDistValidate:
         r = CliRunner().invoke(main, ["dist", "validate", str(p)])
         assert r.exit_code != 0
 
+    def test_validate_overflowing_weight_sum_fails_with_one_line(self, tmp_path):
+        spec = write_spec(tmp_path, "big.json",
+                          {"kind": "explicit", "weights": [1e308, 1e308]})
+        r = CliRunner().invoke(main, ["dist", "validate", spec])
+        assert r.exit_code == 1
+        assert len(r.output.strip().splitlines()) == 1
+        assert "bad weights" in r.output
+
     def test_validate_out_of_range_generator_param(self, tmp_path):
         spec = write_spec(tmp_path, "hs.json", {
             "kind": "generator", "name": "half_split",

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from condtest.distcore import QuerySet, conditional_pmf, make_distribution, uniform
+from condtest.distcore import (INTERVAL, PAIR, QuerySet, conditional_pmf,
+                               make_distribution, uniform)
 from condtest.errors import (
     BadQuerySet,
     DisciplineViolation,
@@ -83,6 +86,82 @@ class TestDiscipline:
     def test_permissive_allows_anything_nonzero(self):
         h = OracleHandle(uniform(16), model=COND, seed=1, discipline=PERMISSIVE)
         h.draw(QuerySet.explicit([3, 9]))
+
+    @staticmethod
+    def _observe(h, op, s):
+        """Query s with op; return the points the handle got to see."""
+        if op == "draw_many":
+            return h.draw_many(s, 2).tolist()
+        if op == "draw_counts":
+            idx, counts = h.draw_counts(s, 2)
+            return idx[counts > 0].tolist()
+        if op == "subset_count":
+            h.draw_subset_count(s, s, 2)
+        else:
+            h.burn(s, 2)
+        return []
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_strict_refusals_match_brute_force(self, data):
+        """Every STRICT refusal and pass agrees with a set membership
+        test against the points the draws returned, while draws that
+        return new points are interleaved between the queries."""
+        n = data.draw(st.integers(2, 40))
+        w = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+        h = OracleHandle(make_distribution(w), model=COND,
+                         seed=data.draw(st.integers(0, 2**32)), discipline=STRICT)
+        point = st.integers(1, n)
+        seen = set()
+
+        def query():
+            shape = data.draw(st.sampled_from(["pair", "interval", "explicit"]))
+            if shape == "pair":
+                a, b = data.draw(st.lists(point, min_size=2, max_size=2,
+                                          unique=True))
+                return QuerySet.pair(a, b), {a, b}
+            if shape == "interval":
+                a, b = sorted(data.draw(st.tuples(point, point)))
+                return QuerySet.interval(a, b), set(range(a, b + 1))
+            idx = sorted(data.draw(st.sets(point, min_size=1, max_size=n)))
+            return QuerySet.explicit(idx), set(idx)
+
+        def batch():
+            shape = data.draw(st.sampled_from([PAIR, INTERVAL]))
+            k = data.draw(st.integers(1, 4))
+            lo, hi = [], []
+            for _ in range(k):
+                a, b = sorted(data.draw(st.lists(point, min_size=2, max_size=2,
+                                                 unique=shape == PAIR)))
+                lo.append(a)
+                hi.append(b)
+            touched = all(({a, b} if shape == PAIR else set(range(a, b + 1))) & seen
+                          for a, b in zip(lo, hi))
+            if touched:
+                h.draw_subset_counts(shape, lo, hi, lo, lo, 3)
+            else:
+                with pytest.raises(DisciplineViolation):
+                    h.draw_subset_counts(shape, lo, hi, lo, lo, 3)
+
+        steps = data.draw(st.integers(1, 12))
+        batch_at = data.draw(st.integers(0, steps))
+        for step in range(steps):
+            if step == batch_at:
+                batch()
+            op = data.draw(st.sampled_from(
+                ["full", "draw_many", "draw_counts", "subset_count", "burn"]))
+            if op == "full":
+                seen.update(h.draw_many(QuerySet.full(), 2).tolist())
+                continue
+            s, members = query()
+            if not members & seen:
+                with pytest.raises(DisciplineViolation):
+                    self._observe(h, op, s)
+            else:
+                seen.update(self._observe(h, op, s))
+        if batch_at == steps:
+            batch()
+        assert h.returned_points == seen
 
 
 class TestSampling:
