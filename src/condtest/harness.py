@@ -199,12 +199,36 @@ def _resolve_dist(spec) -> Distribution:
     return load_spec(spec)
 
 
+# What run_trial takes as aux, by TesterSpec.second.
+_AUX = {
+    "none": (type(None), "no second input"),
+    "target": (KnownTarget, "a KnownTarget"),
+    "oracle": (Distribution, "a second Distribution"),
+}
+
+
+def _check_same_domain(d1: Distribution, other):
+    """DomainMismatch unless other, a Distribution or KnownTarget, has
+    d1's domain size."""
+    if other.n != d1.n:
+        raise DomainMismatch(f"spec has domain size {d1.n} but spec2 has {other.n}")
+
+
 def run_trial(tester: str, d1: Distribution, aux, eps: float, seed: int,
               profile=DESK) -> TrialRecord:
     """One seeded run; aux is None, a KnownTarget, or the second
-    Distribution depending on the tester."""
+    Distribution depending on the tester. Any other aux raises
+    IncompatibleOracleModel, and one of another domain size
+    DomainMismatch."""
     spec = tester_spec(tester)
     check_eps(eps)
+    aux_type, aux_name = _AUX[spec.second]
+    if not isinstance(d1, Distribution) or not isinstance(aux, aux_type):
+        raise IncompatibleOracleModel(
+            f"tester {tester!r} takes a Distribution and {aux_name}, "
+            f"not {type(d1).__name__} and {type(aux).__name__}")
+    if aux is not None:
+        _check_same_domain(d1, aux)
     seed &= _SEED_MASK
     h1 = OracleHandle(d1, model=spec.model, seed=seed, discipline=spec.discipline)
     t0 = time.perf_counter()
@@ -238,9 +262,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     aux = None
     if spec.second != "none":
         aux = _resolve_dist(cfg.spec2)
-        if aux.n != d1.n:
-            raise DomainMismatch(
-                f"spec has domain size {d1.n} but spec2 has {aux.n}")
+        _check_same_domain(d1, aux)
         if spec.second == "target":
             aux = KnownTarget(aux)
     records = []

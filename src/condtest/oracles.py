@@ -23,7 +23,12 @@ iid conditional draws, so testers that only consume counts can afford
 the full theoretical query budgets. draw_subset_counts makes k
 draw_subset_count observations on k pairs or k intervals in one call,
 with the same checks, ledger charges and random numbers as k scalar
-calls in order.
+calls in order. draw_union_counts does the same for the k comparisons
+of one point x against sets W_1..W_k that compare makes on the unions
+{x} ∪ W_i: one-point sets make pairs, wider ones explicit sets. Its
+checks and draw cost O(total size of the W_i) in numpy plus one
+binomial call; the two masses of each explicit union are summed one
+union at a time, so each keeps Distribution.mass's summation order.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ from .errors import (
     BadQuerySet,
     DisciplineViolation,
     IllegalShapeForModel,
+    IncompatibleOracleModel,
+    SetsNotDisjoint,
     ZeroMassSet,
 )
 
@@ -113,9 +120,9 @@ class OracleHandle:
 
     def __init__(self, dist: Distribution, model=COND, seed=0, discipline=STRICT):
         if model not in _ALLOWED:
-            raise ValueError(f"unknown model {model!r}")
+            raise IncompatibleOracleModel(f"unknown model {model!r}")
         if discipline not in (STRICT, PERMISSIVE):
-            raise ValueError(f"unknown discipline {discipline!r}")
+            raise IncompatibleOracleModel(f"unknown discipline {discipline!r}")
         self.dist = dist
         self.model = model
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
@@ -291,6 +298,76 @@ class OracleHandle:
                 self.rng.bit_generator.state = state
                 self.rng.binomial(int(m), p[:np.count_nonzero(live)])
         self._count(shape, int(m) * int(np.count_nonzero(live)))
+        return hits
+
+    def draw_union_counts(self, x, members, sizes, m):
+        """draw_subset_count on the k unions {x} ∪ W_i against W_i, in
+        one call.
+
+        members holds W_1..W_k back to back, each strictly increasing,
+        and sizes their lengths. As in compare, the union with a
+        one-point W_i is a pair, charged to pcond, and any wider union
+        an explicit set, charged to cond. Every element passes the
+        checks of compare and draw_subset_count: W_i inside the domain
+        and disjoint from x (SetsNotDisjoint), the union's shape allowed
+        for the model and, under STRICT, touching a returned point. A
+        refused element raises before anything is drawn or charged.
+        Masses take the float operations of Distribution.mass, and one
+        binomial call draws all k counts, which gives the numbers and
+        the generator state of k scalar calls in order. A union of zero
+        mass is neither drawn nor charged and reads -1.
+        """
+        d = self.dist
+        x = int(x)
+        members = np.asarray(members, dtype=np.int64)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        wide = sizes > 1
+        for shape, used in ((PAIR, ~wide), (EXPLICIT, wide)):
+            if used.any() and shape not in _ALLOWED[self.model]:
+                raise IllegalShapeForModel(
+                    f"{self.model} oracle cannot take a {shape} set"
+                )
+        if (sizes.size == 0 or sizes.min() < 1 or members.size != sizes.sum()
+                or not 1 <= x <= d.n or members.min() < 1 or members.max() > d.n):
+            raise BadQuerySet(f"unions need a point and non-empty sets in 1..{d.n}")
+        w = d.weights
+        any_wide = bool(wide.any())
+        if any_wide:
+            ends = np.cumsum(sizes)
+            starts = ends - sizes
+            rising = members[1:] > members[:-1]
+            rising[starts[1:] - 1] = True
+            if not rising.all():
+                raise BadQuerySet("explicit indices must be strictly increasing")
+            below = np.add.reduceat(members < x, starts)
+            meets_x = members[np.minimum(starts + below, ends - 1)] == x
+            sub_mass = w[members[starts] - 1]
+        else:
+            meets_x = members == x
+            sub_mass = w[members - 1]
+        if meets_x.any():
+            raise SetsNotDisjoint("compare needs disjoint sets")
+        if self.discipline == STRICT and x not in self.returned_points:
+            seen = self._sorted_returned()
+            touched = _meets(seen, members, members)
+            if any_wide:
+                touched = np.logical_or.reduceat(touched, starts)
+            if not touched.all():
+                raise DisciplineViolation(
+                    "conditioning on a set with no previously returned point"
+                )
+        mass = w[x - 1] + sub_mass
+        if any_wide:
+            # Each union's members in order: x inserted into its W_i.
+            union = w[np.insert(members, starts + below, x) - 1]
+            for i in np.flatnonzero(wide).tolist():
+                sub_mass[i] = w[members[starts[i]:ends[i]] - 1].sum()
+                mass[i] = union[starts[i] + i:ends[i] + i + 1].sum()
+        live = mass > 0.0
+        hits = np.full(sizes.size, -1, dtype=np.int64)
+        hits[live] = self.rng.binomial(int(m), np.minimum(sub_mass[live] / mass[live], 1.0))
+        self._count(PAIR, int(m) * int(np.count_nonzero(live & ~wide)))
+        self._count(EXPLICIT, int(m) * int(np.count_nonzero(live & wide)))
         return hits
 
     def burn(self, s: QuerySet, m: int):

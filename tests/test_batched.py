@@ -1,6 +1,7 @@
-"""The batched comparison kernel against the scalar loops it replaced.
+"""The batched comparison kernels against the scalar loops they replaced.
 
-OracleHandle.draw_subset_counts, pcond_test_uniform and binary_descent
+OracleHandle.draw_subset_counts, OracleHandle.draw_union_counts,
+pcond_test_uniform, binary_descent and cond_test_known's Main branch
 draw many comparisons in one call. Each is held here against a verbatim
 copy of the scalar loop it replaced: hit counts element by element,
 verdicts and values exactly, every ledger column, and the state the
@@ -14,18 +15,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condtest.adversarial import gen_block_profile, gen_half_split
+from condtest.adversarial import gen_block_profile, gen_half_split, gen_staircase
 from condtest.distcore import INTERVAL, PAIR, QuerySet, make_distribution, uniform
 from condtest.errors import (
     BadQuerySet,
     DisciplineViolation,
     IllegalShapeForModel,
+    SetsNotDisjoint,
     ZeroMassSet,
+)
+from condtest.identity import (
+    KnownTarget,
+    _test_known_heavy,
+    _test_known_main,
+    cond_test_known,
+    epsilon_ladder,
 )
 from condtest.interval import binary_descent, descent_tolerances, icond_test_uniform
 from condtest.oracles import COND, ICOND, PCOND, PERMISSIVE, STRICT, OracleHandle
 from condtest.profiles import DESK
-from condtest.subroutines import classify, compare, compare_budget, compare_points
+from condtest.subroutines import (
+    _union_set,
+    classify,
+    compare,
+    compare_budget,
+    compare_points,
+)
 from condtest.uniformity import pcond_test_uniform, query_budget, schedule
 
 
@@ -130,6 +145,95 @@ def reference_icond_test_uniform(h, eps, profile=DESK):
     return "Accept"
 
 
+def reference_test_known_main(h, target, eps, sp, profile=DESK):
+    """cond_test_known's Main branch as one compare call per witness."""
+    eps1, eps2, eps3, eps4 = epsilon_ladder(eps)
+    k = sp.k_star
+    full = QuerySet.full()
+    low_prefix = QuerySet.explicit(target.prefix_labels(k))
+    reject = False
+    # Gate: the mass below the split must look right.
+    m_gate = math.ceil(profile["main_gate_c"] / eps**2)
+    gate = h.draw_subset_count(full, low_prefix, m_gate) / m_gate
+    if not (eps1 / 2.0 <= gate <= 2.5 * eps1):
+        reject = True
+    ell = math.ceil(profile["main_l_c"] / eps)
+    h_count = math.ceil(profile["main_h_c"] / eps)
+    m_recheck = math.ceil(profile["main_recheck_c"] * math.log2(4.0 / eps) / eps)
+    witness_delta = 1.0 / (10.0 * ell * h_count)
+    witness_m = compare_budget(eps4 / 8.0, 4.0, witness_delta, profile)
+    drawn = h.draw_many(full, ell)
+    for label in drawn:
+        label = int(label)
+        j = int(target.position_of[label - 1])
+        if j <= k:
+            # Oblivious padding: a below-split point burns the same
+            # budget the above-split checks would have used.
+            h.burn(full, m_recheck + h_count * witness_m)
+            continue
+        # Re-check the target prefix mass up to this point.
+        up_to_j = QuerySet.explicit(target.prefix_labels(j))
+        est = h.draw_subset_count(full, up_to_j, m_recheck) / m_recheck
+        star = target.prefix_mass(j)
+        if not ((1.0 - eps3) * star <= est <= (1.0 + eps3) * star):
+            reject = True
+        wj = target.weight_at(j)
+        if wj >= eps1:
+            # The whole prefix below j is a single wide witness.
+            try:
+                out = compare(
+                    h,
+                    QuerySet.explicit([label]),
+                    QuerySet.explicit(target.prefix_labels(j - 1)),
+                    eps2 / 16.0,
+                    2.0 / eps1,
+                    1.0 / (10.0 * ell),
+                    profile,
+                )
+            except ZeroMassSet:
+                reject = True
+                continue
+            ratio_star = target.prefix_mass(j - 1) / wj
+            if not (out.is_ratio
+                    and (1.0 - eps2 / 8.0) * ratio_star
+                    <= out.rho
+                    <= (1.0 + eps2 / 8.0) * ratio_star):
+                reject = True
+            continue
+        chain = target.witness_chain(wj)
+        picks = h.rng.integers(0, int(chain.depth[j - 1]), size=h_count)
+        los, his = chain.resolve(j, picks)
+        for lo, hi in zip(los.tolist(), his.tolist()):
+            wit = QuerySet.explicit(target.interval_labels(lo, hi))
+            try:
+                out = compare(
+                    h,
+                    QuerySet.explicit([label]),
+                    wit,
+                    eps4 / 8.0,
+                    4.0,
+                    witness_delta,
+                    profile,
+                )
+            except ZeroMassSet:
+                reject = True
+                continue
+            ratio_star = (target.prefix_mass(hi) - target.prefix_mass(lo - 1)) / wj
+            if not (out.is_ratio
+                    and (1.0 - eps4 / 4.0) * ratio_star
+                    <= out.rho
+                    <= (1.0 + eps4 / 4.0) * ratio_star):
+                reject = True
+    return "Reject" if reject else "Accept"
+
+
+def reference_cond_test_known(h, target, eps, profile=DESK):
+    sp = target.split(epsilon_ladder(eps)[0])
+    if sp.heavy:
+        return _test_known_heavy(h, target, eps, sp, profile)
+    return reference_test_known_main(h, target, eps, sp, profile)
+
+
 def scalar_counts(h, shape, lo, hi, sub_lo, sub_hi, m):
     """draw_subset_count element by element; -1 on a zero-mass union."""
     out = []
@@ -140,6 +244,20 @@ def scalar_counts(h, shape, lo, hi, sub_lo, sub_hi, m):
             union, sub = QuerySet.interval(int(a), int(b)), QuerySet.interval(int(sa), int(sb))
         try:
             out.append(h.draw_subset_count(union, sub, m))
+        except ZeroMassSet:
+            out.append(-1)
+    return out
+
+
+def scalar_union_counts(h, x, sets, m):
+    """compare's draw for each set W: {x} union W against W, element by
+    element; -1 on a zero-mass union."""
+    out = []
+    for wit in sets:
+        wit = QuerySet.explicit(wit)
+        try:
+            out.append(h.draw_subset_count(
+                _union_set(QuerySet.explicit([x]), wit, h.dist.n), wit, m))
         except ZeroMassSet:
             out.append(-1)
     return out
@@ -267,6 +385,156 @@ class TestIntervalKernel:
         want = scalar_counts(h2, INTERVAL, lo[:k], hi[:k], lo[:k], lo[:k], 1000)
         assert got.tolist() == want
         assert_same_state(h1, h2)
+
+
+class RecordingRng:
+    """A generator that records every p it draws a binomial with."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.ps = []
+
+    def binomial(self, n, p):
+        self.ps.extend(np.atleast_1d(p).tolist())
+        return self.rng.binomial(n, p)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def recording_twins(d, model, seed, discipline=PERMISSIVE):
+    h1, h2 = twins(d, model, seed, discipline)
+    h1.rng, h2.rng = RecordingRng(h1.rng), RecordingRng(h2.rng)
+    return h1, h2
+
+
+def assert_same_draws(h1, h2):
+    """assert_same_state, and every binomial drawn with bitwise the same p."""
+    assert_same_state(h1, h2)
+    assert h1.rng.ps == h2.rng.ps
+
+
+def union_args(sets):
+    return np.concatenate(sets), [len(w) for w in sets]
+
+
+def random_sets(rng, n, x, k, max_size):
+    """k sets of random sizes up to max_size, each strictly increasing
+    and without x."""
+    others = np.setdiff1d(np.arange(1, n + 1), [x])
+    return [np.sort(rng.choice(others, size=int(rng.integers(1, max_size + 1)),
+                               replace=False)) for _ in range(k)]
+
+
+class TestUnionKernel:
+    @pytest.mark.parametrize("name, d, max_size", [
+        ("uniform_4096_points", uniform(2**12), 1),
+        ("staircase_sets", gen_staircase(2, 4), 40),
+        ("mixed", gen_half_split(300, 0.5), 3),
+        ("wide_sets", make_distribution(np.arange(1.0, 601.0) ** 2), 300),
+    ])
+    def test_matches_scalar_calls(self, name, d, max_size):
+        rng = np.random.default_rng(len(name))
+        for seed in range(4):
+            x = int(rng.integers(1, d.n + 1))
+            sets = random_sets(rng, d.n, x, 24, max_size)
+            h1, h2 = recording_twins(d, COND, seed)
+            got = h1.draw_union_counts(x, *union_args(sets), 7919)
+            assert got.tolist() == scalar_union_counts(h2, x, sets, 7919)
+            assert_same_draws(h1, h2)
+        sizes = {len(w) for w in sets}
+        assert (sizes == {1}) == (max_size == 1)
+        if name == "mixed":
+            assert 1 in sizes and len(sizes) > 1
+
+    def test_union_summed_below_its_subset_draws_with_p_one(self):
+        """A zero-weight x can shift numpy's summation blocks so that the
+        union's float mass falls below its subset's; p is then 1."""
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            w = rng.random(int(rng.integers(9, 200))) ** 3
+            x = int(rng.integers(1, w.size + 1))
+            w[x - 1] = 0.0
+            d = make_distribution(w)
+            rest = np.delete(np.arange(1, d.n + 1), x - 1)
+            if d.weights.sum() < d.weights[rest - 1].sum():
+                break
+        else:
+            raise AssertionError("no such case found")
+        h1, h2 = recording_twins(d, COND, 3)
+        got = h1.draw_union_counts(x, *union_args([rest, rest[:3]]), 500)
+        assert got.tolist()[0] == 500
+        assert got.tolist() == scalar_union_counts(h2, x, [rest, rest[:3]], 500)
+        assert_same_draws(h1, h2)
+
+    def test_zero_mass_unions_are_neither_drawn_nor_charged(self):
+        d = ZERO_HALF  # points 33..64 weigh nothing
+        sets = [[40], [1], [33, 50], [2, 40], [34], [60, 61, 62]]
+        h1, h2 = recording_twins(d, COND, 5)
+        got = h1.draw_union_counts(35, *union_args(sets), 1000)
+        assert got.tolist() == scalar_union_counts(h2, 35, sets, 1000)
+        assert got.tolist()[0] == got.tolist()[2] == got.tolist()[4] == -1
+        assert_same_draws(h1, h2)
+        assert h1.ledger.pcond_count == h1.ledger.cond_count == 1000
+
+    def test_strict_discipline(self):
+        d = uniform(64)
+        h1, h2 = twins(d, COND, 1, STRICT)
+        for h in (h1, h2):
+            h.draw_many(QuerySet.full(), 6)
+        seen = sorted(h1.returned_points)
+        fresh = [i for i in range(1, 65) if i not in h1.returned_points]
+        # x never returned: every set must hold a returned point.
+        sets = [[seen[0]], sorted([fresh[1], seen[1]]), sorted([seen[2], fresh[2], fresh[3]])]
+        got = h1.draw_union_counts(fresh[0], *union_args(sets), 100)
+        assert got.tolist() == scalar_union_counts(h2, fresh[0], sets, 100)
+        assert_same_state(h1, h2)
+        with pytest.raises(DisciplineViolation):
+            h1.draw_union_counts(fresh[0], *union_args(sets + [fresh[4:6]]), 100)
+        with pytest.raises(DisciplineViolation):
+            h1.draw_union_counts(fresh[0], *union_args([[seen[0]], [fresh[4]]]), 100)
+        assert_same_state(h1, h2)
+        # A returned x passes with any sets.
+        got = h1.draw_union_counts(seen[3], *union_args([fresh[4:6], [fresh[7]]]), 100)
+        assert got.tolist() == scalar_union_counts(h2, seen[3], [fresh[4:6], [fresh[7]]], 100)
+        assert_same_state(h1, h2)
+
+    @pytest.mark.parametrize("x, sets, error", [
+        (5, [[1], [5]], SetsNotDisjoint),
+        (5, [[1, 2], [3, 5, 9]], SetsNotDisjoint),
+        (5, [[1, 2], [9, 5]], BadQuerySet),     # not increasing
+        (5, [[1, 2], [9, 9]], BadQuerySet),
+        (5, [[2, 1], [3]], BadQuerySet),
+        (5, [[0, 2]], BadQuerySet),             # outside the domain
+        (5, [[7, 65]], BadQuerySet),
+        (65, [[1]], BadQuerySet),
+        (0, [[1]], BadQuerySet),
+        (5, [], BadQuerySet),                   # no sets
+    ])
+    def test_bad_unions_refused_before_any_draw(self, x, sets, error):
+        h = OracleHandle(uniform(64), model=COND, seed=0, discipline=PERMISSIVE)
+        state = h.rng.bit_generator.state
+        members = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
+        with pytest.raises(error):
+            h.draw_union_counts(x, members, [len(w) for w in sets], 10)
+        assert h.ledger.total == 0
+        assert h.rng.bit_generator.state == state
+
+    def test_sizes_must_match_the_members(self):
+        h = OracleHandle(uniform(64), model=COND, seed=0, discipline=PERMISSIVE)
+        for sizes in ([1, 1], [2, 0, 1], [3, 1]):
+            with pytest.raises(BadQuerySet):
+                h.draw_union_counts(5, [1, 2, 3], sizes, 10)
+        assert h.ledger.total == 0
+
+    def test_shapes_must_suit_the_model(self):
+        h = OracleHandle(uniform(8), model=PCOND, seed=0, discipline=PERMISSIVE)
+        h.draw_union_counts(1, [2, 3], [1, 1], 10)
+        with pytest.raises(IllegalShapeForModel):
+            h.draw_union_counts(1, [2, 3, 4], [1, 2], 10)
+        h = OracleHandle(uniform(8), model=ICOND, seed=0, discipline=PERMISSIVE)
+        with pytest.raises(IllegalShapeForModel):
+            h.draw_union_counts(1, [2], [1], 10)
 
 
 class TestClassify:
@@ -418,6 +686,78 @@ class TestDescentMatchesScalarWalk:
             assert_same_state(h1, h2)
 
 
+def witness_dead(target):
+    """The target with no mass below the split, where every witness
+    lies: each witness comparison sees a zero-mass witness."""
+    sp = target.split(epsilon_ladder(0.5)[0])
+    w = target.dstar.weights.copy()
+    w[target.prefix_labels(sp.k_star) - 1] = 0.0
+    return make_distribution(w)
+
+
+def sparse_bad(n, bad, seed):
+    """Uniform but for `bad` random points 10 % heavier: only the few
+    witness comparisons that meet one of them fail."""
+    w = np.ones(n)
+    w[np.random.default_rng(seed).choice(n, size=bad, replace=False)] = 1.1
+    return make_distribution(w)
+
+
+STAIR = gen_staircase(2, 4)
+KNOWN_CASES = [
+    ("U_U_4096", uniform(2**12), uniform(2**12)),       # one-point witnesses
+    ("stair_stair", STAIR, STAIR),                      # multi-point witnesses
+    ("pert_stair", gen_staircase(2, 4, ["up_down"] * 4), STAIR),
+    ("half_split_U_1024", gen_half_split(2**10, 0.5), uniform(2**10)),
+    ("random_mixed", make_distribution(np.random.default_rng(4).random(300) ** 3),
+     make_distribution(np.random.default_rng(4).random(300) ** 3)),
+    ("witness_dead_stair", witness_dead(KnownTarget(STAIR)), STAIR),
+    ("sparse_bad_U_4096", sparse_bad(2**12, 20, 1), uniform(2**12)),
+    # Neighbours 1.2 % apart: inside the witness window of +-2.1 %.
+    ("alternating_U_1024", make_distribution(np.tile([1.006, 0.994], 512)),
+     uniform(2**10)),
+]
+
+
+class TestCondKnownMatchesScalarLoop:
+    @pytest.mark.parametrize("name, d, t", KNOWN_CASES)
+    def test_same_verdict_ledger_and_generator(self, name, d, t):
+        target = KnownTarget(t)
+        sp = target.split(epsilon_ladder(0.5)[0])
+        assert not sp.heavy
+        verdicts = set()
+        for seed in range(3):
+            h1, h2 = recording_twins(d, COND, seed, STRICT)
+            verdict = _test_known_main(h1, target, 0.5, sp, DESK)
+            assert verdict == reference_test_known_main(h2, target, 0.5, sp, DESK)
+            assert_same_draws(h1, h2)
+            verdicts.add(verdict)
+        if name in ("U_U_4096", "stair_stair", "alternating_U_1024"):
+            assert verdicts == {"Accept"}
+        if name in ("pert_stair", "half_split_U_1024", "witness_dead_stair"):
+            assert verdicts == {"Reject"}
+
+    def test_witness_shapes_of_the_cases(self):
+        """The cases cover one-point witnesses and wide ones, up to sizes
+        where numpy's pairwise summation works in blocks."""
+        shapes = {}
+        for name, _, t in KNOWN_CASES:
+            target = KnownTarget(t)
+            sp = target.split(epsilon_ladder(0.5)[0])
+            sizes = set()
+            for j in range(sp.i_star, target.n + 1):
+                wj = target.weight_at(j)
+                if wj < epsilon_ladder(0.5)[0]:
+                    chain = target.witness_chain(wj)
+                    los, his = chain.resolve(j, np.arange(chain.depth[j - 1]))
+                    sizes.update((his - los + 1).tolist())
+            shapes[name] = sizes
+        # Uniform: one point each, two in the last interval of a chain.
+        assert shapes["U_U_4096"] == {1, 2}
+        assert {1, 8, 128} <= shapes["stair_stair"]
+        assert 1 in shapes["random_mixed"] and max(shapes["random_mixed"]) > 64
+
+
 @st.composite
 def weights(draw):
     n = draw(st.integers(2, 40))
@@ -437,4 +777,19 @@ def test_testers_match_scalar_loops_on_random_weights(w, seed):
     assert_same_state(h1, h2)
     h1, h2 = twins(d, ICOND, seed, STRICT)
     assert icond_test_uniform(h1, 0.5) == reference_icond_test_uniform(h2, 0.5)
+    assert_same_state(h1, h2)
+
+
+@given(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.0, 2.0, 3.7, 9.0]),
+                min_size=20, max_size=120),
+       st.integers(0, 2**32), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_cond_known_matches_scalar_loop_on_random_weights(w, seed, same):
+    if sum(w) == 0:
+        w[0] = 1.0
+    t = make_distribution(w)
+    d = t if same else make_distribution(w[::-1])
+    target = KnownTarget(t)
+    h1, h2 = twins(d, COND, seed, STRICT)
+    assert cond_test_known(h1, target, 0.5) == reference_cond_test_known(h2, target, 0.5)
     assert_same_state(h1, h2)

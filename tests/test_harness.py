@@ -30,6 +30,7 @@ from condtest.harness import (
     write_csv,
     write_json,
 )
+from condtest.identity import KnownTarget
 
 
 def small_cfg(**kw):
@@ -208,6 +209,42 @@ class TestRunTrial:
     def test_rejects_bad_eps(self, eps):
         with pytest.raises(BadEpsilon):
             harness.run_trial("pcond_uniform", uniform(8), None, eps, 0)
+
+    @pytest.mark.parametrize("tester, aux", [
+        ("cond_known", uniform(8)),            # a Distribution, not a target
+        ("pcond_known", uniform(8)),
+        ("cond_known", None),
+        ("eval_equality", None),               # the second oracle missing
+        ("pcond_equality", KnownTarget(uniform(8))),
+        ("pcond_uniform", uniform(8)),         # a single-spec tester
+        ("dist_uniformity", KnownTarget(uniform(8))),
+    ])
+    def test_rejects_aux_of_the_wrong_kind(self, tester, aux):
+        with pytest.raises(IncompatibleOracleModel, match=repr(tester)):
+            harness.run_trial(tester, uniform(8), aux, 0.5, 0)
+
+    def test_rejects_a_first_input_that_is_no_distribution(self):
+        with pytest.raises(IncompatibleOracleModel):
+            harness.run_trial("pcond_uniform", [0.5, 0.5], None, 0.5, 0)
+
+    @pytest.mark.parametrize("tester, aux", [
+        ("cond_known", KnownTarget(uniform(16))),
+        ("pcond_known", KnownTarget(uniform(4))),
+        ("eval_equality", uniform(16)),
+        ("pcond_equality", uniform(4)),
+    ])
+    def test_rejects_aux_of_another_domain(self, tester, aux):
+        with pytest.raises(DomainMismatch, match="8 but spec2 has"):
+            harness.run_trial(tester, uniform(8), aux, 0.5, 0)
+
+    @pytest.mark.parametrize("tester, aux", [
+        ("cond_known", KnownTarget(uniform(8))),
+        ("eval_equality", uniform(8)),
+        ("icond_uniform", None),
+    ])
+    def test_accepts_aux_of_the_right_kind(self, tester, aux):
+        rec = harness.run_trial(tester, uniform(8), aux, 0.5, 0)
+        assert rec.verdict in ("Accept", "Reject")
 
 
 class TestSerialization:

@@ -40,6 +40,14 @@ class TestKnownTarget:
         assert t.prefix_labels(2).tolist() == [2, 4]
         assert t.interval_labels(2, 3).tolist() == [3, 4]
 
+    def test_interval_labels_of_many_intervals(self):
+        t = KnownTarget(make_distribution(np.random.default_rng(2).random(60)))
+        lo = np.array([1, 5, 5, 60, 17, 2])
+        hi = np.array([1, 9, 5, 60, 40, 59])
+        want = [np.sort(t.sorted_order[a - 1:b]) for a, b in zip(lo, hi)]
+        assert t.interval_labels(lo, hi).tolist() == np.concatenate(want).tolist()
+        assert t.interval_labels(lo[2:4], hi[2:4]).tolist() == np.concatenate(want[2:4]).tolist()
+
     def test_stable_tie_break(self):
         t = KnownTarget(uniform(4))
         assert t.sorted_order.tolist() == [1, 2, 3, 4]

@@ -9,6 +9,7 @@ from condtest.errors import (
     BadQuerySet,
     DisciplineViolation,
     IllegalShapeForModel,
+    IncompatibleOracleModel,
     ZeroMassSet,
 )
 from condtest.oracles import (
@@ -45,6 +46,11 @@ class TestShapeRules:
             h = OracleHandle(d, model=model, seed=0, discipline=PERMISSIVE)
             for s in oks:
                 h.draw(s)
+
+    @pytest.mark.parametrize("kw", [{"model": "bogus"}, {"discipline": "lax"}])
+    def test_unknown_model_or_discipline(self, kw):
+        with pytest.raises(IncompatibleOracleModel, match="unknown"):
+            OracleHandle(uniform(8), **kw)
 
     def test_illegal_shapes(self):
         d = uniform(8)
