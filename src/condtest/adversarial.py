@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distcore import Distribution, make_distribution
-from .errors import BadBlockGeometry, DomainTooLarge, OddN
+from .errors import BadBlockGeometry, DomainTooLarge, OddN, SpecParseError
 
 UP_DOWN = "up_down"
 DOWN_UP = "down_up"
@@ -138,10 +138,24 @@ def rand_block_profile(n: int, eps: float, rng, x=None) -> Distribution:
     return gen_block_profile(n, x, offset, rand_profile(rng, 2**x), eps)
 
 
+def _integer(name, value):
+    """A spec's integer parameter as an int: an integer, or a float
+    with no fractional part. Anything else, booleans included, is
+    refused with SpecParseError."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise SpecParseError(
+        f"bad generator params: {name} must be an integer, got {value!r}")
+
+
 GENERATORS = {
-    "half_split": lambda n, eps: gen_half_split(int(n), float(eps)),
-    "staircase": lambda k, r, profile=None: gen_staircase(int(k), int(r), profile),
+    "half_split": lambda n, eps: gen_half_split(_integer("n", n), float(eps)),
+    "staircase": lambda k, r, profile=None: gen_staircase(
+        _integer("k", k), _integer("r", r), profile),
     "block_profile": lambda n, x, offset, profile, eps: gen_block_profile(
-        int(n), int(x), int(offset), profile, float(eps)
+        _integer("n", n), _integer("x", x), _integer("offset", offset), profile,
+        float(eps)
     ),
 }

@@ -123,10 +123,13 @@ class Distribution:
 
     weights is a read-only numpy array indexed 0..N-1 for point 1..N.
     prefix[k] = sum of the first k weights, so mass of interval [a,b]
-    is prefix[b]-prefix[a-1].
+    is prefix[b]-prefix[a-1]. target_tables is None until
+    identity.KnownTarget first wraps the distribution, then the tables
+    it built from the weights; they hold no reference to the
+    distribution, so they die with it.
     """
 
-    __slots__ = ("weights", "n", "prefix", "total")
+    __slots__ = ("weights", "n", "prefix", "total", "target_tables")
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=np.float64)
@@ -149,6 +152,7 @@ class Distribution:
         np.cumsum(w, out=self.prefix[1:])
         self.prefix.setflags(write=False)
         self.total = float(w.sum())
+        self.target_tables = None
 
     def weight(self, i):
         """D(i), 1-based."""
@@ -298,9 +302,15 @@ def load_spec(source) -> Distribution:
     if kind == "explicit":
         if "weights" not in doc:
             raise SpecParseError("explicit spec needs 'weights'")
+        weights = doc["weights"]
+        if not (isinstance(weights, list) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in weights)):
+            raise SpecParseError("bad weights: 'weights' must be a flat list of numbers")
         try:
-            return Distribution(doc["weights"])
-        except (NegativeWeight, NonFiniteWeight, ZeroTotalMass, ValueError) as e:
+            return Distribution(weights)
+        except (NegativeWeight, NonFiniteWeight, ZeroTotalMass, ValueError,
+                OverflowError) as e:
             raise SpecParseError(f"bad weights: {e}") from e
     if kind == "generator":
         from . import adversarial

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distcore import Distribution, QuerySet, bucketize
+from .distcore import EXPLICIT, Distribution, QuerySet, bucketize
 from .errors import NotInNoGapRegime, ZeroMassSet
 from .oracles import OracleHandle
 from .profiles import DESK
@@ -46,27 +46,29 @@ class KnownTarget:
     maps position -> original label and prefix_sums[k] is the target
     mass of positions 1..k.
 
-    Split points and witness-chain tables are cached on the instance,
-    so a target's cost is paid once per distinct eps1 and per distinct
-    target weight below eps1, and dies with the instance. Building a
-    chain table costs O(N log N) in numpy; prefix_labels is one O(N)
-    vector pass, without a sort.
+    The tables (the sort, the split points, the witness-chain tables
+    and the bucket decompositions) are kept on the target Distribution
+    itself, in its target_tables slot, and hold no reference back to
+    it. So every KnownTarget of one Distribution instance shares them:
+    the sort is paid once per distribution, a split once per distinct
+    eps1 and a chain table once per distinct target weight below eps1,
+    and all of it dies with the distribution. Building a chain table
+    costs O(N log N) in numpy; prefix_labels is a view on the sorted
+    order while that order is still increasing, one O(N) vector pass
+    past it, and never a sort.
     """
 
-    # At most this many chain tables are kept; a target with more
-    # distinct weights evicts the oldest.
+    # At most this many chain tables, and as many bucket
+    # decompositions, are kept; a target used with more distinct
+    # weights, or eps values, evicts the oldest.
     MAX_CHAINS = 8
 
     def __init__(self, dstar: Distribution):
         self.dstar = dstar
         self.n = dstar.n
-        self.sorted_order = np.argsort(dstar.weights, kind="stable") + 1
-        self.sorted_weights = dstar.weights[self.sorted_order - 1]
-        self.prefix_sums = np.concatenate(([0.0], np.cumsum(self.sorted_weights)))
-        self.position_of = np.empty(self.n, dtype=np.int64)
-        self.position_of[self.sorted_order - 1] = np.arange(1, self.n + 1)
-        self._splits = {}
-        self._chains = {}
+        if dstar.target_tables is None:
+            dstar.target_tables = _target_tables(dstar.weights)
+        vars(self).update(dstar.target_tables)
 
     def weight_at(self, pos):
         """Target weight of the point at ascending position pos."""
@@ -78,6 +80,8 @@ class KnownTarget:
 
     def prefix_labels(self, k):
         """Original labels of positions 1..k, sorted ascending."""
+        if k <= self._rising:
+            return self.sorted_order[:k]
         return np.flatnonzero(self.position_of <= k) + 1
 
     def interval_labels(self, lo, hi):
@@ -107,13 +111,25 @@ class KnownTarget:
     def witness_chain(self, wj: float) -> WitnessChain:
         """The greedy witness chains for target weight wj, built on the
         first call for wj and cached."""
-        chain = self._chains.get(wj)
-        if chain is None:
-            if len(self._chains) >= self.MAX_CHAINS:
-                del self._chains[next(iter(self._chains))]
+        def build():
             last = int(np.searchsorted(self.sorted_weights, wj, side="right"))
-            chain = self._chains[wj] = WitnessChain.build(self.prefix_sums, wj, last)
-        return chain
+            return WitnessChain.build(self.prefix_sums, wj, last)
+        return self._cached(self._chains, wj, build)
+
+    def buckets(self, eta):
+        """bucketize(dstar, eta), built on the first call for eta and
+        cached."""
+        return self._cached(self._buckets, eta, lambda: bucketize(self.dstar, eta))
+
+    def _cached(self, cache, key, build):
+        """cache[key], from build() on a miss; a cache of MAX_CHAINS
+        entries evicts its oldest first."""
+        table = cache.get(key)
+        if table is None:
+            if len(cache) >= self.MAX_CHAINS:
+                del cache[next(iter(cache))]
+            table = cache[key] = build()
+        return table
 
     def sample(self, rng, size):
         """size iid original labels drawn from the target itself."""
@@ -121,6 +137,30 @@ class KnownTarget:
         pos = np.searchsorted(self.dstar.prefix[1:], u, side="right")
         np.clip(pos, 0, self.n - 1, out=pos)
         return pos + 1
+
+
+def _target_tables(weights):
+    """KnownTarget's tables for the weights: arrays and empty caches,
+    by attribute name."""
+    n = weights.size
+    sorted_order = np.argsort(weights, kind="stable") + 1
+    sorted_order.setflags(write=False)
+    sorted_weights = weights[sorted_order - 1]
+    position_of = np.empty(n, dtype=np.int64)
+    position_of[sorted_order - 1] = np.arange(1, n + 1)
+    # Positions 1.._rising hold increasing labels, so their labels in
+    # ascending order are a slice of sorted_order.
+    rising = sorted_order[1:] > sorted_order[:-1]
+    return {
+        "sorted_order": sorted_order,
+        "sorted_weights": sorted_weights,
+        "prefix_sums": np.concatenate(([0.0], np.cumsum(sorted_weights))),
+        "position_of": position_of,
+        "_rising": n if rising.all() else int(np.argmin(rising)) + 1,
+        "_splits": {},
+        "_chains": {},
+        "_buckets": {},
+    }
 
 
 @dataclass(frozen=True)
@@ -165,11 +205,33 @@ class WitnessChain:
 
     def resolve(self, j, picks):
         """(lo, hi) arrays of the picks-th intervals of j's chain;
-        every pick must lie in [0, depth[j-1])."""
-        steps = (picks >> np.arange(len(self.up))[:, None]) & 1 == 1
-        node = np.full(len(picks), j - 1, dtype=np.int32)
-        for step, up in zip(steps, self.up):
-            node = np.where(step, up[node], node)
+        every pick must lie in [0, depth[j-1]). Each pick a climbs from
+        node j-1 one up[k] step per set bit k of a: O(log N) scalar
+        lookups a pick."""
+        nodes = []
+        for a in picks.tolist():
+            node = j - 1
+            for up in self.up:
+                if not a:
+                    break
+                if a & 1:
+                    node = up[node]
+                a >>= 1
+            nodes.append(node)
+        node = np.array(nodes, dtype=np.int32)
+        return self.lo[node], node
+
+    def walk(self, j):
+        """(lo, hi) arrays of every interval of j's chain, rightmost
+        first: resolve(j, np.arange(depth[j-1])), built by doubling
+        (the first 2^k nodes, then each one's 2^k-th ancestor) in
+        O(log N) gathers and O(depth) work."""
+        node = np.array([j - 1], dtype=np.int32)
+        for up in self.up:
+            if node.size >= self.depth[j - 1]:
+                break
+            node = np.concatenate((node, up[node]))
+        node = node[:self.depth[j - 1]]
         return self.lo[node], node
 
 
@@ -190,8 +252,8 @@ def build_witnesses(target: KnownTarget, j: int, eps1: float) -> WitnessPartitio
     most 2 w(j)).
 
     Cost: the intervals are read off the target's cached chain table
-    for w(j) (O(N log N) once per distinct weight), in O(d log N) numpy
-    gathers for the d intervals returned.
+    for w(j) (O(N log N) once per distinct weight), in O(log N) numpy
+    gathers and O(d) work for the d intervals returned.
     """
     sp = target.split(eps1)
     if sp.heavy:
@@ -202,7 +264,7 @@ def build_witnesses(target: KnownTarget, j: int, eps1: float) -> WitnessPartitio
     if wj >= eps1:
         return WitnessPartition([(1, j - 1)], j, True)
     chain = target.witness_chain(wj)
-    lo, hi = chain.resolve(j, np.arange(chain.depth[j - 1]))
+    lo, hi = chain.walk(j)
     return WitnessPartition(list(zip(lo.tolist(), hi.tolist())), j, False)
 
 
@@ -214,7 +276,7 @@ def pcond_test_known(h: OracleHandle, target: KnownTarget, eps: float,
     dstar = target.dstar
     n = h.dist.n
     eta = eps / 6.0
-    buckets = bucketize(dstar, eta)
+    buckets = target.buckets(eta)
     b = buckets.b
     # Phase one: bucket weight screening from plain samples.
     m = math.ceil(profile["known_m_c"] * b * b * math.log2(2.0 * b) / eta**2)
@@ -320,8 +382,10 @@ def _test_known_main(h, target, eps, sp, profile):
             # budget the above-split checks would have used.
             h.burn(full, m_recheck + h_count * witness_m)
             continue
-        # Re-check the target prefix mass up to this point.
-        up_to_j = QuerySet.explicit(target.prefix_labels(j))
+        # Re-check the target prefix mass up to this point. The labels
+        # come sorted and inside the domain, so the set skips explicit's
+        # O(j) order check.
+        up_to_j = QuerySet(EXPLICIT, indices=target.prefix_labels(j))
         est = h.draw_subset_count(full, up_to_j, m_recheck) / m_recheck
         star = target.prefix_mass(j)
         if not ((1.0 - eps3) * star <= est <= (1.0 + eps3) * star):

@@ -29,6 +29,9 @@ of one point x against sets W_1..W_k that compare makes on the unions
 checks and draw cost O(total size of the W_i) in numpy plus one
 binomial call; the two masses of each explicit union are summed one
 union at a time, so each keeps Distribution.mass's summation order.
+A call whose W_i are all one point, as every call on a uniform
+target is, skips the per-set bookkeeping and costs a fixed number of
+numpy operations on k-element arrays.
 """
 
 from __future__ import annotations
@@ -322,17 +325,19 @@ class OracleHandle:
         members = np.asarray(members, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
         wide = sizes > 1
-        for shape, used in ((PAIR, ~wide), (EXPLICIT, wide)):
-            if used.any() and shape not in _ALLOWED[self.model]:
+        n_wide = int(np.count_nonzero(wide))
+        for shape, used in ((PAIR, n_wide < sizes.size), (EXPLICIT, n_wide > 0)):
+            if used and shape not in _ALLOWED[self.model]:
                 raise IllegalShapeForModel(
                     f"{self.model} oracle cannot take a {shape} set"
                 )
         if (sizes.size == 0 or sizes.min() < 1 or members.size != sizes.sum()
                 or not 1 <= x <= d.n or members.min() < 1 or members.max() > d.n):
             raise BadQuerySet(f"unions need a point and non-empty sets in 1..{d.n}")
+        # With every W_i one point (n_wide == 0), members holds one
+        # point per union and the per-set bookkeeping below is skipped.
         w = d.weights
-        any_wide = bool(wide.any())
-        if any_wide:
+        if n_wide:
             ends = np.cumsum(sizes)
             starts = ends - sizes
             rising = members[1:] > members[:-1]
@@ -350,14 +355,14 @@ class OracleHandle:
         if self.discipline == STRICT and x not in self.returned_points:
             seen = self._sorted_returned()
             touched = _meets(seen, members, members)
-            if any_wide:
+            if n_wide:
                 touched = np.logical_or.reduceat(touched, starts)
             if not touched.all():
                 raise DisciplineViolation(
                     "conditioning on a set with no previously returned point"
                 )
         mass = w[x - 1] + sub_mass
-        if any_wide:
+        if n_wide:
             # Each union's members in order: x inserted into its W_i.
             union = w[np.insert(members, starts + below, x) - 1]
             for i in np.flatnonzero(wide).tolist():
@@ -366,8 +371,9 @@ class OracleHandle:
         live = mass > 0.0
         hits = np.full(sizes.size, -1, dtype=np.int64)
         hits[live] = self.rng.binomial(int(m), np.minimum(sub_mass[live] / mass[live], 1.0))
-        self._count(PAIR, int(m) * int(np.count_nonzero(live & ~wide)))
-        self._count(EXPLICIT, int(m) * int(np.count_nonzero(live & wide)))
+        n_live_wide = int(np.count_nonzero(live & wide)) if n_wide else 0
+        self._count(PAIR, int(m) * (int(np.count_nonzero(live)) - n_live_wide))
+        self._count(EXPLICIT, int(m) * n_live_wide)
         return hits
 
     def burn(self, s: QuerySet, m: int):

@@ -12,8 +12,8 @@ from condtest.adversarial import (
     staircase_domain_size,
     valid_block_exponents,
 )
-from condtest.distcore import tv_distance, uniform
-from condtest.errors import BadBlockGeometry, DomainTooLarge, OddN
+from condtest.distcore import load_spec, tv_distance, uniform
+from condtest.errors import BadBlockGeometry, DomainTooLarge, OddN, SpecParseError
 
 
 class TestHalfSplit:
@@ -168,3 +168,26 @@ class TestRegistry:
             n=8, x=1, offset=0, profile=["up_down", "down_up"], eps=0.25
         )
         assert d.n == 8
+
+    @pytest.mark.parametrize("name, params, bad", [
+        ("half_split", {"n": 2.5, "eps": 0.25}, "n"),
+        ("half_split", {"n": True, "eps": 0.25}, "n"),
+        ("half_split", {"n": "4", "eps": 0.25}, "n"),
+        ("staircase", {"k": 2.0, "r": 1.5}, "r"),
+        ("staircase", {"k": False, "r": 1}, "k"),
+        ("block_profile", {"n": 8, "x": 1.25, "offset": 0,
+                           "profile": ["up_down", "down_up"], "eps": 0.25}, "x"),
+        ("block_profile", {"n": 8, "x": 1, "offset": 0.5,
+                           "profile": ["up_down", "down_up"], "eps": 0.25}, "offset"),
+        ("block_profile", {"n": 8, "x": 1, "offset": float("nan"),
+                           "profile": ["up_down", "down_up"], "eps": 0.25}, "offset"),
+    ])
+    def test_refuses_non_integer_params(self, name, params, bad):
+        with pytest.raises(SpecParseError, match=f"{bad} must be an integer"):
+            GENERATORS[name](**params)
+        with pytest.raises(SpecParseError, match=f"{bad} must be an integer"):
+            load_spec({"kind": "generator", "name": name, "params": params})
+
+    def test_integral_floats_are_integers(self):
+        assert GENERATORS["half_split"](n=4.0, eps=0.25) == gen_half_split(4, 0.25)
+        assert GENERATORS["staircase"](k=np.int64(2), r=1.0).n == 6

@@ -749,7 +749,7 @@ class TestCondKnownMatchesScalarLoop:
                 wj = target.weight_at(j)
                 if wj < epsilon_ladder(0.5)[0]:
                     chain = target.witness_chain(wj)
-                    los, his = chain.resolve(j, np.arange(chain.depth[j - 1]))
+                    los, his = chain.walk(j)
                     sizes.update((his - los + 1).tolist())
             shapes[name] = sizes
         # Uniform: one point each, two in the last interval of a chain.

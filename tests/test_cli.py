@@ -224,6 +224,18 @@ class TestDistValidate:
         assert len(r.output.strip().splitlines()) == 1
         assert "bad weights" in r.output
 
+    @pytest.mark.parametrize("weights", [
+        {"a": 1},           # an object
+        [[1, 2], [3, 4]],   # nested lists
+        [True, False],      # booleans
+    ])
+    def test_validate_weights_not_a_flat_number_list(self, tmp_path, weights):
+        spec = write_spec(tmp_path, "w.json", {"kind": "explicit", "weights": weights})
+        r = CliRunner().invoke(main, ["dist", "validate", spec])
+        assert r.exit_code == 1
+        assert r.output.strip().splitlines() == [
+            "Error: bad weights: 'weights' must be a flat list of numbers"]
+
     def test_validate_out_of_range_generator_param(self, tmp_path):
         spec = write_spec(tmp_path, "hs.json", {
             "kind": "generator", "name": "half_split",

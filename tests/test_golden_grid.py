@@ -3,7 +3,9 @@
 Every trial's verdict, estimate and ledger must equal the values in
 golden_grid.json, which were recorded from the code before the
 shape-aware set operations and the vectorized witness partition
-replaced their member-array and scalar-loop versions. A change that
+replaced their member-array and scalar-loop versions; the two 2^14
+cond_known entries were added later, recorded from the code before
+the target tables moved onto the target distribution. A change that
 claims to keep behaviour must keep this test passing unchanged.
 
 Regenerate the file (only when behaviour is meant to change) with
@@ -40,6 +42,7 @@ def grid():
     """(name, tester, d1, second, eps, seeds); second is the target or
     the second oracle's distribution, or None."""
     u256, u1k, u4k = ct.uniform(256), ct.uniform(2**10), ct.uniform(2**12)
+    u16k = ct.uniform(2**14)
     stair = ct.gen_staircase(2, 4)
     pert = ct.gen_staircase(2, 4, ["up_down"] * 4)
     block4k = ct.rand_block_profile(2**12, 0.5, np.random.default_rng(90), x=6)
@@ -65,6 +68,10 @@ def grid():
         ("cond_known/U_rand_512", "cond_known", ct.uniform(512), rand512, 0.5,
          (0, 1)),
         ("cond_known/U_U_4096", "cond_known", u4k, u4k, 0.5, (0,)),
+        # Fourteen-level witness chains, as in the large_n benchmark.
+        ("cond_known/U_U_16384", "cond_known", u16k, u16k, 0.5, (0, 1)),
+        ("cond_known/half_U_16384", "cond_known",
+         ct.gen_half_split(2**14, 0.5), u16k, 0.5, (0, 1)),
         ("cond_known/spiky_256", "cond_known", _spiky(256, 3, 0.06),
          _spiky(256, 3, 0.06), 0.5, (0, 1)),
         ("pcond_equality/U_U_256", "pcond_equality", u256, u256, 0.5, (0,)),

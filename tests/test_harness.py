@@ -1,11 +1,13 @@
 import gc
+import itertools
 import json
 import math
 import weakref
 
 import pytest
 
-from condtest import harness
+from condtest import harness, identity
+from condtest.adversarial import gen_half_split, gen_staircase
 from condtest.distcore import uniform
 from condtest.errors import (
     BadEpsilon,
@@ -198,6 +200,81 @@ class TestRunExperiment:
         gc.collect()
         assert refs[0]() is None
         assert res.trials[0].verdict in ("Accept", "Reject")
+
+
+def outcomes(res):
+    return [(r.seed, r.verdict, r.estimate, r.ledger.as_dict()) for r in res.trials]
+
+
+class TestTargetTables:
+    """A target's tables are built once per target Distribution and die
+    with it."""
+
+    def test_built_once_per_target_distribution(self, monkeypatch):
+        calls = []
+        raw = identity.WitnessChain.build.__func__
+
+        def build(cls, prefix, wj, last):
+            calls.append(wj)
+            return raw(cls, prefix, wj, last)
+
+        monkeypatch.setattr(identity.WitnessChain, "build", classmethod(build))
+        d, target = uniform(1024), uniform(1024)
+        for eps in (0.5, 0.4, 0.45):
+            run_experiment(ExperimentConfig(tester="cond_known", spec=d,
+                                            spec2=target, eps=eps, seed=3))
+        # Every position of a uniform target has the same weight, so one
+        # chain table serves all three eps.
+        assert len(calls) == 1
+        assert len(target.target_tables["_splits"]) == 3
+
+    @pytest.mark.parametrize("tester", ["cond_known", "pcond_known"])
+    @pytest.mark.parametrize("make_d, make_t", [
+        (lambda: uniform(1024), lambda: uniform(1024)),
+        (lambda: gen_half_split(1024, 0.5), lambda: uniform(1024)),
+        (lambda: gen_staircase(2, 4, ["up_down"] * 4), lambda: gen_staircase(2, 4)),
+        (lambda: gen_staircase(2, 4), lambda: gen_staircase(2, 4)),
+    ])
+    def test_shared_tables_give_fresh_target_outcomes(self, tester, make_d, make_t):
+        d = make_d()
+        eps_grid = (0.5, 0.35, 0.45)
+
+        def cfg(target, eps):
+            return ExperimentConfig(tester=tester, spec=d, spec2=target, eps=eps,
+                                    seed=11)
+
+        fresh = {eps: outcomes(run_experiment(cfg(make_t(), eps))) for eps in eps_grid}
+        for order in itertools.permutations(eps_grid):
+            shared = make_t()
+            for eps in order:
+                assert outcomes(run_experiment(cfg(shared, eps))) == fresh[eps]
+
+    def test_target_from_spec_freed_without_gc(self, monkeypatch):
+        """No reference cycle keeps a target or its tables alive: with the
+        collector off, reference counting frees them when the experiment
+        returns."""
+        refs = []
+
+        def recording(method):
+            def recorded(self, key):
+                table = method(self, key)
+                refs.extend(weakref.ref(obj) for obj in (self, self.sorted_order, table))
+                return table
+            return recorded
+
+        for name in ("witness_chain", "buckets"):
+            monkeypatch.setattr(identity.KnownTarget, name,
+                                recording(getattr(identity.KnownTarget, name)))
+        spec = {"kind": "explicit", "weights": [1.0] * 256}
+        gc.disable()
+        try:
+            for tester in ("cond_known", "pcond_known"):
+                run_experiment(ExperimentConfig(tester=tester, spec=spec, spec2=spec,
+                                                eps=0.5, trials=2))
+            assert refs
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
 
 class TestRunTrial:

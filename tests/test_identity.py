@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from condtest.adversarial import gen_half_split, gen_block_profile, gen_staircase
-from condtest.distcore import make_distribution, uniform
+from condtest.distcore import bucketize, make_distribution, uniform
 from condtest.errors import NotInNoGapRegime
 from condtest.identity import (
     KnownTarget,
@@ -82,6 +84,23 @@ class TestKnownTarget:
         t = KnownTarget(uniform(100))
         assert t.split(0.05) is t.split(0.05)
         assert t.witness_chain(0.01) is t.witness_chain(0.01)
+
+    def test_tables_shared_by_targets_of_one_distribution(self):
+        d = gen_staircase(2, 3)
+        t1, t2 = KnownTarget(d), KnownTarget(d)
+        assert t1.sorted_order is t2.sorted_order
+        assert t1.split(0.05) is t2.split(0.05)
+        assert t1.witness_chain(0.01) is t2.witness_chain(0.01)
+        assert t1.buckets(0.1) is t2.buckets(0.1)
+        assert t1.buckets(0.1).bucket_index_of.tolist() == (
+            bucketize(d, 0.1).bucket_index_of.tolist())
+        # An equal distribution is another instance, with its own tables.
+        assert KnownTarget(gen_staircase(2, 3)).sorted_order is not t1.sorted_order
+        assert not t1.sorted_order.flags.writeable
+        # Like the chain tables, at most MAX_CHAINS decompositions stay.
+        for eta in np.linspace(0.01, 0.2, 12):
+            t1.buckets(float(eta))
+        assert len(t2._buckets) == KnownTarget.MAX_CHAINS
 
     def test_internal_sampler_matches_target(self):
         d = make_distribution([1, 2, 3, 4])
@@ -359,3 +378,47 @@ class TestCondTestKnown:
         h2 = cond_handle(gen_half_split(n, 0.5), seed=10)
         cond_test_known(h2, t, 0.5)
         assert h1.ledger.total == h2.ledger.total
+
+
+U_16K = uniform(2**14)
+
+
+@st.composite
+def chain_walks(draw):
+    """A target, a position j above its split whose weight is below
+    eps1 = 0.05, and picks into j's witness chain."""
+    if draw(st.booleans()):
+        t = KnownTarget(U_16K)
+    else:
+        w = draw(st.lists(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0, 1.0, 2.0, 7.0]),
+                          min_size=20, max_size=200))
+        assume(any(w))
+        t = KnownTarget(make_distribution(w))
+    sp = t.split(0.05)
+    assume(not sp.heavy)
+    j = draw(st.integers(sp.i_star, t.n))
+    assume(t.weight_at(j) < 0.05)
+    depth = int(t.witness_chain(t.weight_at(j)).depth[j - 1])
+    picks = draw(st.lists(st.integers(0, depth - 1), min_size=1, max_size=24))
+    return t, j, picks
+
+
+@given(chain_walks())
+@settings(max_examples=150, deadline=None)
+def test_resolve_and_walk_match_parent_walk(walk):
+    """resolve's bit-by-bit climb and walk's doubling land where a step
+    by step walk up the parent links does."""
+    t, j, picks = walk
+    chain = t.witness_chain(t.weight_at(j))
+    parent = chain.up[0] if chain.up else None
+    nodes = [j - 1]
+    while len(nodes) < chain.depth[j - 1]:
+        nodes.append(int(parent[nodes[-1]]))
+    lo, hi = chain.resolve(j, np.array(picks))
+    assert lo.dtype == hi.dtype == np.int32
+    assert hi.tolist() == [nodes[a] for a in picks]
+    assert lo.tolist() == chain.lo[hi].tolist()
+    lo, hi = chain.walk(j)
+    assert lo.dtype == hi.dtype == np.int32
+    assert hi.tolist() == nodes
+    assert lo.tolist() == chain.lo[nodes].tolist()
