@@ -5,8 +5,11 @@ golden_grid.json, which were recorded from the code before the
 shape-aware set operations and the vectorized witness partition
 replaced their member-array and scalar-loop versions; the two 2^14
 cond_known entries were added later, recorded from the code before
-the target tables moved onto the target distribution. A change that
-claims to keep behaviour must keep this test passing unchanged.
+the target tables moved onto the target distribution, and the
+block_256, half_256_eps_0.5 and point_mass_256 dist_uniformity entries
+from the code before its comparisons moved onto the pair kernel. A
+change that claims to keep behaviour must keep this test passing
+unchanged.
 
 Regenerate the file (only when behaviour is meant to change) with
 
@@ -30,6 +33,14 @@ def _spiky(n, heavy, w_heavy):
     above-split points wide enough for the single-witness branch."""
     w = np.full(n, (1.0 - heavy * w_heavy) / (n - heavy))
     w[n - heavy:] = w_heavy
+    return ct.make_distribution(w)
+
+
+def _point_mass(n, w_rest):
+    """Weight 1 on point 1 and w_rest on every other point, before
+    normalising: no candidate passes find_reference's gates."""
+    w = np.full(n, w_rest)
+    w[0] = 1.0
     return ct.make_distribution(w)
 
 
@@ -83,6 +94,15 @@ def grid():
         ("dist_uniformity/U_256", "dist_uniformity", u256, None, 0.25, (0,)),
         ("dist_uniformity/half_256", "dist_uniformity",
          ct.gen_half_split(256, 0.25), None, 0.25, (0,)),
+        # Ratios near the window edges, as in the pair_small_n benchmark.
+        ("dist_uniformity/block_256", "dist_uniformity", ct.gen_block_profile(
+            256, 4, 11, ["up_down", "down_up"] * 8, 0.25), None, 0.25, (0, 1)),
+        # The right half has weight zero.
+        ("dist_uniformity/half_256_eps_0.5", "dist_uniformity",
+         ct.gen_half_split(256, 0.5), None, 0.5, (0, 1)),
+        # find_reference returns None.
+        ("dist_uniformity/point_mass_256", "dist_uniformity",
+         _point_mass(256, 1e-6), None, 0.25, (0, 1)),
     ]
 
 
