@@ -40,6 +40,7 @@ from .equality import (
 from .errors import (
     BadBlockGeometry,
     BadEpsilon,
+    BadGeneratorParam,
     BadProfile,
     BadQuerySet,
     BadSweepGrid,

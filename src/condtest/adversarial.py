@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distcore import Distribution, make_distribution
-from .errors import BadBlockGeometry, DomainTooLarge, OddN, SpecParseError
+from .errors import BadBlockGeometry, BadGeneratorParam, DomainTooLarge, OddN, SpecParseError
 
 UP_DOWN = "up_down"
 DOWN_UP = "down_up"
@@ -20,10 +20,12 @@ DOWN_UP = "down_up"
 def gen_half_split(n: int, eps: float) -> Distribution:
     """Left half (1+2eps)/n, right half (1-2eps)/n; distance from
     uniform exactly eps."""
+    if n < 2:
+        raise BadGeneratorParam(f"n={n} must be at least 2")
     if n % 2:
         raise OddN(f"n={n} must be even")
     if not 0.0 <= eps <= 0.5:
-        raise ValueError("eps must lie in [0, 1/2]")
+        raise BadGeneratorParam("eps must lie in [0, 1/2]")
     w = np.empty(n)
     w[: n // 2] = (1.0 + 2.0 * eps) / n
     w[n // 2 :] = (1.0 - 2.0 * eps) / n
@@ -44,12 +46,12 @@ def gen_staircase(k: int, r: int, profile=None) -> Distribution:
     staircase sits at distance exactly 1/4 from the reference shape.
     """
     if k < 2 or r < 1:
-        raise ValueError("need k >= 2 and r >= 1")
+        raise BadGeneratorParam("need k >= 2 and r >= 1")
     n = staircase_domain_size(k, r)
     if n > 2**20:
         raise DomainTooLarge(f"domain size {n} exceeds 2^20")
     if profile is not None and len(profile) != r:
-        raise ValueError(f"profile must have length r={r}")
+        raise BadGeneratorParam(f"profile must have length r={r}")
     masses = np.full(2 * r, 1.0 / (2.0 * r))
     if profile is not None:
         for i, flag in enumerate(profile):
@@ -60,7 +62,7 @@ def gen_staircase(k: int, r: int, profile=None) -> Distribution:
                 masses[2 * i] = 1.0 / (4.0 * r)
                 masses[2 * i + 1] = 3.0 / (4.0 * r)
             else:
-                raise ValueError(f"bad profile flag {flag!r}")
+                raise BadGeneratorParam(f"bad profile flag {flag!r}")
     w = np.empty(n)
     pos = 0
     for i in range(1, 2 * r + 1):
@@ -81,9 +83,9 @@ def gen_block_profile(n: int, x: int, offset: int, profile, eps: float) -> Distr
     if delta < 2 or delta % 2:
         raise BadBlockGeometry(f"block size {delta} must be even and >= 2")
     if len(profile) != b:
-        raise ValueError(f"profile must have length 2^x={b}")
+        raise BadGeneratorParam(f"profile must have length 2^x={b}")
     if not 0.0 <= eps <= 0.5:
-        raise ValueError("eps must lie in [0, 1/2]")
+        raise BadGeneratorParam("eps must lie in [0, 1/2]")
     hi = (1.0 + 2.0 * eps) / n
     lo = (1.0 - 2.0 * eps) / n
     base = np.empty(n)
@@ -97,7 +99,7 @@ def gen_block_profile(n: int, x: int, offset: int, profile, eps: float) -> Distr
             base[start : start + half] = lo
             base[start + half : start + delta] = hi
         else:
-            raise ValueError(f"bad profile flag {flag!r}")
+            raise BadGeneratorParam(f"bad profile flag {flag!r}")
     w = np.roll(base, offset % n)
     return make_distribution(w)
 

@@ -11,10 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distcore import QuerySet
 from .oracles import OracleHandle
 from .profiles import DESK
-from .subroutines import compare_points, estimate_neighborhood, ratio_in_window
+from .subroutines import (compare_points, compare_to_point, estimate_neighborhood,
+                          ratio_in_window)
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,7 @@ def find_reference(h: OracleHandle, kappa: float, profile=DESK):
                 continue
             # The pair always has mass: x was drawn from D.
             out = compare_points(h, x, y, c_eta, 4.0, c_delta, profile)
-            if ratio_in_window(out, en.alpha, en.theta):
+            if out.is_ratio and ratio_in_window(out.rho, en.alpha, en.theta):
                 inside += 1
         mu_hat = inside / y_size
         if mu_hat < mu_gate:
@@ -90,24 +93,10 @@ def estimate_distance_to_uniformity(h: OracleHandle, eps: float,
     K = max(1.0, 2.0 / (n * d_hat), 4.0 * n * d_hat / eps)
     delta = 1.0 / (10.0 * s)
     ys = h.rng.integers(1, n + 1, size=s)
-    total = 0.0
-    for y in ys:
-        y = int(y)
-        if y == x:
-            rho = 1.0
-        else:
-            out = compare_points(h, x, y, eps / 2.0, K, delta, profile)
-            if out.is_high:
-                continue  # shortfall 0
-            if out.is_low:
-                total += 1.0
-                continue
-            rho = out.rho
-        val = rho * d_hat  # estimate of D(y)
-        if val >= 1.0 / n:
-            continue
-        if val <= eps / (4.0 * n):
-            total += 1.0
-        else:
-            total += 1.0 - n * val
+    low, high, rho = compare_to_point(h, x, ys, eps / 2.0, K, delta, profile)
+    val = rho * d_hat  # estimate of D(y); NaN where Low or High
+    short = np.where(low | (val <= eps / (4.0 * n)), 1.0, 1.0 - n * val)
+    short[high | (val >= 1.0 / n)] = 0.0
+    # cumsum adds left to right, in ys order; np.sum adds pairwise.
+    total = float(np.cumsum(short)[-1])
     return min(max(total / s, 0.0), 1.0)

@@ -61,6 +61,10 @@ class BadBlockGeometry(CondtestError):
     pass
 
 
+class BadGeneratorParam(CondtestError, ValueError):
+    """A hard-instance generator's parameter is out of range."""
+
+
 class EvalFailed(CondtestError):
     """The multiplicative weight estimator exhausted its round budget."""
 

@@ -1,8 +1,9 @@
 """Shared estimation subroutines used by every tester.
 
 compare estimates the mass ratio of two disjoint sets from conditional
-draws on their union. estimate_neighborhood estimates the mass of the
-weight-neighborhood of a point at a randomized radius.
+draws on their union; compare_to_point makes many comparisons against
+one point in one draw_subset_counts call, as estimate_neighborhood does
+once per estimate of a point's weight-neighborhood mass.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distcore import EXPLICIT, FULL, INTERVAL, QuerySet
+from .distcore import EXPLICIT, FULL, INTERVAL, PAIR, QuerySet
 from .errors import SetsNotDisjoint
 from .oracles import OracleHandle
 from .profiles import DESK
@@ -33,10 +34,6 @@ class CompareOutcome:
     @property
     def is_low(self):
         return self.tag == LOW
-
-    @property
-    def is_high(self):
-        return self.tag == HIGH
 
     @property
     def is_ratio(self):
@@ -190,13 +187,29 @@ def compare_points(h, px, py, eta, K, delta, profile=DESK) -> CompareOutcome:
     )
 
 
-def ratio_in_window(out: CompareOutcome, alpha: float, theta: float) -> bool:
-    """Whether a compare outcome lands inside the closed window
-    [1/(1+alpha+theta/2), 1+alpha+theta/2]."""
-    if not out.is_ratio:
-        return False
+def compare_to_point(h, x, ys, eta, K, delta, profile=DESK):
+    """compare_points(h, x, y, ...) for each y in ys, in one
+    draw_subset_counts call with the draws, charges and generator state
+    of those calls in order: classify's (low, high, rho). A y equal to
+    x is neither drawn nor charged and reads as ratio 1. x must have
+    positive weight, as an x the oracle returned has: no pair then has
+    zero mass, whose -1 count classify would read as Low."""
+    ys = np.asarray(ys, dtype=np.int64)
+    other = ys != x
+    y = ys[other]
+    m = compare_budget(eta, K, delta, profile)
+    hits = h.draw_subset_counts(PAIR, np.minimum(x, y), np.maximum(x, y), y, y, m)
+    low, high = np.zeros((2, ys.size), dtype=bool)
+    rho = np.ones(ys.size)
+    low[other], high[other], rho[other] = classify(hits, m, K)
+    return low, high, rho
+
+
+def ratio_in_window(rho, alpha: float, theta: float):
+    """Whether each ratio in rho lies in the closed window
+    [1/(1+alpha+theta/2), 1+alpha+theta/2]; NaN (Low or High) does not."""
     hi = 1.0 + alpha + theta / 2.0
-    return 1.0 / hi <= out.rho <= hi
+    return (1.0 / hi <= rho) & (rho <= hi)
 
 
 def neighborhood_grid(kappa, beta, eta, delta):
@@ -225,6 +238,8 @@ def estimate_neighborhood(
     and classifies each distinct point by one ratio comparison against
     x. Returns the fraction of the sample (as a multiset) whose ratio
     lands in the closed window for alpha.
+
+    Cost: one draw_many and one draw_subset_counts call per estimate.
     """
     if sample_cap is None:
         sample_cap = profile["en_sample_cap"]
@@ -241,14 +256,6 @@ def estimate_neighborhood(
     uniq, counts = np.unique(pts, return_counts=True)
     c_eta = max(theta / 4.0, eta_floor)
     c_delta = max(delta / (4.0 * size), delta_floor)
-    inside = 0
-    for y, mult in zip(uniq, counts):
-        y = int(y)
-        if y == x:
-            # Ratio exactly 1, always inside the window.
-            inside += int(mult)
-            continue
-        out = compare_points(h, x, y, c_eta, 4.0, c_delta, profile)
-        if ratio_in_window(out, alpha, theta):
-            inside += int(mult)
+    rho = compare_to_point(h, x, uniq, c_eta, 4.0, c_delta, profile)[2]
+    inside = int(counts[ratio_in_window(rho, alpha, theta)].sum())
     return NeighborhoodEstimate(inside / size, alpha, theta)

@@ -12,6 +12,7 @@ import condtest as ct
 from condtest.distcore import light_set
 from condtest.equality import approx_eval
 from condtest.harness import passes_guarantee, wilson_interval
+from condtest.subroutines import HIGH
 
 
 def report(capsys, num, ok, detail):
@@ -74,7 +75,7 @@ def test_criterion_02_compare_guarantee(capsys):
             if 1.0 / K <= r <= K:
                 good += in_band
             elif r > K:
-                good += out.is_high or in_band
+                good += out.tag == HIGH or in_band
             else:
                 good += out.is_low or in_band
         lb = wilson_interval(good, trials)[0]

@@ -13,7 +13,14 @@ from condtest.adversarial import (
     valid_block_exponents,
 )
 from condtest.distcore import load_spec, tv_distance, uniform
-from condtest.errors import BadBlockGeometry, DomainTooLarge, OddN, SpecParseError
+from condtest.errors import (
+    BadBlockGeometry,
+    BadGeneratorParam,
+    CondtestError,
+    DomainTooLarge,
+    OddN,
+    SpecParseError,
+)
 
 
 class TestHalfSplit:
@@ -137,6 +144,36 @@ class TestBlockProfile:
             gen_block_profile(12, 2, 0, ["up_down"] * 4, 0.25)  # block size 3 odd
         with pytest.raises(ValueError):
             gen_block_profile(16, 2, 0, ["up_down"] * 3, 0.25)
+
+
+class TestParamRefusals:
+    """Every out-of-range parameter raises BadGeneratorParam, a
+    CondtestError that is also a ValueError."""
+
+    @pytest.mark.parametrize("name, params, match", [
+        ("half_split", {"n": 4, "eps": 0.7}, "eps must lie"),
+        ("half_split", {"n": 4, "eps": float("nan")}, "eps must lie"),
+        ("half_split", {"n": 0, "eps": 0.1}, "n=0 must be at least 2"),
+        ("half_split", {"n": -2, "eps": 0.1}, "n=-2 must be at least 2"),
+        ("half_split", {"n": 1, "eps": 0.1}, "n=1 must be at least 2"),
+        ("staircase", {"k": 1, "r": 2}, "need k >= 2"),
+        ("staircase", {"k": 2, "r": 0}, "need k >= 2 and r >= 1"),
+        ("staircase", {"k": 2, "r": 2, "profile": ["up_down"]}, "length r=2"),
+        ("staircase", {"k": 2, "r": 1, "profile": ["sideways"]}, "flag 'sideways'"),
+        ("block_profile", {"n": 16, "x": 2, "offset": 0,
+                           "profile": ["up_down"] * 3, "eps": 0.25}, "length 2\\^x=4"),
+        ("block_profile", {"n": 8, "x": 1, "offset": 0,
+                           "profile": ["up_down", "down_up"], "eps": -0.1}, "eps must lie"),
+        ("block_profile", {"n": 8, "x": 1, "offset": 0,
+                           "profile": ["up_down", "left"], "eps": 0.25}, "flag 'left'"),
+    ])
+    def test_refused_with_a_typed_error(self, name, params, match):
+        with pytest.raises(BadGeneratorParam, match=match) as info:
+            GENERATORS[name](**params)
+        assert isinstance(info.value, CondtestError)
+        assert isinstance(info.value, ValueError)
+        with pytest.raises(SpecParseError, match=f"bad generator params: .*{match}"):
+            load_spec({"kind": "generator", "name": name, "params": params})
 
 
 class TestRandomWrappers:

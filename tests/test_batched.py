@@ -1,11 +1,15 @@
 """The batched comparison kernels against the scalar loops they replaced.
 
 OracleHandle.draw_subset_counts, OracleHandle.draw_union_counts,
-pcond_test_uniform, binary_descent and cond_test_known's Main branch
-draw many comparisons in one call. Each is held here against a verbatim
-copy of the scalar loop it replaced: hit counts element by element,
-verdicts and values exactly, every ledger column, and the state the
-generator is left in.
+pcond_test_uniform, binary_descent, cond_test_known's Main branch,
+estimate_neighborhood and estimate_distance_to_uniformity draw many
+comparisons in one call. Each is held here against a verbatim copy of
+the scalar loop it replaced: hit counts element by element, verdicts
+and values exactly, every ledger column, and the state the generator is
+left in. find_reference, which calls estimate_neighborhood, is held
+against a copy that calls the scalar one. The copies read a compare
+outcome's tag where the replaced code read its is_high property, which
+is gone.
 """
 
 import math
@@ -16,6 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condtest.adversarial import gen_block_profile, gen_half_split, gen_staircase
+from condtest.distance import (
+    ReferencePoint,
+    estimate_distance_to_uniformity,
+    find_reference,
+)
 from condtest.distcore import INTERVAL, PAIR, QuerySet, make_distribution, uniform
 from condtest.errors import (
     BadQuerySet,
@@ -33,13 +42,17 @@ from condtest.identity import (
 )
 from condtest.interval import binary_descent, descent_tolerances, icond_test_uniform
 from condtest.oracles import COND, ICOND, PCOND, PERMISSIVE, STRICT, OracleHandle
-from condtest.profiles import DESK
+from condtest.profiles import DESK, ConstantsProfile
 from condtest.subroutines import (
+    HIGH,
+    NeighborhoodEstimate,
     _union_set,
     classify,
     compare,
     compare_budget,
     compare_points,
+    estimate_neighborhood,
+    neighborhood_grid,
 )
 from condtest.uniformity import pcond_test_uniform, query_budget, schedule
 
@@ -52,7 +65,7 @@ def hit_fraction(out):
     saturated outcomes."""
     if out.is_low:
         return 0.0
-    if out.is_high:
+    if out.tag == HIGH:
         return 1.0
     return out.rho / (1.0 + out.rho)
 
@@ -232,6 +245,139 @@ def reference_cond_test_known(h, target, eps, profile=DESK):
     if sp.heavy:
         return _test_known_heavy(h, target, eps, sp, profile)
     return reference_test_known_main(h, target, eps, sp, profile)
+
+
+def reference_ratio_in_window(out, alpha, theta):
+    """Whether a compare outcome lands inside the closed window
+    [1/(1+alpha+theta/2), 1+alpha+theta/2]."""
+    if not out.is_ratio:
+        return False
+    hi = 1.0 + alpha + theta / 2.0
+    return 1.0 / hi <= out.rho <= hi
+
+
+def reference_estimate_neighborhood(
+    h,
+    x,
+    kappa,
+    beta,
+    eta,
+    delta,
+    profile=DESK,
+    sample_cap=None,
+    eta_floor=None,
+    delta_floor=None,
+):
+    """estimate_neighborhood as one compare_points call per distinct
+    sampled point."""
+    if sample_cap is None:
+        sample_cap = profile["en_sample_cap"]
+    if eta_floor is None:
+        eta_floor = profile["en_compare_eta_floor"]
+    if delta_floor is None:
+        delta_floor = profile["en_compare_delta_floor"]
+    theta, r = neighborhood_grid(kappa, beta, eta, delta)
+    i = int(h.rng.integers(1, r))
+    alpha = kappa + i * theta
+    size = math.ceil(profile["en_sample_c"] * math.log(4.0 / delta) / (beta * eta**2))
+    size = int(min(size, sample_cap))
+    pts = h.draw_many(QuerySet.full(), size)
+    uniq, counts = np.unique(pts, return_counts=True)
+    c_eta = max(theta / 4.0, eta_floor)
+    c_delta = max(delta / (4.0 * size), delta_floor)
+    inside = 0
+    for y, mult in zip(uniq, counts):
+        y = int(y)
+        if y == x:
+            # Ratio exactly 1, always inside the window.
+            inside += int(mult)
+            continue
+        out = compare_points(h, x, y, c_eta, 4.0, c_delta, profile)
+        if reference_ratio_in_window(out, alpha, theta):
+            inside += int(mult)
+    return NeighborhoodEstimate(inside / size, alpha, theta)
+
+
+def reference_find_reference(h, kappa, profile=DESK):
+    """find_reference as one compare_points call per uniform point."""
+    n = h.dist.n
+    log_term = math.log2(2.0 / kappa)
+    x_size = int(min(math.ceil(profile["fr_x_c"] * log_term / kappa**2),
+                     profile["fr_x_cap"]))
+    candidates = h.draw_many(QuerySet.full(), x_size)
+    beta = kappa**2 / (40.0 * log_term)
+    en_delta = 1.0 / (40.0 * x_size)
+    y_size = int(min(math.ceil(profile["fr_y_c"] * log_term**2 / kappa**5),
+                     profile["fr_y_cap"]))
+    w_gate = kappa**2 / (20.0 * log_term)
+    mu_gate = kappa**3 / (20.0 * log_term)
+    for x in candidates:
+        x = int(x)
+        en = reference_estimate_neighborhood(
+            h, x, kappa, beta, kappa, en_delta, profile,
+            sample_cap=profile["fr_en_sample_cap"],
+            eta_floor=profile["fr_compare_eta_floor"],
+            delta_floor=profile["fr_compare_delta_floor"],
+        )
+        if en.w_hat < w_gate:
+            continue
+        c_eta = max(en.theta / 4.0, profile["fr_compare_eta_floor"])
+        c_delta = max(1.0 / (40.0 * x_size * y_size),
+                      profile["fr_compare_delta_floor"])
+        ys = h.rng.integers(1, n + 1, size=y_size)
+        inside = 0
+        for y in ys:
+            y = int(y)
+            if y == x:
+                inside += 1
+                continue
+            # The pair always has mass: x was drawn from D.
+            out = compare_points(h, x, y, c_eta, 4.0, c_delta, profile)
+            if reference_ratio_in_window(out, en.alpha, en.theta):
+                inside += 1
+        mu_hat = inside / y_size
+        if mu_hat < mu_gate:
+            continue
+        d_hat = en.w_hat / (mu_hat * n)
+        if kappa / (4.0 * n) <= d_hat <= 2.0 / (kappa * n):
+            return ReferencePoint(x, d_hat, en.w_hat, mu_hat, en.alpha)
+    return None
+
+
+def reference_estimate_distance_to_uniformity(h, eps, profile=DESK):
+    """estimate_distance_to_uniformity as one compare_points call per
+    uniform point."""
+    n = h.dist.n
+    kappa = eps / 8.0
+    ref = reference_find_reference(h, kappa, profile)
+    if ref is None:
+        return 1.0
+    x, d_hat = ref.point, ref.d_hat
+    s = math.ceil(profile["dist_s_c"] / eps**2)
+    K = max(1.0, 2.0 / (n * d_hat), 4.0 * n * d_hat / eps)
+    delta = 1.0 / (10.0 * s)
+    ys = h.rng.integers(1, n + 1, size=s)
+    total = 0.0
+    for y in ys:
+        y = int(y)
+        if y == x:
+            rho = 1.0
+        else:
+            out = compare_points(h, x, y, eps / 2.0, K, delta, profile)
+            if out.tag == HIGH:
+                continue  # shortfall 0
+            if out.is_low:
+                total += 1.0
+                continue
+            rho = out.rho
+        val = rho * d_hat  # estimate of D(y)
+        if val >= 1.0 / n:
+            continue
+        if val <= eps / (4.0 * n):
+            total += 1.0
+        else:
+            total += 1.0 - n * val
+    return min(max(total / s, 0.0), 1.0)
 
 
 def scalar_counts(h, shape, lo, hi, sub_lo, sub_hi, m):
@@ -758,6 +904,75 @@ class TestCondKnownMatchesScalarLoop:
         assert 1 in shapes["random_mixed"] and max(shapes["random_mixed"]) > 64
 
 
+def point_mass(n, w_rest):
+    """Weight 1 on point 1 and w_rest elsewhere, before normalising."""
+    w = np.full(n, w_rest)
+    w[0] = 1.0
+    return make_distribution(w)
+
+
+DISTANCE_CASES = [
+    ("uniform_256", uniform(256)),
+    ("half_split_256", gen_half_split(256, 0.25)),
+    # The right half has weight zero.
+    ("half_split_256_eps_0.5", gen_half_split(256, 0.5)),
+    # Ratios near the window edges, as in the pair_small_n benchmark.
+    ("block_256", gen_block_profile(256, 4, 11, ["up_down", "down_up"] * 8, 0.25)),
+    # Every candidate fails a gate: find_reference returns None.
+    ("point_mass_256", point_mass(256, 1e-6)),
+    # Three points too heavy to be the reference: at seed 1 the
+    # estimator compares one of them and reads High.
+    ("heavy_3_of_256", make_distribution(np.r_[np.full(3, 0.3), np.full(253, 0.1 / 253)])),
+    # Most sampled points are the candidate itself.
+    ("n_2", make_distribution([1.0, 3.0])),
+]
+
+# A smaller search, so that the scalar references stay quick on many
+# instances: six candidates, 80 uniform points and 80 neighborhood draws.
+SMALL_SEARCH = ConstantsProfile("desk", {"fr_x_cap": 6, "fr_y_cap": 80,
+                                         "fr_en_sample_cap": 80})
+
+
+class TestDistanceMatchesScalarLoops:
+    @pytest.mark.parametrize("discipline", [STRICT, PERMISSIVE])
+    @pytest.mark.parametrize("name, d", DISTANCE_CASES)
+    def test_estimate_neighborhood(self, name, d, discipline):
+        for seed, (kappa, beta, eta, delta) in enumerate(
+                [(1 / 32, 1e-3, 1 / 32, 1e-3), (0.1, 0.05, 0.2, 0.01),
+                 (0.25, 0.1, 0.25, 0.1)]):
+            h1, h2 = recording_twins(d, PCOND, seed, discipline)
+            x = h1.draw(QuerySet.full())
+            assert h2.draw(QuerySet.full()) == x
+            got = estimate_neighborhood(h1, x, kappa, beta, eta, delta)
+            assert got == reference_estimate_neighborhood(h2, x, kappa, beta, eta, delta)
+            assert_same_draws(h1, h2)
+
+    @pytest.mark.parametrize("discipline", [STRICT, PERMISSIVE])
+    @pytest.mark.parametrize("name, d", DISTANCE_CASES)
+    def test_find_reference(self, name, d, discipline):
+        found = []
+        for seed in range(2):
+            h1, h2 = recording_twins(d, PCOND, seed, discipline)
+            ref = find_reference(h1, 0.25 / 8.0)
+            assert ref == reference_find_reference(h2, 0.25 / 8.0)
+            assert_same_draws(h1, h2)
+            found.append(ref is not None)
+        if name == "point_mass_256":
+            assert found == [False, False]
+        if name in ("uniform_256", "block_256"):
+            assert all(found)
+
+    @pytest.mark.parametrize("discipline", [STRICT, PERMISSIVE])
+    @pytest.mark.parametrize("name, d", DISTANCE_CASES)
+    def test_estimate_distance_to_uniformity(self, name, d, discipline):
+        eps = 0.5 if name == "half_split_256_eps_0.5" else 0.25
+        for seed in range(2):
+            h1, h2 = recording_twins(d, PCOND, seed, discipline)
+            got = estimate_distance_to_uniformity(h1, eps)
+            assert got == reference_estimate_distance_to_uniformity(h2, eps)
+            assert_same_draws(h1, h2)
+
+
 @st.composite
 def weights(draw):
     n = draw(st.integers(2, 40))
@@ -793,3 +1008,14 @@ def test_cond_known_matches_scalar_loop_on_random_weights(w, seed, same):
     h1, h2 = twins(d, COND, seed, STRICT)
     assert cond_test_known(h1, target, 0.5) == reference_cond_test_known(h2, target, 0.5)
     assert_same_state(h1, h2)
+
+
+@given(weights(), st.integers(0, 2**32), st.sampled_from([STRICT, PERMISSIVE]),
+       st.sampled_from([0.25, 0.5]))
+@settings(max_examples=40, deadline=None)
+def test_distance_matches_scalar_loops_on_random_weights(w, seed, discipline, eps):
+    d = make_distribution(w)
+    h1, h2 = recording_twins(d, PCOND, seed, discipline)
+    got = estimate_distance_to_uniformity(h1, eps, SMALL_SEARCH)
+    assert got == reference_estimate_distance_to_uniformity(h2, eps, SMALL_SEARCH)
+    assert_same_draws(h1, h2)

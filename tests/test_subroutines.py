@@ -26,6 +26,7 @@ from condtest.subroutines import (
     RATIO,
     _disjoint,
     _union_set,
+    classify,
     compare,
     compare_budget,
     compare_points,
@@ -44,7 +45,7 @@ def handle(weights, seed=0):
 class TestCompareOutcome:
     def test_flags(self):
         assert CompareOutcome(LOW).is_low
-        assert CompareOutcome(HIGH).is_high
+        assert CompareOutcome(HIGH).tag == HIGH
         assert CompareOutcome(RATIO, 2.0).is_ratio
 
 
@@ -67,7 +68,7 @@ class TestCompare:
         w[1] = 1000.0
         h = handle(w, seed=2)
         out = compare_points(h, 1, 2, 0.1, 2.0, 0.01)
-        assert out.is_high
+        assert out.tag == HIGH
 
     def test_light_y_gives_low(self):
         w = np.ones(16)
@@ -217,11 +218,17 @@ class TestSetsByShape:
 class TestRatioWindow:
     def test_closed_boundaries(self):
         hi = 1.0 + 0.5 + 0.1 / 2.0
-        assert ratio_in_window(CompareOutcome(RATIO, hi), 0.5, 0.1)
-        assert ratio_in_window(CompareOutcome(RATIO, 1.0 / hi), 0.5, 0.1)
-        assert not ratio_in_window(CompareOutcome(RATIO, hi + 1e-9), 0.5, 0.1)
-        assert not ratio_in_window(CompareOutcome(LOW), 0.5, 0.1)
-        assert not ratio_in_window(CompareOutcome(HIGH), 0.5, 0.1)
+        rho = np.array([hi, 1.0 / hi, 1.0, hi + 1e-9, np.nextafter(1.0 / hi, 0.0)])
+        assert ratio_in_window(rho, 0.5, 0.1).tolist() == [
+            True, True, True, False, False]
+
+    def test_low_and_high_are_outside(self):
+        # classify marks Low and High outcomes with NaN in rho.
+        low, high, rho = classify(np.array([0, 50, 100]), 100, 4.0)
+        assert low.tolist() == [True, False, False]
+        assert high.tolist() == [False, False, True]
+        assert ratio_in_window(rho, 0.5, 0.1).tolist() == [False, True, False]
+        assert not ratio_in_window(np.array([np.nan]), 0.5, 0.1).any()
 
 
 class TestNeighborhoodGrid:
