@@ -8,6 +8,8 @@ distances are exact up to float rounding.
 
 from __future__ import annotations
 
+from numbers import Real
+
 import numpy as np
 
 from .distcore import Distribution, make_distribution
@@ -17,6 +19,19 @@ UP_DOWN = "up_down"
 DOWN_UP = "down_up"
 
 
+def _check_eps(eps):
+    if not (isinstance(eps, Real) and 0.0 <= eps <= 0.5):
+        raise BadGeneratorParam(f"eps must lie in [0, 1/2], got {eps!r}")
+
+
+def _check_flags(profile, length, what):
+    """A profile must be a sequence of length flags (length named what)."""
+    if not hasattr(profile, "__len__"):
+        raise BadGeneratorParam(f"profile must be a sequence of flags, got {profile!r}")
+    if len(profile) != length:
+        raise BadGeneratorParam(f"profile must have length {what}={length}")
+
+
 def gen_half_split(n: int, eps: float) -> Distribution:
     """Left half (1+2eps)/n, right half (1-2eps)/n; distance from
     uniform exactly eps."""
@@ -24,8 +39,7 @@ def gen_half_split(n: int, eps: float) -> Distribution:
         raise BadGeneratorParam(f"n={n} must be at least 2")
     if n % 2:
         raise OddN(f"n={n} must be even")
-    if not 0.0 <= eps <= 0.5:
-        raise BadGeneratorParam("eps must lie in [0, 1/2]")
+    _check_eps(eps)
     w = np.empty(n)
     w[: n // 2] = (1.0 + 2.0 * eps) / n
     w[n // 2 :] = (1.0 - 2.0 * eps) / n
@@ -50,8 +64,8 @@ def gen_staircase(k: int, r: int, profile=None) -> Distribution:
     n = staircase_domain_size(k, r)
     if n > 2**20:
         raise DomainTooLarge(f"domain size {n} exceeds 2^20")
-    if profile is not None and len(profile) != r:
-        raise BadGeneratorParam(f"profile must have length r={r}")
+    if profile is not None:
+        _check_flags(profile, r, "r")
     masses = np.full(2 * r, 1.0 / (2.0 * r))
     if profile is not None:
         for i, flag in enumerate(profile):
@@ -82,10 +96,8 @@ def gen_block_profile(n: int, x: int, offset: int, profile, eps: float) -> Distr
     delta = n // b
     if delta < 2 or delta % 2:
         raise BadBlockGeometry(f"block size {delta} must be even and >= 2")
-    if len(profile) != b:
-        raise BadGeneratorParam(f"profile must have length 2^x={b}")
-    if not 0.0 <= eps <= 0.5:
-        raise BadGeneratorParam("eps must lie in [0, 1/2]")
+    _check_flags(profile, b, "2^x")
+    _check_eps(eps)
     hi = (1.0 + 2.0 * eps) / n
     lo = (1.0 - 2.0 * eps) / n
     base = np.empty(n)

@@ -166,7 +166,13 @@ class Distribution:
             return float(self.weights[s.a - 1] + self.weights[s.b - 1])
         if s.shape == INTERVAL:
             return float(self.prefix[s.b] - self.prefix[s.a - 1])
-        return float(self.weights[s.indices - 1].sum())
+        idx = s.indices
+        first = int(idx[0])
+        if int(idx[-1]) - first + 1 == idx.size:
+            # A strictly increasing run first..last: the slice holds the
+            # gather's elements in its order, so the sum has its bits.
+            return float(self.weights[first - 1:first - 1 + idx.size].sum())
+        return float(self.weights[idx - 1].sum())
 
     def __eq__(self, other):
         return isinstance(other, Distribution) and np.array_equal(

@@ -23,7 +23,7 @@ from .distcore import EXPLICIT, Distribution, QuerySet, bucketize
 from .errors import NotInNoGapRegime, ZeroMassSet
 from .oracles import OracleHandle
 from .profiles import DESK
-from .subroutines import classify, compare, compare_budget, compare_points
+from .subroutines import classify, compare_budget, compare_points
 from .uniformity import ACCEPT, REJECT
 
 
@@ -53,9 +53,11 @@ class KnownTarget:
     the sort is paid once per distribution, a split once per distinct
     eps1 and a chain table once per distinct target weight below eps1,
     and all of it dies with the distribution. Building a chain table
-    costs O(N log N) in numpy; prefix_labels is a view on the sorted
-    order while that order is still increasing, one O(N) vector pass
-    past it, and never a sort.
+    costs O(N log N) in numpy, and its unit_run array, one int32 per
+    node, lets resolve read a pick inside a run of one-point witnesses
+    in O(1) and climb O(log N) levels only past it; prefix_labels is a
+    view on the sorted order while that order is still increasing, one
+    O(N) vector pass past it, and never a sort.
     """
 
     # At most this many chain tables, and as many bucket
@@ -175,12 +177,19 @@ class WitnessChain:
     of the next interval down the chain, 0 past the end. The partition
     for position j is the chain from node j-1, depth[j-1] intervals
     long, rightmost first. up[k] is the 2^k-th ancestor, so the a-th
-    interval of a chain is reached in O(log N) gathers.
+    interval of a chain is reached in O(log N) lookups. unit_run[cur]
+    counts the one-point intervals (lo[cur] == cur, parent cur - 1)
+    that follow each other down from cur: the a-th interval for
+    a <= unit_run[cur] is node cur - a, with no lookup at all. Every
+    stretch of equal target weight cuts one-point witnesses, so on a
+    uniform target, and on each piece of a piecewise-constant one,
+    every pick lands inside the run.
     """
 
-    lo: np.ndarray     # int32, lo[cur]
-    depth: np.ndarray  # int32, intervals in the chain from cur; depth[0] = 0
-    up: tuple          # int32 arrays, up[k][cur] = 2^k-th ancestor of cur
+    lo: np.ndarray        # int32, lo[cur]
+    depth: np.ndarray     # int32, intervals in the chain from cur; depth[0] = 0
+    up: tuple             # int32 arrays, up[k][cur] = 2^k-th ancestor of cur
+    unit_run: np.ndarray  # int32, one-point steps down from cur before another shape
 
     @classmethod
     def build(cls, prefix, wj, last):
@@ -201,24 +210,33 @@ class WitnessChain:
             up.append(p)
             depth += depth[p]
             p = p[p]
-        return cls(lo, depth, tuple(up))
+        # A run breaks at each node whose parent is not the node below
+        # it; unit_run is the distance down to the nearest break.
+        node = np.arange(last, dtype=np.int32)
+        breaks = np.where(parent == node - 1, 0, node)
+        unit_run = node - np.maximum.accumulate(breaks)
+        return cls(lo, depth, tuple(up), unit_run)
 
     def resolve(self, j, picks):
         """(lo, hi) arrays of the picks-th intervals of j's chain;
-        every pick must lie in [0, depth[j-1]). Each pick a climbs from
-        node j-1 one up[k] step per set bit k of a: O(log N) scalar
-        lookups a pick."""
-        nodes = []
-        for a in picks.tolist():
-            node = j - 1
+        every pick must lie in [0, depth[j-1]). A pick a within node
+        j-1's run of one-point intervals is node j-1-a, a vector op for
+        all of them; a pick past the run climbs from the run's end one
+        up[k] step per set bit k of what is left, in O(log N) scalar
+        lookups."""
+        top = j - 1
+        flat = self.unit_run.item(top)
+        node = (top - np.minimum(picks, flat)).astype(np.int32)
+        for i in np.flatnonzero(picks > flat).tolist():
+            a = picks.item(i) - flat
+            cur = top - flat
             for up in self.up:
                 if not a:
                     break
                 if a & 1:
-                    node = up[node]
+                    cur = up.item(cur)
                 a >>= 1
-            nodes.append(node)
-        node = np.array(nodes, dtype=np.int32)
+            node[i] = cur
         return self.lo[node], node
 
     def walk(self, j):
@@ -373,47 +391,47 @@ def _test_known_main(h, target, eps, sp, profile):
     m_recheck = math.ceil(profile["main_recheck_c"] * math.log2(4.0 / eps) / eps)
     witness_delta = 1.0 / (10.0 * ell * h_count)
     witness_m = compare_budget(eps4 / 8.0, 4.0, witness_delta, profile)
+    wide_m = compare_budget(eps2 / 16.0, 2.0 / eps1, 1.0 / (10.0 * ell), profile)
+    # The windows' ends, each scaled by a target value below.
+    recheck_lo, recheck_hi = 1.0 - eps3, 1.0 + eps3
+    wide_lo, wide_hi = 1.0 - eps2 / 8.0, 1.0 + eps2 / 8.0
+    witness_lo, witness_hi = 1.0 - eps4 / 4.0, 1.0 + eps4 / 4.0
     drawn = h.draw_many(full, ell)
-    for label in drawn:
-        label = int(label)
-        j = int(target.position_of[label - 1])
-        if j <= k:
-            # Oblivious padding: a below-split point burns the same
-            # budget the above-split checks would have used.
-            h.burn(full, m_recheck + h_count * witness_m)
-            continue
+    js = target.position_of[drawn - 1]
+    above = js > k
+    n_below = ell - int(np.count_nonzero(above))
+    if n_below:
+        # Oblivious padding: each below-split point burns the budget
+        # the above-split checks would have used. A burn draws nothing,
+        # so one call charges them all.
+        h.burn(full, n_below * (m_recheck + h_count * witness_m))
+    chains = {}
+    # Once reject is set the outcome is fixed, but every oracle call is
+    # still made, so the ledger and the generator end as they would.
+    for label, j in zip(drawn[above].tolist(), js[above].tolist()):
         # Re-check the target prefix mass up to this point. The labels
         # come sorted and inside the domain, so the set skips explicit's
         # O(j) order check.
         up_to_j = QuerySet(EXPLICIT, indices=target.prefix_labels(j))
         est = h.draw_subset_count(full, up_to_j, m_recheck) / m_recheck
         star = target.prefix_mass(j)
-        if not ((1.0 - eps3) * star <= est <= (1.0 + eps3) * star):
+        if not (recheck_lo * star <= est <= recheck_hi * star):
             reject = True
         wj = target.weight_at(j)
         if wj >= eps1:
-            # The whole prefix below j is a single wide witness.
-            try:
-                out = compare(
-                    h,
-                    QuerySet.explicit([label]),
-                    QuerySet.explicit(target.prefix_labels(j - 1)),
-                    eps2 / 16.0,
-                    2.0 / eps1,
-                    1.0 / (10.0 * ell),
-                    profile,
-                )
-            except ZeroMassSet:
-                reject = True
-                continue
-            ratio_star = target.prefix_mass(j - 1) / wj
-            if not (out.is_ratio
-                    and (1.0 - eps2 / 8.0) * ratio_star
-                    <= out.rho
-                    <= (1.0 + eps2 / 8.0) * ratio_star):
-                reject = True
+            # The whole prefix below j is a single wide witness; a
+            # zero-mass union reads -1, which classify calls Low.
+            hits = h.draw_union_counts(label, target.prefix_labels(j - 1),
+                                       [j - 1], wide_m)
+            if not reject:
+                rho = classify(hits, wide_m, 2.0 / eps1)[2].item()
+                ratio_star = target.prefix_mass(j - 1) / wj
+                if not (wide_lo * ratio_star <= rho <= wide_hi * ratio_star):
+                    reject = True
             continue
-        chain = target.witness_chain(wj)
+        chain = chains.get(wj)
+        if chain is None:
+            chain = chains[wj] = target.witness_chain(wj)
         picks = h.rng.integers(0, int(chain.depth[j - 1]), size=h_count)
         los, his = chain.resolve(j, picks)
         # All h_count comparisons of {label} against its witnesses, in
@@ -421,9 +439,11 @@ def _test_known_main(h, target, eps, sp, profile):
         # calls Low.
         hits = h.draw_union_counts(label, target.interval_labels(los, his),
                                    his - los + 1, witness_m)
+        if reject:
+            continue
         rho = classify(hits, witness_m, 4.0)[2]
         ratio_star = (target.prefix_sums[his] - target.prefix_sums[los - 1]) / wj
-        if not (((1.0 - eps4 / 4.0) * ratio_star <= rho)
-                & (rho <= (1.0 + eps4 / 4.0) * ratio_star)).all():
+        if not ((witness_lo * ratio_star <= rho)
+                & (rho <= witness_hi * ratio_star)).all():
             reject = True
     return REJECT if reject else ACCEPT

@@ -162,6 +162,11 @@ class OracleHandle:
                                              len(self.returned_points)))
         return self._seen
 
+    def _touched(self, points):
+        """Whether each of the points was returned before."""
+        seen = self._sorted_returned()
+        return _meets(seen, points, points)
+
     def _touches_returned(self, s: QuerySet):
         if s.shape == PAIR:
             return s.a in self.returned_points or s.b in self.returned_points
@@ -322,10 +327,12 @@ class OracleHandle:
         the generator state of k scalar calls in order. A union of zero
         mass is neither drawn nor charged and reads -1.
         """
-        d = self.dist
         x = int(x)
         members = np.asarray(members, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
+        if 0 < members.size == sizes.size and (sizes == 1).all():
+            return self._draw_point_union_counts(x, members, m)
+        d = self.dist
         wide = sizes > 1
         n_wide = int(np.count_nonzero(wide))
         for shape, used in ((PAIR, n_wide < sizes.size), (EXPLICIT, n_wide > 0)):
@@ -336,46 +343,62 @@ class OracleHandle:
         if (sizes.size == 0 or sizes.min() < 1 or members.size != sizes.sum()
                 or not 1 <= x <= d.n or members.min() < 1 or members.max() > d.n):
             raise BadQuerySet(f"unions need a point and non-empty sets in 1..{d.n}")
-        # With every W_i one point (n_wide == 0), members holds one
-        # point per union and the per-set bookkeeping below is skipped.
+        # Calls with only one-point W_i took the point path above, so
+        # at least one W_i here is wide.
         w = d.weights
-        if n_wide:
-            ends = np.cumsum(sizes)
-            starts = ends - sizes
-            rising = members[1:] > members[:-1]
-            rising[starts[1:] - 1] = True
-            if not rising.all():
-                raise BadQuerySet("explicit indices must be strictly increasing")
-            below = np.add.reduceat(members < x, starts)
-            meets_x = members[np.minimum(starts + below, ends - 1)] == x
-            sub_mass = w[members[starts] - 1]
-        else:
-            meets_x = members == x
-            sub_mass = w[members - 1]
-        if meets_x.any():
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        rising = members[1:] > members[:-1]
+        rising[starts[1:] - 1] = True
+        if not rising.all():
+            raise BadQuerySet("explicit indices must be strictly increasing")
+        below = np.add.reduceat(members < x, starts)
+        if (members[np.minimum(starts + below, ends - 1)] == x).any():
             raise SetsNotDisjoint("compare needs disjoint sets")
         if self.discipline == STRICT and x not in self.returned_points:
-            seen = self._sorted_returned()
-            touched = _meets(seen, members, members)
-            if n_wide:
-                touched = np.logical_or.reduceat(touched, starts)
+            touched = np.logical_or.reduceat(self._touched(members), starts)
             if not touched.all():
                 raise DisciplineViolation(
                     "conditioning on a set with no previously returned point"
                 )
+        sub_mass = w[members[starts] - 1]
         mass = w[x - 1] + sub_mass
-        if n_wide:
-            # Each union's members in order: x inserted into its W_i.
-            union = w[np.insert(members, starts + below, x) - 1]
-            for i in np.flatnonzero(wide).tolist():
-                sub_mass[i] = w[members[starts[i]:ends[i]] - 1].sum()
-                mass[i] = union[starts[i] + i:ends[i] + i + 1].sum()
+        # Each union's members in order: x inserted into its W_i.
+        union = w[np.insert(members, starts + below, x) - 1]
+        for i in np.flatnonzero(wide).tolist():
+            sub_mass[i] = w[members[starts[i]:ends[i]] - 1].sum()
+            mass[i] = union[starts[i] + i:ends[i] + i + 1].sum()
         live = mass > 0.0
         hits = np.full(sizes.size, -1, dtype=np.int64)
         hits[live] = self.rng.binomial(int(m), np.minimum(sub_mass[live] / mass[live], 1.0))
-        n_live_wide = int(np.count_nonzero(live & wide)) if n_wide else 0
+        n_live_wide = int(np.count_nonzero(live & wide))
         self._count(PAIR, int(m) * (int(np.count_nonzero(live)) - n_live_wide))
         self._count(EXPLICIT, int(m) * n_live_wide)
+        return hits
+
+    def _draw_point_union_counts(self, x, points, m):
+        """draw_union_counts when every W_i is the one point points[i]:
+        the same refusals in the same order, the same pair masses, one
+        binomial call and the pcond charge, in a fixed number of numpy
+        operations on k-element arrays."""
+        d = self.dist
+        if PAIR not in _ALLOWED[self.model]:
+            raise IllegalShapeForModel(f"{self.model} oracle cannot take a {PAIR} set")
+        if not 1 <= x <= d.n or points.min() < 1 or points.max() > d.n:
+            raise BadQuerySet(f"unions need a point and non-empty sets in 1..{d.n}")
+        if (points == x).any():
+            raise SetsNotDisjoint("compare needs disjoint sets")
+        if (self.discipline == STRICT and x not in self.returned_points
+                and not self._touched(points).all()):
+            raise DisciplineViolation(
+                "conditioning on a set with no previously returned point"
+            )
+        sub_mass = d.weights[points - 1]
+        mass = d.weights[x - 1] + sub_mass
+        live = mass > 0.0
+        hits = np.full(points.size, -1, dtype=np.int64)
+        hits[live] = self.rng.binomial(int(m), np.minimum(sub_mass[live] / mass[live], 1.0))
+        self._count(PAIR, int(m) * int(np.count_nonzero(live)))
         return hits
 
     def burn(self, s: QuerySet, m: int):

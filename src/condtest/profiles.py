@@ -16,7 +16,8 @@ presets ship with the library:
                small. This is the default profile.
 
 Keys are documented inline below. A custom profile is any dict of
-overrides applied on top of a preset.
+overrides applied on top of a preset; resolve_profile, and so an
+ExperimentConfig, takes a bare dict as overrides on desk.
 """
 
 from __future__ import annotations
@@ -197,10 +198,12 @@ THEORETICAL = ConstantsProfile("theoretical")
 
 
 def resolve_profile(spec) -> ConstantsProfile:
-    """Accepts a ConstantsProfile, a preset name, or a path to a JSON
-    file {"base": <preset>, "overrides": {...}}."""
+    """Accepts a ConstantsProfile, a preset name, a dict of overrides on
+    desk, or a path to a JSON file {"base": <preset>, "overrides": {...}}."""
     if isinstance(spec, ConstantsProfile):
         return spec
+    if isinstance(spec, dict):
+        return ConstantsProfile("desk", spec)
     if spec in PRESETS:
         return ConstantsProfile(spec)
     try:

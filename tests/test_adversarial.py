@@ -160,6 +160,9 @@ class TestParamRefusals:
         ("staircase", {"k": 2, "r": 0}, "need k >= 2 and r >= 1"),
         ("staircase", {"k": 2, "r": 2, "profile": ["up_down"]}, "length r=2"),
         ("staircase", {"k": 2, "r": 1, "profile": ["sideways"]}, "flag 'sideways'"),
+        ("staircase", {"k": 2, "r": 1, "profile": 5}, "profile must be a sequence"),
+        ("block_profile", {"n": 8, "x": 1, "offset": 0,
+                           "profile": None, "eps": 0.25}, "profile must be a sequence"),
         ("block_profile", {"n": 16, "x": 2, "offset": 0,
                            "profile": ["up_down"] * 3, "eps": 0.25}, "length 2\\^x=4"),
         ("block_profile", {"n": 8, "x": 1, "offset": 0,
@@ -174,6 +177,12 @@ class TestParamRefusals:
         assert isinstance(info.value, ValueError)
         with pytest.raises(SpecParseError, match=f"bad generator params: .*{match}"):
             load_spec({"kind": "generator", "name": name, "params": params})
+
+
+    def test_eps_not_a_number(self):
+        # Not through GENERATORS, whose float(eps) refuses "x" first.
+        with pytest.raises(BadGeneratorParam, match="eps must lie in .* got 'x'"):
+            gen_half_split(4, "x")
 
 
 class TestRandomWrappers:

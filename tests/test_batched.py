@@ -622,6 +622,13 @@ class TestUnionKernel:
         assert got.tolist()[0] == got.tolist()[2] == got.tolist()[4] == -1
         assert_same_draws(h1, h2)
         assert h1.ledger.pcond_count == h1.ledger.cond_count == 1000
+        # One-point sets only.
+        sets = [[40], [1], [34], [2]]
+        got = h1.draw_union_counts(35, *union_args(sets), 1000)
+        assert got.tolist() == scalar_union_counts(h2, 35, sets, 1000)
+        assert got.tolist()[0] == got.tolist()[2] == -1
+        assert_same_draws(h1, h2)
+        assert h1.ledger.pcond_count == 3000
 
     def test_strict_discipline(self):
         d = uniform(64)
@@ -668,7 +675,8 @@ class TestUnionKernel:
 
     def test_sizes_must_match_the_members(self):
         h = OracleHandle(uniform(64), model=COND, seed=0, discipline=PERMISSIVE)
-        for sizes in ([1, 1], [2, 0, 1], [3, 1]):
+        # [2, 1, 1] has one size per member but sums past them.
+        for sizes in ([1, 1], [2, 0, 1], [3, 1], [2, 1, 1], [1, 1, 1, 1]):
             with pytest.raises(BadQuerySet):
                 h.draw_union_counts(5, [1, 2, 3], sizes, 10)
         assert h.ledger.total == 0
@@ -901,6 +909,10 @@ class TestCondKnownMatchesScalarLoop:
         # Uniform: one point each, two in the last interval of a chain.
         assert shapes["U_U_4096"] == {1, 2}
         assert {1, 8, 128} <= shapes["stair_stair"]
+        # The staircase's heaviest points are compared against their whole
+        # prefix, one wide witness each.
+        stair = KnownTarget(STAIR)
+        assert stair.weight_at(stair.n) >= epsilon_ladder(0.5)[0]
         assert 1 in shapes["random_mixed"] and max(shapes["random_mixed"]) > 64
 
 

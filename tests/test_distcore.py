@@ -99,6 +99,24 @@ class TestDistribution:
         assert d.mass(QuerySet.interval(2, 3)) == pytest.approx(0.5)
         assert d.mass(QuerySet.explicit([1, 3])) == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 128, 129, 1000, 8193, 20000])
+    def test_contiguous_explicit_mass_is_the_gather_sum(self, size):
+        """A run of labels is summed as a slice of the weights; its
+        float is bit for bit the sum of the gathered weights."""
+        rng = np.random.default_rng(size)
+        w = rng.random(20011) ** 3
+        w[rng.random(w.size) < 0.1] = 0.0
+        d = make_distribution(w)
+        for first in sorted({1, 2, 3, 5, 8, 17, 4097, d.n - size + 1}):
+            if first + size - 1 > d.n:
+                continue
+            idx = np.arange(first, first + size)
+            assert d.mass(QuerySet.explicit(idx)) == float(
+                d.weights.take(idx - 1).sum())
+        # Sets that span as many labels as they hold only when contiguous.
+        gaps = np.arange(1, min(2 * size, d.n) + 1, 2)
+        assert d.mass(QuerySet.explicit(gaps)) == float(d.weights[gaps - 1].sum())
+
     def test_weights_read_only(self):
         d = uniform(4)
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from condtest.distcore import bucketize, make_distribution, uniform
 from condtest.errors import NotInNoGapRegime
 from condtest.identity import (
     KnownTarget,
+    WitnessChain,
     build_witnesses,
     cond_test_known,
     epsilon_ladder,
@@ -254,6 +255,47 @@ class TestWitnessChainTable:
             checked += 1
         return checked
 
+    def test_uniform_picks_stay_in_the_run(self):
+        # One-point witnesses down to a two-point last interval (1, 2).
+        t = KnownTarget(U_16K)
+        chain = t.witness_chain(t.weight_at(t.n))
+        j = t.n
+        assert chain.unit_run[j - 1] == j - 3 == chain.depth[j - 1] - 1
+        lo, hi = chain.resolve(j, np.array([0, 1, j - 3, j - 4]))
+        assert hi.tolist() == [j - 1, j - 2, 2, 3]
+        assert lo.tolist() == [j - 1, j - 2, 1, 3]
+
+    def test_picks_past_the_run_climb(self):
+        # Staircase weights: runs of one-point witnesses, then wider ones.
+        t = KnownTarget(gen_staircase(2, 4))
+        climbed = 0
+        for j in range(t.split(0.05).i_star, t.n + 1):
+            wj = t.weight_at(j)
+            if wj >= 0.05:
+                continue
+            chain = t.witness_chain(wj)
+            depth = int(chain.depth[j - 1])
+            lo, hi = chain.resolve(j, np.arange(depth)[::-1])
+            want_lo, want_hi = chain.walk(j)
+            assert hi.tolist() == want_hi[::-1].tolist()
+            assert lo.tolist() == want_lo[::-1].tolist()
+            climbed += depth > chain.unit_run[j - 1] > 0
+        assert climbed > 10
+
+    @pytest.mark.parametrize("last", [0, 1, 2])
+    def test_short_chains(self, last):
+        t = KnownTarget(make_distribution([1.0, 2.0, 3.0]))
+        chain = WitnessChain.build(t.prefix_sums, t.weight_at(1), last)
+        assert chain.unit_run.tolist() == [0, 1][:last]
+        none = np.empty(0, dtype=np.int64)
+        for j in range(1, last + 1):
+            lo, hi = chain.resolve(j, none)
+            assert lo.size == hi.size == 0
+        if last == 2:
+            assert [a.tolist() for a in chain.resolve(2, np.array([0]))] == [[1], [1]]
+        # The target's own chain for its lightest point has last = 1.
+        assert t.witness_chain(t.weight_at(1)).unit_run.tolist() == [0]
+
     @pytest.mark.parametrize("make", [
         lambda: uniform(2**12),
         lambda: gen_staircase(2, 4),
@@ -414,6 +456,9 @@ def test_resolve_and_walk_match_parent_walk(walk):
     nodes = [j - 1]
     while len(nodes) < chain.depth[j - 1]:
         nodes.append(int(parent[nodes[-1]]))
+    # unit_run: the one-point intervals the walk meets before another.
+    ones = next((i for i, node in enumerate(nodes) if chain.lo[node] != node), len(nodes))
+    assert chain.unit_run[j - 1] == ones
     lo, hi = chain.resolve(j, np.array(picks))
     assert lo.dtype == hi.dtype == np.int32
     assert hi.tolist() == [nodes[a] for a in picks]

@@ -1,7 +1,9 @@
 """tools/outcome_dump.py writes the same bytes on every run of the same
-code, so comparing its output across a change is a seed-for-seed gate."""
+code, so comparing its output across a change is a seed-for-seed gate;
+--against makes that comparison itself."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +30,35 @@ def test_two_runs_are_byte_identical(tmp_path):
         assert r["verdict"] in ("Accept", "Reject")
         assert r["ledger"]["total"] == sum(
             r["ledger"][c] for c in ("samp", "cond", "pcond", "icond"))
+
+
+def against(other_src):
+    return subprocess.run([sys.executable, str(TOOL), "--workload", "set_small_n",
+                           "--seed", "11", "--rounds", "1", "--against", str(other_src)],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_against_the_same_sources_passes():
+    run = against(TOOL.parent.parent / "src")
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.strip() == "7 trials identical"
+
+
+def test_against_changed_sources_names_the_first_difference(tmp_path):
+    # A copy whose ledgers all count one query more: trial 0 differs.
+    other = tmp_path / "src"
+    shutil.copytree(TOOL.parent.parent / "src" / "condtest", other / "condtest",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    oracles = other / "condtest" / "oracles.py"
+    text = oracles.read_text()
+    total = "return self.samp_count + self.cond_count + self.pcond_count + self.icond_count"
+    assert total in text
+    oracles.write_text(text.replace(total, total + " + 1"))
+    run = against(other)
+    assert run.returncode == 1
+    lines = run.stdout.splitlines()
+    assert lines[0] == "trial 0 differs:"
+    mine, theirs = (json.loads(line.split(": ", 1)[1]) for line in lines[1:3])
+    assert theirs["ledger"]["total"] == mine["ledger"]["total"] + 1
+    assert {k: v for k, v in mine.items() if k != "ledger"} == {
+        k: v for k, v in theirs.items() if k != "ledger"}

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from condtest.distcore import uniform
 from condtest.errors import BadProfile
+from condtest.harness import ExperimentConfig, run_experiment
 from condtest.profiles import (
     DESK,
     PRESETS,
@@ -73,6 +75,31 @@ class TestResolveProfile:
     def test_passthrough_and_names(self):
         assert resolve_profile(DESK) is DESK
         assert resolve_profile("theoretical").name == "theoretical"
+
+    def test_dict_is_overrides_on_desk(self):
+        prof = resolve_profile({"unif_q": 2})
+        assert prof.name == "desk" and prof.overrides == {"unif_q": 2}
+        assert prof.as_dict() == {**DESK.as_dict(), "unif_q": 2}
+        assert resolve_profile({}).as_dict() == DESK.as_dict()
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"mystery_c": 1}, "unknown profile keys"),
+        ({"unif_q": 0.5}, "must be an integer >= 1"),
+        ({"compare_c": "3"}, "must be a number"),
+    ])
+    def test_bad_dict_is_bad_profile(self, overrides, match):
+        with pytest.raises(BadProfile, match=match):
+            resolve_profile(overrides)
+
+    def test_experiment_config_takes_a_dict(self):
+        cfg = ExperimentConfig(tester="pcond_uniform", spec=uniform(64), eps=0.5,
+                               trials=1, seed=3, profile={"unif_q": 2})
+        res = run_experiment(cfg)
+        assert res.profile_echo["overrides"] == {"unif_q": 2}
+        assert res.profile_echo["table"]["unif_q"] == 2
+        with pytest.raises(BadProfile, match="unknown profile keys"):
+            run_experiment(ExperimentConfig(tester="pcond_uniform", spec=uniform(64),
+                                            eps=0.5, trials=1, profile={"nope": 1}))
 
     def test_json_file(self, tmp_path):
         p = tmp_path / "prof.json"

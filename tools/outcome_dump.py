@@ -14,13 +14,23 @@ or {"case": ..., "seed": ..., "error": "Type: message"} when the trial
 raised. No timings are written, so two runs of the same code give the
 same bytes, and a change that claims to keep behaviour seed for seed
 can be checked by running this on both sides (`--src` points at the
-other side's `src`) and comparing the files.
+other side's `src`) and comparing the files. `--against OTHER_SRC`
+does both in one command:
+
+    python3 tools/outcome_dump.py --workload large_n --seed 11 --rounds 20 --against ../parent/src
+
+It runs the workload once on `--src` and once on OTHER_SRC, each in a
+process of its own, prints the first trial whose lines differ and exits
+1 on any difference, or prints the number of identical trials and
+exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,6 +63,24 @@ def outcomes(ct, workload, seed, rounds):
             yield out
 
 
+def compare(args):
+    """Dump the workload on args.src and on args.against, each in its
+    own process; report the first difference. Returns the exit code."""
+    sides = []
+    for src in (args.src, args.against):
+        cmd = [sys.executable, __file__, "--workload", args.workload,
+               "--seed", str(args.seed), "--rounds", str(args.rounds), "--src", src]
+        sides.append(subprocess.run(cmd, check=True, capture_output=True,
+                                    text=True).stdout.splitlines())
+    mine, theirs = sides
+    for i, (a, b) in enumerate(itertools.zip_longest(mine, theirs)):
+        if a != b:
+            print(f"trial {i} differs:\n  {args.src}: {a}\n  {args.against}: {b}")
+            return 1
+    print(f"{len(mine)} trials identical")
+    return 0
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True,
@@ -62,7 +90,11 @@ def main(argv=None):
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="directory condtest is imported from (default: this checkout's src)")
     ap.add_argument("--out", default="-", help="output file (default: standard output)")
+    ap.add_argument("--against", metavar="OTHER_SRC",
+                    help="compare with the dump of OTHER_SRC instead of writing one")
     args = ap.parse_args(argv)
+    if args.against:
+        sys.exit(compare(args))
     sys.path[:0] = [args.src, str(ROOT / "perfbench")]
     import condtest as ct
 
