@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distcore import QuerySet
+from .distcore import PAIR, QuerySet
 from .errors import EvalFailed, ZeroMassSet
 from .oracles import OracleHandle
 from .profiles import DESK
-from .subroutines import compare_points, estimate_neighborhood, neighborhood_grid
+from .subroutines import (classify, compare_budget, estimate_neighborhood,
+                          neighborhood_grid, ratio_in_window)
 from .uniformity import ACCEPT, REJECT
 
 
@@ -33,8 +34,20 @@ def equality_schedule(n, eps, profile=DESK):
     return t, s1, s2
 
 
+def _first_dead(hits):
+    """Index of the first zero-mass count (-1), or the number of counts."""
+    return int(np.argmax(hits < 0)) if (hits < 0).any() else hits.size
+
+
 def pcond_test_equality(h1: OracleHandle, h2: OracleHandle, eps: float,
                         profile=DESK) -> str:
+    """Compare every pooled sample point against each of t references
+    drawn from D1, under both oracles, and reject when the neighborhood
+    weights or the pointwise ratios disagree, or when D2 gives a pair
+    zero mass. Cost: per reference, one estimate_neighborhood and one
+    draw_subset_counts call on each handle, with the draws, charges and
+    generator states of two compare_points calls per point.
+    """
     n = h1.dist.n
     et = eps / 100.0
     t, s1, s2 = equality_schedule(n, eps, profile)
@@ -42,61 +55,44 @@ def pcond_test_equality(h1: OracleHandle, h2: OracleHandle, eps: float,
     refs = h1.draw_many(full, t)
     sample1 = h1.draw_many(full, s1)
     sample2 = h2.draw_many(full, s2)
-    pooled = np.concatenate((sample1, sample2))
-    uniq = np.unique(pooled)
+    uniq = np.unique(np.concatenate((sample1, sample2)))
+    in_sample2 = np.searchsorted(uniq, sample2)
     kappa, en_eta, beta, en_delta = et, et / 8.0, et / (2.0 * t), 1.0 / (100.0 * t)
     theta, _ = neighborhood_grid(kappa, beta, en_eta, en_delta)
     c_eta = max(theta / 4.0, profile["eq_compare_eta_floor"])
     c_delta = max(1.0 / (200.0 * t * (s1 + s2)), profile["eq_compare_delta_floor"])
+    m = compare_budget(c_eta, 4.0, c_delta, profile)
     for r in refs:
         r = int(r)
-        en = estimate_neighborhood(
-            h1, r, kappa, beta, en_eta, en_delta, profile,
-            sample_cap=profile["eq_en_sample_cap"],
-            eta_floor=profile["eq_compare_eta_floor"],
-            delta_floor=profile["eq_compare_delta_floor"],
-        )
+        en = estimate_neighborhood(h1, r, kappa, beta, en_eta, en_delta, profile,
+                                   sample_cap=profile["eq_en_sample_cap"],
+                                   eta_floor=profile["eq_compare_eta_floor"],
+                                   delta_floor=profile["eq_compare_delta_floor"])
         w1, alpha = en.w_hat, en.alpha
-        rho1 = {}
-        rho2 = {}
-        for i in uniq:
-            i = int(i)
-            if i == r:
-                rho1[i] = 1.0
-                rho2[i] = 1.0
-                continue
-            try:
-                o1 = compare_points(h1, r, i, c_eta, 4.0, c_delta, profile)
-                o2 = compare_points(h2, r, i, c_eta, 4.0, c_delta, profile)
-            except ZeroMassSet:
-                # One side gives the pair positive mass (both points
-                # were sampled somewhere), the other gives it none.
-                return REJECT
-            rho1[i] = o1.rho if o1.is_ratio else o1
-            rho2[i] = o2.rho if o2.is_ratio else o2
-        inner = 1.0 + alpha + theta / 2.0
-        in1 = {
-            i: isinstance(v, float) and 1.0 / inner <= v <= inner
-            for i, v in rho1.items()
-        }
-        w2 = sum(in1[int(i)] for i in sample2) / s2
+        others = uniq != r
+        ys = uniq[others]
+        pairs = (PAIR, np.minimum(r, ys), np.maximum(r, ys), ys, ys, m)
+        # Only D2 can give a pair zero mass: r was drawn from D1. Point by
+        # point, h1 compares before h2, so h1 is charged for one more.
+        hits2 = h2.draw_subset_counts(*pairs, reached=_first_dead)
+        if hits2.size < ys.size:
+            h1.draw_subset_counts(*pairs, reached=lambda _: hits2.size + 1)
+            return REJECT
+        rho1, rho2 = np.ones((2, uniq.size))
+        rho1[others] = classify(h1.draw_subset_counts(*pairs), m, 4.0)[2]
+        rho2[others] = classify(hits2, m, 4.0)[2]
+        w2 = np.count_nonzero(ratio_in_window(rho1, alpha, theta)[in_sample2]) / s2
         # Neighborhood weights must agree across the two distributions.
         if w1 <= 0.75 * et / t:
             if w2 > 1.5 * et / t:
                 return REJECT
-        else:
-            if not ((1.0 - et / 2.0) * w1 <= w2 <= (1.0 + et / 2.0) * w1):
-                return REJECT
+        elif not ((1.0 - et / 2.0) * w1 <= w2 <= (1.0 + et / 2.0) * w1):
+            return REJECT
         # Pointwise: a ratio close to the window on one side must stay
         # near it on the other.
-        tight = 1.0 + alpha + et / 2.0
-        loose = 1.0 + alpha + 1.5 * et
-        for i in uniq:
-            i = int(i)
-            v1, v2 = rho1[i], rho2[i]
-            if isinstance(v1, float) and 1.0 / tight <= v1 <= tight:
-                if not (isinstance(v2, float) and 1.0 / loose <= v2 <= loose):
-                    return REJECT
+        if (ratio_in_window(rho1, alpha, et)
+                & ~ratio_in_window(rho2, alpha, 3.0 * et)).any():
+            return REJECT
     return ACCEPT
 
 

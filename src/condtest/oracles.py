@@ -23,15 +23,15 @@ iid conditional draws, so testers that only consume counts can afford
 the full theoretical query budgets. draw_subset_counts makes k
 draw_subset_count observations on k pairs or k intervals in one call,
 with the same checks, ledger charges and random numbers as k scalar
-calls in order (callers: pcond_test_uniform, binary_descent and,
-through compare_to_point, estimate_neighborhood and the distance
-estimator). draw_union_counts does the same for the k comparisons
-of one point x against sets W_1..W_k that compare makes on the unions
-{x} ∪ W_i: one-point sets make pairs, wider ones explicit sets. Its
-checks and draw cost O(total size of the W_i) in numpy plus one
-binomial call; the two masses of each explicit union are summed one
-union at a time, so each keeps Distribution.mass's summation order.
-A call whose W_i are all one point, as every call on a uniform
+calls in order (callers: pcond_test_uniform, binary_descent,
+pcond_test_equality and, through compare_to_point, the neighborhood
+and distance estimators). draw_union_counts does the same for the k
+comparisons of one point x against sets W_1..W_k that compare makes on
+the unions {x} ∪ W_i: one-point sets make pairs, wider ones explicit
+sets. Its checks and draw cost O(total size of the W_i) in numpy plus
+one binomial call; the two masses of each explicit union are summed
+one union at a time, so each keeps Distribution.mass's summation
+order. A call whose W_i are all one point, as every call on a uniform
 target is, skips the per-set bookkeeping and costs a fixed number of
 numpy operations on k-element arrays.
 """

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 from .errors import BadProfile
 
@@ -204,6 +205,9 @@ def resolve_profile(spec) -> ConstantsProfile:
         return spec
     if isinstance(spec, dict):
         return ConstantsProfile("desk", spec)
+    if not isinstance(spec, (str, os.PathLike)):
+        raise BadProfile(f"a profile is a preset name, a dict or a file path, "
+                         f"not {type(spec).__name__}")
     if spec in PRESETS:
         return ConstantsProfile(spec)
     try:

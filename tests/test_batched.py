@@ -2,14 +2,14 @@
 
 OracleHandle.draw_subset_counts, OracleHandle.draw_union_counts,
 pcond_test_uniform, binary_descent, cond_test_known's Main branch,
-estimate_neighborhood and estimate_distance_to_uniformity draw many
-comparisons in one call. Each is held here against a verbatim copy of
-the scalar loop it replaced: hit counts element by element, verdicts
-and values exactly, every ledger column, and the state the generator is
-left in. find_reference, which calls estimate_neighborhood, is held
-against a copy that calls the scalar one. The copies read a compare
-outcome's tag where the replaced code read its is_high property, which
-is gone.
+estimate_neighborhood, estimate_distance_to_uniformity and
+pcond_test_equality's cross loop draw many comparisons in one call.
+Each is held here against a verbatim copy of the scalar loop it
+replaced: hit counts element by element, verdicts and values exactly,
+every ledger column, and the state the generator is left in.
+find_reference, which calls estimate_neighborhood, is held against a
+copy that calls the scalar one. The copies read a compare outcome's tag
+where the replaced code read its is_high property, which is gone.
 """
 
 import math
@@ -26,6 +26,7 @@ from condtest.distance import (
     find_reference,
 )
 from condtest.distcore import INTERVAL, PAIR, QuerySet, make_distribution, uniform
+from condtest.equality import equality_schedule, pcond_test_equality
 from condtest.errors import (
     BadQuerySet,
     DisciplineViolation,
@@ -378,6 +379,74 @@ def reference_estimate_distance_to_uniformity(h, eps, profile=DESK):
         else:
             total += 1.0 - n * val
     return min(max(total / s, 0.0), 1.0)
+
+
+def reference_pcond_test_equality(h1, h2, eps, profile=DESK):
+    """pcond_test_equality as two compare_points calls, one per oracle,
+    for each (reference, pooled point) pair."""
+    n = h1.dist.n
+    et = eps / 100.0
+    t, s1, s2 = equality_schedule(n, eps, profile)
+    full = QuerySet.full()
+    refs = h1.draw_many(full, t)
+    sample1 = h1.draw_many(full, s1)
+    sample2 = h2.draw_many(full, s2)
+    pooled = np.concatenate((sample1, sample2))
+    uniq = np.unique(pooled)
+    kappa, en_eta, beta, en_delta = et, et / 8.0, et / (2.0 * t), 1.0 / (100.0 * t)
+    theta, _ = neighborhood_grid(kappa, beta, en_eta, en_delta)
+    c_eta = max(theta / 4.0, profile["eq_compare_eta_floor"])
+    c_delta = max(1.0 / (200.0 * t * (s1 + s2)), profile["eq_compare_delta_floor"])
+    for r in refs:
+        r = int(r)
+        en = estimate_neighborhood(
+            h1, r, kappa, beta, en_eta, en_delta, profile,
+            sample_cap=profile["eq_en_sample_cap"],
+            eta_floor=profile["eq_compare_eta_floor"],
+            delta_floor=profile["eq_compare_delta_floor"],
+        )
+        w1, alpha = en.w_hat, en.alpha
+        rho1 = {}
+        rho2 = {}
+        for i in uniq:
+            i = int(i)
+            if i == r:
+                rho1[i] = 1.0
+                rho2[i] = 1.0
+                continue
+            try:
+                o1 = compare_points(h1, r, i, c_eta, 4.0, c_delta, profile)
+                o2 = compare_points(h2, r, i, c_eta, 4.0, c_delta, profile)
+            except ZeroMassSet:
+                # One side gives the pair positive mass (both points
+                # were sampled somewhere), the other gives it none.
+                return "Reject"
+            rho1[i] = o1.rho if o1.is_ratio else o1
+            rho2[i] = o2.rho if o2.is_ratio else o2
+        inner = 1.0 + alpha + theta / 2.0
+        in1 = {
+            i: isinstance(v, float) and 1.0 / inner <= v <= inner
+            for i, v in rho1.items()
+        }
+        w2 = sum(in1[int(i)] for i in sample2) / s2
+        # Neighborhood weights must agree across the two distributions.
+        if w1 <= 0.75 * et / t:
+            if w2 > 1.5 * et / t:
+                return "Reject"
+        else:
+            if not ((1.0 - et / 2.0) * w1 <= w2 <= (1.0 + et / 2.0) * w1):
+                return "Reject"
+        # Pointwise: a ratio close to the window on one side must stay
+        # near it on the other.
+        tight = 1.0 + alpha + et / 2.0
+        loose = 1.0 + alpha + 1.5 * et
+        for i in uniq:
+            i = int(i)
+            v1, v2 = rho1[i], rho2[i]
+            if isinstance(v1, float) and 1.0 / tight <= v1 <= tight:
+                if not (isinstance(v2, float) and 1.0 / loose <= v2 <= loose):
+                    return "Reject"
+    return "Accept"
 
 
 def scalar_counts(h, shape, lo, hi, sub_lo, sub_hi, m):
@@ -985,14 +1054,91 @@ class TestDistanceMatchesScalarLoops:
             assert_same_draws(h1, h2)
 
 
+def gap(n, a, b):
+    """Uniform on 1..n except weight zero on a..b."""
+    w = np.ones(n)
+    w[a - 1:b] = 0.0
+    return make_distribution(w)
+
+
+def near_uniform(n, lift, seed):
+    """Uniform on 1..n with about half the points lifted by the factor
+    1 + lift."""
+    w = np.ones(n)
+    w[np.random.default_rng(seed).random(n) < 0.5] += lift
+    return make_distribution(w)
+
+
+# The second oracle's seed, as the harness derives it.
+SECOND_STREAM = 0x9E3779B97F4A7C15
+
+# (name, D1, D2, verdicts at seeds 0..3). The Rejects' exits, read off
+# an instrumented copy of the scalar loop at these seeds:
+EQUALITY_CASES = [
+    ("U_U_256", uniform(256), uniform(256), ["Accept"] * 4),
+    # The right half of D2 has weight zero. Seeds 0 and 1 meet a
+    # zero-mass pair after 82 live ones at the first reference; seeds
+    # 2 and 3 reject pointwise.
+    ("U_half_split_256", uniform(256), gen_half_split(256, 0.5), ["Reject"] * 4),
+    # D2 is zero on 97..160. Seed 1 meets a zero-mass pair after 48
+    # live ones, with live pairs after the gap; the others reject
+    # pointwise.
+    ("U_gap_256", uniform(256), gap(256, 97, 160), ["Reject"] * 4),
+    # D1's right half has weight zero: every seed rejects on the
+    # neighborhood weights.
+    ("half_split_U_256", gen_half_split(256, 0.5), uniform(256), ["Reject"] * 4),
+    # Ratios of 1.012 sit near the window edges: seeds 0 and 1 reject
+    # pointwise at the second and eighth reference, seeds 2 and 3
+    # accept after all nine.
+    ("U_near_256", uniform(256), near_uniform(256, 0.012, 1),
+     ["Reject", "Reject", "Accept", "Accept"]),
+    # Equal, with ratios of 1.004 that fall inside or outside a
+    # neighborhood window by its radius: seeds 2 and 3 reject on the
+    # neighborhood weights at the eighth and ninth reference.
+    ("near_near_256", near_uniform(256, 0.004, 1), near_uniform(256, 0.004, 1),
+     ["Accept", "Accept", "Reject", "Reject"]),
+    # Every pooled point is the reference: no pair is compared.
+    ("U_U_1", uniform(1), uniform(1), ["Accept"] * 4),
+]
+
+
+def equality_twins(d1, d2, seed):
+    """Two (h1, h2) pairs, seeded alike, one for each side."""
+    a1, b1 = twins(d1, PCOND, seed)
+    a2, b2 = twins(d2, PCOND, seed ^ SECOND_STREAM)
+    return (a1, a2), (b1, b2)
+
+
+class TestPcondEqualityMatchesScalarLoop:
+    @pytest.mark.parametrize("name, d1, d2, verdicts", EQUALITY_CASES)
+    def test_same_verdict_ledgers_and_generators(self, name, d1, d2, verdicts):
+        got = []
+        for seed in range(len(verdicts)):
+            (g1, g2), (r1, r2) = equality_twins(d1, d2, seed)
+            verdict = pcond_test_equality(g1, g2, 0.5)
+            assert verdict == reference_pcond_test_equality(r1, r2, 0.5)
+            assert_same_state(g1, r1)
+            assert_same_state(g2, r2)
+            got.append(verdict)
+        assert got == verdicts
+
+
 @st.composite
-def weights(draw):
-    n = draw(st.integers(2, 40))
+def weights(draw, n=None):
+    if n is None:
+        n = draw(st.integers(2, 40))
     w = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0, 1.0, 2.0, 3.7]),
                       min_size=n, max_size=n))
     if not any(w):
         w[0] = 1.0
     return w
+
+
+@st.composite
+def weight_pairs(draw):
+    """Two weight lists on one domain."""
+    w = draw(weights())
+    return w, draw(weights(len(w)))
 
 
 @given(weights(), st.integers(0, 2**32))
@@ -1031,3 +1177,12 @@ def test_distance_matches_scalar_loops_on_random_weights(w, seed, discipline, ep
     got = estimate_distance_to_uniformity(h1, eps, SMALL_SEARCH)
     assert got == reference_estimate_distance_to_uniformity(h2, eps, SMALL_SEARCH)
     assert_same_draws(h1, h2)
+
+
+@given(weight_pairs(), st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_pcond_equality_matches_scalar_loop_on_random_weights(pair, seed):
+    (g1, g2), (r1, r2) = equality_twins(*map(make_distribution, pair), seed)
+    assert pcond_test_equality(g1, g2, 0.5) == reference_pcond_test_equality(r1, r2, 0.5)
+    assert_same_state(g1, r1)
+    assert_same_state(g2, r2)

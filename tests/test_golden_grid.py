@@ -7,7 +7,9 @@ replaced their member-array and scalar-loop versions; the two 2^14
 cond_known entries were added later, recorded from the code before
 the target tables moved onto the target distribution, and the
 block_256, half_256_eps_0.5 and point_mass_256 dist_uniformity entries
-from the code before its comparisons moved onto the pair kernel. A
+from the code before its comparisons moved onto the pair kernel. The
+pcond_equality entries at seed 1 and the gap_256 ones were recorded
+from the code before its cross loop moved onto the pair kernel. A
 change that claims to keep behaviour must keep this test passing
 unchanged.
 
@@ -41,6 +43,15 @@ def _point_mass(n, w_rest):
     normalising: no candidate passes find_reference's gates."""
     w = np.full(n, w_rest)
     w[0] = 1.0
+    return ct.make_distribution(w)
+
+
+def _gap(n, a, b):
+    """Uniform on 1..n except weight zero on a..b, in the middle of the
+    domain: a pair of two gap points has zero mass, and pairs with the
+    points on either side of the gap do not."""
+    w = np.ones(n)
+    w[a - 1:b] = 0.0
     return ct.make_distribution(w)
 
 
@@ -85,9 +96,12 @@ def grid():
          ct.gen_half_split(2**14, 0.5), u16k, 0.5, (0, 1)),
         ("cond_known/spiky_256", "cond_known", _spiky(256, 3, 0.06),
          _spiky(256, 3, 0.06), 0.5, (0, 1)),
-        ("pcond_equality/U_U_256", "pcond_equality", u256, u256, 0.5, (0,)),
+        ("pcond_equality/U_U_256", "pcond_equality", u256, u256, 0.5, (0, 1)),
         ("pcond_equality/U_half_256", "pcond_equality", u256,
-         ct.gen_half_split(256, 0.5), 0.5, (0,)),
+         ct.gen_half_split(256, 0.5), 0.5, (0, 1)),
+        # At seed 1 the first zero-mass pair comes after 48 live ones.
+        ("pcond_equality/U_gap_256", "pcond_equality", u256,
+         _gap(256, 97, 160), 0.5, (0, 1)),
         ("eval_equality/U_U_256", "eval_equality", u256, u256, 0.5, (0, 1)),
         ("eval_equality/U_half_256", "eval_equality", u256,
          ct.gen_half_split(256, 0.5), 0.5, (0,)),

@@ -3,8 +3,10 @@
 Walks every module of src/condtest with `ast`. Each public function,
 class and method must be referenced, by a bare name, an attribute or
 an import, somewhere in the package other than `__init__.py`; or else
-sit on ALLOWED with a one-line reason. Attributes are matched by name
-alone, so a method counts as used when any `.name` access exists.
+sit on ALLOWED with a one-line reason. Only reads count: a name or an
+attribute that is only assigned, such as a local variable that shares
+a dead function's name, is not a use. Attributes are matched by name
+alone, so a method counts as used when any `.name` read exists.
 """
 
 import ast
@@ -54,21 +56,33 @@ def _public_definitions():
                         yield f"{mod}.{node.name}.{item.name}", item.name
 
 
+def _names_read(tree):
+    """Every name read, read as an attribute or imported in tree."""
+    seen = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            seen.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            seen.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            seen.update(a.name for a in node.names)
+    return seen
+
+
 def _referenced_names():
-    """Every name read, accessed as an attribute or imported, outside
-    __init__.py."""
+    """_names_read over every module outside __init__.py."""
     seen = set()
     for path in SRC.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                seen.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                seen.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                seen.update(a.name for a in node.names)
+        if path.name != "__init__.py":
+            seen |= _names_read(ast.parse(path.read_text()))
     return seen
+
+
+def test_only_reads_count_as_uses():
+    # The local `run` and the attribute `chain` are only stored.
+    stored = "def f(h):\n    run = h\n    h.chain = 1\n"
+    assert _names_read(ast.parse(stored)) == {"h"}
+    assert _names_read(ast.parse("run(h.chain)")) == {"run", "h", "chain"}
 
 
 def test_every_public_definition_is_used_or_allowed():

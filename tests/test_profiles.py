@@ -107,6 +107,16 @@ class TestResolveProfile:
         prof = resolve_profile(str(p))
         assert prof["unif_q"] == 2
 
+    @pytest.mark.parametrize("spec", [0, True, [1], None, 2.5])
+    def test_other_types_are_bad_profile(self, spec):
+        with pytest.raises(BadProfile, match="not (int|bool|list|NoneType|float)"):
+            resolve_profile(spec)
+
+    def test_path_object(self, tmp_path):
+        p = tmp_path / "prof.json"
+        p.write_text(json.dumps({"overrides": {"unif_q": 2}}))
+        assert resolve_profile(p)["unif_q"] == 2
+
     def test_unknown_name_is_bad_profile(self, tmp_path):
         with pytest.raises(BadProfile, match="neither a preset"):
             resolve_profile(str(tmp_path / "nonsense"))
