@@ -43,6 +43,7 @@ from .errors import (
     BadGeneratorParam,
     BadProfile,
     BadQuerySet,
+    BadReport,
     BadSweepGrid,
     BadTrialCount,
     CondtestError,
@@ -96,7 +97,6 @@ from .profiles import DESK, THEORETICAL, ConstantsProfile, resolve_profile
 from .subroutines import (
     CompareOutcome,
     NeighborhoodEstimate,
-    compare,
     compare_budget,
     compare_points,
     estimate_neighborhood,

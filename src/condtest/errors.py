@@ -96,3 +96,7 @@ class BadProfile(CondtestError):
 
 class BadSweepGrid(CondtestError):
     """A sweep's fit takes log(log2 N), so every N must be at least 2."""
+
+
+class BadReport(CondtestError, ValueError):
+    """A CSV report write_csv could not have written."""

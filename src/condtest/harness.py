@@ -21,6 +21,7 @@ from .distcore import Distribution, load_spec, uniform
 from .equality import eval_test_equality, pcond_test_equality
 from .errors import (
     BadEpsilon,
+    BadReport,
     BadSweepGrid,
     BadTrialCount,
     DomainMismatch,
@@ -346,17 +347,19 @@ def write_csv(result: ExperimentResult, path):
 
 
 def read_csv_trials(path):
-    """Trial rows back from CSV, as TrialRecords."""
+    """Trial rows back from CSV, as TrialRecords; BadReport on a bad file."""
     out = []
     with open(path, newline="") as f:
         r = csv.reader(f)
-        header = next(r)
+        header = next(r, None)
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header}")
+            raise BadReport(f"unexpected CSV header {header}")
         for row in r:
-            led = QueryLedger(int(row[4]), int(row[5]), int(row[6]), int(row[7]))
-            out.append(
-                TrialRecord(
+            if len(row) != len(CSV_HEADER):
+                raise BadReport(f"line {r.line_num} has {len(row)} fields")
+            try:
+                led = QueryLedger(int(row[4]), int(row[5]), int(row[6]), int(row[7]))
+                rec = TrialRecord(
                     trial=int(row[0]),
                     seed=int(row[1]),
                     verdict=row[2],
@@ -364,7 +367,9 @@ def read_csv_trials(path):
                     ledger=led,
                     millis=float(row[9]),
                 )
-            )
+            except ValueError as err:
+                raise BadReport(f"line {r.line_num}: {err}") from None
+            out.append(rec)
     return out
 
 

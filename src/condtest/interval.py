@@ -51,8 +51,8 @@ def _walks(n, ys):
 def binary_descent(h: OracleHandle, ys, eps: float, profile=DESK, bounds=None):
     """Estimate D(y) for each point y of ys, walking the points in order.
 
-    Each level of a walk estimates D(half)/D(other half) as compare
-    does, from m draws on the level's interval, and multiplies the
+    Each level of a walk estimates D(half)/D(other half) with
+    classify, from m draws on the level's interval, and multiplies the
     estimate of D(half)/D(interval) into the walk's value. Returns the
     values, or None once a walk reaches a level whose estimate is not a
     ratio within the factor 1 +- eta of the uniform split, or whose

@@ -25,9 +25,9 @@ draw_subset_count observations on k pairs or k intervals in one call,
 with the same checks, ledger charges and random numbers as k scalar
 calls in order (callers: pcond_test_uniform, binary_descent,
 pcond_test_equality and, through compare_to_point, the neighborhood
-and distance estimators). draw_union_counts does the same for the k
-comparisons of one point x against sets W_1..W_k that compare makes on
-the unions {x} ∪ W_i: one-point sets make pairs, wider ones explicit
+and distance estimators). draw_union_counts does the same for k
+comparisons of one point x against sets W_1..W_k, each drawn on the
+union {x} ∪ W_i: one-point sets make pairs, wider ones explicit
 sets. Its checks and draw cost O(total size of the W_i) in numpy plus
 one binomial call; the two masses of each explicit union are summed
 one union at a time, so each keeps Distribution.mass's summation
@@ -315,12 +315,12 @@ class OracleHandle:
         one call.
 
         members holds W_1..W_k back to back, each strictly increasing,
-        and sizes their lengths. As in compare, the union with a
-        one-point W_i is a pair, charged to pcond, and any wider union
-        an explicit set, charged to cond. Every element passes the
-        checks of compare and draw_subset_count: W_i inside the domain
-        and disjoint from x (SetsNotDisjoint), the union's shape allowed
-        for the model and, under STRICT, touching a returned point. A
+        and sizes their lengths. The union with a one-point W_i is a
+        pair, charged to pcond, and any wider union an explicit set,
+        charged to cond. Every element passes the checks
+        draw_subset_count makes on its union (the shape allowed for the
+        model, W_i inside the domain and, under STRICT, touching a
+        returned point), and W_i must not hold x (SetsNotDisjoint). A
         refused element raises before anything is drawn or charged.
         Masses take the float operations of Distribution.mass, and one
         binomial call draws all k counts, which gives the numbers and
@@ -354,7 +354,7 @@ class OracleHandle:
             raise BadQuerySet("explicit indices must be strictly increasing")
         below = np.add.reduceat(members < x, starts)
         if (members[np.minimum(starts + below, ends - 1)] == x).any():
-            raise SetsNotDisjoint("compare needs disjoint sets")
+            raise SetsNotDisjoint("a union needs x outside its set")
         if self.discipline == STRICT and x not in self.returned_points:
             touched = np.logical_or.reduceat(self._touched(members), starts)
             if not touched.all():
@@ -387,7 +387,7 @@ class OracleHandle:
         if not 1 <= x <= d.n or points.min() < 1 or points.max() > d.n:
             raise BadQuerySet(f"unions need a point and non-empty sets in 1..{d.n}")
         if (points == x).any():
-            raise SetsNotDisjoint("compare needs disjoint sets")
+            raise SetsNotDisjoint("a union needs x outside its set")
         if (self.discipline == STRICT and x not in self.returned_points
                 and not self._touched(points).all()):
             raise DisciplineViolation(

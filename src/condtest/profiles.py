@@ -30,21 +30,21 @@ from .errors import BadProfile
 
 
 _DESK = {
-    # compare: draw budget ceil(compare_c * K * ln(2/delta) / eta^2),
+    # comparisons: draw budget ceil(compare_c * K * ln(2/delta) / eta^2),
     # clipped at compare_max_draws. compare_c = 3 makes the additive
     # error of the hit fraction at most min(eta/3, 1/(3(K+1))) with
     # failure probability below delta.
     "compare_c": 3.0,
     "compare_max_draws": 1.0e15,
     # estimate_neighborhood: |S| = ceil(en_sample_c * ln(4/delta) / (beta eta^2)),
-    # capped; eta/delta floors applied to its internal compare calls.
+    # capped; eta/delta floors applied to its internal comparisons.
     "en_sample_c": 2.0,
     "en_sample_cap": 400,
     "en_compare_eta_floor": 0.02,
     "en_compare_delta_floor": 1.0e-4,
     # uniformity tester: q reference points; stage sample size
-    # s_j = ceil(unif_s_c * 2^j * t); per-stage compare confidence
-    # exp(-unif_delta_c * t); compare eta equals the stage window
+    # s_j = ceil(unif_s_c * 2^j * t); per-stage comparison confidence
+    # exp(-unif_delta_c * t); comparison eta equals the stage window
     # 2^(j-5) eps / 4.
     "unif_q": 4,
     "unif_s_c": 1.0,

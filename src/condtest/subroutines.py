@@ -1,9 +1,11 @@
 """Shared estimation subroutines used by every tester.
 
-compare estimates the mass ratio of two disjoint sets from conditional
-draws on their union; compare_to_point makes many comparisons against
-one point in one draw_subset_counts call, as estimate_neighborhood does
-once per estimate of a point's weight-neighborhood mass.
+compare_points estimates the weight ratio of two points from
+conditional draws on the pair; compare_to_point makes many such
+comparisons against one point in one draw_subset_counts call, as
+estimate_neighborhood does once per estimate of a point's
+weight-neighborhood mass. classify reads the hit counts of the batched
+kernels as the outcomes compare_points would give.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distcore import EXPLICIT, FULL, INTERVAL, PAIR, QuerySet
+from .distcore import PAIR, QuerySet
 from .errors import SetsNotDisjoint
 from .oracles import OracleHandle
 from .profiles import DESK
@@ -22,8 +24,6 @@ from .profiles import DESK
 LOW = "low"
 HIGH = "high"
 RATIO = "ratio"
-
-_CONTIGUOUS = (FULL, INTERVAL)
 
 
 @dataclass(frozen=True)
@@ -53,17 +53,17 @@ def compare_budget(eta, K, delta, profile=DESK) -> int:
 
 
 def _saturation(K):
-    """The hit (or miss) fraction below which compare answers Low (or
-    High) instead of a ratio."""
+    """The hit (or miss) fraction below which a comparison answers Low
+    (or High) instead of a ratio."""
     return (2.0 / 3.0) / (K + 1.0)
 
 
 def classify(hits, m, K):
-    """compare's outcome for each count in the array hits of m draws:
+    """compare_points' outcome for each count in the array hits of m draws:
     (low, high, rho), the masks of the Low and High outcomes and the
     ratio estimate mu/(1-mu), NaN where the outcome is Low or High.
 
-    Takes the thresholds and float operations of compare, so each
+    Takes the thresholds and float operations of compare_points, so each
     element matches the scalar outcome exactly.
     """
     if m <= 2**53:
@@ -80,111 +80,22 @@ def classify(hits, m, K):
     return low, high, rho
 
 
-def _bounds(s: QuerySet, n):
-    """Smallest and largest member of s."""
-    if s.shape == FULL:
-        return 1, n
-    if s.shape == EXPLICIT:
-        return int(s.indices[0]), int(s.indices[-1])
-    return s.a, s.b
-
-
-def _points(s: QuerySet):
-    """Sorted members of a pair or explicit set."""
-    return s.indices if s.shape == EXPLICIT else np.array([s.a, s.b])
-
-
-def _misses_range(points, lo, hi) -> bool:
-    """Whether no element of the sorted array points lies in [lo, hi]."""
-    return np.searchsorted(points, lo, side="left") == np.searchsorted(
-        points, hi, side="right")
-
-
-def _disjoint(x: QuerySet, y: QuerySet, n) -> bool:
-    """Whether x and y share no point, decided from their shapes.
-
-    O(1) when the bounds do not overlap or both sets are contiguous
-    (full or interval); O(log) for a pair or explicit set against a
-    contiguous one; O(s log l) for two explicit sets of sizes s <= l.
-    """
-    xlo, xhi = _bounds(x, n)
-    ylo, yhi = _bounds(y, n)
-    if xhi < ylo or yhi < xlo:
-        return True
-    if x.shape in _CONTIGUOUS and y.shape in _CONTIGUOUS:
-        return False
-    if y.shape in _CONTIGUOUS:
-        return _misses_range(_points(x), ylo, yhi)
-    if x.shape in _CONTIGUOUS:
-        return _misses_range(_points(y), xlo, xhi)
-    small, large = _points(x), _points(y)
-    if small.size > large.size:
-        small, large = large, small
-    pos = np.minimum(np.searchsorted(large, small), large.size - 1)
-    return not np.any(large[pos] == small)
-
-
-def _union_set(x: QuerySet, y: QuerySet, n) -> QuerySet:
-    """x union y for disjoint x and y: an interval when both are
-    adjacent intervals, a pair when both are single points, otherwise
-    an explicit set (the only case that builds member arrays)."""
-    if x.shape == INTERVAL and y.shape == INTERVAL:
-        if x.b + 1 == y.a:
-            return QuerySet.interval(x.a, y.b)
-        if y.b + 1 == x.a:
-            return QuerySet.interval(y.a, x.b)
-    if x.size(n) == 1 and y.size(n) == 1:
-        return QuerySet.pair(_bounds(x, n)[0], _bounds(y, n)[0])
-    merged = np.concatenate((x.members(n), y.members(n)))
-    merged.sort()
-    return QuerySet.explicit(merged)
-
-
-def compare(
-    h: OracleHandle,
-    x: QuerySet,
-    y: QuerySet,
-    eta: float,
-    K: float,
-    delta: float,
-    profile=DESK,
-) -> CompareOutcome:
-    """Estimate D(Y)/D(X) from conditional draws on X union Y.
-
-    Returns Low when the hit fraction for Y is below (2/3)/(K+1), High
-    when the miss fraction is, and otherwise the ratio estimate
-    mu/(1-mu). The draw budget is ceil(compare_c*K*ln(2/delta)/eta^2).
-
-    Cost does not grow with N: disjointness is decided from the set
-    shapes and one binomial draw stands for all m draws. A union that
-    is neither two adjacent intervals nor two single points is built
-    as an explicit set, in time linear in the sizes of x and y.
-    """
-    n = h.dist.n
-    if not _disjoint(x, y, n):
-        raise SetsNotDisjoint("compare needs disjoint sets")
-    union = _union_set(x, y, n)
+def compare_points(h, px, py, eta, K, delta, profile=DESK) -> CompareOutcome:
+    """Estimate D(py)/D(px) from compare_budget draws on the pair {px, py}:
+    Low when the hit fraction for py is below (2/3)/(K+1), High when the
+    miss fraction is, and otherwise the ratio estimate mu/(1-mu)."""
+    sub = QuerySet.explicit([py])
+    if px == py:
+        raise SetsNotDisjoint("compare_points needs two distinct points")
+    pair = QuerySet.pair(px, py)
     m = compare_budget(eta, K, delta, profile)
-    hits = h.draw_subset_count(union, y, m)
-    mu = hits / m
+    mu = h.draw_subset_count(pair, sub, m) / m
     thr = _saturation(K)
     if mu < thr:
         return CompareOutcome(LOW)
     if 1.0 - mu < thr:
         return CompareOutcome(HIGH)
     return CompareOutcome(RATIO, mu / (1.0 - mu))
-
-
-def compare_points(h, px, py, eta, K, delta, profile=DESK) -> CompareOutcome:
-    return compare(
-        h,
-        QuerySet.explicit([px]),
-        QuerySet.explicit([py]),
-        eta,
-        K,
-        delta,
-        profile,
-    )
 
 
 def compare_to_point(h, x, ys, eta, K, delta, profile=DESK):

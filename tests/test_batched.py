@@ -8,8 +8,13 @@ Each is held here against a verbatim copy of the scalar loop it
 replaced: hit counts element by element, verdicts and values exactly,
 every ledger column, and the state the generator is left in.
 find_reference, which calls estimate_neighborhood, is held against a
-copy that calls the scalar one. The copies read a compare outcome's tag
-where the replaced code read its is_high property, which is gone.
+copy that calls the scalar one. The copies read a comparison outcome's
+tag where the replaced code read its is_high property, which is gone.
+
+The copies that compare intervals, or a point against a witness set,
+call `compare` below: the paper's COMPARE of two disjoint sets, with
+disjointness and the union worked out on member arrays. compare_points
+is held against it seed for seed.
 """
 
 import math
@@ -29,6 +34,7 @@ from condtest.distcore import INTERVAL, PAIR, QuerySet, make_distribution, unifo
 from condtest.equality import equality_schedule, pcond_test_equality
 from condtest.errors import (
     BadQuerySet,
+    CondtestError,
     DisciplineViolation,
     IllegalShapeForModel,
     SetsNotDisjoint,
@@ -46,10 +52,12 @@ from condtest.oracles import COND, ICOND, PCOND, PERMISSIVE, STRICT, OracleHandl
 from condtest.profiles import DESK, ConstantsProfile
 from condtest.subroutines import (
     HIGH,
+    LOW,
+    RATIO,
+    CompareOutcome,
     NeighborhoodEstimate,
-    _union_set,
+    _saturation,
     classify,
-    compare,
     compare_budget,
     compare_points,
     estimate_neighborhood,
@@ -59,6 +67,41 @@ from condtest.uniformity import pcond_test_uniform, query_budget, schedule
 
 
 # The scalar loops, kept verbatim as references --------------------------
+
+
+def ref_union(x, y, n):
+    """x union y for disjoint x and y, on member arrays: an interval
+    when both are adjacent intervals, a pair when both are single
+    points, otherwise an explicit set."""
+    if x.shape == INTERVAL and y.shape == INTERVAL:
+        if x.b + 1 == y.a:
+            return QuerySet.interval(x.a, y.b)
+        if y.b + 1 == x.a:
+            return QuerySet.interval(y.a, x.b)
+    xi = x.members(n)
+    yi = y.members(n)
+    if xi.size == 1 and yi.size == 1:
+        return QuerySet.pair(int(xi[0]), int(yi[0]))
+    merged = np.concatenate((xi, yi))
+    merged.sort()
+    return QuerySet.explicit(merged)
+
+
+def compare(h, x, y, eta, K, delta, profile=DESK):
+    """Estimate D(Y)/D(X) from compare_budget draws on X union Y: Low
+    when the hit fraction for Y is below (2/3)/(K+1), High when the
+    miss fraction is, and otherwise the ratio mu/(1-mu)."""
+    n = h.dist.n
+    if np.intersect1d(x.members(n), y.members(n)).size:
+        raise SetsNotDisjoint("compare needs disjoint sets")
+    m = compare_budget(eta, K, delta, profile)
+    mu = h.draw_subset_count(ref_union(x, y, n), y, m) / m
+    thr = _saturation(K)
+    if mu < thr:
+        return CompareOutcome(LOW)
+    if 1.0 - mu < thr:
+        return CompareOutcome(HIGH)
+    return CompareOutcome(RATIO, mu / (1.0 - mu))
 
 
 def hit_fraction(out):
@@ -472,7 +515,7 @@ def scalar_union_counts(h, x, sets, m):
         wit = QuerySet.explicit(wit)
         try:
             out.append(h.draw_subset_count(
-                _union_set(QuerySet.explicit([x]), wit, h.dist.n), wit, m))
+                ref_union(QuerySet.explicit([x]), wit, h.dist.n), wit, m))
         except ZeroMassSet:
             out.append(-1)
     return out
@@ -1186,3 +1229,60 @@ def test_pcond_equality_matches_scalar_loop_on_random_weights(pair, seed):
     assert pcond_test_equality(g1, g2, 0.5) == reference_pcond_test_equality(r1, r2, 0.5)
     assert_same_state(g1, r1)
     assert_same_state(g2, r2)
+
+
+# The scalar pair comparison ------------------------------------------------
+
+
+def outcome_or_error(fn):
+    """fn's return value, or the type of the CondtestError it raised."""
+    try:
+        return fn()
+    except CondtestError as err:
+        return type(err)
+
+
+@given(weights(), st.integers(0, 2**32), st.data(),
+       st.sampled_from([PCOND, COND]), st.sampled_from([STRICT, PERMISSIVE]),
+       st.sampled_from([(0.1, 2.0, 0.01), (0.3, 4.0, 0.2), (0.05, 1.0, 0.5)]))
+@settings(max_examples=200, deadline=None)
+def test_compare_points_matches_compare_on_points(w, seed, data, model,
+                                                  discipline, params):
+    d = make_distribution(w)
+    # Half the draws pick both points from the zero weights, when there
+    # are two, so that zero-mass pairs come up.
+    pool = [i for i, v in enumerate(w, 1) if v == 0.0]
+    if len(pool) < 2 or data.draw(st.booleans()):
+        pool = range(1, d.n + 1)
+    px, py = data.draw(st.lists(st.sampled_from(pool), min_size=2,
+                                max_size=2, unique=True))
+    h1, h2 = twins(d, model, seed, discipline)
+    for h in (h1, h2):
+        h.draw_many(QuerySet.full(), 2)
+    got = outcome_or_error(lambda: compare_points(h1, px, py, *params))
+    want = outcome_or_error(lambda: compare(
+        h2, QuerySet.explicit([px]), QuerySet.explicit([py]), *params))
+    assert got == want
+    assert_same_state(h1, h2)
+
+
+class TestComparePointsRefusals:
+    """Each refusal raises before anything is drawn or charged."""
+
+    @pytest.mark.parametrize("px, py, model, discipline, d, error", [
+        (2, 2, COND, PERMISSIVE, uniform(8), SetsNotDisjoint),
+        (0, 2, COND, PERMISSIVE, uniform(8), BadQuerySet),
+        (2, 0, COND, PERMISSIVE, uniform(8), BadQuerySet),
+        (9, 2, COND, PERMISSIVE, uniform(8), BadQuerySet),
+        (2, 9, PCOND, PERMISSIVE, uniform(8), BadQuerySet),
+        (1, 2, ICOND, PERMISSIVE, uniform(8), IllegalShapeForModel),
+        (1, 2, PCOND, STRICT, uniform(8), DisciplineViolation),
+        (40, 50, PCOND, PERMISSIVE, ZERO_HALF, ZeroMassSet),
+    ])
+    def test_refused_before_any_charge(self, px, py, model, discipline, d, error):
+        h = OracleHandle(d, model=model, seed=3, discipline=discipline)
+        state = h.rng.bit_generator.state
+        with pytest.raises(error):
+            compare_points(h, px, py, 0.1, 2.0, 0.1)
+        assert h.ledger.total == 0
+        assert h.rng.bit_generator.state == state

@@ -11,6 +11,7 @@ from condtest.adversarial import gen_half_split, gen_staircase
 from condtest.distcore import uniform
 from condtest.errors import (
     BadEpsilon,
+    BadReport,
     BadSweepGrid,
     BadTrialCount,
     DomainMismatch,
@@ -346,6 +347,44 @@ class TestSerialization:
         back = read_csv_trials(path)
         for orig, rec in zip(res.trials, back):
             assert rec.estimate == orig.estimate  # repr round-trips floats
+
+    GOOD_ROW = "0,11,Accept,,5,0,7,0,12,1.5"
+
+    def read_back(self, tmp_path, text):
+        path = tmp_path / "report.csv"
+        path.write_text(text)
+        return read_csv_trials(path)
+
+    def test_csv_good_row_reads_back(self, tmp_path):
+        header = ",".join(CSV_HEADER)
+        (rec,) = self.read_back(tmp_path, f"{header}\n{self.GOOD_ROW}\n")
+        assert (rec.trial, rec.seed, rec.verdict, rec.estimate) == (0, 11, "Accept", None)
+        assert rec.ledger.as_dict()["total"] == 12
+
+    def test_csv_empty_file_refused(self, tmp_path):
+        with pytest.raises(BadReport):
+            self.read_back(tmp_path, "")
+
+    def test_csv_wrong_header_refused(self, tmp_path):
+        header = ",".join(CSV_HEADER[:-1] + ["ms"])
+        with pytest.raises(BadReport):
+            self.read_back(tmp_path, f"{header}\n{self.GOOD_ROW}\n")
+        # Callers that catch ValueError still catch it.
+        assert issubclass(BadReport, ValueError)
+
+    def test_csv_short_row_refused(self, tmp_path):
+        header = ",".join(CSV_HEADER)
+        with pytest.raises(BadReport):
+            self.read_back(tmp_path, f"{header}\n{self.GOOD_ROW}\n0,11,Accept\n")
+
+    @pytest.mark.parametrize("field, value", [(0, "first"), (3, "high"),
+                                              (5, "1.5"), (9, "")])
+    def test_csv_non_numeric_field_refused(self, tmp_path, field, value):
+        row = self.GOOD_ROW.split(",")
+        row[field] = value
+        header = ",".join(CSV_HEADER)
+        with pytest.raises(BadReport):
+            self.read_back(tmp_path, f"{header}\n{','.join(row)}\n")
 
     def test_json_round_trip(self, tmp_path):
         res = run_experiment(small_cfg(trials=2))

@@ -7,6 +7,9 @@ sit on ALLOWED with a one-line reason. Only reads count: a name or an
 attribute that is only assigned, such as a local variable that shares
 a dead function's name, is not a use. Attributes are matched by name
 alone, so a method counts as used when any `.name` read exists.
+
+Each module but `__init__.py`, which re-exports, must also load every
+name it imports: a deletion that leaves an import behind fails here.
 """
 
 import ast
@@ -26,6 +29,7 @@ ALLOWED = {
     "distcore.psi_vector": "criterion 10 checks the mean-psi identity with it",
     "identity.build_witnesses": "criterion 10 checks the witness partition bounds with it",
     "harness.passes_guarantee": "the Wilson rule every acceptance criterion applies",
+    "distcore.QuerySet.interval": "criterion 1 draws on interval sets built with it",
     # Names the benchmark in perfbench/ calls.
     "adversarial.rand_block_profile": "perfbench/workloads.py builds its block instances with it",
     "uniformity.query_budget": "perfbench/workloads.py checks pcond_uniform ledgers against it",
@@ -98,3 +102,36 @@ def test_allowlist_names_real_unused_definitions():
     stale = sorted(key for key in ALLOWED
                    if key not in defined or defined[key] in used)
     assert not stale, f"allowlist entries that are gone or now used: {stale}"
+
+
+def _unused_imports(tree):
+    """Names tree imports but never loads as a bare name."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - loaded)
+
+
+def test_unused_import_check_reads_loads_only():
+    source = ("from __future__ import annotations\n"
+              "import numpy as np\n"
+              "import os.path\n"
+              "from .errors import BadQuerySet, ZeroMassSet\n"
+              "def f(s: BadQuerySet):\n"
+              "    np = os.path.join(s)\n")
+    assert _unused_imports(ast.parse(source)) == ["ZeroMassSet", "np"]
+
+
+def test_every_import_is_used():
+    unused = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            names = _unused_imports(ast.parse(path.read_text()))
+            if names:
+                unused[path.name] = names
+    assert not unused, f"names imported but never used: {unused}"
