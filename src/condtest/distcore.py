@@ -1,4 +1,4 @@
-"""Exact computations on explicit discrete distributions.
+"""Exact computations on discrete distributions.
 
 Everything here is deterministic: construction and normalization,
 conditional pmfs, total variation distance, weight-neighborhood
@@ -7,7 +7,14 @@ dyadic bucket decomposition the pair-query identity tester screens
 with. The randomized components are validated against these
 functions.
 
-The domain is 1..N throughout the public API.
+The domain is 1..N throughout the public API. A Distribution is read
+through n, weights, mass, prefix_at and locate; only this module
+touches the cumulative masses behind the last two. An explicit
+Distribution stores them as the array prefix. uniform(n) with n a
+power of two stores no N-sized array: its weights is a read-only
+zero-stride view of the one weight 1/n, it has no prefix, and it
+computes prefix masses and the inverse CDF instead, with the same
+floats and so the same draws as the explicit twin.
 """
 
 from __future__ import annotations
@@ -119,14 +126,18 @@ class QuerySet:
 
 
 class Distribution:
-    """An explicit pmf over 1..N, normalized at construction.
+    """A pmf over 1..N, normalized at construction.
 
-    weights is a read-only numpy array indexed 0..N-1 for point 1..N.
-    prefix[k] = sum of the first k weights, so mass of interval [a,b]
-    is prefix[b]-prefix[a-1]. target_tables is None until
-    identity.KnownTarget first wraps the distribution, then the tables
-    it built from the weights; they hold no reference to the
-    distribution, so they die with it.
+    weights is a read-only numpy array indexed 0..N-1 for point 1..N;
+    it may be a zero-stride view (see uniform), so read it by index or
+    slice rather than through its buffer. prefix_at(k) is the sum of
+    the first k weights, so the mass of interval [a,b] is
+    prefix_at(b) - prefix_at(a-1), and locate inverts it. Only an
+    explicit distribution, one built from its weights, holds them in
+    the array prefix. target_tables is None until identity.KnownTarget
+    first wraps the distribution, then the tables it built from the
+    weights; they hold no reference to the distribution, so they die
+    with it.
     """
 
     __slots__ = ("weights", "n", "prefix", "total", "target_tables")
@@ -158,6 +169,16 @@ class Distribution:
         """D(i), 1-based."""
         return float(self.weights[i - 1])
 
+    def prefix_at(self, k):
+        """The mass of 1..k, for an int k or an int array of them."""
+        return self.prefix[k]
+
+    def locate(self, u):
+        """The inverse CDF: for each u in [0, 1] of the array, the
+        number of points k >= 1 whose prefix mass prefix_at(k) is at
+        most u."""
+        return np.searchsorted(self.prefix[1:], u, side="right")
+
     def mass(self, s: QuerySet):
         """D(S)."""
         if s.shape == FULL:
@@ -165,7 +186,7 @@ class Distribution:
         if s.shape == PAIR:
             return float(self.weights[s.a - 1] + self.weights[s.b - 1])
         if s.shape == INTERVAL:
-            return float(self.prefix[s.b] - self.prefix[s.a - 1])
+            return float(self.prefix_at(s.b) - self.prefix_at(s.a - 1))
         idx = s.indices
         first = int(idx[0])
         if int(idx[-1]) - first + 1 == idx.size:
@@ -180,10 +201,43 @@ class Distribution:
         )
 
     def __hash__(self):
-        return hash(self.weights.tobytes())
+        # At most 64 evenly spaced weights, so equal distributions hash
+        # equal whatever stores them, in O(1) on a zero-stride view.
+        return hash((self.n, *self.weights[::-(-self.n // 64)].tolist()))
 
     def __repr__(self):
         return f"Distribution(n={self.n})"
+
+
+class _DyadicUniform(Distribution):
+    """The uniform distribution over 1..2^j, in O(1) memory.
+
+    Its weight 2^-j, its prefix masses k 2^-j and every partial sum of
+    its weights are exact floats, so each mass, draw and generator
+    state equals that of the explicit Distribution(np.full(n, 1/n)).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, n):
+        self.weights = np.broadcast_to(1.0 / n, (n,))
+        self.n = n
+        self.total = 1.0
+        self.target_tables = None
+
+    def prefix_at(self, k):
+        return np.multiply(k, self.weights[0])
+
+    def locate(self, u):
+        # u * n is exact, and floor(u n) counts the k with k/n <= u.
+        return np.floor(u * self.n).astype(np.int64)
+
+    def __eq__(self, other):
+        if isinstance(other, _DyadicUniform):
+            return other.n == self.n
+        return Distribution.__eq__(self, other)
+
+    __hash__ = Distribution.__hash__
 
 
 def make_distribution(weights) -> Distribution:
@@ -191,8 +245,12 @@ def make_distribution(weights) -> Distribution:
 
 
 def uniform(n) -> Distribution:
+    """The uniform distribution over 1..n; array-free when n is a power
+    of two."""
     if n < 1:
         raise ZeroTotalMass("need at least one weight")
+    if n & (n - 1) == 0:
+        return _DyadicUniform(int(n))
     return Distribution(np.full(n, 1.0 / n))
 
 

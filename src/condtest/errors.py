@@ -99,4 +99,4 @@ class BadSweepGrid(CondtestError):
 
 
 class BadReport(CondtestError, ValueError):
-    """A CSV report write_csv could not have written."""
+    """A CSV or JSON report write_csv or write_json could not have written."""

@@ -408,5 +408,12 @@ def write_json(result: ExperimentResult, path):
 
 
 def read_json_report(path) -> dict:
+    """A JSON report back as a dict; BadReport on a bad file."""
     with open(path) as f:
-        return json.load(f)
+        try:
+            doc = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise BadReport(f"not a JSON report: {err}") from None
+    if not isinstance(doc, dict):
+        raise BadReport(f"a JSON report is an object, not {type(doc).__name__}")
+    return doc

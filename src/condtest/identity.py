@@ -135,8 +135,7 @@ class KnownTarget:
 
     def sample(self, rng, size):
         """size iid original labels drawn from the target itself."""
-        u = rng.random(size)
-        pos = np.searchsorted(self.dstar.prefix[1:], u, side="right")
+        pos = self.dstar.locate(rng.random(size))
         np.clip(pos, 0, self.n - 1, out=pos)
         return pos + 1
 

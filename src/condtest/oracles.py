@@ -192,13 +192,11 @@ class OracleHandle:
         mass = self._check(s)
         d = self.dist
         if s.shape == FULL:
-            u = self.rng.random(m)
-            out = np.searchsorted(d.prefix[1:], u, side="right") + 1
+            out = d.locate(self.rng.random(m)) + 1
             out = _fix_zero_hits(out, d, 1, d.n)
         elif s.shape == INTERVAL:
-            lo = d.prefix[s.a - 1]
-            u = lo + self.rng.random(m) * mass
-            out = np.searchsorted(d.prefix[1:], u, side="right") + 1
+            u = d.prefix_at(s.a - 1) + self.rng.random(m) * mass
+            out = d.locate(u) + 1
             out = _fix_zero_hits(out, d, s.a, s.b)
         else:
             idx = s.members(d.n)
@@ -293,8 +291,8 @@ class OracleHandle:
             mass = d.weights[lo - 1] + d.weights[hi - 1]
             sub_mass = d.weights[sub_lo - 1]
         else:
-            mass = d.prefix[hi] - d.prefix[lo - 1]
-            sub_mass = d.prefix[sub_hi] - d.prefix[sub_lo - 1]
+            mass = d.prefix_at(hi) - d.prefix_at(lo - 1)
+            sub_mass = d.prefix_at(sub_hi) - d.prefix_at(sub_lo - 1)
         live = mass > 0.0
         p = np.minimum(sub_mass[live] / mass[live], 1.0)
         if reached is not None:

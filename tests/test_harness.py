@@ -394,6 +394,14 @@ class TestSerialization:
         assert doc == json.loads(json.dumps(result_document(res)))
         assert doc["aggregate"]["trials"] == 2
 
+    # Empty, cut short, not UTF-8, and JSON that is not an object.
+    @pytest.mark.parametrize("data", [b"", b"{\"config\": ", b"\xff\xfe", b"[1]\n"])
+    def test_json_bad_file_refused(self, tmp_path, data):
+        path = tmp_path / "report.json"
+        path.write_bytes(data)
+        with pytest.raises(BadReport):
+            read_json_report(path)
+
 
 class TestScalingSweep:
     def test_rows_in_order_and_exponent(self):

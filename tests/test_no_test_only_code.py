@@ -10,6 +10,10 @@ alone, so a method counts as used when any `.name` read exists.
 
 Each module but `__init__.py`, which re-exports, must also load every
 name it imports: a deletion that leaves an import behind fails here.
+
+Only `distcore.py` reads a distribution's cumulative-mass array
+`.prefix`, which array-free distributions do not have; everything else
+goes through `prefix_at` and `locate`.
 """
 
 import ast
@@ -135,3 +139,27 @@ def test_every_import_is_used():
             if names:
                 unused[path.name] = names
     assert not unused, f"names imported but never used: {unused}"
+
+
+def _prefix_reads(tree):
+    """Line numbers where tree loads an attribute named prefix."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "prefix"
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_prefix_read_check_reads_loads_only():
+    source = ("def f(d, prefix):\n"
+              "    d.prefix = prefix\n"
+              "    return d.prefix_at(1), d.prefix[1:]\n")
+    assert _prefix_reads(ast.parse(source)) == [3]
+
+
+def test_only_distcore_reads_prefix():
+    reads = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "distcore.py":
+            lines = _prefix_reads(ast.parse(path.read_text()))
+            if lines:
+                reads[path.name] = lines
+    assert not reads, f"cumulative masses read outside distcore: {reads}"
