@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     BadQuerySet,
     DomainMismatch,
+    DomainTooLarge,
     NegativeWeight,
     NonFiniteWeight,
     SpecParseError,
@@ -195,16 +196,6 @@ class Distribution:
             return float(self.weights[first - 1:first - 1 + idx.size].sum())
         return float(self.weights[idx - 1].sum())
 
-    def __eq__(self, other):
-        return isinstance(other, Distribution) and np.array_equal(
-            self.weights, other.weights
-        )
-
-    def __hash__(self):
-        # At most 64 evenly spaced weights, so equal distributions hash
-        # equal whatever stores them, in O(1) on a zero-stride view.
-        return hash((self.n, *self.weights[::-(-self.n // 64)].tolist()))
-
     def __repr__(self):
         return f"Distribution(n={self.n})"
 
@@ -232,13 +223,6 @@ class _DyadicUniform(Distribution):
         # u * n is exact, and floor(u n) counts the k with k/n <= u.
         return np.floor(u * self.n).astype(np.int64)
 
-    def __eq__(self, other):
-        if isinstance(other, _DyadicUniform):
-            return other.n == self.n
-        return Distribution.__eq__(self, other)
-
-    __hash__ = Distribution.__hash__
-
 
 def make_distribution(weights) -> Distribution:
     return Distribution(weights)
@@ -246,12 +230,18 @@ def make_distribution(weights) -> Distribution:
 
 def uniform(n) -> Distribution:
     """The uniform distribution over 1..n; array-free when n is a power
-    of two."""
+    of two. Raises DomainTooLarge when the arrays of any other n do not
+    fit in memory."""
     if n < 1:
         raise ZeroTotalMass("need at least one weight")
     if n & (n - 1) == 0:
         return _DyadicUniform(int(n))
-    return Distribution(np.full(n, 1.0 / n))
+    try:
+        return Distribution(np.full(n, 1.0 / n))
+    except MemoryError:
+        raise DomainTooLarge(
+            f"uniform({n}) needs arrays of {n} weights, which do not fit in memory"
+        ) from None
 
 
 def _check_domain(d: Distribution, s: QuerySet):

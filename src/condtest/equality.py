@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distcore import PAIR, QuerySet
+from .distcore import QuerySet
 from .errors import EvalFailed, ZeroMassSet
 from .oracles import OracleHandle
 from .profiles import DESK
@@ -45,7 +45,7 @@ def pcond_test_equality(h1: OracleHandle, h2: OracleHandle, eps: float,
     drawn from D1, under both oracles, and reject when the neighborhood
     weights or the pointwise ratios disagree, or when D2 gives a pair
     zero mass. Cost: per reference, one estimate_neighborhood and one
-    draw_subset_counts call on each handle, with the draws, charges and
+    draw_pair_counts call on each handle, with the draws, charges and
     generator states of two compare_points calls per point.
     """
     n = h1.dist.n
@@ -71,15 +71,14 @@ def pcond_test_equality(h1: OracleHandle, h2: OracleHandle, eps: float,
         w1, alpha = en.w_hat, en.alpha
         others = uniq != r
         ys = uniq[others]
-        pairs = (PAIR, np.minimum(r, ys), np.maximum(r, ys), ys, ys, m)
         # Only D2 can give a pair zero mass: r was drawn from D1. Point by
         # point, h1 compares before h2, so h1 is charged for one more.
-        hits2 = h2.draw_subset_counts(*pairs, reached=_first_dead)
+        hits2 = h2.draw_pair_counts(r, ys, m, reached=_first_dead)
         if hits2.size < ys.size:
-            h1.draw_subset_counts(*pairs, reached=lambda _: hits2.size + 1)
+            h1.draw_pair_counts(r, ys, m, reached=lambda _: hits2.size + 1)
             return REJECT
         rho1, rho2 = np.ones((2, uniq.size))
-        rho1[others] = classify(h1.draw_subset_counts(*pairs), m, 4.0)[2]
+        rho1[others] = classify(h1.draw_pair_counts(r, ys, m), m, 4.0)[2]
         rho2[others] = classify(hits2, m, 4.0)[2]
         w2 = np.count_nonzero(ratio_in_window(rho1, alpha, theta)[in_sample2]) / s2
         # Neighborhood weights must agree across the two distributions.

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .distcore import INTERVAL, QuerySet
+from .distcore import QuerySet
 from .oracles import OracleHandle
 from .profiles import DESK
 from .subroutines import classify, compare_budget
@@ -101,7 +101,7 @@ def binary_descent(h: OracleHandle, ys, eps: float, profile=DESK, bounds=None):
             return int(starts[i] + lengths[i])
         return int(starts[i] + np.argmin(passed[i]) + 1)
 
-    h.draw_subset_counts(INTERVAL, a, b, lo, hi, m, reached=walked)
+    h.draw_interval_counts(a, b, lo, hi, m, reached=walked)
     return values
 
 

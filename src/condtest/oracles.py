@@ -20,20 +20,19 @@ Besides per-point draws the handle offers batched observations
 (draw_many, draw_counts, draw_subset_count, burn). Each batch of m
 draws is sampled in one shot from the exact joint distribution of m
 iid conditional draws, so testers that only consume counts can afford
-the full theoretical query budgets. draw_subset_counts makes k
-draw_subset_count observations on k pairs or k intervals in one call,
-with the same checks, ledger charges and random numbers as k scalar
-calls in order (callers: pcond_test_uniform, binary_descent,
+the full theoretical query budgets. Three kernels, sharing one
+binomial core, make k draw_subset_count observations in one call with
+the checks, ledger charges and random numbers of k scalar calls in
+order. draw_pair_counts takes k pairs {x, y_i} in a fixed number of
+numpy operations on k-element arrays (callers: pcond_test_uniform,
 pcond_test_equality and, through compare_to_point, the neighborhood
-and distance estimators). draw_union_counts does the same for k
-comparisons of one point x against sets W_1..W_k, each drawn on the
-union {x} ∪ W_i: one-point sets make pairs, wider ones explicit
-sets. Its checks and draw cost O(total size of the W_i) in numpy plus
-one binomial call; the two masses of each explicit union are summed
-one union at a time, so each keeps Distribution.mass's summation
-order. A call whose W_i are all one point, as every call on a uniform
-target is, skips the per-set bookkeeping and costs a fixed number of
-numpy operations on k-element arrays.
+and distance estimators); draw_interval_counts takes k intervals
+(caller: binary_descent); draw_union_counts compares one point x
+against sets W_1..W_k on the unions {x} ∪ W_i (caller:
+cond_test_known). With one-point W_i only, as on a uniform target, it
+is draw_pair_counts; otherwise it costs O(total size of the W_i) in
+numpy plus one binomial call, and sums each explicit union's two
+masses in Distribution.mass's order.
 """
 
 from __future__ import annotations
@@ -68,6 +67,8 @@ _ALLOWED = {
     COND: (FULL, PAIR, INTERVAL, EXPLICIT),
 }
 
+_UNTOUCHED = "conditioning on a set with no previously returned point"
+
 # Ledger column per query shape, regardless of the handle's model.
 _SHAPE_COLUMN = {FULL: "samp", PAIR: "pcond", INTERVAL: "icond", EXPLICIT: "cond"}
 
@@ -75,16 +76,15 @@ _SHAPE_COLUMN = {FULL: "samp", PAIR: "pcond", INTERVAL: "icond", EXPLICIT: "cond
 def _fix_zero_hits(out, d, lo, hi):
     """Repair float-edge landings from inverse-CDF search.
 
-    Exact arithmetic never selects a zero-weight point, but a uniform
-    variate can tie or slightly overshoot a prefix value. Clamp into
-    range and step down to the nearest positive-weight point.
+    locate searches with side="right", so a draw it places in [lo, hi]
+    has positive weight, and a uniform variate at or above the prefix
+    mass of lo - 1 never lands below lo. One that ties or overshoots the
+    prefix mass of hi lands above hi; each such draw goes to the last
+    positive-weight point at or below hi.
     """
-    np.clip(out, lo, hi, out=out)
-    bad = d.weights[out - 1] == 0.0
-    while np.any(bad):
-        out[bad] -= 1
-        np.clip(out, lo, hi, out=out)
-        bad = d.weights[out - 1] == 0.0
+    over = out > hi
+    if over.any():
+        out[over] = lo + np.flatnonzero(d.weights[lo - 1:hi])[-1]
     return out
 
 
@@ -139,17 +139,16 @@ class OracleHandle:
 
     # Validation ----------------------------------------------------
 
+    def _allow(self, shape):
+        if shape not in _ALLOWED[self.model]:
+            raise IllegalShapeForModel(f"{self.model} oracle cannot take a {shape} set")
+
     def _check(self, s: QuerySet):
-        if s.shape not in _ALLOWED[self.model]:
-            raise IllegalShapeForModel(
-                f"{self.model} oracle cannot take a {s.shape} set"
-            )
+        self._allow(s.shape)
         _check_domain(self.dist, s)
         if (self.discipline == STRICT and s.shape != FULL
                 and not self._touches_returned(s)):
-            raise DisciplineViolation(
-                "conditioning on a set with no previously returned point"
-            )
+            raise DisciplineViolation(_UNTOUCHED)
         mass = self.dist.mass(s)
         if mass <= 0.0:
             raise ZeroMassSet("oracle failure: query set has zero mass")
@@ -239,65 +238,24 @@ class OracleHandle:
         self._count(s.shape, m)
         return int(self.rng.binomial(int(m), p))
 
-    def draw_subset_counts(self, shape, lo, hi, sub_lo, sub_hi, m, reached=None):
-        """draw_subset_count for k unions of one shape, in one call.
-
-        Element i conditions m draws on the pair {lo[i], hi[i]}
-        (shape PAIR, lo < hi) or the interval [lo[i], hi[i]] (shape
-        INTERVAL) and counts the hits in [sub_lo[i], sub_hi[i]]: one
-        point of the pair, or an interval inside the union. Every
-        element passes the checks of draw_subset_count, its masses take
-        the same float operations as Distribution.mass, and one
-        binomial call draws all k counts, which with PCG64 gives the
-        numbers and the generator state of k scalar calls in order. A
-        refused element raises before anything is drawn or charged.
-
-        A union of zero mass, where the scalar call raises ZeroMassSet,
-        is neither drawn nor charged and reads -1.
+    def _binomial_counts(self, mass, sub_mass, m, reached):
+        """(hits, drawn): the hits in subsets of masses sub_mass among m
+        draws on each union of masses mass, from one binomial call, which
+        with PCG64 gives the numbers and generator state of the scalar
+        calls in order, and the mask of the unions drawn, which the
+        caller charges. A zero-mass union, where the scalar call raises
+        ZeroMassSet, is not drawn and reads -1.
 
         reached, if given, maps the k counts to the number of leading
-        elements a caller going one element at a time would query
-        before it stops. The handle then ends as if only those had
-        been queried: only they are charged, the generator is rewound
-        and replays only their draws, and only their counts are
-        returned.
+        unions a caller going one at a time would query before it stops.
+        The generator is then rewound and replays only their draws, and
+        only their counts are returned.
         """
-        if shape not in (PAIR, INTERVAL):
-            raise BadQuerySet(f"draw_subset_counts takes pairs or intervals, not {shape}")
-        if shape not in _ALLOWED[self.model]:
-            raise IllegalShapeForModel(
-                f"{self.model} oracle cannot take a {shape} set"
-            )
-        lo, hi, sub_lo, sub_hi = (np.asarray(v, dtype=np.int64)
-                                  for v in (lo, hi, sub_lo, sub_hi))
-        d = self.dist
-        if shape == PAIR:
-            ok = (lo < hi) & (sub_lo == sub_hi) & ((sub_lo == lo) | (sub_lo == hi))
-        else:
-            ok = (lo <= sub_lo) & (sub_lo <= sub_hi) & (sub_hi <= hi)
-        if not (ok & (lo >= 1) & (hi <= d.n)).all():
-            raise BadQuerySet(f"{shape} unions and their subsets must lie in 1..{d.n}")
-        if self.discipline == STRICT:
-            seen = self._sorted_returned()
-            if shape == PAIR:
-                touched = _meets(seen, lo, lo) | _meets(seen, hi, hi)
-            else:
-                touched = _meets(seen, lo, hi)
-            if not touched.all():
-                raise DisciplineViolation(
-                    "conditioning on a set with no previously returned point"
-                )
-        if shape == PAIR:
-            mass = d.weights[lo - 1] + d.weights[hi - 1]
-            sub_mass = d.weights[sub_lo - 1]
-        else:
-            mass = d.prefix_at(hi) - d.prefix_at(lo - 1)
-            sub_mass = d.prefix_at(sub_hi) - d.prefix_at(sub_lo - 1)
         live = mass > 0.0
         p = np.minimum(sub_mass[live] / mass[live], 1.0)
         if reached is not None:
             state = self.rng.bit_generator.state
-        hits = np.full(lo.size, -1, dtype=np.int64)
+        hits = np.full(mass.size, -1, dtype=np.int64)
         hits[live] = self.rng.binomial(int(m), p)
         if reached is not None:
             k = reached(hits)
@@ -305,7 +263,71 @@ class OracleHandle:
                 hits, live = hits[:k], live[:k]
                 self.rng.bit_generator.state = state
                 self.rng.binomial(int(m), p[:np.count_nonzero(live)])
-        self._count(shape, int(m) * int(np.count_nonzero(live)))
+        return hits, live
+
+    def draw_pair_counts(self, x, ys, m, reached=None):
+        """draw_subset_count on the k pairs {x, ys[i]} against ys[i], in
+        one call; x is an int or a numpy array of k points.
+
+        Refusals, before anything is drawn or charged, in this order:
+        IllegalShapeForModel, BadQuerySet for a point outside 1..N or an
+        x array not as long as ys, SetsNotDisjoint for x == y and, under
+        STRICT, DisciplineViolation when neither point was returned. A pair's mass w[x-1] + w[y-1]
+        has the bits of Distribution.mass, since float addition
+        commutes. Drawn pairs are charged to pcond; a zero-mass pair is
+        not and reads -1. reached is as in _binomial_counts.
+        """
+        self._allow(PAIR)
+        d = self.dist
+        ys = np.asarray(ys, dtype=np.int64)
+        one = not isinstance(x, np.ndarray)
+        if one:
+            x = int(x)
+            x_bad = not 1 <= x <= d.n
+        else:
+            x = x.astype(np.int64, copy=False)
+            x_bad = x.shape != ys.shape or not ((x >= 1) & (x <= d.n)).all()
+        if x_bad or (ys.size and (ys.min() < 1 or ys.max() > d.n)):
+            raise BadQuerySet(f"pairs need two points in 1..{d.n}")
+        if (ys == x).any():
+            raise SetsNotDisjoint("a pair needs two distinct points")
+        if self.discipline == STRICT:
+            if one:
+                touched = x in self.returned_points or self._touched(ys).all()
+            else:
+                touched = (self._touched(x) | self._touched(ys)).all()
+            if not touched:
+                raise DisciplineViolation(_UNTOUCHED)
+        w = d.weights
+        sub_mass = w[ys - 1]
+        hits, drawn = self._binomial_counts(w[x - 1] + sub_mass, sub_mass, m, reached)
+        self._count(PAIR, int(m) * int(np.count_nonzero(drawn)))
+        return hits
+
+    def draw_interval_counts(self, lo, hi, sub_lo, sub_hi, m, reached=None):
+        """draw_subset_count on the k intervals [lo[i], hi[i]] against
+        [sub_lo[i], sub_hi[i]], an interval inside each, in one call.
+
+        Every interval passes draw_subset_count's checks, refused ones
+        raising before anything is drawn or charged, and its masses
+        take Distribution.mass's float operations. Drawn intervals are
+        charged to icond; a zero-mass one is not and reads -1. reached
+        is as in _binomial_counts.
+        """
+        self._allow(INTERVAL)
+        lo, hi, sub_lo, sub_hi = (np.asarray(v, dtype=np.int64)
+                                  for v in (lo, hi, sub_lo, sub_hi))
+        d = self.dist
+        if not ((lo >= 1) & (lo <= sub_lo) & (sub_lo <= sub_hi)
+                & (sub_hi <= hi) & (hi <= d.n)).all():
+            raise BadQuerySet(f"intervals and their subsets must lie in 1..{d.n}")
+        if (self.discipline == STRICT
+                and not _meets(self._sorted_returned(), lo, hi).all()):
+            raise DisciplineViolation(_UNTOUCHED)
+        hits, drawn = self._binomial_counts(d.prefix_at(hi) - d.prefix_at(lo - 1),
+                                            d.prefix_at(sub_hi) - d.prefix_at(sub_lo - 1),
+                                            m, reached)
+        self._count(INTERVAL, int(m) * int(np.count_nonzero(drawn)))
         return hits
 
     def draw_union_counts(self, x, members, sizes, m):
@@ -323,26 +345,25 @@ class OracleHandle:
         Masses take the float operations of Distribution.mass, and one
         binomial call draws all k counts, which gives the numbers and
         the generator state of k scalar calls in order. A union of zero
-        mass is neither drawn nor charged and reads -1.
+        mass is neither drawn nor charged and reads -1. A call whose W_i
+        are all one point is draw_pair_counts(x, members, m).
         """
         x = int(x)
         members = np.asarray(members, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
         if 0 < members.size == sizes.size and (sizes == 1).all():
-            return self._draw_point_union_counts(x, members, m)
+            return self.draw_pair_counts(x, members, m)
         d = self.dist
         wide = sizes > 1
         n_wide = int(np.count_nonzero(wide))
         for shape, used in ((PAIR, n_wide < sizes.size), (EXPLICIT, n_wide > 0)):
-            if used and shape not in _ALLOWED[self.model]:
-                raise IllegalShapeForModel(
-                    f"{self.model} oracle cannot take a {shape} set"
-                )
+            if used:
+                self._allow(shape)
         if (sizes.size == 0 or sizes.min() < 1 or members.size != sizes.sum()
                 or not 1 <= x <= d.n or members.min() < 1 or members.max() > d.n):
             raise BadQuerySet(f"unions need a point and non-empty sets in 1..{d.n}")
-        # Calls with only one-point W_i took the point path above, so
-        # at least one W_i here is wide.
+        # Calls with only one-point W_i are pair calls, so at least one
+        # W_i here is wide.
         w = d.weights
         ends = np.cumsum(sizes)
         starts = ends - sizes
@@ -356,9 +377,7 @@ class OracleHandle:
         if self.discipline == STRICT and x not in self.returned_points:
             touched = np.logical_or.reduceat(self._touched(members), starts)
             if not touched.all():
-                raise DisciplineViolation(
-                    "conditioning on a set with no previously returned point"
-                )
+                raise DisciplineViolation(_UNTOUCHED)
         sub_mass = w[members[starts] - 1]
         mass = w[x - 1] + sub_mass
         # Each union's members in order: x inserted into its W_i.
@@ -366,37 +385,10 @@ class OracleHandle:
         for i in np.flatnonzero(wide).tolist():
             sub_mass[i] = w[members[starts[i]:ends[i]] - 1].sum()
             mass[i] = union[starts[i] + i:ends[i] + i + 1].sum()
-        live = mass > 0.0
-        hits = np.full(sizes.size, -1, dtype=np.int64)
-        hits[live] = self.rng.binomial(int(m), np.minimum(sub_mass[live] / mass[live], 1.0))
-        n_live_wide = int(np.count_nonzero(live & wide))
-        self._count(PAIR, int(m) * (int(np.count_nonzero(live)) - n_live_wide))
-        self._count(EXPLICIT, int(m) * n_live_wide)
-        return hits
-
-    def _draw_point_union_counts(self, x, points, m):
-        """draw_union_counts when every W_i is the one point points[i]:
-        the same refusals in the same order, the same pair masses, one
-        binomial call and the pcond charge, in a fixed number of numpy
-        operations on k-element arrays."""
-        d = self.dist
-        if PAIR not in _ALLOWED[self.model]:
-            raise IllegalShapeForModel(f"{self.model} oracle cannot take a {PAIR} set")
-        if not 1 <= x <= d.n or points.min() < 1 or points.max() > d.n:
-            raise BadQuerySet(f"unions need a point and non-empty sets in 1..{d.n}")
-        if (points == x).any():
-            raise SetsNotDisjoint("a union needs x outside its set")
-        if (self.discipline == STRICT and x not in self.returned_points
-                and not self._touched(points).all()):
-            raise DisciplineViolation(
-                "conditioning on a set with no previously returned point"
-            )
-        sub_mass = d.weights[points - 1]
-        mass = d.weights[x - 1] + sub_mass
-        live = mass > 0.0
-        hits = np.full(points.size, -1, dtype=np.int64)
-        hits[live] = self.rng.binomial(int(m), np.minimum(sub_mass[live] / mass[live], 1.0))
-        self._count(PAIR, int(m) * int(np.count_nonzero(live)))
+        hits, drawn = self._binomial_counts(mass, sub_mass, m, None)
+        n_drawn_wide = int(np.count_nonzero(drawn & wide))
+        self._count(PAIR, int(m) * (int(np.count_nonzero(drawn)) - n_drawn_wide))
+        self._count(EXPLICIT, int(m) * n_drawn_wide)
         return hits
 
     def burn(self, s: QuerySet, m: int):

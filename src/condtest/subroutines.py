@@ -2,7 +2,7 @@
 
 compare_points estimates the weight ratio of two points from
 conditional draws on the pair; compare_to_point makes many such
-comparisons against one point in one draw_subset_counts call, as
+comparisons against one point in one draw_pair_counts call, as
 estimate_neighborhood does once per estimate of a point's
 weight-neighborhood mass. classify reads the hit counts of the batched
 kernels as the outcomes compare_points would give.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distcore import PAIR, QuerySet
+from .distcore import QuerySet
 from .errors import SetsNotDisjoint
 from .oracles import OracleHandle
 from .profiles import DESK
@@ -100,7 +100,7 @@ def compare_points(h, px, py, eta, K, delta, profile=DESK) -> CompareOutcome:
 
 def compare_to_point(h, x, ys, eta, K, delta, profile=DESK):
     """compare_points(h, x, y, ...) for each y in ys, in one
-    draw_subset_counts call with the draws, charges and generator state
+    draw_pair_counts call with the draws, charges and generator state
     of those calls in order: classify's (low, high, rho). A y equal to
     x is neither drawn nor charged and reads as ratio 1. x must have
     positive weight, as an x the oracle returned has: no pair then has
@@ -109,7 +109,7 @@ def compare_to_point(h, x, ys, eta, K, delta, profile=DESK):
     other = ys != x
     y = ys[other]
     m = compare_budget(eta, K, delta, profile)
-    hits = h.draw_subset_counts(PAIR, np.minimum(x, y), np.maximum(x, y), y, y, m)
+    hits = h.draw_pair_counts(x, y, m)
     low, high = np.zeros((2, ys.size), dtype=bool)
     rho = np.ones(ys.size)
     low[other], high[other], rho[other] = classify(hits, m, K)
@@ -150,7 +150,7 @@ def estimate_neighborhood(
     x. Returns the fraction of the sample (as a multiset) whose ratio
     lands in the closed window for alpha.
 
-    Cost: one draw_many and one draw_subset_counts call per estimate.
+    Cost: one draw_many and one draw_pair_counts call per estimate.
     """
     if sample_cap is None:
         sample_cap = profile["en_sample_cap"]

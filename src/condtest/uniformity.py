@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .distcore import PAIR, QuerySet
+from .distcore import QuerySet
 from .oracles import OracleHandle
 from .profiles import DESK
 from .subroutines import classify, compare_budget
@@ -68,8 +68,7 @@ def pcond_test_uniform(h: OracleHandle, eps: float, profile=DESK) -> str:
         y = np.tile(np.concatenate((drawn, fresh)), q)
         distinct = x != y
         x, y = x[distinct], y[distinct]
-        hits = h.draw_subset_counts(PAIR, np.minimum(x, y), np.maximum(x, y),
-                                    y, y, m_j)
+        hits = h.draw_pair_counts(x, y, m_j)
         live = hits >= 0
         # x == y has ratio exactly 1, inside every window; a zero-mass
         # pair is impossible under uniformity: certain rejection. Both

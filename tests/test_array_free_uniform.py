@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condtest.distcore import (INTERVAL, PAIR, Distribution, QuerySet,
-                               make_distribution, uniform)
+from condtest.distcore import Distribution, QuerySet, uniform
+from condtest.errors import DomainTooLarge
 from condtest.harness import run_trial
 from condtest.oracles import COND, PERMISSIVE, OracleHandle
 from condtest.uniformity import query_budget
@@ -49,6 +49,15 @@ class TestDistribution:
     def test_other_sizes_stay_explicit(self, n):
         d = uniform(n)
         assert d.weights.strides == (8,) and d.prefix.size == n + 1
+
+    def test_other_sizes_past_memory_name_n(self, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(np, "full", no_memory)
+        with pytest.raises(DomainTooLarge, match="uniform\\(1000000000000\\)"):
+            uniform(10**12)
+        assert uniform(2**40).n == 2**40
 
     @given(exponents, seeds)
     @settings(max_examples=60, deadline=None)
@@ -124,9 +133,9 @@ def test_oracle_calls_match_the_explicit_twin(j, seed):
         return
     lo = rng.integers(1, n, size=30)
     hi = lo + rng.integers(1, n - lo + 1)
-    same(lambda h: h.draw_subset_counts(PAIR, lo, hi, hi, hi, 10**5))
+    same(lambda h: h.draw_pair_counts(lo, hi, 10**5))
     sub_lo = lo + (hi - lo) // 3
-    same(lambda h: h.draw_subset_counts(INTERVAL, lo, hi, sub_lo, hi - 1, 10**5))
+    same(lambda h: h.draw_interval_counts(lo, hi, sub_lo, hi - 1, 10**5))
     x = int(rng.integers(1, n + 1))
     rest = members[members != x]
     if rest.size:
@@ -134,26 +143,6 @@ def test_oracle_calls_match_the_explicit_twin(j, seed):
         cut = rest.size // 2 or rest.size
         sizes = np.array([cut, rest.size - cut] if cut < rest.size else [cut])
         same(lambda h: h.draw_union_counts(x, rest, sizes, 10**5))
-
-
-class TestEqualityAndHash:
-    def test_equal_to_the_explicit_twin(self):
-        d, twin = uniform(8), explicit_twin(8)
-        assert d == twin and twin == d
-        assert hash(d) == hash(twin)
-        assert d != make_distribution([1, 1, 1, 1, 1, 1, 1, 2])
-        assert d != uniform(16) and d != uniform(3)
-
-    def test_cheap_on_huge_domains(self):
-        tracemalloc.start()
-        try:
-            a, b = uniform(2**40), uniform(2**40)
-            assert a == b and hash(a) == hash(b)
-            assert a != uniform(2**39)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
 
 
 class TestScale:

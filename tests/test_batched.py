@@ -1,6 +1,6 @@
 """The batched comparison kernels against the scalar loops they replaced.
 
-OracleHandle.draw_subset_counts, OracleHandle.draw_union_counts,
+OracleHandle.draw_pair_counts, draw_interval_counts and draw_union_counts,
 pcond_test_uniform, binary_descent, cond_test_known's Main branch,
 estimate_neighborhood, estimate_distance_to_uniformity and
 pcond_test_equality's cross loop draw many comparisons in one call.
@@ -30,7 +30,7 @@ from condtest.distance import (
     estimate_distance_to_uniformity,
     find_reference,
 )
-from condtest.distcore import INTERVAL, PAIR, QuerySet, make_distribution, uniform
+from condtest.distcore import INTERVAL, QuerySet, make_distribution, uniform
 from condtest.equality import equality_schedule, pcond_test_equality
 from condtest.errors import (
     BadQuerySet,
@@ -492,16 +492,25 @@ def reference_pcond_test_equality(h1, h2, eps, profile=DESK):
     return "Accept"
 
 
-def scalar_counts(h, shape, lo, hi, sub_lo, sub_hi, m):
-    """draw_subset_count element by element; -1 on a zero-mass union."""
+def scalar_pair_counts(h, x, ys, m):
+    """draw_subset_count on each pair {x, y} against y, x one point or
+    one per pair; -1 on a zero-mass pair."""
+    out = []
+    for a, b in zip(np.broadcast_to(x, np.shape(ys)).tolist(), np.asarray(ys).tolist()):
+        try:
+            out.append(h.draw_subset_count(QuerySet.pair(a, b), QuerySet.explicit([b]), m))
+        except ZeroMassSet:
+            out.append(-1)
+    return out
+
+
+def scalar_interval_counts(h, lo, hi, sub_lo, sub_hi, m):
+    """draw_subset_count interval by interval; -1 on a zero-mass one."""
     out = []
     for a, b, sa, sb in zip(lo, hi, sub_lo, sub_hi):
-        if shape == PAIR:
-            union, sub = QuerySet.pair(int(a), int(b)), QuerySet.explicit([int(sa)])
-        else:
-            union, sub = QuerySet.interval(int(a), int(b)), QuerySet.interval(int(sa), int(sb))
         try:
-            out.append(h.draw_subset_count(union, sub, m))
+            out.append(h.draw_subset_count(QuerySet.interval(int(a), int(b)),
+                                           QuerySet.interval(int(sa), int(sb)), m))
         except ZeroMassSet:
             out.append(-1)
     return out
@@ -536,8 +545,7 @@ def random_pairs(rng, n, k):
     x = rng.integers(1, n + 1, size=k)
     y = rng.integers(1, n + 1, size=k)
     keep = x != y
-    x, y = x[keep], y[keep]
-    return np.minimum(x, y), np.maximum(x, y), y
+    return x[keep], y[keep]
 
 
 ZERO_HALF = make_distribution([1.0] * 32 + [0.0] * 32)
@@ -554,13 +562,21 @@ class TestPairKernel:
         w[rng.random(40) < 0.3] = 0.0
         d = make_distribution(w)
         for seed in range(5):
-            lo, hi, y = random_pairs(rng, 40, 300)
-            assert np.any(d.weights[lo - 1] + d.weights[hi - 1] == 0.0)
+            x, y = random_pairs(rng, 40, 300)
+            assert np.any(d.weights[x - 1] + d.weights[y - 1] == 0.0)
             h1, h2 = twins(d, model, seed)
-            got = h1.draw_subset_counts(PAIR, lo, hi, y, y, 5000)
-            want = scalar_counts(h2, PAIR, lo, hi, y, y, 5000)
-            assert got.tolist() == want
+            got = h1.draw_pair_counts(x, y, 5000)
+            assert got.tolist() == scalar_pair_counts(h2, x, y, 5000)
             assert_same_state(h1, h2)
+            # One point x against every other point.
+            x0 = int(x[0])
+            ys = np.delete(np.arange(1, 41), x0 - 1)
+            got = h1.draw_pair_counts(x0, ys, 5000)
+            assert got.tolist() == scalar_pair_counts(h2, x0, ys, 5000)
+            assert_same_state(h1, h2)
+        for x in (3, np.empty(0, dtype=np.int64)):
+            assert h1.draw_pair_counts(x, [], 10).size == 0
+        assert_same_state(h1, h2)
 
     def test_strict_discipline(self):
         d = uniform(64)
@@ -568,38 +584,85 @@ class TestPairKernel:
         for h in (h1, h2):
             h.draw_many(QuerySet.full(), 5)
         seen = sorted(h1.returned_points)
-        lo = np.array([seen[0], seen[1], 1])
-        hi = np.array([64, seen[2], seen[3]])
-        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-        got = h1.draw_subset_counts(PAIR, lo, hi, hi, hi, 100)
-        assert got.tolist() == scalar_counts(h2, PAIR, lo, hi, hi, hi, 100)
+        x = np.array([seen[0], seen[2], 1])
+        y = np.array([64, seen[1], seen[3]])
+        got = h1.draw_pair_counts(x, y, 100)
+        assert got.tolist() == scalar_pair_counts(h2, x, y, 100)
         assert_same_state(h1, h2)
         # Neither point returned: refused before anything is drawn.
-        fresh = [i for i in range(1, 65) if i not in h1.returned_points][:2]
+        fresh = [i for i in range(1, 65) if i not in h1.returned_points][:4]
         with pytest.raises(DisciplineViolation):
-            h1.draw_subset_counts(PAIR, [lo[0], fresh[0]], [hi[0], fresh[1]],
-                                  [hi[0], fresh[1]], [hi[0], fresh[1]], 100)
+            h1.draw_pair_counts(np.array([x[0], fresh[0]]), [y[0], fresh[1]], 100)
+        with pytest.raises(DisciplineViolation):
+            h1.draw_pair_counts(fresh[0], [seen[0], fresh[1]], 100)
         assert_same_state(h1, h2)
+        # A returned x passes with any points; a fresh one with returned ones.
+        for x0, ys in ((seen[3], fresh), (fresh[0], seen[:3])):
+            got = h1.draw_pair_counts(x0, ys, 100)
+            assert got.tolist() == scalar_pair_counts(h2, x0, ys, 100)
+            assert_same_state(h1, h2)
 
-    @pytest.mark.parametrize("lo, hi, sub", [
-        (3, 3, 3),     # not two points
-        (0, 4, 4),     # below the domain
-        (3, 65, 3),    # above the domain
-        (3, 5, 4),     # subset not a point of the pair
+    @pytest.mark.parametrize("x, y, error", [
+        (3, 3, SetsNotDisjoint),   # not two points
+        (0, 4, BadQuerySet),       # below the domain
+        (3, 65, BadQuerySet),      # above the domain
+        (65, 3, BadQuerySet),
     ])
-    def test_bad_pairs_refused(self, lo, hi, sub):
+    def test_bad_pairs_refused(self, x, y, error):
+        h = OracleHandle(uniform(64), model=PCOND, seed=0, discipline=PERMISSIVE)
+        state = h.rng.bit_generator.state
+        with pytest.raises(error):
+            h.draw_pair_counts(np.array([1, x]), [2, y], 10)
+        with pytest.raises(error):
+            h.draw_pair_counts(x, [1, y], 10)
+        assert h.ledger.total == 0
+        assert h.rng.bit_generator.state == state
+
+    def test_x_needs_one_point_per_pair(self):
         h = OracleHandle(uniform(64), model=PCOND, seed=0, discipline=PERMISSIVE)
         with pytest.raises(BadQuerySet):
-            h.draw_subset_counts(PAIR, [1, lo], [2, hi], [2, sub], [2, sub], 10)
+            h.draw_pair_counts(np.array([1, 2]), [3, 4, 5], 10)
         assert h.ledger.total == 0
+
+    @pytest.mark.parametrize("one_point", [True, False])
+    def test_refusal_order(self, one_point):
+        """Shape, then domain, then distinct points, then discipline."""
+        def call(h, x, ys):
+            return h.draw_pair_counts(x if one_point else np.full(len(ys), x), ys, 10)
+
+        with pytest.raises(IllegalShapeForModel):
+            call(OracleHandle(uniform(64), model=ICOND, seed=0), 5, [5, 65, 6])
+        h = OracleHandle(uniform(64), model=PCOND, seed=0, discipline=STRICT)
+        state = h.rng.bit_generator.state
+        for ys, error in (([5, 65, 6], BadQuerySet), ([5, 64, 6], SetsNotDisjoint),
+                          ([4, 64, 6], DisciplineViolation)):
+            with pytest.raises(error):
+                call(h, 5, ys)
+        assert h.ledger.total == 0
+        assert h.rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 4, 7])
+    def test_reached_ends_where_the_scalar_calls_stop(self, k):
+        # Pair 3 has zero mass: reached past it charges nothing for it.
+        d = ZERO_HALF
+        x = np.array([1, 2, 40, 33, 5, 6, 7])
+        y = np.array([9, 34, 50, 8, 20, 30, 3])
+        h1, h2 = twins(d, PCOND, 4)
+        got = h1.draw_pair_counts(x, y, 1000, reached=lambda hits: k)
+        assert got.tolist() == scalar_pair_counts(h2, x[:k], y[:k], 1000)
+        assert_same_state(h1, h2)
+        h1, h2 = twins(d, PCOND, 4)
+        got = h1.draw_pair_counts(40, y, 1000, reached=lambda hits: k)
+        assert got.tolist() == scalar_pair_counts(h2, 40, y[:k], 1000)
+        assert_same_state(h1, h2)
 
     def test_shape_must_suit_the_model(self):
         h = OracleHandle(uniform(8), model=ICOND, seed=0, discipline=PERMISSIVE)
         with pytest.raises(IllegalShapeForModel):
-            h.draw_subset_counts(PAIR, [1], [2], [2], [2], 10)
+            h.draw_pair_counts(np.array([1]), [2], 10)
         h = OracleHandle(uniform(8), model=PCOND, seed=0, discipline=PERMISSIVE)
         with pytest.raises(IllegalShapeForModel):
-            h.draw_subset_counts(INTERVAL, [1], [4], [1], [2], 10)
+            h.draw_interval_counts([1], [4], [1], [2], 10)
 
 
 class TestIntervalKernel:
@@ -614,8 +677,8 @@ class TestIntervalKernel:
         sub_hi = np.maximum(sub_lo, hi - 1)
         assert np.any(d.prefix[hi] - d.prefix[lo - 1] == 0.0)
         h1, h2 = twins(d, ICOND, 2)
-        got = h1.draw_subset_counts(INTERVAL, lo, hi, sub_lo, sub_hi, 777)
-        assert got.tolist() == scalar_counts(h2, INTERVAL, lo, hi, sub_lo, sub_hi, 777)
+        got = h1.draw_interval_counts(lo, hi, sub_lo, sub_hi, 777)
+        assert got.tolist() == scalar_interval_counts(h2, lo, hi, sub_lo, sub_hi, 777)
         assert_same_state(h1, h2)
 
     @pytest.mark.parametrize("lo, hi, sub_lo, sub_hi", [
@@ -628,7 +691,7 @@ class TestIntervalKernel:
     def test_bad_intervals_refused(self, lo, hi, sub_lo, sub_hi):
         h = OracleHandle(uniform(16), model=ICOND, seed=0, discipline=PERMISSIVE)
         with pytest.raises(BadQuerySet):
-            h.draw_subset_counts(INTERVAL, [lo], [hi], [sub_lo], [sub_hi], 10)
+            h.draw_interval_counts([lo], [hi], [sub_lo], [sub_hi], 10)
         assert h.ledger.total == 0
 
     @pytest.mark.parametrize("k", [0, 1, 4, 7, 12])
@@ -638,9 +701,8 @@ class TestIntervalKernel:
         lo = np.array([1, 3, 1, 17, 2, 9, 5, 1, 17, 3, 1, 20])
         hi = np.array([24, 9, 8, 24, 20, 16, 18, 16, 20, 4, 2, 22])
         h1, h2 = twins(d, COND, 9)
-        got = h1.draw_subset_counts(INTERVAL, lo, hi, lo, lo, 1000,
-                                    reached=lambda hits: k)
-        want = scalar_counts(h2, INTERVAL, lo[:k], hi[:k], lo[:k], lo[:k], 1000)
+        got = h1.draw_interval_counts(lo, hi, lo, lo, 1000, reached=lambda hits: k)
+        want = scalar_interval_counts(h2, lo[:k], hi[:k], lo[:k], lo[:k], 1000)
         assert got.tolist() == want
         assert_same_state(h1, h2)
 
@@ -704,6 +766,18 @@ class TestUnionKernel:
         assert (sizes == {1}) == (max_size == 1)
         if name == "mixed":
             assert 1 in sizes and len(sizes) > 1
+
+    @pytest.mark.parametrize("discipline", [STRICT, PERMISSIVE])
+    def test_one_point_sets_are_a_pair_call(self, discipline):
+        h1, h2 = twins(ZERO_HALF, PCOND, 6, discipline)
+        for h in (h1, h2):
+            h.draw_many(QuerySet.full(), 8)
+        ys = sorted(h1.returned_points)
+        if discipline == PERMISSIVE:
+            ys += [40, 50]  # zero-mass pairs with x
+        got = h1.draw_union_counts(35, ys, np.ones(len(ys), np.int64), 1000)
+        assert got.tolist() == h2.draw_pair_counts(35, ys, 1000).tolist()
+        assert_same_state(h1, h2)
 
     def test_union_summed_below_its_subset_draws_with_p_one(self):
         """A zero-weight x can shift numpy's summation blocks so that the

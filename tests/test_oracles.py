@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from condtest.distcore import (INTERVAL, PAIR, QuerySet, conditional_pmf,
@@ -21,7 +21,20 @@ from condtest.oracles import (
     SAMP,
     STRICT,
     QueryLedger,
+    _fix_zero_hits,
 )
+
+
+def stepping_fix_zero_hits(out, d, lo, hi):
+    """The repair loop _fix_zero_hits replaced, kept as its reference:
+    clamp into [lo, hi], then step every zero-weight landing down."""
+    np.clip(out, lo, hi, out=out)
+    bad = d.weights[out - 1] == 0.0
+    while np.any(bad):
+        out[bad] -= 1
+        np.clip(out, lo, hi, out=out)
+        bad = d.weights[out - 1] == 0.0
+    return out
 
 
 def empirical_tv(draws, d, s):
@@ -143,11 +156,15 @@ class TestDiscipline:
                 hi.append(b)
             touched = all(({a, b} if shape == PAIR else set(range(a, b + 1))) & seen
                           for a, b in zip(lo, hi))
+            if shape == PAIR:
+                kernel, args = h.draw_pair_counts, (np.array(lo), hi, 3)
+            else:
+                kernel, args = h.draw_interval_counts, (lo, hi, lo, lo, 3)
             if touched:
-                h.draw_subset_counts(shape, lo, hi, lo, lo, 3)
+                kernel(*args)
             else:
                 with pytest.raises(DisciplineViolation):
-                    h.draw_subset_counts(shape, lo, hi, lo, lo, 3)
+                    kernel(*args)
 
         steps = data.draw(st.integers(1, 12))
         batch_at = data.draw(st.integers(0, steps))
@@ -211,6 +228,31 @@ class TestSampling:
         h = OracleHandle(uniform(10), model=COND, seed=3, discipline=PERMISSIVE)
         h.draw_subset_count(QuerySet.full(), QuerySet.interval(1, 3), 100)
         assert h.returned_points == set()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_fix_zero_hits_matches_the_stepping_loop(data):
+    """On weights with leading, trailing and interior zeros, every
+    variate an interval draw can produce lands where the stepping loop
+    puts it: each prefix mass from lo - 1 up, its float neighbours and
+    interval draws with r near 1."""
+    weight = st.one_of(st.just(0.0), st.floats(1e-300, 1e3))
+    w = np.array(data.draw(st.lists(weight, min_size=1, max_size=40)))
+    assume(w.sum() > 0.0)
+    d = make_distribution(w)
+    lo, hi = sorted(data.draw(st.tuples(st.integers(1, d.n), st.integers(1, d.n))))
+    if data.draw(st.booleans()):
+        lo, hi = 1, d.n
+    base, mass = d.prefix[lo - 1], d.prefix[hi] - d.prefix[lo - 1]
+    assume(mass > 0.0)
+    p = d.prefix[lo - 1:]
+    r = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
+    u = np.concatenate((p, np.nextafter(p, 0.0), np.nextafter(p, 2.0), base + r * mass))
+    out = d.locate(u[u >= base]) + 1
+    got = _fix_zero_hits(out.copy(), d, lo, hi)
+    assert got.tolist() == stepping_fix_zero_hits(out, d, lo, hi).tolist()
+    assert (d.weights[got - 1] > 0.0).all()
 
 
 class TestDeterminism:
