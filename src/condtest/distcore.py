@@ -144,7 +144,8 @@ class Distribution:
     __slots__ = ("weights", "n", "prefix", "total", "target_tables")
 
     def __init__(self, weights):
-        w = np.asarray(weights, dtype=np.float64)
+        # The one float64 copy it keeps, normalized in place.
+        w = np.array(weights, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise ZeroTotalMass("need at least one weight")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -155,7 +156,7 @@ class Distribution:
             raise NegativeWeight("weights must be non-negative")
         if s <= 0:
             raise ZeroTotalMass("weights sum to zero")
-        w = w / s
+        w /= s
         w.setflags(write=False)
         self.weights = w
         self.n = int(w.size)
@@ -237,7 +238,7 @@ def uniform(n) -> Distribution:
     if n & (n - 1) == 0:
         return _DyadicUniform(int(n))
     try:
-        return Distribution(np.full(n, 1.0 / n))
+        return Distribution(np.broadcast_to(1.0 / n, (n,)))
     except MemoryError:
         raise DomainTooLarge(
             f"uniform({n}) needs arrays of {n} weights, which do not fit in memory"

@@ -20,19 +20,16 @@ Besides per-point draws the handle offers batched observations
 (draw_many, draw_counts, draw_subset_count, burn). Each batch of m
 draws is sampled in one shot from the exact joint distribution of m
 iid conditional draws, so testers that only consume counts can afford
-the full theoretical query budgets. Three kernels, sharing one
-binomial core, make k draw_subset_count observations in one call with
-the checks, ledger charges and random numbers of k scalar calls in
-order. draw_pair_counts takes k pairs {x, y_i} in a fixed number of
-numpy operations on k-element arrays (callers: pcond_test_uniform,
-pcond_test_equality and, through compare_to_point, the neighborhood
-and distance estimators); draw_interval_counts takes k intervals
-(caller: binary_descent); draw_union_counts compares one point x
-against sets W_1..W_k on the unions {x} ∪ W_i (caller:
-cond_test_known). With one-point W_i only, as on a uniform target, it
-is draw_pair_counts; otherwise it costs O(total size of the W_i) in
-numpy plus one binomial call, and sums each explicit union's two
-masses in Distribution.mass's order.
+the full theoretical query budgets. Three kernels make k
+draw_subset_count observations in one call, with the checks, ledger
+charges and random numbers of k scalar calls in order, from one
+binomial call: draw_pair_counts on the pairs {x, y_i}
+(pcond_test_uniform, pcond_test_equality, compare_to_point),
+draw_interval_counts on intervals (binary_descent, twice per
+icond_test_uniform run) and draw_union_counts on the unions
+{x} ∪ W_i (cond_test_known), which sums the W_i of each width as the
+rows of one 2-D array. A call costs some tens of microseconds before
+its first element, so the testers make few, large calls.
 """
 
 from __future__ import annotations
@@ -172,10 +169,7 @@ class OracleHandle:
         seen = self._sorted_returned()
         if s.shape == INTERVAL:
             return bool(_meets(seen, s.a, s.b))
-        if seen.size == 0:
-            return False
-        pos = np.searchsorted(seen, s.indices)
-        return bool((seen.take(pos, mode="clip") == s.indices).any())
+        return bool(self._touched(s.indices).any())
 
     def _count(self, shape, m):
         col = _SHAPE_COLUMN[shape]
@@ -202,7 +196,7 @@ class OracleHandle:
             p = d.weights[idx - 1] / mass
             out = self.rng.choice(idx, size=m, p=p)
         self._count(s.shape, m)
-        self.returned_points.update(np.unique(out).tolist())
+        self.returned_points.update(out.tolist())
         return out
 
     def draw_counts(self, s: QuerySet, m: int):
@@ -252,11 +246,14 @@ class OracleHandle:
         only their counts are returned.
         """
         live = mass > 0.0
-        p = np.minimum(sub_mass[live] / mass[live], 1.0)
+        every = live.all()
+        p = np.minimum(sub_mass / mass if every else sub_mass[live] / mass[live], 1.0)
         if reached is not None:
             state = self.rng.bit_generator.state
-        hits = np.full(mass.size, -1, dtype=np.int64)
-        hits[live] = self.rng.binomial(int(m), p)
+        hits = self.rng.binomial(int(m), p)
+        if not every:
+            hits, drawn = np.full(live.size, -1, dtype=np.int64), hits
+            hits[live] = drawn
         if reached is not None:
             k = reached(hits)
             if k < hits.size:
@@ -286,7 +283,7 @@ class OracleHandle:
             x_bad = not 1 <= x <= d.n
         else:
             x = x.astype(np.int64, copy=False)
-            x_bad = x.shape != ys.shape or not ((x >= 1) & (x <= d.n)).all()
+            x_bad = x.shape != ys.shape or x.size and (x.min() < 1 or x.max() > d.n)
         if x_bad or (ys.size and (ys.min() < 1 or ys.max() > d.n)):
             raise BadQuerySet(f"pairs need two points in 1..{d.n}")
         if (ys == x).any():
@@ -318,8 +315,8 @@ class OracleHandle:
         lo, hi, sub_lo, sub_hi = (np.asarray(v, dtype=np.int64)
                                   for v in (lo, hi, sub_lo, sub_hi))
         d = self.dist
-        if not ((lo >= 1) & (lo <= sub_lo) & (sub_lo <= sub_hi)
-                & (sub_hi <= hi) & (hi <= d.n)).all():
+        if lo.size and not (lo.min() >= 1 and hi.max() <= d.n and (
+                (lo <= sub_lo) & (sub_lo <= sub_hi) & (sub_hi <= hi)).all()):
             raise BadQuerySet(f"intervals and their subsets must lie in 1..{d.n}")
         if (self.discipline == STRICT
                 and not _meets(self._sorted_returned(), lo, hi).all()):
@@ -362,9 +359,6 @@ class OracleHandle:
         if (sizes.size == 0 or sizes.min() < 1 or members.size != sizes.sum()
                 or not 1 <= x <= d.n or members.min() < 1 or members.max() > d.n):
             raise BadQuerySet(f"unions need a point and non-empty sets in 1..{d.n}")
-        # Calls with only one-point W_i are pair calls, so at least one
-        # W_i here is wide.
-        w = d.weights
         ends = np.cumsum(sizes)
         starts = ends - sizes
         rising = members[1:] > members[:-1]
@@ -378,13 +372,17 @@ class OracleHandle:
             touched = np.logical_or.reduceat(self._touched(members), starts)
             if not touched.all():
                 raise DisciplineViolation(_UNTOUCHED)
-        sub_mass = w[members[starts] - 1]
-        mass = w[x - 1] + sub_mass
+        held = d.weights[members - 1]
         # Each union's members in order: x inserted into its W_i.
-        union = w[np.insert(members, starts + below, x) - 1]
-        for i in np.flatnonzero(wide).tolist():
-            sub_mass[i] = w[members[starts[i]:ends[i]] - 1].sum()
-            mass[i] = union[starts[i] + i:ends[i] + i + 1].sum()
+        union = d.weights[np.insert(members, starts + below, x) - 1]
+        # The W_i and their unions one width at a time, as the rows of a
+        # 2-D array: numpy sums each row as it sums the row alone.
+        mass, sub_mass = np.empty((2, sizes.size))
+        for size in np.unique(sizes).tolist():
+            rows = np.flatnonzero(sizes == size)
+            at = starts[rows, None] + np.arange(size + 1)
+            sub_mass[rows] = held[at[:, :-1]].sum(axis=1)
+            mass[rows] = union[at + rows[:, None]].sum(axis=1)
         hits, drawn = self._binomial_counts(mass, sub_mass, m, None)
         n_drawn_wide = int(np.count_nonzero(drawn & wide))
         self._count(PAIR, int(m) * (int(np.count_nonzero(drawn)) - n_drawn_wide))

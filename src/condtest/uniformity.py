@@ -65,7 +65,7 @@ def pcond_test_uniform(h: OracleHandle, eps: float, profile=DESK) -> str:
         # Each reference point against the drawn, then the fresh points,
         # in one batched call that draws in the order of that loop.
         x = np.repeat(refs, 2 * s_j)
-        y = np.tile(np.concatenate((drawn, fresh)), q)
+        y = np.concatenate((drawn, fresh) * q)
         distinct = x != y
         x, y = x[distinct], y[distinct]
         hits = h.draw_pair_counts(x, y, m_j)
@@ -75,9 +75,9 @@ def pcond_test_uniform(h: OracleHandle, eps: float, profile=DESK) -> str:
         # burn the comparison budget to keep the schedule oblivious.
         h.burn(full, m_j * (q * 2 * s_j - int(np.count_nonzero(live))))
         low, high, rho = classify(hits[live], m_j, 2.0)
-        ratio = ~(low | high)
-        frac = np.where(high, 1.0, 0.0)
-        frac[ratio] = rho[ratio] / (1.0 + rho[ratio])
-        if not live.all() or np.any(np.abs(frac - 0.5) > window):
+        # A Low or High outcome is the hit fraction 0 or 1, off 1/2 by
+        # 1/2; its NaN rho fails every comparison below.
+        off = np.abs(rho / (1.0 + rho) - 0.5) > window
+        if not live.all() or off.any() or (window < 0.5 and (low | high).any()):
             reject = True
     return REJECT if reject else ACCEPT

@@ -8,8 +8,12 @@ draws, counts, ledgers and generator states. The scale tests run two
 testers far past any size whose arrays would fit in memory.
 """
 
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condtest.distcore import Distribution, QuerySet, uniform
-from condtest.errors import DomainTooLarge
 from condtest.harness import run_trial
 from condtest.oracles import COND, PERMISSIVE, OracleHandle
 from condtest.uniformity import query_budget
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 exponents = st.integers(min_value=0, max_value=20)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -50,14 +54,25 @@ class TestDistribution:
         d = uniform(n)
         assert d.weights.strides == (8,) and d.prefix.size == n + 1
 
-    def test_other_sizes_past_memory_name_n(self, monkeypatch):
-        def no_memory(*args, **kwargs):
-            raise MemoryError("Unable to allocate 7.28 TiB")
-
-        monkeypatch.setattr(np, "full", no_memory)
-        with pytest.raises(DomainTooLarge, match="uniform\\(1000000000000\\)"):
-            uniform(10**12)
-        assert uniform(2**40).n == 2**40
+    def test_other_sizes_past_memory_name_n(self):
+        """In a process whose address space is capped at 1.5 GB, so that
+        the arrays are refused, not allocated."""
+        code = "\n".join((
+            "import resource",
+            "cap = (1_500_000_000, resource.getrlimit(resource.RLIMIT_AS)[1])",
+            "resource.setrlimit(resource.RLIMIT_AS, cap)",
+            "from condtest.distcore import uniform",
+            "from condtest.errors import DomainTooLarge",
+            "assert uniform(2**40).n == 2**40",
+            "try:",
+            "    uniform(10**12)",
+            "except DomainTooLarge as e:",
+            "    print(e)",
+        ))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        assert "uniform(1000000000000)" in out.stdout
 
     @given(exponents, seeds)
     @settings(max_examples=60, deadline=None)

@@ -24,7 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condtest.adversarial import gen_block_profile, gen_half_split, gen_staircase
+from condtest.adversarial import (
+    gen_block_profile,
+    gen_half_split,
+    gen_staircase,
+    rand_block_profile,
+)
 from condtest.distance import (
     ReferencePoint,
     estimate_distance_to_uniformity,
@@ -877,6 +882,75 @@ class TestUnionKernel:
             h.draw_union_counts(1, [2], [1], 10)
 
 
+@given(st.integers(0, 2**32), st.lists(st.tuples(
+    st.sampled_from([1, 2, 7, 8, 9, 16, 127, 128, 129, 130, 257]),
+    st.sampled_from(["first", "middle", "last"])), min_size=1, max_size=10))
+@settings(max_examples=60, deadline=None)
+def test_union_sums_by_width_are_the_per_set_sums(seed, shapes):
+    """The row sums of each width match Distribution.mass of each W_i and
+    of its union bit for bit, at widths around numpy's unroll of 8 and
+    its pairwise block of 128, with x before, inside and after W_i."""
+    rng = np.random.default_rng(seed)
+    d = make_distribution(rng.random(700) ** 3)
+    x = int(rng.integers(300, 401))
+    sets = []
+    for size, where in shapes:
+        below = {"first": 0, "middle": size // 2, "last": size}[where]
+        sets.append(np.concatenate((
+            np.sort(rng.choice(np.arange(1, x), size=below, replace=False)),
+            np.sort(rng.choice(np.arange(x + 1, 701), size=size - below, replace=False)))))
+    h = OracleHandle(d, model=COND, seed=seed, discipline=PERMISSIVE)
+    seen = []
+    inner = h._binomial_counts
+
+    def spy(mass, sub_mass, m, reached):
+        seen.append((mass.tolist(), sub_mass.tolist()))
+        return inner(mass, sub_mass, m, reached)
+
+    h._binomial_counts = spy
+    h.draw_union_counts(x, *union_args(sets), 100)
+    unions = [QuerySet.explicit(np.sort(np.append(w, x))) for w in sets]
+    assert seen == [([d.mass(u) for u in unions],
+                     [d.mass(QuerySet.explicit(w)) for w in sets])]
+
+
+def masked_binomial_counts(self, mass, sub_mass, m, reached):
+    """OracleHandle._binomial_counts with its live mask, -1 fill and
+    scatter taken whether or not any mass is zero: the reference for
+    the path that skips them."""
+    live = mass > 0.0
+    p = np.minimum(sub_mass[live] / mass[live], 1.0)
+    if reached is not None:
+        state = self.rng.bit_generator.state
+    hits = np.full(mass.size, -1, dtype=np.int64)
+    hits[live] = self.rng.binomial(int(m), p)
+    if reached is not None:
+        k = reached(hits)
+        if k < hits.size:
+            hits, live = hits[:k], live[:k]
+            self.rng.bit_generator.state = state
+            self.rng.binomial(int(m), p[:np.count_nonzero(live)])
+    return hits, live
+
+
+class TestAllLiveBinomial:
+    @pytest.mark.parametrize("stop", [None, 0, 1, 17, 40])
+    @pytest.mark.parametrize("d", [uniform(64), ZERO_HALF], ids=["all_live", "zero_half"])
+    def test_matches_the_masked_path(self, stop, d):
+        rng = np.random.default_rng(11)
+        x, y = random_pairs(rng, 64, 48)
+        x, y = x[:40], y[:40]
+        lo = rng.integers(1, 60, size=40)
+        reached = None if stop is None else (lambda hits: min(stop, hits.size))
+        h1, h2 = twins(d, COND, 7)
+        h2._binomial_counts = masked_binomial_counts.__get__(h2)
+        for call in (lambda h: h.draw_pair_counts(x, y, 1000, reached),
+                     lambda h: h.draw_interval_counts(lo, lo + 4, lo, lo + 1, 1000,
+                                                      reached)):
+            assert call(h1).tolist() == call(h2).tolist()
+            assert_same_state(h1, h2)
+
+
 class TestClassify:
     @pytest.mark.parametrize("m, K", [(30, 2.0), (301, 4.0), (7, 0.1), (1, 2.0)])
     def test_matches_compare_thresholds(self, m, K):
@@ -1024,6 +1098,27 @@ class TestDescentMatchesScalarWalk:
             h1, h2 = twins(d, ICOND, seed, STRICT)
             assert icond_test_uniform(h1, 0.5) == reference_icond_test_uniform(h2, 0.5)
             assert_same_state(h1, h2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name, d, verdict, calls", [
+        ("U_65536", uniform(2**16), "Accept", 2),
+        ("block_65536", rand_block_profile(2**16, 0.5, np.random.default_rng(90), x=6),
+         "Reject", 1),
+    ])
+    def test_icond_kernel_calls(self, seed, name, d, verdict, calls):
+        """The first walk alone, then the rest in one call, which a run
+        that fails its first walk never makes."""
+        h = OracleHandle(d, model=ICOND, seed=seed, discipline=STRICT)
+        sizes = []
+        kernel = h.draw_interval_counts
+
+        def counted(lo, *args, **kwargs):
+            sizes.append(len(lo))
+            return kernel(lo, *args, **kwargs)
+
+        h.draw_interval_counts = counted
+        assert icond_test_uniform(h, 0.5) == verdict
+        assert sizes[:1] == [16] and len(sizes) == calls
 
 
 def witness_dead(target):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,57 @@ class TestDistribution:
             old = np.concatenate(([0.0], np.cumsum(d.weights)))
             assert np.array_equal(d.prefix, old)
             assert not d.prefix.flags.writeable
+
+
+def copying_normalization(weights):
+    """(weights, prefix, total) as a constructor that normalizes into a
+    second array computes them."""
+    w = np.asarray(weights, dtype=np.float64)
+    w = w / float(w.sum())
+    prefix = np.empty(w.size + 1)
+    prefix[0] = 0.0
+    np.cumsum(w, out=prefix[1:])
+    return w, prefix, float(w.sum())
+
+
+def bit_identical(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestNormalizationInPlace:
+    """Distribution normalizes its own copy in place, to the bits of a
+    normalization into a second array, and leaves its input alone."""
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: (rng.random(1000) ** 3).tolist(),
+        lambda rng: rng.integers(0, 50, size=777),
+        lambda rng: np.repeat(rng.random(20000), 2)[::3],  # a non-contiguous view
+        lambda rng: rng.random(9000).astype(np.float32),
+    ])
+    def test_bit_identical_to_a_copying_normalization(self, make):
+        weights = make(np.random.default_rng(5))
+        before = np.array(weights, copy=True)
+        d = Distribution(weights)
+        want = copying_normalization(weights)
+        assert all(bit_identical(g, w) for g, w in zip((d.weights, d.prefix, d.total), want))
+        assert np.array_equal(np.asarray(weights), before)
+        assert d.weights.flags.owndata and not d.weights.flags.writeable
+
+    @pytest.mark.parametrize("n", [10**4, 10**6 + 1])
+    def test_uniform_bit_identical_to_a_copying_normalization(self, n):
+        d = uniform(n)
+        want = copying_normalization(np.full(n, 1.0 / n))
+        assert all(bit_identical(g, w) for g, w in zip((d.weights, d.prefix, d.total), want))
+
+    def test_uniform_peaks_near_what_it_keeps(self):
+        tracemalloc.start()
+        try:
+            d = uniform(10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (d.weights.nbytes + d.prefix.nbytes)
 
 
 class TestConditionalPmf:

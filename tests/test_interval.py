@@ -4,6 +4,7 @@ import pytest
 from condtest.adversarial import rand_block_profile
 from condtest.distcore import make_distribution, uniform
 from condtest.interval import (
+    _walks,
     binary_descent,
     descent_tolerances,
     icond_test_uniform,
@@ -14,6 +15,28 @@ from condtest.uniformity import ACCEPT, REJECT
 
 def handle(d, seed=0, discipline=STRICT):
     return OracleHandle(d, model=ICOND, seed=seed, discipline=discipline)
+
+
+def stepped_walk(n, y):
+    """The intervals of y's walk, one level at a time from [1, n]."""
+    a, b, out = 1, n, [(1, n)]
+    while a < b:
+        c = (a + b) // 2
+        a, b = (a, c) if y <= c else (c + 1, b)
+        out.append((a, b))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 11, 64, 100, 127, 129, 1000, 2**16,
+                               2**20 + 1, 3 * 2**30, 2**40 + 3, 2**62 - 1])
+def test_walks_match_a_walk_one_level_at_a_time(n):
+    rng = np.random.default_rng(n % 2**32)
+    ys = np.unique(np.concatenate((
+        [1, n, (n + 1) // 2, n // 2 + 1], rng.integers(1, n + 1, size=60))))
+    a, b = _walks(n, ys)
+    for y, row_a, row_b in zip(ys.tolist(), a.tolist(), b.tolist()):
+        walk = stepped_walk(n, y)
+        assert list(zip(row_a, row_b)) == walk + [(y, y)] * (len(row_a) - len(walk))
 
 
 class TestDescentTolerances:

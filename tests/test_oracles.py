@@ -229,6 +229,15 @@ class TestSampling:
         h.draw_subset_count(QuerySet.full(), QuerySet.interval(1, 3), 100)
         assert h.returned_points == set()
 
+    def test_draw_many_records_the_distinct_points_drawn(self):
+        d = make_distribution(np.random.default_rng(8).random(300) ** 4)
+        for s in (QuerySet.full(), QuerySet.interval(40, 90),
+                  QuerySet.explicit([2, 30, 31, 250]), QuerySet.pair(7, 8)):
+            for m in (1, 5, 2000):
+                h = OracleHandle(d, model=COND, seed=m, discipline=PERMISSIVE)
+                out = h.draw_many(s, m)
+                assert h.returned_points == set(np.unique(out).tolist())
+
 
 @given(st.data())
 @settings(max_examples=300, deadline=None)
