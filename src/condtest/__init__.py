@@ -79,7 +79,6 @@ from .identity import (
     KnownTarget,
     build_witnesses,
     cond_test_known,
-    epsilon_ladder,
     pcond_test_known,
 )
 from .interval import binary_descent, icond_test_uniform
@@ -100,6 +99,7 @@ from .subroutines import (
     compare_budget,
     compare_points,
     estimate_neighborhood,
+    neighborhood_schedule,
     ratio_in_window,
 )
 from .uniformity import ACCEPT, REJECT, pcond_test_uniform, query_budget

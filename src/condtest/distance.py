@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .distcore import QuerySet
 from .oracles import OracleHandle
 from .profiles import DESK
-from .subroutines import (compare_points, compare_to_point, estimate_neighborhood,
-                          ratio_in_window)
+from .subroutines import (Neighborhood, compare_budget, compare_points,
+                          compare_to_point, estimate_neighborhood,
+                          neighborhood_schedule, ratio_in_window)
 
 
 @dataclass(frozen=True)
@@ -29,37 +31,56 @@ class ReferencePoint:
     alpha: float
 
 
-def find_reference(h: OracleHandle, kappa: float, profile=DESK):
+class Schedule(NamedTuple):
+    """One run's numbers; kappa = eps/8."""
+    kappa: float
+    x_size: int        # candidates drawn by find_reference
+    y_size: int        # uniform points compared with a candidate
+    en: Neighborhood   # each candidate's neighborhood estimate
+    w_gate: float      # least neighborhood weight of a candidate
+    y_m: int           # draws per comparison with a uniform point
+    mu_gate: float     # least share of uniform points in the neighborhood
+    d_bounds: tuple    # (lo, hi) on the candidate's weight estimate
+    s: int             # uniform points the distance estimate compares
+    delta: float       # their comparisons' confidence, at eta = eps/2
+
+
+def schedule(n, eps, profile=DESK) -> Schedule:
+    kappa = eps / 8.0
+    log_term = math.log2(2.0 / kappa)
+    eta_floor = profile["fr_compare_eta_floor"]
+    delta_floor = profile["fr_compare_delta_floor"]
+    x_size = int(min(math.ceil(profile["fr_x_c"] * log_term / kappa**2),
+                     profile["fr_x_cap"]))
+    y_size = int(min(math.ceil(profile["fr_y_c"] * log_term**2 / kappa**5),
+                     profile["fr_y_cap"]))
+    en = neighborhood_schedule(kappa, kappa**2 / (40.0 * log_term), kappa,
+                               1.0 / (40.0 * x_size), profile["fr_en_sample_cap"],
+                               eta_floor, delta_floor, profile)
+    y_m = compare_budget(max(en.theta / 4.0, eta_floor), 4.0,
+                         max(1.0 / (40.0 * x_size * y_size), delta_floor), profile)
+    w_gate = kappa**2 / (20.0 * log_term)
+    mu_gate = kappa**3 / (20.0 * log_term)
+    d_bounds = (kappa / (4.0 * n), 2.0 / (kappa * n))
+    s = math.ceil(profile["dist_s_c"] / eps**2)
+    return Schedule(kappa, x_size, y_size, en, w_gate, y_m, mu_gate, d_bounds,
+                    s, 1.0 / (10.0 * s))
+
+
+def find_reference(h: OracleHandle, sched: Schedule):
     """Search for a point with weight near 1/N and estimate it.
 
     Returns a ReferencePoint, or None when no candidate passes the
     three gates (which itself certifies a large distance from uniform).
     """
     n = h.dist.n
-    log_term = math.log2(2.0 / kappa)
-    x_size = int(min(math.ceil(profile["fr_x_c"] * log_term / kappa**2),
-                     profile["fr_x_cap"]))
-    candidates = h.draw_many(QuerySet.full(), x_size)
-    beta = kappa**2 / (40.0 * log_term)
-    en_delta = 1.0 / (40.0 * x_size)
-    y_size = int(min(math.ceil(profile["fr_y_c"] * log_term**2 / kappa**5),
-                     profile["fr_y_cap"]))
-    w_gate = kappa**2 / (20.0 * log_term)
-    mu_gate = kappa**3 / (20.0 * log_term)
+    candidates = h.draw_many(QuerySet.full(), sched.x_size)
     for x in candidates:
         x = int(x)
-        en = estimate_neighborhood(
-            h, x, kappa, beta, kappa, en_delta, profile,
-            sample_cap=profile["fr_en_sample_cap"],
-            eta_floor=profile["fr_compare_eta_floor"],
-            delta_floor=profile["fr_compare_delta_floor"],
-        )
-        if en.w_hat < w_gate:
+        en = estimate_neighborhood(h, x, sched.en)
+        if en.w_hat < sched.w_gate:
             continue
-        c_eta = max(en.theta / 4.0, profile["fr_compare_eta_floor"])
-        c_delta = max(1.0 / (40.0 * x_size * y_size),
-                      profile["fr_compare_delta_floor"])
-        ys = h.rng.integers(1, n + 1, size=y_size)
+        ys = h.rng.integers(1, n + 1, size=sched.y_size)
         inside = 0
         for y in ys:
             y = int(y)
@@ -67,14 +88,14 @@ def find_reference(h: OracleHandle, kappa: float, profile=DESK):
                 inside += 1
                 continue
             # The pair always has mass: x was drawn from D.
-            out = compare_points(h, x, y, c_eta, 4.0, c_delta, profile)
+            out = compare_points(h, x, y, sched.y_m, 4.0)
             if out.is_ratio and ratio_in_window(out.rho, en.alpha, en.theta):
                 inside += 1
-        mu_hat = inside / y_size
-        if mu_hat < mu_gate:
+        mu_hat = inside / sched.y_size
+        if mu_hat < sched.mu_gate:
             continue
         d_hat = en.w_hat / (mu_hat * n)
-        if kappa / (4.0 * n) <= d_hat <= 2.0 / (kappa * n):
+        if sched.d_bounds[0] <= d_hat <= sched.d_bounds[1]:
             return ReferencePoint(x, d_hat, en.w_hat, mu_hat, en.alpha)
     return None
 
@@ -84,16 +105,17 @@ def estimate_distance_to_uniformity(h: OracleHandle, eps: float,
     """Additive-error estimate of the total variation distance between
     the sampled distribution and uniform."""
     n = h.dist.n
-    kappa = eps / 8.0
-    ref = find_reference(h, kappa, profile)
+    sched = schedule(n, eps, profile)
+    ref = find_reference(h, sched)
     if ref is None:
         return 1.0
-    x, d_hat = ref.point, ref.d_hat
-    s = math.ceil(profile["dist_s_c"] / eps**2)
+    x, d_hat, s = ref.point, ref.d_hat, sched.s
+    # K, and so the draws per comparison, follow the reference's weight
+    # estimate, which only find_reference knows.
     K = max(1.0, 2.0 / (n * d_hat), 4.0 * n * d_hat / eps)
-    delta = 1.0 / (10.0 * s)
+    m = compare_budget(eps / 2.0, K, sched.delta, profile)
     ys = h.rng.integers(1, n + 1, size=s)
-    low, high, rho = compare_to_point(h, x, ys, eps / 2.0, K, delta, profile)
+    low, high, rho = compare_to_point(h, x, ys, m, K)
     val = rho * d_hat  # estimate of D(y); NaN where Low or High
     short = np.where(low | (val <= eps / (4.0 * n)), 1.0, 1.0 - n * val)
     short[high | (val >= 1.0 / n)] = 0.0

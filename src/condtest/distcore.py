@@ -100,15 +100,6 @@ class QuerySet:
             return np.arange(self.a, self.b + 1, dtype=np.int64)
         return self.indices
 
-    def size(self, n):
-        if self.shape == FULL:
-            return n
-        if self.shape == PAIR:
-            return 2
-        if self.shape == INTERVAL:
-            return self.b - self.a + 1
-        return int(self.indices.size)
-
     def max_index(self):
         if self.shape == FULL:
             return None

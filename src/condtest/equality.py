@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,20 +19,38 @@ from .distcore import QuerySet
 from .errors import EvalFailed, ZeroMassSet
 from .oracles import OracleHandle
 from .profiles import DESK
-from .subroutines import (classify, compare_budget, estimate_neighborhood,
-                          neighborhood_grid, ratio_in_window)
+from .subroutines import (Neighborhood, classify, compare_budget,
+                          estimate_neighborhood, neighborhood_schedule,
+                          ratio_in_window)
 from .uniformity import ACCEPT, REJECT
 
 
 # Pair-query equality tester ----------------------------------------
 
 
-def equality_schedule(n, eps, profile=DESK):
-    """(t, s1, s2): reference count and the two cross-sample sizes."""
+class PcondSchedule(NamedTuple):
+    """pcond_test_equality's numbers."""
+    et: float          # eps/100, the scale of every window
+    t: int             # references drawn from D1
+    s1: int            # points drawn from D1
+    s2: int            # points drawn from D2
+    en: Neighborhood   # each reference's neighborhood estimate under D1
+    m: int             # draws per cross comparison
+
+
+def pcond_schedule(n, eps, profile=DESK) -> PcondSchedule:
+    et = eps / 100.0
     t = math.ceil(profile["eq_t_c"] * math.log2(2.0 * n) / eps**2)
     s1 = math.ceil(profile["eq_s1_c"] * t / eps**2)
     s2 = math.ceil(profile["eq_s2_c"] * t * math.log2(t + 1.0) / eps**3)
-    return t, s1, s2
+    eta_floor = profile["eq_compare_eta_floor"]
+    delta_floor = profile["eq_compare_delta_floor"]
+    en = neighborhood_schedule(et, et / (2.0 * t), et / 8.0, 1.0 / (100.0 * t),
+                               profile["eq_en_sample_cap"], eta_floor, delta_floor,
+                               profile)
+    m = compare_budget(max(en.theta / 4.0, eta_floor), 4.0,
+                       max(1.0 / (200.0 * t * (s1 + s2)), delta_floor), profile)
+    return PcondSchedule(et, t, s1, s2, en, m)
 
 
 def _first_dead(hits):
@@ -48,27 +67,17 @@ def pcond_test_equality(h1: OracleHandle, h2: OracleHandle, eps: float,
     draw_pair_counts call on each handle, with the draws, charges and
     generator states of two compare_points calls per point.
     """
-    n = h1.dist.n
-    et = eps / 100.0
-    t, s1, s2 = equality_schedule(n, eps, profile)
+    et, t, s1, s2, en_sched, m = pcond_schedule(h1.dist.n, eps, profile)
     full = QuerySet.full()
     refs = h1.draw_many(full, t)
     sample1 = h1.draw_many(full, s1)
     sample2 = h2.draw_many(full, s2)
     uniq = np.unique(np.concatenate((sample1, sample2)))
     in_sample2 = np.searchsorted(uniq, sample2)
-    kappa, en_eta, beta, en_delta = et, et / 8.0, et / (2.0 * t), 1.0 / (100.0 * t)
-    theta, _ = neighborhood_grid(kappa, beta, en_eta, en_delta)
-    c_eta = max(theta / 4.0, profile["eq_compare_eta_floor"])
-    c_delta = max(1.0 / (200.0 * t * (s1 + s2)), profile["eq_compare_delta_floor"])
-    m = compare_budget(c_eta, 4.0, c_delta, profile)
     for r in refs:
         r = int(r)
-        en = estimate_neighborhood(h1, r, kappa, beta, en_eta, en_delta, profile,
-                                   sample_cap=profile["eq_en_sample_cap"],
-                                   eta_floor=profile["eq_compare_eta_floor"],
-                                   delta_floor=profile["eq_compare_delta_floor"])
-        w1, alpha = en.w_hat, en.alpha
+        en = estimate_neighborhood(h1, r, en_sched)
+        w1, alpha, theta = en.w_hat, en.alpha, en.theta
         others = uniq != r
         ys = uniq[others]
         # Only D2 can give a pair zero mass: r was drawn from D1. Point by
@@ -112,8 +121,15 @@ VALUE = "value"
 UNKNOWN = "unknown"
 
 
-def eval_round_budget(n, eps, delta, profile=DESK):
-    """(M, kappa, m): round cap, heaviness threshold, per-round draws."""
+class EvalBudget(NamedTuple):
+    """approx_eval's numbers."""
+    M: int             # round cap
+    kappa: float       # heaviness threshold
+    eps: float         # eps, clamped below ae_eps_cap
+    m: int             # draws per round
+
+
+def approx_eval_schedule(n, eps, delta, profile=DESK) -> EvalBudget:
     K = 9.0
     cap = profile["ae_eps_cap"]
     if eps > cap:
@@ -125,11 +141,10 @@ def eval_round_budget(n, eps, delta, profile=DESK):
     m = math.ceil(profile["ae_m_c"] * max(m1, m2))
     m = max(m, math.ceil(profile["ae_m_floor_c"] / kappa), int(profile["ae_m_min"]))
     m = int(min(m, profile["ae_m_cap"]))
-    return M, kappa, eps, m
+    return EvalBudget(M, kappa, eps, m)
 
 
-def approx_eval(h: OracleHandle, i_star: int, eps: float, delta: float,
-                profile=DESK) -> EvalResult:
+def approx_eval(h: OracleHandle, i_star: int, budget: EvalBudget) -> EvalResult:
     """Estimate D(i_star) by repeatedly halving a conditioning set.
 
     Each round draws a batch on the current set; points that hog the
@@ -140,7 +155,7 @@ def approx_eval(h: OracleHandle, i_star: int, eps: float, delta: float,
     the round cap runs out.
     """
     n = h.dist.n
-    M, kappa, eps, m = eval_round_budget(n, eps, delta, profile)
+    M, kappa, eps, m = budget
     members = None  # None stands for the full domain
     d_hat = 1.0
     for _ in range(M):
@@ -182,31 +197,43 @@ def approx_eval(h: OracleHandle, i_star: int, eps: float, delta: float,
 # Evaluator-based equality tester -----------------------------------
 
 
+class EvalSchedule(NamedTuple):
+    """eval_test_equality's numbers."""
+    m: int               # points drawn from each side
+    budget: EvalBudget   # each point's approx_eval, at eps/100
+    window: tuple        # (lo, hi) factors on D2's estimate, 1 -+ eps/8
+
+
+def eval_schedule(n, eps, profile=DESK) -> EvalSchedule:
+    sub_eps = eps / 100.0
+    return EvalSchedule(math.ceil(5.0 / eps),
+                        approx_eval_schedule(n, sub_eps, sub_eps, profile),
+                        (1.0 - eps / 8.0, 1.0 + eps / 8.0))
+
+
 def eval_test_equality(h1: OracleHandle, h2: OracleHandle, eps: float,
                        profile=DESK) -> str:
     """Majority verdict of three independent repetitions."""
-    votes = sum(
-        _eval_test_equality_once(h1, h2, eps, profile) == ACCEPT for _ in range(3)
-    )
+    sched = eval_schedule(h1.dist.n, eps, profile)
+    votes = sum(_eval_test_equality_once(h1, h2, sched) == ACCEPT for _ in range(3))
     return ACCEPT if votes >= 2 else REJECT
 
 
-def _eval_test_equality_once(h1, h2, eps, profile):
-    m = math.ceil(5.0 / eps)
+def _eval_test_equality_once(h1, h2, sched):
+    m, budget, (lo_factor, hi_factor) = sched
     full = QuerySet.full()
     pts = np.concatenate((h1.draw_many(full, m), h2.draw_many(full, m)))
-    sub_eps = eps / 100.0
     for x in pts:
         x = int(x)
         try:
-            r1 = approx_eval(h1, x, sub_eps, sub_eps, profile)
-            r2 = approx_eval(h2, x, sub_eps, sub_eps, profile)
+            r1 = approx_eval(h1, x, budget)
+            r2 = approx_eval(h2, x, budget)
         except EvalFailed:
             return REJECT
         if not (r1.is_value and r2.is_value):
             return REJECT
-        lo = (1.0 - eps / 8.0) * r2.estimate
-        hi = (1.0 + eps / 8.0) * r2.estimate
+        lo = lo_factor * r2.estimate
+        hi = hi_factor * r2.estimate
         if not (lo <= r1.estimate <= hi):
             return REJECT
     return ACCEPT

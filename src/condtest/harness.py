@@ -278,11 +278,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 def aggregate(records, kind) -> AggregateReport:
     n = len(records)
+    # Exact integer sums, divided once: np.mean's value while a column
+    # sums below 2^53, and without its per-call cost.
     mean_q = {
-        col: float(np.mean([getattr(r.ledger, col + "_count") for r in records]))
+        col: sum(getattr(r.ledger, col + "_count") for r in records) / n
         for col in ("samp", "cond", "pcond", "icond")
     }
-    mean_q["total"] = float(np.mean([r.ledger.total for r in records]))
+    mean_q["total"] = sum(r.ledger.total for r in records) / n
     rep = AggregateReport(kind=kind, trials=n, mean_queries=mean_q)
     if kind == "verdict":
         k = sum(r.verdict == "Accept" for r in records)

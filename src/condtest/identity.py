@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,11 +26,6 @@ from .oracles import OracleHandle
 from .profiles import DESK
 from .subroutines import classify, compare_budget, compare_points
 from .uniformity import ACCEPT, REJECT
-
-
-def epsilon_ladder(eps: float):
-    """The four derived tolerances (eps1, eps2, eps3, eps4)."""
-    return eps / 10.0, eps / 2.0, eps / 48.0, eps / 6.0
 
 
 @dataclass(frozen=True)
@@ -238,19 +234,6 @@ class WitnessChain:
             node[i] = cur
         return self.lo[node], node
 
-    def walk(self, j):
-        """(lo, hi) arrays of every interval of j's chain, rightmost
-        first: resolve(j, np.arange(depth[j-1])), built by doubling
-        (the first 2^k nodes, then each one's 2^k-th ancestor) in
-        O(log N) gathers and O(depth) work."""
-        node = np.array([j - 1], dtype=np.int32)
-        for up in self.up:
-            if node.size >= self.depth[j - 1]:
-                break
-            node = np.concatenate((node, up[node]))
-        node = node[:self.depth[j - 1]]
-        return self.lo[node], node
-
 
 @dataclass
 class WitnessPartition:
@@ -269,8 +252,9 @@ def build_witnesses(target: KnownTarget, j: int, eps1: float) -> WitnessPartitio
     most 2 w(j)).
 
     Cost: the intervals are read off the target's cached chain table
-    for w(j) (O(N log N) once per distinct weight), in O(log N) numpy
-    gathers and O(d) work for the d intervals returned.
+    for w(j) (O(N log N) once per distinct weight) by resolve, a vector
+    op for the run of one-point witnesses and O(log N) scalar lookups
+    for each of the d intervals past it.
     """
     sp = target.split(eps1)
     if sp.heavy:
@@ -281,22 +265,38 @@ def build_witnesses(target: KnownTarget, j: int, eps1: float) -> WitnessPartitio
     if wj >= eps1:
         return WitnessPartition([(1, j - 1)], j, True)
     chain = target.witness_chain(wj)
-    lo, hi = chain.walk(j)
+    lo, hi = chain.resolve(j, np.arange(chain.depth[j - 1]))
     return WitnessPartition(list(zip(lo.tolist(), hi.tolist())), j, False)
 
 
 # Pair-query tester -------------------------------------------------
 
 
+class PcondSchedule(NamedTuple):
+    """pcond_test_known's numbers."""
+    eta: float         # bucket scale eps/6
+    b: int             # buckets
+    m: int             # phase one's draws, held to eta/b per bucket
+    s: int             # phase two's points from each side
+    compare_m: int     # draws per comparable pair
+    ratio_floor: float  # least ratio estimate, over the target ratio
+
+
+def pcond_schedule(n, eps, profile=DESK) -> PcondSchedule:
+    eta = eps / 6.0
+    b = math.ceil(math.log2(n / eta) + 1) + 1  # bucketize's count on n points
+    m = math.ceil(profile["known_m_c"] * b * b * math.log2(2.0 * b) / eta**2)
+    s = math.ceil(profile["known_s_c"] * b / eps)
+    compare_m = compare_budget(eta / (4.0 * b), 2.0, 1.0 / (10.0 * s * s), profile)
+    return PcondSchedule(eta, b, m, s, compare_m, 1.0 - eta / (2.0 * b))
+
+
 def pcond_test_known(h: OracleHandle, target: KnownTarget, eps: float,
                      profile=DESK) -> str:
     dstar = target.dstar
-    n = h.dist.n
-    eta = eps / 6.0
+    eta, b, m, s, compare_m, ratio_floor = pcond_schedule(target.n, eps, profile)
     buckets = target.buckets(eta)
-    b = buckets.b
     # Phase one: bucket weight screening from plain samples.
-    m = math.ceil(profile["known_m_c"] * b * b * math.log2(2.0 * b) / eta**2)
     idx, counts = h.draw_counts(QuerySet.full(), m)
     est = np.zeros(b)
     np.add.at(est, buckets.bucket_index_of[idx - 1], counts)
@@ -306,10 +306,8 @@ def pcond_test_known(h: OracleHandle, target: KnownTarget, eps: float,
         if abs(star - est[j]) > eta / b:
             return REJECT
     # Phase two: cross-sample ratio checks on comparable pairs.
-    s = math.ceil(profile["known_s_c"] * b / eps)
     xs = target.sample(h.rng, s)
     ys = h.draw_many(QuerySet.full(), s)
-    delta = 1.0 / (10.0 * s * s)
     for x in xs:
         x = int(x)
         wx = dstar.weight(x)
@@ -321,18 +319,53 @@ def pcond_test_known(h: OracleHandle, target: KnownTarget, eps: float,
             if x == y:
                 continue  # exact ratio 1 passes the one-sided check
             try:
-                out = compare_points(h, x, y, eta / (4.0 * b), 2.0, delta, profile)
+                out = compare_points(h, x, y, compare_m, 2.0)
             except ZeroMassSet:
                 return REJECT
             # The comparison estimates D(y)/D(x); hold it against the
             # matching target ratio.
-            if out.is_low or (out.is_ratio
-                              and out.rho < (1.0 - eta / (2.0 * b)) * wy / wx):
+            if out.is_low or (out.is_ratio and out.rho < ratio_floor * wy / wx):
                 return REJECT
     return ACCEPT
 
 
 # General conditional-query tester ----------------------------------
+
+
+class CondSchedule(NamedTuple):
+    """cond_test_known's numbers, from eps1..eps4 = eps/10, eps/2,
+    eps/48, eps/6; each window is (lo, hi) factors on a target value."""
+    eps1: float        # the split; the gate holds m_gate draws to [eps1/2, 2.5 eps1]
+    heavy_m: int       # the Heavy branch's draws
+    m_gate: int
+    ell: int           # points drawn in the Main branch
+    h_count: int       # witnesses per point
+    m_recheck: int     # draws per prefix re-check
+    witness_m: int     # draws per witness comparison
+    wide_m: int        # draws per wide-witness comparison
+    recheck: tuple     # 1 -+ eps3
+    wide: tuple        # 1 -+ eps2/8
+    witness: tuple     # 1 -+ eps4/4
+
+
+def cond_schedule(n, eps, profile=DESK) -> CondSchedule:
+    """The same numbers for every n."""
+    eps1, eps2, eps3, eps4 = eps / 10.0, eps / 2.0, eps / 48.0, eps / 6.0
+    ell = math.ceil(profile["main_l_c"] / eps)
+    h_count = math.ceil(profile["main_h_c"] / eps)
+    return CondSchedule(
+        eps1=eps1,
+        heavy_m=math.ceil(profile["heavy_m_c"] * math.log2(4.0 / eps) / eps**4),
+        m_gate=math.ceil(profile["main_gate_c"] / eps**2),
+        ell=ell,
+        h_count=h_count,
+        m_recheck=math.ceil(profile["main_recheck_c"] * math.log2(4.0 / eps) / eps),
+        witness_m=compare_budget(eps4 / 8.0, 4.0, 1.0 / (10.0 * ell * h_count), profile),
+        wide_m=compare_budget(eps2 / 16.0, 2.0 / eps1, 1.0 / (10.0 * ell), profile),
+        recheck=(1.0 - eps3, 1.0 + eps3),
+        wide=(1.0 - eps2 / 8.0, 1.0 + eps2 / 8.0),
+        witness=(1.0 - eps4 / 4.0, 1.0 + eps4 / 4.0),
+    )
 
 
 def cond_test_known(h: OracleHandle, target: KnownTarget, eps: float,
@@ -345,18 +378,17 @@ def cond_test_known(h: OracleHandle, target: KnownTarget, eps: float,
     one-point witness is a pair and is charged to pcond, a wider union
     to cond; full-domain draws go to samp.
     """
-    eps1 = epsilon_ladder(eps)[0]
-    sp = target.split(eps1)
+    sched = cond_schedule(target.n, eps, profile)
+    sp = target.split(sched.eps1)
     if sp.heavy:
-        return _test_known_heavy(h, target, eps, sp, profile)
-    return _test_known_main(h, target, eps, sp, profile)
+        return _test_known_heavy(h, target, sp, sched)
+    return _test_known_main(h, target, sp, sched)
 
 
-def _test_known_heavy(h, target, eps, sp, profile):
+def _test_known_heavy(h, target, sp, sched):
     """Every position at or above the split is individually heavy;
     check their frequencies point by point."""
-    eps1 = eps / 10.0
-    m = math.ceil(profile["heavy_m_c"] * math.log2(4.0 / eps) / eps**4)
+    eps1, m = sched.eps1, sched.heavy_m
     idx, counts = h.draw_counts(QuerySet.full(), m)
     freq = np.zeros(target.n + 1)
     freq[idx] = counts / m
@@ -374,27 +406,17 @@ def _test_known_heavy(h, target, eps, sp, profile):
     return REJECT if reject else ACCEPT
 
 
-def _test_known_main(h, target, eps, sp, profile):
-    eps1, eps2, eps3, eps4 = epsilon_ladder(eps)
+def _test_known_main(h, target, sp, sched):
+    (eps1, _, m_gate, ell, h_count, m_recheck, witness_m, wide_m,
+     (recheck_lo, recheck_hi), (wide_lo, wide_hi), (witness_lo, witness_hi)) = sched
     k = sp.k_star
     full = QuerySet.full()
     low_prefix = QuerySet.explicit(target.prefix_labels(k))
     reject = False
     # Gate: the mass below the split must look right.
-    m_gate = math.ceil(profile["main_gate_c"] / eps**2)
     gate = h.draw_subset_count(full, low_prefix, m_gate) / m_gate
     if not (eps1 / 2.0 <= gate <= 2.5 * eps1):
         reject = True
-    ell = math.ceil(profile["main_l_c"] / eps)
-    h_count = math.ceil(profile["main_h_c"] / eps)
-    m_recheck = math.ceil(profile["main_recheck_c"] * math.log2(4.0 / eps) / eps)
-    witness_delta = 1.0 / (10.0 * ell * h_count)
-    witness_m = compare_budget(eps4 / 8.0, 4.0, witness_delta, profile)
-    wide_m = compare_budget(eps2 / 16.0, 2.0 / eps1, 1.0 / (10.0 * ell), profile)
-    # The windows' ends, each scaled by a target value below.
-    recheck_lo, recheck_hi = 1.0 - eps3, 1.0 + eps3
-    wide_lo, wide_hi = 1.0 - eps2 / 8.0, 1.0 + eps2 / 8.0
-    witness_lo, witness_hi = 1.0 - eps4 / 4.0, 1.0 + eps4 / 4.0
     drawn = h.draw_many(full, ell)
     js = target.position_of[drawn - 1]
     above = js > k

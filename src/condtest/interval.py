@@ -11,6 +11,7 @@ distribution would; a violation aborts the walks.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,10 +22,21 @@ from .subroutines import classify, compare_budget
 from .uniformity import ACCEPT, REJECT
 
 
-def descent_tolerances(n, eps):
-    """(eta, delta) used by every level of the walk."""
+class Schedule(NamedTuple):
+    """icond_test_uniform's numbers."""
+    t: int             # points walked
+    eta: float         # each level's split held to the factor 1 +- eta
+    m: int             # draws per level
+    bounds: tuple      # (lo, hi) on a walk's value
+
+
+def schedule(n, eps, profile=DESK) -> Schedule:
+    """The numbers for n >= 2 points; one point needs none."""
     log_n = math.log2(n)
-    return eps / (48.0 * log_n), eps / (100.0 * (1.0 + log_n))
+    eta = eps / (48.0 * log_n)
+    m = compare_budget(eta, 2.0, eps / (100.0 * (1.0 + log_n)), profile)
+    return Schedule(math.ceil(profile["icond_t_c"] / eps), eta, m,
+                    ((1.0 - eps / 12.0) / n, (1.0 + eps / 12.0) / n))
 
 
 def _walks(n, ys):
@@ -56,7 +68,7 @@ def _walks(n, ys):
     return a, b
 
 
-def binary_descent(h: OracleHandle, ys, eps: float, profile=DESK, bounds=None):
+def binary_descent(h: OracleHandle, ys, eta: float, m: int, bounds=None):
     """Estimate D(y) for each point y of ys, walking the points in order.
 
     Each level of a walk estimates D(half)/D(other half) with
@@ -75,8 +87,6 @@ def binary_descent(h: OracleHandle, ys, eps: float, profile=DESK, bounds=None):
     ys = np.asarray(ys, dtype=np.int64)
     if n == 1 or ys.size == 0:
         return np.ones(ys.size)
-    eta, delta = descent_tolerances(n, eps)
-    m = compare_budget(eta, 2.0, delta, profile)
     a, b = _walks(n, ys)
     # A walk's levels, a prefix of its row, walk after walk.
     walking = a[:, :-1] < b[:, :-1]
@@ -112,14 +122,13 @@ def icond_test_uniform(h: OracleHandle, eps: float, profile=DESK) -> str:
     n = h.dist.n
     if n == 1:
         return ACCEPT
-    t = math.ceil(profile["icond_t_c"] / eps)
+    t, eta, m, bounds = schedule(n, eps, profile)
     pts = h.draw_many(QuerySet.full(), t)
-    bounds = ((1.0 - eps / 12.0) / n, (1.0 + eps / 12.0) / n)
     # The first walk alone, then the other t - 1 in one call. On U(2^16)
     # (numpy 2.4, one x86-64 core) a call costs about 80 us with one walk
     # and 135 us with 39. A far instance mostly fails its first walk and
     # pays one small call; a run that passes makes two.
     for part in (pts[:1], pts[1:]):
-        if binary_descent(h, part, eps, profile, bounds) is None:
+        if binary_descent(h, part, eta, m, bounds) is None:
             return REJECT
     return ACCEPT

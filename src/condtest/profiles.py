@@ -15,9 +15,17 @@ presets ship with the library:
                suite while per-run Python-level loop counts stay
                small. This is the default profile.
 
-Keys are documented inline below. A custom profile is any dict of
-overrides applied on top of a preset; resolve_profile, and so an
-ExperimentConfig, takes a bare dict as overrides on desk.
+A custom profile is any dict of overrides applied on top of a preset;
+resolve_profile, and so an ExperimentConfig, takes a bare dict as
+overrides on desk.
+
+Only the schedules read the table: each tester has one pure function,
+schedule(n, eps, profile) in its module (uniformity.schedule(eps,
+profile), and pcond_/cond_/eval_schedule where a module holds two
+testers), that turns it into every sample size, draw budget, cap,
+floor and window one run uses. Windows the analysis fixes as
+multiples of eps (eps/12, eps/(48 log2 N), the eps/10..eps/6 ladder,
+et = eps/100) are constants in those schedules, not keys.
 """
 
 from __future__ import annotations
@@ -30,58 +38,50 @@ from .errors import BadProfile
 
 
 _DESK = {
-    # comparisons: draw budget ceil(compare_c * K * ln(2/delta) / eta^2),
-    # clipped at compare_max_draws. compare_c = 3 makes the additive
-    # error of the hit fraction at most min(eta/3, 1/(3(K+1))) with
-    # failure probability below delta.
+    # Each group names the schedule that reads it; the formulas are there.
+    # subroutines.compare_budget: ceil(compare_c K ln(2/delta) / eta^2)
+    # draws, clipped at compare_max_draws. compare_c = 3 makes the
+    # additive error of the hit fraction at most min(eta/3, 1/(3(K+1)))
+    # with failure probability below delta.
     "compare_c": 3.0,
     "compare_max_draws": 1.0e15,
-    # estimate_neighborhood: |S| = ceil(en_sample_c * ln(4/delta) / (beta eta^2)),
-    # capped; eta/delta floors applied to its internal comparisons.
+    # subroutines.neighborhood_schedule; the cap and the floors on its
+    # comparisons are the caller's eq_* or fr_* keys.
     "en_sample_c": 2.0,
-    "en_sample_cap": 400,
-    "en_compare_eta_floor": 0.02,
-    "en_compare_delta_floor": 1.0e-4,
-    # uniformity tester: q reference points; stage sample size
-    # s_j = ceil(unif_s_c * 2^j * t); per-stage comparison confidence
-    # exp(-unif_delta_c * t); comparison eta equals the stage window
-    # 2^(j-5) eps / 4.
+    # uniformity.schedule: q reference points, stage sizes, confidence.
     "unif_q": 4,
     "unif_s_c": 1.0,
     "unif_delta_c": 3.0,
-    # identity tester, pair-query variant: phase one sample
-    # m = ceil(known_m_c * b^2 * log2(2b) / eta^2); cross sample
-    # s = ceil(known_s_c * b / eps) per side.
+    # identity.pcond_schedule: phase one's and phase two's samples.
     "known_m_c": 1.0,
     "known_s_c": 1.0,
-    # identity tester, general-query variant.
-    "heavy_m_c": 1000.0,    # m = ceil(heavy_m_c * log2(4/eps) / eps^4)
-    "main_gate_c": 1500.0,  # prefix gate sample ceil(main_gate_c / eps^2)
-    "main_l_c": 24.0,       # drawn points ell = ceil(main_l_c / eps)
-    "main_recheck_c": 2.0e5,  # per-point prefix re-check ceil(c * log2(4/eps)/eps)
-    "main_h_c": 8.0,        # witness comparisons per point ceil(main_h_c / eps)
-    # equality tester, pair-query variant. Reference sample
-    # t = ceil(eq_t_c * log2(2N) / eps^2); s1 = ceil(eq_s1_c * t / eps^2);
-    # s2 = ceil(eq_s2_c * t * log2(t+1) / eps^3).
+    # identity.cond_schedule: the Heavy sample, the prefix gate, the
+    # drawn points, their prefix re-checks and witnesses per point.
+    "heavy_m_c": 1000.0,
+    "main_gate_c": 1500.0,
+    "main_l_c": 24.0,
+    "main_recheck_c": 2.0e5,
+    "main_h_c": 8.0,
+    # equality.pcond_schedule: references, the two cross samples, and
+    # the neighborhood estimates' cap and comparison floors.
     "eq_t_c": 0.25,
     "eq_s1_c": 0.5,
     "eq_s2_c": 0.5,
     "eq_en_sample_cap": 200,
     "eq_compare_eta_floor": 0.002,
     "eq_compare_delta_floor": 1.0e-4,
-    # approximate point-mass evaluator: per-round draw budget is the
-    # formula value scaled by ae_m_c, clipped into
-    # [max(ae_m_floor_c / kappa, ae_m_min), ae_m_cap] from below/above.
+    # equality.approx_eval_schedule: the per-round draws, the formula's
+    # value times ae_m_c clipped into [max(ae_m_floor_c / kappa,
+    # ae_m_min), ae_m_cap]; kappa's factor; the eps clamp.
     "ae_m_c": 1.0,
     "ae_m_cap": 5.0e7,
     "ae_m_floor_c": 50.0,
     "ae_m_min": 2.0e6,
     "ae_kappa_c": 1.0,
     "ae_eps_cap": 0.125,
-    # reference point search: candidate sample
-    # ceil(fr_x_c * log2(2/kappa) / kappa^2) capped at fr_x_cap;
-    # per-candidate uniform sample ceil(fr_y_c * (log2(2/kappa))^2 / kappa^5)
-    # capped at fr_y_cap.
+    # distance.schedule: candidates and uniform points per candidate in
+    # find_reference, with caps; the neighborhood estimates' cap and
+    # comparison floors; the distance estimate's uniform sample.
     "fr_x_c": 1.0,
     "fr_x_cap": 40,
     "fr_y_c": 1.0,
@@ -89,9 +89,8 @@ _DESK = {
     "fr_en_sample_cap": 400,
     "fr_compare_eta_floor": 0.02,
     "fr_compare_delta_floor": 1.0e-4,
-    # distance-to-uniformity estimator: uniform sample ceil(dist_s_c / eps^2).
     "dist_s_c": 3.0,
-    # interval tester: points drawn t = ceil(icond_t_c / eps).
+    # interval.schedule: points walked.
     "icond_t_c": 20.0,
 }
 
@@ -100,9 +99,6 @@ _THEORETICAL.update(
     {
         "compare_max_draws": 4.0e18,
         "en_sample_c": 4.0,
-        "en_sample_cap": 10**9,
-        "en_compare_eta_floor": 1.0e-4,
-        "en_compare_delta_floor": 1.0e-12,
         "unif_q": 8,
         "unif_s_c": 4.0,
         "unif_delta_c": 6.0,
@@ -136,10 +132,9 @@ PRESETS = {"desk": _DESK, "theoretical": _THEORETICAL}
 # delta floors are confidences in (0, 1); caps on draws per call lie in
 # [1, 2^63), the counts numpy's samplers take; every other constant is
 # a finite number > 0.
-_COUNTS = ("unif_q", "en_sample_cap", "eq_en_sample_cap", "fr_x_cap",
-           "fr_y_cap", "fr_en_sample_cap")
-_CONFIDENCES = ("en_compare_delta_floor", "eq_compare_delta_floor",
-                "fr_compare_delta_floor")
+_COUNTS = ("unif_q", "eq_en_sample_cap", "fr_x_cap", "fr_y_cap",
+           "fr_en_sample_cap")
+_CONFIDENCES = ("eq_compare_delta_floor", "fr_compare_delta_floor")
 _DRAW_CAPS = ("compare_max_draws", "ae_m_cap", "ae_m_min")
 
 

@@ -1,17 +1,22 @@
 """Shared estimation subroutines used by every tester.
 
-compare_points estimates the weight ratio of two points from
+compare_points estimates the weight ratio of two points from m
 conditional draws on the pair; compare_to_point makes many such
 comparisons against one point in one draw_pair_counts call, as
 estimate_neighborhood does once per estimate of a point's
 weight-neighborhood mass. classify reads the hit counts of the batched
 kernels as the outcomes compare_points would give.
+
+None of them reads the profile: the draw budget m, the sample size and
+the radius grid come from the calling tester's schedule, which
+compare_budget and neighborhood_schedule help it compute.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,15 +85,14 @@ def classify(hits, m, K):
     return low, high, rho
 
 
-def compare_points(h, px, py, eta, K, delta, profile=DESK) -> CompareOutcome:
-    """Estimate D(py)/D(px) from compare_budget draws on the pair {px, py}:
-    Low when the hit fraction for py is below (2/3)/(K+1), High when the
-    miss fraction is, and otherwise the ratio estimate mu/(1-mu)."""
+def compare_points(h, px, py, m, K) -> CompareOutcome:
+    """Estimate D(py)/D(px) from m draws on the pair {px, py}: Low when
+    the hit fraction for py is below (2/3)/(K+1), High when the miss
+    fraction is, and otherwise the ratio estimate mu/(1-mu)."""
     sub = QuerySet.explicit([py])
     if px == py:
         raise SetsNotDisjoint("compare_points needs two distinct points")
     pair = QuerySet.pair(px, py)
-    m = compare_budget(eta, K, delta, profile)
     mu = h.draw_subset_count(pair, sub, m) / m
     thr = _saturation(K)
     if mu < thr:
@@ -98,7 +102,7 @@ def compare_points(h, px, py, eta, K, delta, profile=DESK) -> CompareOutcome:
     return CompareOutcome(RATIO, mu / (1.0 - mu))
 
 
-def compare_to_point(h, x, ys, eta, K, delta, profile=DESK):
+def compare_to_point(h, x, ys, m, K):
     """compare_points(h, x, y, ...) for each y in ys, in one
     draw_pair_counts call with the draws, charges and generator state
     of those calls in order: classify's (low, high, rho). A y equal to
@@ -108,7 +112,6 @@ def compare_to_point(h, x, ys, eta, K, delta, profile=DESK):
     ys = np.asarray(ys, dtype=np.int64)
     other = ys != x
     y = ys[other]
-    m = compare_budget(eta, K, delta, profile)
     hits = h.draw_pair_counts(x, y, m)
     low, high = np.zeros((2, ys.size), dtype=bool)
     rho = np.ones(ys.size)
@@ -123,50 +126,42 @@ def ratio_in_window(rho, alpha: float, theta: float):
     return (1.0 / hi <= rho) & (rho <= hi)
 
 
-def neighborhood_grid(kappa, beta, eta, delta):
-    """(theta, r): grid step and grid size for the radius draw."""
+class Neighborhood(NamedTuple):
+    """estimate_neighborhood's numbers."""
+    kappa: float       # radii kappa + i theta, i in [1, r)
+    theta: float
+    r: int
+    size: int          # points sampled
+    m: int             # draws per comparison
+
+
+def neighborhood_schedule(kappa, beta, eta, delta, sample_cap, eta_floor,
+                          delta_floor, profile=DESK) -> Neighborhood:
     theta = kappa * eta * beta * delta / 64.0
     r = int(round(kappa / theta))  # = 64/(eta beta delta)
-    return theta, r
+    size = math.ceil(profile["en_sample_c"] * math.log(4.0 / delta) / (beta * eta**2))
+    size = int(min(size, sample_cap))
+    c_eta = max(theta / 4.0, eta_floor)
+    c_delta = max(delta / (4.0 * size), delta_floor)
+    m = compare_budget(c_eta, 4.0, c_delta, profile)
+    return Neighborhood(kappa, theta, r, size, m)
 
 
-def estimate_neighborhood(
-    h: OracleHandle,
-    x: int,
-    kappa: float,
-    beta: float,
-    eta: float,
-    delta: float,
-    profile=DESK,
-    sample_cap=None,
-    eta_floor=None,
-    delta_floor=None,
-) -> NeighborhoodEstimate:
+def estimate_neighborhood(h: OracleHandle, x: int,
+                          en: Neighborhood) -> NeighborhoodEstimate:
     """Estimate the mass of the weight-neighborhood of x.
 
     Draws a radius alpha uniformly from the theta-grid strictly inside
-    (kappa, 2 kappa), samples Theta(log(1/delta)/(beta eta^2)) points,
-    and classifies each distinct point by one ratio comparison against
-    x. Returns the fraction of the sample (as a multiset) whose ratio
-    lands in the closed window for alpha.
+    (kappa, 2 kappa), samples en.size points, and classifies each
+    distinct point by one ratio comparison against x. Returns the
+    fraction of the sample (as a multiset) whose ratio lands in the
+    closed window for alpha.
 
     Cost: one draw_many and one draw_pair_counts call per estimate.
     """
-    if sample_cap is None:
-        sample_cap = profile["en_sample_cap"]
-    if eta_floor is None:
-        eta_floor = profile["en_compare_eta_floor"]
-    if delta_floor is None:
-        delta_floor = profile["en_compare_delta_floor"]
-    theta, r = neighborhood_grid(kappa, beta, eta, delta)
-    i = int(h.rng.integers(1, r))
-    alpha = kappa + i * theta
-    size = math.ceil(profile["en_sample_c"] * math.log(4.0 / delta) / (beta * eta**2))
-    size = int(min(size, sample_cap))
-    pts = h.draw_many(QuerySet.full(), size)
+    alpha = en.kappa + int(h.rng.integers(1, en.r)) * en.theta
+    pts = h.draw_many(QuerySet.full(), en.size)
     uniq, counts = np.unique(pts, return_counts=True)
-    c_eta = max(theta / 4.0, eta_floor)
-    c_delta = max(delta / (4.0 * size), delta_floor)
-    rho = compare_to_point(h, x, uniq, c_eta, 4.0, c_delta, profile)[2]
-    inside = int(counts[ratio_in_window(rho, alpha, theta)].sum())
-    return NeighborhoodEstimate(inside / size, alpha, theta)
+    rho = compare_to_point(h, x, uniq, en.m, 4.0)[2]
+    inside = int(counts[ratio_in_window(rho, alpha, en.theta)].sum())
+    return NeighborhoodEstimate(inside / en.size, alpha, en.theta)

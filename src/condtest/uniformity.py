@@ -8,15 +8,17 @@ window rejects.
 
 The query schedule is oblivious: the same number of oracle queries is
 issued on every run with the same parameters, so the ledger total is a
-deterministic function of epsilon alone. Comparisons that cannot be
-performed (identical endpoints, zero-mass pairs) burn the same budget;
-zero-mass pairs also count as rejection evidence, since they cannot
-occur under the uniform distribution.
+deterministic function of epsilon alone: schedule(eps, profile) names
+every number a run uses, and query_budget sums it. Comparisons that
+cannot be performed (identical endpoints, zero-mass pairs) burn the
+same budget; zero-mass pairs also count as rejection evidence, since
+they cannot occur under the uniform distribution.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +32,15 @@ ACCEPT = "Accept"
 REJECT = "Reject"
 
 
-def schedule(eps: float, profile=DESK):
-    """Per-stage (s_j, eta_j, delta_j, window_j, m_j) for j = 1..t."""
+class Schedule(NamedTuple):
+    """pcond_test_uniform's numbers. Stage j = 1..t draws s_j points,
+    compares each pair from m_j draws, and rejects a hit fraction off
+    1/2 by more than window_j."""
+    q: int             # reference points
+    stages: tuple      # (s_j, window_j, m_j) per stage
+
+
+def schedule(eps: float, profile=DESK) -> Schedule:
     eps = 2.0 ** math.floor(math.log2(eps))  # largest power of 1/2 <= eps
     t = int(round(math.log2(4.0 / eps))) + 1
     delta = min(math.exp(-profile["unif_delta_c"] * t), 0.5)
@@ -39,27 +48,25 @@ def schedule(eps: float, profile=DESK):
     for j in range(1, t + 1):
         s_j = math.ceil(profile["unif_s_c"] * 2.0**j * t)
         window = min(2.0 ** (j - 5) * eps / 4.0, 1.0)
-        eta_j = window
-        m_j = compare_budget(eta_j, 2.0, delta, profile)
-        stages.append((s_j, eta_j, delta, window, m_j))
-    return stages
+        stages.append((s_j, window, compare_budget(window, 2.0, delta, profile)))
+    return Schedule(profile["unif_q"], tuple(stages))
 
 
 def query_budget(eps: float, profile=DESK) -> int:
     """Exact total query count of a run; independent of N."""
-    q = profile["unif_q"]
-    return sum(s_j + q * 2 * s_j * m_j for s_j, _, _, _, m_j in schedule(eps, profile))
+    q, stages = schedule(eps, profile)
+    return sum(s_j + q * 2 * s_j * m_j for s_j, _, m_j in stages)
 
 
 def pcond_test_uniform(h: OracleHandle, eps: float, profile=DESK) -> str:
     n = h.dist.n
     if n == 1:
         return ACCEPT
-    q = profile["unif_q"]
+    q, stages = schedule(eps, profile)
     refs = h.rng.integers(1, n + 1, size=q)
     full = QuerySet.full()
     reject = False
-    for s_j, _, _, window, m_j in schedule(eps, profile):
+    for s_j, window, m_j in stages:
         drawn = h.draw_many(full, s_j)
         fresh = h.rng.integers(1, n + 1, size=s_j)
         # Each reference point against the drawn, then the fresh points,

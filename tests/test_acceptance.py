@@ -10,7 +10,7 @@ import numpy as np
 
 import condtest as ct
 from condtest.distcore import light_set
-from condtest.equality import approx_eval
+from condtest.equality import approx_eval, approx_eval_schedule
 from condtest.harness import passes_guarantee, wilson_interval
 from condtest.subroutines import HIGH
 
@@ -53,7 +53,7 @@ def test_criterion_01_oracle_fidelity(capsys):
         tv = 0.5 * sum(
             abs(pmf.get(i, 0.0) - freq.get(i, 0.0)) for i in set(pmf) | set(freq)
         )
-        bound = 5.0 * math.sqrt(s.size(n) / m)
+        bound = 5.0 * math.sqrt(s.members(n).size / m)
         worst = max(worst, tv / bound)
         if tv > bound:
             break
@@ -63,6 +63,7 @@ def test_criterion_01_oracle_fidelity(capsys):
 
 def test_criterion_02_compare_guarantee(capsys):
     eta, K, delta, trials = 0.1, 2.0, 0.1, 2000
+    m = ct.compare_budget(eta, K, delta)
     target = 1.0 - delta - 0.03
     details = []
     ok_all = True
@@ -70,7 +71,7 @@ def test_criterion_02_compare_guarantee(capsys):
         d = ct.make_distribution([1.0, r])
         good = 0
         for s in range(trials):
-            out = ct.compare_points(permissive(d, 7000 + s), 1, 2, eta, K, delta)
+            out = ct.compare_points(permissive(d, 7000 + s), 1, 2, m, K)
             in_band = out.is_ratio and (1 - eta) * r <= out.rho <= (1 + eta) * r
             if 1.0 / K <= r <= K:
                 good += in_band
@@ -88,6 +89,8 @@ def test_criterion_02_compare_guarantee(capsys):
 
 def test_criterion_03_estimate_neighborhood(capsys):
     kappa = beta = eta = delta = 0.25
+    # desk's sample cap and comparison floors, as find_reference uses them
+    en_sched = ct.neighborhood_schedule(kappa, beta, eta, delta, 400, 0.02, 1e-4)
     rng = np.random.default_rng(303)
     fixtures = []
     for _ in range(10):
@@ -98,7 +101,7 @@ def test_criterion_03_estimate_neighborhood(capsys):
     for d, x in fixtures:
         for s in range(50):
             h = permissive(d, 9000 + 97 * total, model=ct.PCOND)
-            en = ct.estimate_neighborhood(h, x, kappa, beta, eta, delta)
+            en = ct.estimate_neighborhood(h, x, en_sched)
             w_exact = ct.neighborhood_mass(d, x, en.alpha)
             if w_exact >= beta:
                 match = (1 - eta) * w_exact <= en.w_hat <= (1 + eta) * w_exact
@@ -191,6 +194,7 @@ def test_criterion_06_equality_testers(capsys):
 
 def test_criterion_07_approx_eval(capsys):
     eps, delta, n = 0.25, 0.2, 2**10
+    budget = approx_eval_schedule(n, eps, delta)
     need = 1.0 - delta - 0.05
     ok = True
     parts = []
@@ -207,7 +211,7 @@ def test_criterion_07_approx_eval(capsys):
         for j, x in enumerate(pts):
             h = ct.OracleHandle(d, model=ct.COND, seed=7000 + j,
                                 discipline=ct.STRICT)
-            out = approx_eval(h, x, eps, delta)
+            out = approx_eval(h, x, budget)
             exact = d.weight(x)
             good += out.is_value and (
                 (1 - eps) * exact <= out.estimate <= (1 + eps) * exact

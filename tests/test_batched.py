@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condtest import distance, interval
 from condtest.adversarial import (
     gen_block_profile,
     gen_half_split,
@@ -36,7 +37,7 @@ from condtest.distance import (
     find_reference,
 )
 from condtest.distcore import INTERVAL, QuerySet, make_distribution, uniform
-from condtest.equality import equality_schedule, pcond_test_equality
+from condtest.equality import pcond_test_equality
 from condtest.errors import (
     BadQuerySet,
     CondtestError,
@@ -49,10 +50,10 @@ from condtest.identity import (
     KnownTarget,
     _test_known_heavy,
     _test_known_main,
+    cond_schedule,
     cond_test_known,
-    epsilon_ladder,
 )
-from condtest.interval import binary_descent, descent_tolerances, icond_test_uniform
+from condtest.interval import binary_descent, icond_test_uniform
 from condtest.oracles import COND, ICOND, PCOND, PERMISSIVE, STRICT, OracleHandle
 from condtest.profiles import DESK, ConstantsProfile
 from condtest.subroutines import (
@@ -66,7 +67,7 @@ from condtest.subroutines import (
     compare_budget,
     compare_points,
     estimate_neighborhood,
-    neighborhood_grid,
+    neighborhood_schedule,
 )
 from condtest.uniformity import pcond_test_uniform, query_budget, schedule
 
@@ -125,11 +126,11 @@ def reference_pcond_test_uniform(h, eps, profile=DESK):
     n = h.dist.n
     if n == 1:
         return "Accept"
-    q = profile["unif_q"]
+    q, stages = schedule(eps, profile)
     refs = h.rng.integers(1, n + 1, size=q)
     full = QuerySet.full()
     reject = False
-    for s_j, eta_j, delta_j, window, m_j in schedule(eps, profile):
+    for s_j, window, m_j in stages:
         drawn = h.draw_many(full, s_j)
         fresh = h.rng.integers(1, n + 1, size=s_j)
         for x in refs:
@@ -141,7 +142,7 @@ def reference_pcond_test_uniform(h, eps, profile=DESK):
                         h.burn(full, m_j)
                         continue
                     try:
-                        out = compare_points(h, x, y, eta_j, 2.0, delta_j, profile)
+                        out = compare_points(h, x, y, m_j, 2.0)
                     except ZeroMassSet:
                         reject = True
                         h.burn(full, m_j)
@@ -158,7 +159,8 @@ def reference_binary_descent(h, y, eps, profile=DESK):
     a, b = 1, n
     if a == b:
         return 1.0
-    eta, delta = descent_tolerances(n, eps)
+    log_n = math.log2(n)
+    eta, delta = eps / (48.0 * log_n), eps / (100.0 * (1.0 + log_n))
     value = 1.0
     while a < b:
         c = (a + b) // 2
@@ -209,7 +211,7 @@ def reference_icond_test_uniform(h, eps, profile=DESK):
 
 def reference_test_known_main(h, target, eps, sp, profile=DESK):
     """cond_test_known's Main branch as one compare call per witness."""
-    eps1, eps2, eps3, eps4 = epsilon_ladder(eps)
+    eps1, eps2, eps3, eps4 = eps / 10.0, eps / 2.0, eps / 48.0, eps / 6.0
     k = sp.k_star
     full = QuerySet.full()
     low_prefix = QuerySet.explicit(target.prefix_labels(k))
@@ -290,9 +292,9 @@ def reference_test_known_main(h, target, eps, sp, profile=DESK):
 
 
 def reference_cond_test_known(h, target, eps, profile=DESK):
-    sp = target.split(epsilon_ladder(eps)[0])
+    sp = target.split(eps / 10.0)
     if sp.heavy:
-        return _test_known_heavy(h, target, eps, sp, profile)
+        return _test_known_heavy(h, target, sp, cond_schedule(target.n, eps, profile))
     return reference_test_known_main(h, target, eps, sp, profile)
 
 
@@ -305,27 +307,12 @@ def reference_ratio_in_window(out, alpha, theta):
     return 1.0 / hi <= out.rho <= hi
 
 
-def reference_estimate_neighborhood(
-    h,
-    x,
-    kappa,
-    beta,
-    eta,
-    delta,
-    profile=DESK,
-    sample_cap=None,
-    eta_floor=None,
-    delta_floor=None,
-):
+def reference_estimate_neighborhood(h, x, kappa, beta, eta, delta, profile,
+                                    sample_cap, eta_floor, delta_floor):
     """estimate_neighborhood as one compare_points call per distinct
     sampled point."""
-    if sample_cap is None:
-        sample_cap = profile["en_sample_cap"]
-    if eta_floor is None:
-        eta_floor = profile["en_compare_eta_floor"]
-    if delta_floor is None:
-        delta_floor = profile["en_compare_delta_floor"]
-    theta, r = neighborhood_grid(kappa, beta, eta, delta)
+    theta = kappa * eta * beta * delta / 64.0
+    r = int(round(kappa / theta))
     i = int(h.rng.integers(1, r))
     alpha = kappa + i * theta
     size = math.ceil(profile["en_sample_c"] * math.log(4.0 / delta) / (beta * eta**2))
@@ -334,6 +321,7 @@ def reference_estimate_neighborhood(
     uniq, counts = np.unique(pts, return_counts=True)
     c_eta = max(theta / 4.0, eta_floor)
     c_delta = max(delta / (4.0 * size), delta_floor)
+    m = compare_budget(c_eta, 4.0, c_delta, profile)
     inside = 0
     for y, mult in zip(uniq, counts):
         y = int(y)
@@ -341,7 +329,7 @@ def reference_estimate_neighborhood(
             # Ratio exactly 1, always inside the window.
             inside += int(mult)
             continue
-        out = compare_points(h, x, y, c_eta, 4.0, c_delta, profile)
+        out = compare_points(h, x, y, m, 4.0)
         if reference_ratio_in_window(out, alpha, theta):
             inside += int(mult)
     return NeighborhoodEstimate(inside / size, alpha, theta)
@@ -373,6 +361,7 @@ def reference_find_reference(h, kappa, profile=DESK):
         c_eta = max(en.theta / 4.0, profile["fr_compare_eta_floor"])
         c_delta = max(1.0 / (40.0 * x_size * y_size),
                       profile["fr_compare_delta_floor"])
+        m = compare_budget(c_eta, 4.0, c_delta, profile)
         ys = h.rng.integers(1, n + 1, size=y_size)
         inside = 0
         for y in ys:
@@ -381,7 +370,7 @@ def reference_find_reference(h, kappa, profile=DESK):
                 inside += 1
                 continue
             # The pair always has mass: x was drawn from D.
-            out = compare_points(h, x, y, c_eta, 4.0, c_delta, profile)
+            out = compare_points(h, x, y, m, 4.0)
             if reference_ratio_in_window(out, en.alpha, en.theta):
                 inside += 1
         mu_hat = inside / y_size
@@ -405,6 +394,7 @@ def reference_estimate_distance_to_uniformity(h, eps, profile=DESK):
     s = math.ceil(profile["dist_s_c"] / eps**2)
     K = max(1.0, 2.0 / (n * d_hat), 4.0 * n * d_hat / eps)
     delta = 1.0 / (10.0 * s)
+    m = compare_budget(eps / 2.0, K, delta, profile)
     ys = h.rng.integers(1, n + 1, size=s)
     total = 0.0
     for y in ys:
@@ -412,7 +402,7 @@ def reference_estimate_distance_to_uniformity(h, eps, profile=DESK):
         if y == x:
             rho = 1.0
         else:
-            out = compare_points(h, x, y, eps / 2.0, K, delta, profile)
+            out = compare_points(h, x, y, m, K)
             if out.tag == HIGH:
                 continue  # shortfall 0
             if out.is_low:
@@ -434,7 +424,9 @@ def reference_pcond_test_equality(h1, h2, eps, profile=DESK):
     for each (reference, pooled point) pair."""
     n = h1.dist.n
     et = eps / 100.0
-    t, s1, s2 = equality_schedule(n, eps, profile)
+    t = math.ceil(profile["eq_t_c"] * math.log2(2.0 * n) / eps**2)
+    s1 = math.ceil(profile["eq_s1_c"] * t / eps**2)
+    s2 = math.ceil(profile["eq_s2_c"] * t * math.log2(t + 1.0) / eps**3)
     full = QuerySet.full()
     refs = h1.draw_many(full, t)
     sample1 = h1.draw_many(full, s1)
@@ -442,17 +434,16 @@ def reference_pcond_test_equality(h1, h2, eps, profile=DESK):
     pooled = np.concatenate((sample1, sample2))
     uniq = np.unique(pooled)
     kappa, en_eta, beta, en_delta = et, et / 8.0, et / (2.0 * t), 1.0 / (100.0 * t)
-    theta, _ = neighborhood_grid(kappa, beta, en_eta, en_delta)
+    theta = kappa * en_eta * beta * en_delta / 64.0
     c_eta = max(theta / 4.0, profile["eq_compare_eta_floor"])
     c_delta = max(1.0 / (200.0 * t * (s1 + s2)), profile["eq_compare_delta_floor"])
+    m = compare_budget(c_eta, 4.0, c_delta, profile)
+    en_sched = neighborhood_schedule(
+        kappa, beta, en_eta, en_delta, profile["eq_en_sample_cap"],
+        profile["eq_compare_eta_floor"], profile["eq_compare_delta_floor"], profile)
     for r in refs:
         r = int(r)
-        en = estimate_neighborhood(
-            h1, r, kappa, beta, en_eta, en_delta, profile,
-            sample_cap=profile["eq_en_sample_cap"],
-            eta_floor=profile["eq_compare_eta_floor"],
-            delta_floor=profile["eq_compare_delta_floor"],
-        )
+        en = estimate_neighborhood(h1, r, en_sched)
         w1, alpha = en.w_hat, en.alpha
         rho1 = {}
         rho2 = {}
@@ -463,8 +454,8 @@ def reference_pcond_test_equality(h1, h2, eps, profile=DESK):
                 rho2[i] = 1.0
                 continue
             try:
-                o1 = compare_points(h1, r, i, c_eta, 4.0, c_delta, profile)
-                o2 = compare_points(h2, r, i, c_eta, 4.0, c_delta, profile)
+                o1 = compare_points(h1, r, i, m, 4.0)
+                o2 = compare_points(h2, r, i, m, 4.0)
             except ZeroMassSet:
                 # One side gives the pair positive mass (both points
                 # were sampled somewhere), the other gives it none.
@@ -1022,6 +1013,11 @@ DESCENT_CASES = [
 ]
 
 
+def descent_budget(n):
+    """binary_descent's (eta, m) in icond_test_uniform at eps = 0.5."""
+    return interval.schedule(n, 0.5, DESK)[1:3]
+
+
 class TestDescentMatchesScalarWalk:
     def test_one_point_at_a_time(self):
         """Values exactly, and the walk stops at the first, a middle and
@@ -1029,11 +1025,10 @@ class TestDescentMatchesScalarWalk:
         stops = set()
         for name, d in DESCENT_CASES:
             depth = (d.n - 1).bit_length()
-            eta, delta = descent_tolerances(d.n, 0.5)
-            m = compare_budget(eta, 2.0, delta, DESK)
+            eta, m = descent_budget(d.n)
             for y in (1, 17, d.n // 2, d.n // 2 + 1, d.n):
                 h1, h2 = twins(d, ICOND, y)
-                got = binary_descent(h1, [y], 0.5)
+                got = binary_descent(h1, [y], eta, m)
                 want = reference_binary_descent(h2, y, 0.5)
                 assert_same_state(h1, h2)
                 if want is None:
@@ -1046,7 +1041,7 @@ class TestDescentMatchesScalarWalk:
 
     def test_no_points(self):
         h1, h2 = twins(uniform(64), ICOND, 0)
-        assert binary_descent(h1, [], 0.5).size == 0
+        assert binary_descent(h1, [], *descent_budget(64)).size == 0
         assert_same_state(h1, h2)
 
     @pytest.mark.parametrize("name, d", DESCENT_CASES)
@@ -1054,7 +1049,7 @@ class TestDescentMatchesScalarWalk:
         rng = np.random.default_rng(len(name))
         ys = rng.integers(1, d.n + 1, size=6)
         h1, h2 = twins(d, ICOND, 4)
-        got = binary_descent(h1, ys, 0.5)
+        got = binary_descent(h1, ys, *descent_budget(d.n))
         want = []
         for y in ys:
             v = reference_binary_descent(h2, int(y), 0.5)
@@ -1076,7 +1071,7 @@ class TestDescentMatchesScalarWalk:
         for seed in range(8):
             ys = np.random.default_rng(seed).integers(1, 101, size=2)
             h1, h2 = twins(d, ICOND, seed)
-            got = binary_descent(h1, ys, 0.5, bounds=bounds)
+            got = binary_descent(h1, ys, *descent_budget(100), bounds=bounds)
             want = []
             for y in ys:
                 v = reference_binary_descent(h2, int(y), 0.5)
@@ -1124,7 +1119,7 @@ class TestDescentMatchesScalarWalk:
 def witness_dead(target):
     """The target with no mass below the split, where every witness
     lies: each witness comparison sees a zero-mass witness."""
-    sp = target.split(epsilon_ladder(0.5)[0])
+    sp = target.split(0.05)
     w = target.dstar.weights.copy()
     w[target.prefix_labels(sp.k_star) - 1] = 0.0
     return make_distribution(w)
@@ -1158,12 +1153,12 @@ class TestCondKnownMatchesScalarLoop:
     @pytest.mark.parametrize("name, d, t", KNOWN_CASES)
     def test_same_verdict_ledger_and_generator(self, name, d, t):
         target = KnownTarget(t)
-        sp = target.split(epsilon_ladder(0.5)[0])
+        sp = target.split(0.05)
         assert not sp.heavy
         verdicts = set()
         for seed in range(3):
             h1, h2 = recording_twins(d, COND, seed, STRICT)
-            verdict = _test_known_main(h1, target, 0.5, sp, DESK)
+            verdict = _test_known_main(h1, target, sp, cond_schedule(target.n, 0.5, DESK))
             assert verdict == reference_test_known_main(h2, target, 0.5, sp, DESK)
             assert_same_draws(h1, h2)
             verdicts.add(verdict)
@@ -1178,13 +1173,13 @@ class TestCondKnownMatchesScalarLoop:
         shapes = {}
         for name, _, t in KNOWN_CASES:
             target = KnownTarget(t)
-            sp = target.split(epsilon_ladder(0.5)[0])
+            sp = target.split(0.05)
             sizes = set()
             for j in range(sp.i_star, target.n + 1):
                 wj = target.weight_at(j)
-                if wj < epsilon_ladder(0.5)[0]:
+                if wj < 0.05:
                     chain = target.witness_chain(wj)
-                    los, his = chain.walk(j)
+                    los, his = chain.resolve(j, np.arange(chain.depth[j - 1]))
                     sizes.update((his - los + 1).tolist())
             shapes[name] = sizes
         # Uniform: one point each, two in the last interval of a chain.
@@ -1193,7 +1188,7 @@ class TestCondKnownMatchesScalarLoop:
         # The staircase's heaviest points are compared against their whole
         # prefix, one wide witness each.
         stair = KnownTarget(STAIR)
-        assert stair.weight_at(stair.n) >= epsilon_ladder(0.5)[0]
+        assert stair.weight_at(stair.n) >= 0.05
         assert 1 in shapes["random_mixed"] and max(shapes["random_mixed"]) > 64
 
 
@@ -1236,8 +1231,12 @@ class TestDistanceMatchesScalarLoops:
             h1, h2 = recording_twins(d, PCOND, seed, discipline)
             x = h1.draw(QuerySet.full())
             assert h2.draw(QuerySet.full()) == x
-            got = estimate_neighborhood(h1, x, kappa, beta, eta, delta)
-            assert got == reference_estimate_neighborhood(h2, x, kappa, beta, eta, delta)
+            # desk's find_reference cap and floors
+            caps = (400, 0.02, 1e-4)
+            got = estimate_neighborhood(
+                h1, x, neighborhood_schedule(kappa, beta, eta, delta, *caps))
+            assert got == reference_estimate_neighborhood(
+                h2, x, kappa, beta, eta, delta, DESK, *caps)
             assert_same_draws(h1, h2)
 
     @pytest.mark.parametrize("discipline", [STRICT, PERMISSIVE])
@@ -1246,7 +1245,7 @@ class TestDistanceMatchesScalarLoops:
         found = []
         for seed in range(2):
             h1, h2 = recording_twins(d, PCOND, seed, discipline)
-            ref = find_reference(h1, 0.25 / 8.0)
+            ref = find_reference(h1, distance.schedule(d.n, 0.25, DESK))
             assert ref == reference_find_reference(h2, 0.25 / 8.0)
             assert_same_draws(h1, h2)
             found.append(ref is not None)
@@ -1428,7 +1427,9 @@ def test_compare_points_matches_compare_on_points(w, seed, data, model,
     h1, h2 = twins(d, model, seed, discipline)
     for h in (h1, h2):
         h.draw_many(QuerySet.full(), 2)
-    got = outcome_or_error(lambda: compare_points(h1, px, py, *params))
+    eta, K, delta = params
+    got = outcome_or_error(
+        lambda: compare_points(h1, px, py, compare_budget(eta, K, delta), K))
     want = outcome_or_error(lambda: compare(
         h2, QuerySet.explicit([px]), QuerySet.explicit([py]), *params))
     assert got == want
@@ -1452,6 +1453,6 @@ class TestComparePointsRefusals:
         h = OracleHandle(d, model=model, seed=3, discipline=discipline)
         state = h.rng.bit_generator.state
         with pytest.raises(error):
-            compare_points(h, px, py, 0.1, 2.0, 0.1)
+            compare_points(h, px, py, compare_budget(0.1, 2.0, 0.1), 2.0)
         assert h.ledger.total == 0
         assert h.rng.bit_generator.state == state

@@ -6,6 +6,7 @@ from condtest.distance import (
     ReferencePoint,
     estimate_distance_to_uniformity,
     find_reference,
+    schedule,
 )
 from condtest.distcore import make_distribution, tv_distance, uniform
 from condtest.oracles import OracleHandle, PCOND, STRICT
@@ -15,10 +16,16 @@ def handle(d, seed=0):
     return OracleHandle(d, model=PCOND, seed=seed, discipline=STRICT)
 
 
+def search(h):
+    """find_reference at kappa = 0.1, as estimate_distance_to_uniformity
+    runs it at eps = 0.8."""
+    return find_reference(h, schedule(h.dist.n, 0.8))
+
+
 class TestFindReference:
     def test_uniform_yields_calibrated_point(self):
         n = 256
-        ref = find_reference(handle(uniform(n), seed=1), 0.1)
+        ref = search(handle(uniform(n), seed=1))
         assert isinstance(ref, ReferencePoint)
         assert ref.d_hat == pytest.approx(1.0 / n, rel=0.25)
         assert ref.w_hat > 0.9
@@ -31,10 +38,10 @@ class TestFindReference:
         w = np.full(n, 1e-7)
         w[0] = 1.0
         d = make_distribution(w)
-        assert find_reference(handle(d, seed=2), 0.1) is None
+        assert search(handle(d, seed=2)) is None
 
     def test_gates_honour_kappa_range(self):
-        ref = find_reference(handle(gen_half_split(256, 0.125), seed=3), 0.1)
+        ref = search(handle(gen_half_split(256, 0.125), seed=3))
         n = 256
         if ref is not None:
             assert 0.1 / (4 * n) <= ref.d_hat <= 2.0 / (0.1 * n)

@@ -41,14 +41,14 @@ def weights_strategy(max_n=64):
 
 class TestQuerySet:
     def test_factories_and_members(self):
-        assert QuerySet.full().size(5) == 5
+        assert QuerySet.full().members(5).size == 5
         p = QuerySet.pair(4, 2)
         assert (p.a, p.b) == (2, 4)
         assert list(p.members(10)) == [2, 4]
         iv = QuerySet.interval(3, 6)
         assert list(iv.members(10)) == [3, 4, 5, 6]
         ex = QuerySet.explicit([1, 5, 9])
-        assert ex.size(10) == 3
+        assert ex.members(10).size == 3
 
     def test_bad_sets(self):
         with pytest.raises(BadQuerySet):

@@ -10,14 +10,20 @@ from condtest.equality import (
     UNKNOWN,
     VALUE,
     approx_eval,
-    equality_schedule,
-    eval_round_budget,
+    approx_eval_schedule,
+    eval_schedule,
     eval_test_equality,
+    pcond_schedule,
     pcond_test_equality,
 )
 from condtest.oracles import COND, OracleHandle, PCOND, PERMISSIVE, STRICT
 from condtest.profiles import DESK
 from condtest.uniformity import ACCEPT, REJECT
+
+
+def budget(h):
+    """approx_eval's budget at eps = 0.25 and delta = 0.2 on h's domain."""
+    return approx_eval_schedule(h.dist.n, 0.25, 0.2, DESK)
 
 
 def pcond_pair(d1, d2, seed=0):
@@ -34,7 +40,7 @@ def cond_pair(d1, d2, seed=0):
 
 class TestSchedule:
     def test_frozen(self):
-        t, s1, s2 = equality_schedule(256, 0.5, DESK)
+        _, t, s1, s2, _, _ = pcond_schedule(256, 0.5, DESK)
         assert t == math.ceil(0.25 * math.log2(512) / 0.25)
         assert s1 == math.ceil(0.5 * t / 0.25)
         assert s2 == math.ceil(0.5 * t * math.log2(t + 1.0) / 0.125)
@@ -68,14 +74,19 @@ class TestPcondEquality:
         assert rej == 10
 
 
-class TestEvalRoundBudget:
+class TestEvalBudget:
     def test_eps_clamped(self):
-        big = eval_round_budget(1024, 0.5, 0.2, DESK)
-        clamped = eval_round_budget(1024, DESK["ae_eps_cap"] / 2.0, 0.2, DESK)
+        big = approx_eval_schedule(1024, 0.5, 0.2, DESK)
+        clamped = approx_eval_schedule(1024, DESK["ae_eps_cap"] / 2.0, 0.2, DESK)
         assert big == clamped
 
+    def test_tester_evaluates_at_eps_over_100(self):
+        m, budget, window = eval_schedule(1024, 0.5, DESK)
+        assert m == 10 and window == (1.0 - 0.5 / 8.0, 1.0 + 0.5 / 8.0)
+        assert budget == approx_eval_schedule(1024, 0.005, 0.005, DESK)
+
     def test_round_cap_formula(self):
-        M, kappa, eps, m = eval_round_budget(1024, 0.0625, 0.2, DESK)
+        M, kappa, eps, m = approx_eval_schedule(1024, 0.0625, 0.2, DESK)
         assert M == math.ceil(math.log2(1024) + math.log2(9.0 / 0.2) + 1.0)
         assert kappa == pytest.approx(eps / (M * M * math.log2(M / 0.2)))
         assert m <= DESK["ae_m_cap"]
@@ -84,7 +95,7 @@ class TestEvalRoundBudget:
 class TestApproxEval:
     def test_uniform_accurate(self):
         h = OracleHandle(uniform(1024), model=COND, seed=0, discipline=STRICT)
-        out = approx_eval(h, 17, 0.25, 0.2)
+        out = approx_eval(h, 17, budget(h))
         assert out.is_value
         assert out.estimate == pytest.approx(1.0 / 1024, rel=0.25)
 
@@ -94,7 +105,7 @@ class TestApproxEval:
         h = OracleHandle(
             make_distribution(w), model=COND, seed=1, discipline=STRICT
         )
-        out = approx_eval(h, 10, 0.25, 0.2)
+        out = approx_eval(h, 10, budget(h))
         assert out.is_value
         assert out.estimate == pytest.approx(h.dist.weight(10), rel=0.05)
 
@@ -103,7 +114,7 @@ class TestApproxEval:
         d = make_distribution(w)
         h = OracleHandle(d, model=COND, seed=2, discipline=STRICT)
         for i in (1, 3, 5):
-            out = approx_eval(h, i, 0.25, 0.2)
+            out = approx_eval(h, i, budget(h))
             assert out.is_value
             assert out.estimate == pytest.approx(d.weight(i), rel=0.25)
 
@@ -116,7 +127,7 @@ class TestApproxEval:
         light = set(light_set(d, 0.25).tolist())
         assert 1 in light
         h = OracleHandle(d, model=COND, seed=3, discipline=STRICT)
-        out = approx_eval(h, 1, 0.25, 0.2)
+        out = approx_eval(h, 1, budget(h))
         assert out.tag in (VALUE, UNKNOWN)
 
     def test_result_helpers(self):

@@ -4,6 +4,7 @@ import json
 import math
 import weakref
 
+import numpy as np
 import pytest
 
 from condtest import harness, identity
@@ -22,6 +23,7 @@ from condtest.harness import (
     CSV_HEADER,
     ExperimentConfig,
     TESTERS,
+    TrialRecord,
     aggregate,
     passes_guarantee,
     read_csv_trials,
@@ -34,6 +36,7 @@ from condtest.harness import (
     write_json,
 )
 from condtest.identity import KnownTarget
+from condtest.oracles import QueryLedger
 
 
 def small_cfg(**kw):
@@ -108,6 +111,20 @@ class TestConfig:
         assert TESTERS["icond_uniform"].model == "icond"
         assert TESTERS["dist_uniformity"].kind == "estimate"
         assert TESTERS["cond_known"].second == "target"
+
+
+def test_mean_queries_match_np_mean():
+    """aggregate's integer means equal np.mean's while a column sums
+    below 2^53."""
+    rng = np.random.default_rng(5)
+    for trials, high in ((1, 10), (7, 2**30), (200, 2**44)):
+        cols = rng.integers(0, high, size=(4, trials)).tolist()
+        records = [TrialRecord(i, 0, "Accept", None, QueryLedger(*led), 0.0)
+                   for i, led in enumerate(zip(*cols))]
+        got = aggregate(records, "verdict").mean_queries
+        for name, col in zip(("samp", "cond", "pcond", "icond"), cols):
+            assert got[name] == float(np.mean(col))
+        assert got["total"] == float(np.mean([r.ledger.total for r in records]))
 
 
 class TestRunExperiment:

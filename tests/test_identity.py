@@ -10,8 +10,8 @@ from condtest.identity import (
     KnownTarget,
     WitnessChain,
     build_witnesses,
+    cond_schedule,
     cond_test_known,
-    epsilon_ladder,
     pcond_test_known,
 )
 from condtest.oracles import COND, OracleHandle, PCOND, STRICT
@@ -28,8 +28,13 @@ def cond_handle(d, seed=0):
 
 class TestEpsilonLadder:
     def test_values(self):
-        e1, e2, e3, e4 = epsilon_ladder(0.48)
-        assert (e1, e2, e3, e4) == pytest.approx((0.048, 0.24, 0.01, 0.08))
+        # eps1..eps4 = 0.048, 0.24, 0.01, 0.08: the split and the
+        # re-check, wide and witness windows.
+        sched = cond_schedule(1024, 0.48)
+        assert sched.eps1 == pytest.approx(0.048)
+        assert sched.recheck == pytest.approx((0.99, 1.01))
+        assert sched.wide == pytest.approx((1.0 - 0.24 / 8.0, 1.0 + 0.24 / 8.0))
+        assert sched.witness == pytest.approx((0.98, 1.02))
 
 
 class TestKnownTarget:
@@ -276,9 +281,12 @@ class TestWitnessChainTable:
             chain = t.witness_chain(wj)
             depth = int(chain.depth[j - 1])
             lo, hi = chain.resolve(j, np.arange(depth)[::-1])
-            want_lo, want_hi = chain.walk(j)
-            assert hi.tolist() == want_hi[::-1].tolist()
-            assert lo.tolist() == want_lo[::-1].tolist()
+            # The chain by its parent links, rightmost first.
+            nodes = [j - 1]
+            while len(nodes) < depth:
+                nodes.append(int(chain.up[0][nodes[-1]]))
+            assert hi.tolist() == nodes[::-1]
+            assert lo.tolist() == chain.lo[nodes[::-1]].tolist()
             climbed += depth > chain.unit_run[j - 1] > 0
         assert climbed > 10
 
@@ -447,9 +455,9 @@ def chain_walks(draw):
 
 @given(chain_walks())
 @settings(max_examples=150, deadline=None)
-def test_resolve_and_walk_match_parent_walk(walk):
-    """resolve's bit-by-bit climb and walk's doubling land where a step
-    by step walk up the parent links does."""
+def test_resolve_matches_parent_walk(walk):
+    """resolve's bit-by-bit climb lands where a step by step walk up the
+    parent links does."""
     t, j, picks = walk
     chain = t.witness_chain(t.weight_at(j))
     parent = chain.up[0] if chain.up else None
@@ -463,7 +471,3 @@ def test_resolve_and_walk_match_parent_walk(walk):
     assert lo.dtype == hi.dtype == np.int32
     assert hi.tolist() == [nodes[a] for a in picks]
     assert lo.tolist() == chain.lo[hi].tolist()
-    lo, hi = chain.walk(j)
-    assert lo.dtype == hi.dtype == np.int32
-    assert hi.tolist() == nodes
-    assert lo.tolist() == chain.lo[nodes].tolist()

@@ -14,6 +14,11 @@ name it imports: a deletion that leaves an import behind fails here.
 Only `distcore.py` reads a distribution's cumulative-mass array
 `.prefix`, which array-free distributions do not have; everything else
 goes through `prefix_at` and `locate`.
+
+Only the schedules read a profile: outside `profiles.py`, a subscript
+of a name `profile` may stand only in a function named `schedule` or
+`*_schedule`, or in `compare_budget`, which they share. Tester and
+subroutine bodies take every size and budget from a schedule.
 """
 
 import ast
@@ -163,3 +168,63 @@ def test_only_distcore_reads_prefix():
             if lines:
                 reads[path.name] = lines
     assert not reads, f"cumulative masses read outside distcore: {reads}"
+
+
+def _profile_reads(tree):
+    """(function, line) for every profile[...] that tree loads outside a
+    schedule or compare_budget; function is None at module level."""
+    reads = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Subscript) and isinstance(child.ctx, ast.Load)
+                    and isinstance(child.value, ast.Name) and child.value.id == "profile"
+                    and not (fn == "schedule" or fn == "compare_budget"
+                             or (fn or "").endswith("_schedule"))):
+                reads.append((fn, child.lineno))
+            visit(child, fn)
+
+    visit(tree, None)
+    return reads
+
+
+# Lines of identity.py before its schedules, verbatim: two tester
+# bodies that read the profile inline.
+INLINE_READS = """
+def pcond_test_known(h, target, eps, profile=DESK):
+    eta = eps / 6.0
+    buckets = target.buckets(eta)
+    b = buckets.b
+    m = math.ceil(profile["known_m_c"] * b * b * math.log2(2.0 * b) / eta**2)
+
+
+def _test_known_heavy(h, target, eps, sp, profile):
+    eps1 = eps / 10.0
+    m = math.ceil(profile["heavy_m_c"] * math.log2(4.0 / eps) / eps**4)
+"""
+
+
+def test_profile_read_check():
+    assert _profile_reads(ast.parse(INLINE_READS)) == [
+        ("pcond_test_known", 6), ("_test_known_heavy", 11)]
+    allowed = ("def schedule(eps, profile):\n    return profile['unif_q']\n"
+               "def pcond_schedule(n, eps, profile):\n"
+               "    return profile['known_m_c']\n"
+               "def compare_budget(eta, K, delta, profile):\n"
+               "    return profile['compare_c']\n"
+               "def f(profile):\n    profile['x'] = 1\n    return profile.name\n")
+    assert _profile_reads(ast.parse(allowed)) == []
+    assert _profile_reads(ast.parse("q = profile['unif_q']")) == [(None, 1)]
+
+
+def test_only_schedules_read_the_profile():
+    reads = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "profiles.py":
+            found = _profile_reads(ast.parse(path.read_text()))
+            if found:
+                reads[path.name] = found
+    assert not reads, f"profile read outside a schedule: {reads}"

@@ -18,7 +18,7 @@ class TestConstantsProfile:
     def test_presets_exist(self):
         assert set(PRESETS) == {"desk", "theoretical"}
         assert DESK["compare_c"] == 3.0
-        assert THEORETICAL["en_sample_cap"] > DESK["en_sample_cap"]
+        assert THEORETICAL["fr_en_sample_cap"] > DESK["fr_en_sample_cap"]
 
     def test_same_keys_in_both_presets(self):
         assert set(PRESETS["desk"]) == set(PRESETS["theoretical"])
@@ -33,12 +33,15 @@ class TestConstantsProfile:
             ConstantsProfile("desk", {"mystery_c": 1.0})
         with pytest.raises(BadProfile):
             ConstantsProfile("galactic")
+        # Keys no schedule reads are gone, not kept as silent no-ops.
+        with pytest.raises(BadProfile, match="en_sample_cap"):
+            ConstantsProfile("desk", {"en_sample_cap": 400})
 
     @pytest.mark.parametrize("key, value, match", [
         ("unif_q", -1, "integer >= 1"),
         ("unif_q", 0, "integer >= 1"),
         ("unif_q", 2.5, "integer >= 1"),
-        ("en_sample_cap", 400.0, "integer >= 1"),
+        ("fr_en_sample_cap", 400.0, "integer >= 1"),
         ("compare_c", "x", "must be a number"),
         ("compare_c", True, "must be a number"),
         ("compare_c", None, "must be a number"),
@@ -46,7 +49,7 @@ class TestConstantsProfile:
         ("compare_c", float("nan"), "finite number > 0"),
         ("compare_c", float("inf"), "finite number > 0"),
         ("icond_t_c", -20.0, "finite number > 0"),
-        ("en_compare_delta_floor", 1.0, r"in \(0, 1\)"),
+        ("eq_compare_delta_floor", 1.0, r"in \(0, 1\)"),
         ("fr_compare_delta_floor", 0.0, r"in \(0, 1\)"),
         ("compare_max_draws", 0.5, r"in \[1, 2\^63\)"),
         ("compare_max_draws", 1e19, r"in \[1, 2\^63\)"),

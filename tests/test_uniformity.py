@@ -6,6 +6,7 @@ from condtest.adversarial import gen_half_split
 from condtest.distcore import make_distribution, uniform
 from condtest.oracles import OracleHandle, PCOND, PERMISSIVE
 from condtest.profiles import DESK
+from condtest.subroutines import compare_budget
 from condtest.uniformity import (
     ACCEPT,
     REJECT,
@@ -21,24 +22,26 @@ def handle(d, seed=0):
 
 class TestSchedule:
     def test_frozen_at_half(self):
-        stages = schedule(0.5, DESK)
+        q, stages = schedule(0.5, DESK)
+        assert q == 4
         # eps = 1/2 -> t = log2(8) + 1 = 4 stages
         assert len(stages) == 4
-        sizes = [s for s, _, _, _, _ in stages]
+        sizes = [s for s, _, _ in stages]
         assert sizes == [8, 16, 32, 64]
-        windows = [w for _, _, _, w, _ in stages]
+        windows = [w for _, w, _ in stages]
         assert windows == pytest.approx(
             [2 ** (j - 5) * 0.5 / 4.0 for j in range(1, 5)]
         )
-        deltas = {d for _, _, d, _, _ in stages}
-        assert deltas == {math.exp(-12.0)}
+        # Each comparison at eta = the window and confidence exp(-3 t).
+        assert [m for _, _, m in stages] == [
+            compare_budget(w, 2.0, math.exp(-12.0)) for w in windows]
 
     def test_eps_rounded_down_to_power_of_two(self):
         assert schedule(0.7, DESK) == schedule(0.5, DESK)
         assert query_budget(0.7) == query_budget(0.5)
 
     def test_windows_capped_at_one(self):
-        for _, _, _, w, _ in schedule(1.0, DESK):
+        for _, w, _ in schedule(1.0, DESK).stages:
             assert w <= 1.0
 
 
