@@ -173,7 +173,8 @@ class Distribution:
         return np.searchsorted(self.prefix[1:], u, side="right")
 
     def mass(self, s: QuerySet):
-        """D(S)."""
+        """D(S). An explicit set's weights are summed as one segment of
+        np.add.reduceat, the rule draw_union_counts sums its sets by."""
         if s.shape == FULL:
             return 1.0
         if s.shape == PAIR:
@@ -184,9 +185,11 @@ class Distribution:
         first = int(idx[0])
         if int(idx[-1]) - first + 1 == idx.size:
             # A strictly increasing run first..last: the slice holds the
-            # gather's elements in its order, so the sum has its bits.
-            return float(self.weights[first - 1:first - 1 + idx.size].sum())
-        return float(self.weights[idx - 1].sum())
+            # gather's elements in its order.
+            held = self.weights[first - 1:first - 1 + idx.size]
+        else:
+            held = self.weights[idx - 1]
+        return float(np.add.reduceat(held, [0])[0])
 
     def __repr__(self):
         return f"Distribution(n={self.n})"

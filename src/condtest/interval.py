@@ -31,8 +31,9 @@ class Schedule(NamedTuple):
 
 
 def schedule(n, eps, profile=DESK) -> Schedule:
-    """The numbers for n >= 2 points; one point needs none."""
-    log_n = math.log2(n)
+    """The numbers for n points. One point, which the tester accepts
+    without a draw, takes log2 n as 1, as two points do."""
+    log_n = max(math.log2(n), 1.0)
     eta = eps / (48.0 * log_n)
     m = compare_budget(eta, 2.0, eps / (100.0 * (1.0 + log_n)), profile)
     return Schedule(math.ceil(profile["icond_t_c"] / eps), eta, m,

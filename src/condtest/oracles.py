@@ -27,9 +27,9 @@ binomial call: draw_pair_counts on the pairs {x, y_i}
 (pcond_test_uniform, pcond_test_equality, compare_to_point),
 draw_interval_counts on intervals (binary_descent, twice per
 icond_test_uniform run) and draw_union_counts on the unions
-{x} ∪ W_i (cond_test_known), which sums the W_i of each width as the
-rows of one 2-D array. A call costs some tens of microseconds before
-its first element, so the testers make few, large calls.
+{x} ∪ W_i (cond_test_known), which sums the k W_i and the k unions
+in two np.add.reduceat calls. A call costs some tens of microseconds
+before its first element, so the testers make few, large calls.
 """
 
 from __future__ import annotations
@@ -339,11 +339,13 @@ class OracleHandle:
         model, W_i inside the domain and, under STRICT, touching a
         returned point), and W_i must not hold x (SetsNotDisjoint). A
         refused element raises before anything is drawn or charged.
-        Masses take the float operations of Distribution.mass, and one
-        binomial call draws all k counts, which gives the numbers and
-        the generator state of k scalar calls in order. A union of zero
-        mass is neither drawn nor charged and reads -1. A call whose W_i
-        are all one point is draw_pair_counts(x, members, m).
+        The masses of the W_i, then of the unions, are one
+        np.add.reduceat each, which sums each set's segment on its own,
+        with the bits of Distribution.mass. One binomial call draws all
+        k counts, with the numbers and generator state of k scalar calls
+        in order. A union of zero mass is neither drawn nor charged and
+        reads -1. A call whose W_i are all one point is
+        draw_pair_counts(x, members, m).
         """
         x = int(x)
         members = np.asarray(members, dtype=np.int64)
@@ -372,17 +374,11 @@ class OracleHandle:
             touched = np.logical_or.reduceat(self._touched(members), starts)
             if not touched.all():
                 raise DisciplineViolation(_UNTOUCHED)
-        held = d.weights[members - 1]
-        # Each union's members in order: x inserted into its W_i.
-        union = d.weights[np.insert(members, starts + below, x) - 1]
-        # The W_i and their unions one width at a time, as the rows of a
-        # 2-D array: numpy sums each row as it sums the row alone.
-        mass, sub_mass = np.empty((2, sizes.size))
-        for size in np.unique(sizes).tolist():
-            rows = np.flatnonzero(sizes == size)
-            at = starts[rows, None] + np.arange(size + 1)
-            sub_mass[rows] = held[at[:, :-1]].sum(axis=1)
-            mass[rows] = union[at + rows[:, None]].sum(axis=1)
+        # Each W_i, then each union (x inserted into its W_i), as one
+        # segment of a reduceat: Distribution.mass's rule.
+        sub_mass = np.add.reduceat(d.weights[members - 1], starts)
+        union = np.insert(members, starts + below, x)
+        mass = np.add.reduceat(d.weights[union - 1], starts + np.arange(sizes.size))
         hits, drawn = self._binomial_counts(mass, sub_mass, m, None)
         n_drawn_wide = int(np.count_nonzero(drawn & wide))
         self._count(PAIR, int(m) * (int(np.count_nonzero(drawn)) - n_drawn_wide))

@@ -785,10 +785,12 @@ class TestUnionKernel:
             w[x - 1] = 0.0
             d = make_distribution(w)
             rest = np.delete(np.arange(1, d.n + 1), x - 1)
-            if d.weights.sum() < d.weights[rest - 1].sum():
+            union = d.mass(QuerySet.explicit(np.arange(1, d.n + 1)))
+            sub = d.mass(QuerySet.explicit(rest))
+            if union < sub:
                 break
-        else:
-            raise AssertionError("no such case found")
+        # Found by the rule the kernel sums with, before anything is drawn.
+        assert union < sub
         h1, h2 = recording_twins(d, COND, 3)
         got = h1.draw_union_counts(x, *union_args([rest, rest[:3]]), 500)
         assert got.tolist()[0] == 500
@@ -874,13 +876,15 @@ class TestUnionKernel:
 
 
 @given(st.integers(0, 2**32), st.lists(st.tuples(
-    st.sampled_from([1, 2, 7, 8, 9, 16, 127, 128, 129, 130, 257]),
+    st.one_of(st.sampled_from([1, 2, 7, 8, 9, 16, 127, 128, 129, 130, 257]),
+              st.integers(1, 257)),
     st.sampled_from(["first", "middle", "last"])), min_size=1, max_size=10))
 @settings(max_examples=60, deadline=None)
 def test_union_sums_by_width_are_the_per_set_sums(seed, shapes):
-    """The row sums of each width match Distribution.mass of each W_i and
-    of its union bit for bit, at widths around numpy's unroll of 8 and
-    its pairwise block of 128, with x before, inside and after W_i."""
+    """The kernel's two reduceat calls match Distribution.mass of each
+    W_i and of its union bit for bit, at any width from 1 to 257, most
+    often around numpy's unroll of 8 and its pairwise block of 128, with
+    x before, inside and after W_i."""
     rng = np.random.default_rng(seed)
     d = make_distribution(rng.random(700) ** 3)
     x = int(rng.integers(300, 401))

@@ -102,8 +102,9 @@ class TestDistribution:
 
     @pytest.mark.parametrize("size", [1, 7, 8, 9, 128, 129, 1000, 8193, 20000])
     def test_contiguous_explicit_mass_is_the_gather_sum(self, size):
-        """A run of labels is summed as a slice of the weights; its
-        float is bit for bit the sum of the gathered weights."""
+        """A run of labels is summed as a slice of the weights, other
+        sets as a gather; each float is bit for bit the one segment of
+        np.add.reduceat over the gathered weights."""
         rng = np.random.default_rng(size)
         w = rng.random(20011) ** 3
         w[rng.random(w.size) < 0.1] = 0.0
@@ -113,10 +114,11 @@ class TestDistribution:
                 continue
             idx = np.arange(first, first + size)
             assert d.mass(QuerySet.explicit(idx)) == float(
-                d.weights.take(idx - 1).sum())
+                np.add.reduceat(d.weights.take(idx - 1), [0])[0])
         # Sets that span as many labels as they hold only when contiguous.
         gaps = np.arange(1, min(2 * size, d.n) + 1, 2)
-        assert d.mass(QuerySet.explicit(gaps)) == float(d.weights[gaps - 1].sum())
+        assert d.mass(QuerySet.explicit(gaps)) == float(
+            np.add.reduceat(d.weights[gaps - 1], [0])[0])
 
     def test_weights_read_only(self):
         d = uniform(4)

@@ -25,8 +25,10 @@ SCHEDULES = {
     "dist_uniformity": distance.schedule,
 }
 
+# One and two points too, where log2 N is 0 and 1.
 GRID = [(profile, n, eps) for profile in (DESK, THEORETICAL)
-        for n in (2**8, 2**10) for eps in (0.25, 0.5)]
+        for n in (2**8, 2**10) for eps in (0.25, 0.5)] + [
+    (profile, n, 0.5) for profile in (DESK, THEORETICAL) for n in (1, 2)]
 
 
 def fields(sched):
