@@ -6,6 +6,7 @@ identity, equality of two unknowns, distance to uniformity, point-mass
 evaluation), hard-instance generators, and a Monte Carlo harness.
 """
 
+from ._version import __version__
 from .adversarial import (
     GENERATORS,
     gen_block_profile,
@@ -44,6 +45,7 @@ from .errors import (
     BadProfile,
     BadQuerySet,
     BadReport,
+    BadSeed,
     BadSweepGrid,
     BadTrialCount,
     CondtestError,
@@ -103,5 +105,3 @@ from .subroutines import (
     ratio_in_window,
 )
 from .uniformity import ACCEPT, REJECT, pcond_test_uniform, query_budget
-
-__version__ = "0.1.0"

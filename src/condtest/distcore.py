@@ -299,28 +299,22 @@ class BucketDecomposition:
     """Dyadic weight buckets for identity testing against a known target.
 
     Bucket 0 holds points below eta/N; bucket j (j >= 1) holds
-    [2^(j-1) eta/N, 2^j eta/N). b = ceil(log2(N/eta)+1)+1 buckets total.
+    [2^(j-1) eta/N, 2^j eta/N), the last one unbounded above;
+    ceil(log2(N/eta)+1)+1 buckets total.
     """
 
     bucket_index_of: np.ndarray  # bucket id per point, 0-based positions
-    bucket_bounds: list  # per-bucket (lo, hi) weight interval
-
-    @property
-    def b(self):
-        return len(self.bucket_bounds)
-
-    def bucket_mass(self, d: Distribution, j) -> float:
-        return float(d.weights[self.bucket_index_of == j].sum())
+    masses: np.ndarray  # each bucket's mass under the bucketized distribution
 
 
 def bucketize(d: Distribution, eta: float) -> BucketDecomposition:
     n = d.n
     jmax = math.ceil(math.log2(n / eta) + 1)
-    edges = [0.0] + [2.0 ** (j - 1) * eta / n for j in range(1, jmax + 1)]
-    edges.append(math.inf)
-    ids = np.searchsorted(np.asarray(edges[1:]), d.weights, side="right")
-    bounds = [(edges[k], edges[k + 1]) for k in range(len(edges) - 1)]
-    return BucketDecomposition(ids.astype(np.int64), bounds)
+    edges = np.asarray([2.0 ** (j - 1) * eta / n for j in range(1, jmax + 1)])
+    w = d.weights
+    ids = np.searchsorted(edges, w, side="right").astype(np.int64)
+    masses = np.array([float(w[ids == j].sum()) for j in range(jmax + 1)])
+    return BucketDecomposition(ids, masses)
 
 
 # Distribution spec files.

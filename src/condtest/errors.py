@@ -86,7 +86,11 @@ class UnknownTester(CondtestError):
 
 
 class BadTrialCount(CondtestError):
-    """An experiment needs at least one trial."""
+    """An experiment needs an integer number of trials, at least one."""
+
+
+class BadSeed(CondtestError):
+    """A seed must be an integer."""
 
 
 class BadProfile(CondtestError):

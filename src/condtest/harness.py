@@ -11,17 +11,20 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .distance import estimate_distance_to_uniformity
 from .distcore import Distribution, load_spec, uniform
 from .equality import eval_test_equality, pcond_test_equality
+from ._version import __version__
 from .errors import (
     BadEpsilon,
     BadReport,
+    BadSeed,
     BadSweepGrid,
     BadTrialCount,
     DomainMismatch,
@@ -78,10 +81,17 @@ def tester_spec(tester: str) -> TesterSpec:
 
 
 def check_eps(eps):
-    """Refuse an accuracy parameter outside the open interval (0, 1);
-    NaN and infinities fail the comparison too."""
-    if not 0.0 < eps < 1.0:
+    """Refuse an accuracy parameter that is no real number, or outside
+    the open interval (0, 1); NaN and infinities fail the comparison."""
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0.0 < eps < 1.0:
         raise BadEpsilon(f"eps must lie strictly between 0 and 1, got {eps!r}")
+
+
+def _integer(value, name, error):
+    """value as an int; error if it is no integer, or a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -97,6 +107,8 @@ class ExperimentConfig:
     def __post_init__(self):
         needs_two = tester_spec(self.tester).second != "none"
         check_eps(self.eps)
+        self.trials = _integer(self.trials, "trials", BadTrialCount)
+        self.seed = _integer(self.seed, "seed", BadSeed)
         if self.trials < 1:
             raise BadTrialCount(f"need at least one trial, got {self.trials!r}")
         if needs_two and self.spec2 is None:
@@ -118,24 +130,22 @@ class TrialRecord:
     ledger: QueryLedger
     millis: float
 
+    def as_dict(self):
+        """The trial's entry in the JSON report."""
+        return {"trial": self.trial, "seed": self.seed, "verdict": self.verdict,
+                "estimate": self.estimate, "ledger": self.ledger.as_dict(),
+                "millis": self.millis}
+
     def as_row(self):
+        """The trial's CSV row, in CSV_HEADER's order (csv writes None as "")."""
         led = self.ledger
-        return [
-            self.trial,
-            self.seed,
-            self.verdict,
-            "" if self.estimate is None else repr(self.estimate),
-            led.samp_count,
-            led.cond_count,
-            led.pcond_count,
-            led.icond_count,
-            led.total,
-            round(self.millis, 3),
-        ]
+        return [self.trial, self.seed, self.verdict, self.estimate,
+                *led.counts(), led.total, round(self.millis, 3)]
 
 
-CSV_HEADER = ["trial", "seed", "verdict", "estimate",
-              "samp", "cond", "pcond", "icond", "total", "millis"]
+# The trial's fields, the ledger's spread into its columns and total.
+CSV_HEADER = [col for f in fields(TrialRecord) for col in (
+    (*QueryLedger.COLUMNS, "total") if f.name == "ledger" else (f.name,))]
 
 
 def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
@@ -223,6 +233,7 @@ def run_trial(tester: str, d1: Distribution, aux, eps: float, seed: int,
     DomainMismatch."""
     spec = tester_spec(tester)
     check_eps(eps)
+    seed = _integer(seed, "seed", BadSeed) & _SEED_MASK
     aux_type, aux_name = _AUX[spec.second]
     if not isinstance(d1, Distribution) or not isinstance(aux, aux_type):
         raise IncompatibleOracleModel(
@@ -230,26 +241,15 @@ def run_trial(tester: str, d1: Distribution, aux, eps: float, seed: int,
             f"not {type(d1).__name__} and {type(aux).__name__}")
     if aux is not None:
         _check_same_domain(d1, aux)
-    seed &= _SEED_MASK
-    h1 = OracleHandle(d1, model=spec.model, seed=seed, discipline=spec.discipline)
+    h = OracleHandle(d1, model=spec.model, seed=seed, discipline=spec.discipline)
     t0 = time.perf_counter()
     if spec.second == "oracle":
-        h2 = OracleHandle(aux, model=spec.model,
-                          seed=(seed ^ _SECOND_STREAM) & _SEED_MASK,
-                          discipline=spec.discipline)
-        out = spec.fn(h1, h2, eps, profile)
-        ledger = h1.snapshot_ledger()
-        led2 = h2.ledger
-        ledger.samp_count += led2.samp_count
-        ledger.cond_count += led2.cond_count
-        ledger.pcond_count += led2.pcond_count
-        ledger.icond_count += led2.icond_count
-    elif spec.second == "target":
-        out = spec.fn(h1, aux, eps, profile)
-        ledger = h1.snapshot_ledger()
-    else:
-        out = spec.fn(h1, eps, profile)
-        ledger = h1.snapshot_ledger()
+        aux = OracleHandle(aux, model=spec.model,
+                           seed=(seed ^ _SECOND_STREAM) & _SEED_MASK,
+                           discipline=spec.discipline)
+    inputs = [h] if aux is None else [h, aux]
+    out = spec.fn(*inputs, eps, profile)
+    ledger = h.ledger + aux.ledger if spec.second == "oracle" else h.snapshot_ledger()
     millis = (time.perf_counter() - t0) * 1000.0
     if spec.kind == "estimate":
         return TrialRecord(0, seed, "", float(out), ledger, millis)
@@ -280,11 +280,8 @@ def aggregate(records, kind) -> AggregateReport:
     n = len(records)
     # Exact integer sums, divided once: np.mean's value while a column
     # sums below 2^53, and without its per-call cost.
-    mean_q = {
-        col: sum(getattr(r.ledger, col + "_count") for r in records) / n
-        for col in ("samp", "cond", "pcond", "icond")
-    }
-    mean_q["total"] = sum(r.ledger.total for r in records) / n
+    summed = sum((r.ledger for r in records), QueryLedger())
+    mean_q = {col: count / n for col, count in summed.as_dict().items()}
     rep = AggregateReport(kind=kind, trials=n, mean_queries=mean_q)
     if kind == "verdict":
         k = sum(r.verdict == "Accept" for r in records)
@@ -359,16 +356,13 @@ def read_csv_trials(path):
         for row in r:
             if len(row) != len(CSV_HEADER):
                 raise BadReport(f"line {r.line_num} has {len(row)} fields")
+            f = dict(zip(CSV_HEADER, row))
             try:
-                led = QueryLedger(int(row[4]), int(row[5]), int(row[6]), int(row[7]))
                 rec = TrialRecord(
-                    trial=int(row[0]),
-                    seed=int(row[1]),
-                    verdict=row[2],
-                    estimate=None if row[3] == "" else float(row[3]),
-                    ledger=led,
-                    millis=float(row[9]),
-                )
+                    int(f["trial"]), int(f["seed"]), f["verdict"],
+                    None if f["estimate"] == "" else float(f["estimate"]),
+                    QueryLedger(*(int(f[col]) for col in QueryLedger.COLUMNS)),
+                    float(f["millis"]))
             except ValueError as err:
                 raise BadReport(f"line {r.line_num}: {err}") from None
             out.append(rec)
@@ -378,6 +372,7 @@ def read_csv_trials(path):
 def result_document(result: ExperimentResult) -> dict:
     cfg = result.config
     return {
+        "condtest_version": __version__,
         "config": {
             "tester": cfg.tester,
             "spec": cfg.spec if isinstance(cfg.spec, (dict, str)) else "inline",
@@ -389,17 +384,7 @@ def result_document(result: ExperimentResult) -> dict:
         },
         "profile": result.profile_echo,
         "aggregate": result.aggregate.as_dict(),
-        "trials": [
-            {
-                "trial": r.trial,
-                "seed": r.seed,
-                "verdict": r.verdict,
-                "estimate": r.estimate,
-                "ledger": r.ledger.as_dict(),
-                "millis": r.millis,
-            }
-            for r in result.trials
-        ],
+        "trials": [r.as_dict() for r in result.trials],
     }
 
 

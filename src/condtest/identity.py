@@ -47,8 +47,10 @@ class KnownTarget:
     itself, in its target_tables slot, and hold no reference back to
     it. So every KnownTarget of one Distribution instance shares them:
     the sort is paid once per distribution, a split once per distinct
-    eps1 and a chain table once per distinct target weight below eps1,
-    and all of it dies with the distribution. Building a chain table
+    eps1, a chain table once per distinct target weight below eps1 and
+    a decomposition once per distinct eta, and all of it dies with the
+    distribution. Each of the three caches keeps at most MAX_CHAINS
+    entries and evicts its oldest first. Building a chain table
     costs O(N log N) in numpy, and its unit_run array, one int32 per
     node, lets resolve read a pick inside a run of one-point witnesses
     in O(1) and climb O(log N) levels only past it; prefix_labels is a
@@ -56,9 +58,6 @@ class KnownTarget:
     O(N) vector pass past it, and never a sort.
     """
 
-    # At most this many chain tables, and as many bucket
-    # decompositions, are kept; a target used with more distinct
-    # weights, or eps values, evicts the oldest.
     MAX_CHAINS = 8
 
     def __init__(self, dstar: Distribution):
@@ -96,15 +95,14 @@ class KnownTarget:
         return labels[np.lexsort((labels, seg))]
 
     def split(self, eps1: float) -> SplitPoint:
-        sp = self._splits.get(eps1)
-        if sp is None:
+        def build():
             # Tiny slack so accumulated float error in the prefix sums
             # cannot flip a prefix that equals 2 eps1 exactly.
             thr = 2.0 * eps1 * (1.0 + 1e-12) + 1e-15
             i_star = int(np.searchsorted(self.prefix_sums, thr, side="right"))
             heavy = self.prefix_mass(i_star - 1) <= eps1
-            sp = self._splits[eps1] = SplitPoint(i_star, i_star - 1, heavy)
-        return sp
+            return SplitPoint(i_star, i_star - 1, heavy)
+        return self._cached(self._splits, eps1, build)
 
     def witness_chain(self, wj: float) -> WitnessChain:
         """The greedy witness chains for target weight wj, built on the
@@ -120,8 +118,7 @@ class KnownTarget:
         return self._cached(self._buckets, eta, lambda: bucketize(self.dstar, eta))
 
     def _cached(self, cache, key, build):
-        """cache[key], from build() on a miss; a cache of MAX_CHAINS
-        entries evicts its oldest first."""
+        """cache[key], from build() on a miss."""
         table = cache.get(key)
         if table is None:
             if len(cache) >= self.MAX_CHAINS:
@@ -301,10 +298,8 @@ def pcond_test_known(h: OracleHandle, target: KnownTarget, eps: float,
     est = np.zeros(b)
     np.add.at(est, buckets.bucket_index_of[idx - 1], counts)
     est /= m
-    for j in range(b):
-        star = buckets.bucket_mass(dstar, j)
-        if abs(star - est[j]) > eta / b:
-            return REJECT
+    if (np.abs(buckets.masses - est) > eta / b).any():
+        return REJECT
     # Phase two: cross-sample ratio checks on comparable pairs.
     xs = target.sample(h.rng, s)
     ys = h.draw_many(QuerySet.full(), s)

@@ -66,8 +66,9 @@ _ALLOWED = {
 
 _UNTOUCHED = "conditioning on a set with no previously returned point"
 
-# Ledger column per query shape, regardless of the handle's model.
-_SHAPE_COLUMN = {FULL: "samp", PAIR: "pcond", INTERVAL: "icond", EXPLICIT: "cond"}
+# QueryLedger field per query shape, regardless of the handle's model.
+_SHAPE_COLUMN = {FULL: "samp_count", PAIR: "pcond_count", INTERVAL: "icond_count",
+                 EXPLICIT: "cond_count"}
 
 
 def _fix_zero_hits(out, d, lo, hi):
@@ -98,23 +99,24 @@ class QueryLedger:
     pcond_count: int = 0
     icond_count: int = 0
 
+    COLUMNS = (SAMP, COND, PCOND, ICOND)  # the order of the fields and of as_dict
+
     @property
     def total(self):
         return self.samp_count + self.cond_count + self.pcond_count + self.icond_count
 
+    def counts(self):
+        """The columns' counts, in COLUMNS order."""
+        return self.samp_count, self.cond_count, self.pcond_count, self.icond_count
+
     def copy(self):
-        return QueryLedger(
-            self.samp_count, self.cond_count, self.pcond_count, self.icond_count
-        )
+        return QueryLedger(*self.counts())
+
+    def __add__(self, other):
+        return QueryLedger(*(a + b for a, b in zip(self.counts(), other.counts())))
 
     def as_dict(self):
-        return {
-            "samp": self.samp_count,
-            "cond": self.cond_count,
-            "pcond": self.pcond_count,
-            "icond": self.icond_count,
-            "total": self.total,
-        }
+        return dict(zip(self.COLUMNS, self.counts()), total=self.total)
 
 
 class OracleHandle:
@@ -172,8 +174,8 @@ class OracleHandle:
         return bool(self._touched(s.indices).any())
 
     def _count(self, shape, m):
-        col = _SHAPE_COLUMN[shape]
-        setattr(self.ledger, col + "_count", getattr(self.ledger, col + "_count") + m)
+        field = _SHAPE_COLUMN[shape]
+        setattr(self.ledger, field, getattr(self.ledger, field) + m)
 
     # Drawing -------------------------------------------------------
 

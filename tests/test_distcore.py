@@ -307,9 +307,10 @@ class TestBucketize:
     def _assert_partition(self, d, dec: BucketDecomposition):
         assert dec.bucket_index_of.size == d.n
         assert dec.bucket_index_of.min() >= 0
-        assert dec.bucket_index_of.max() < dec.b
-        total = sum(dec.bucket_mass(d, j) for j in range(dec.b))
-        assert total == pytest.approx(1.0)
+        assert dec.bucket_index_of.max() < dec.masses.size
+        for j, mass in enumerate(dec.masses):
+            assert mass == float(d.weights[dec.bucket_index_of == j].sum())
+        assert dec.masses.sum() == pytest.approx(1.0)
 
     def test_known_identity_bounds(self):
         rng = np.random.default_rng(11)
@@ -318,9 +319,14 @@ class TestBucketize:
             eta = 0.1
             dec = bucketize(d, eta)
             self._assert_partition(d, dec)
-            assert dec.b == math.ceil(math.log2(d.n / eta) + 1) + 1
+            b = math.ceil(math.log2(d.n / eta) + 1) + 1
+            assert dec.masses.size == b
+            # Bucket 0 below eta/N, bucket j in [2^(j-1) eta/N, 2^j eta/N),
+            # the last one unbounded above.
+            edges = [0.0] + [2.0 ** (j - 1) * eta / d.n for j in range(1, b)] + [math.inf]
             for i in range(1, d.n + 1):
-                lo, hi = dec.bucket_bounds[dec.bucket_index_of[i - 1]]
+                j = dec.bucket_index_of[i - 1]
+                lo, hi = edges[j], edges[j + 1]
                 w = d.weight(i)
                 assert lo <= w < hi or (w == 0.0 and lo == 0.0)
 

@@ -7,12 +7,14 @@ import weakref
 import numpy as np
 import pytest
 
+import condtest
 from condtest import harness, identity
 from condtest.adversarial import gen_half_split, gen_staircase
 from condtest.distcore import uniform
 from condtest.errors import (
     BadEpsilon,
     BadReport,
+    BadSeed,
     BadSweepGrid,
     BadTrialCount,
     DomainMismatch,
@@ -111,6 +113,41 @@ class TestConfig:
         assert TESTERS["icond_uniform"].model == "icond"
         assert TESTERS["dist_uniformity"].kind == "estimate"
         assert TESTERS["cond_known"].second == "target"
+
+
+@pytest.mark.parametrize("name, value, error", [
+    ("eps", "0.5", BadEpsilon),
+    ("eps", None, BadEpsilon),
+    ("eps", True, BadEpsilon),
+    ("trials", 2.5, BadTrialCount),
+    ("trials", "3", BadTrialCount),
+    ("trials", True, BadTrialCount),
+    ("seed", 1.5, BadSeed),
+    ("seed", "7", BadSeed),
+    ("seed", True, BadSeed),
+    ("seed", None, BadSeed),
+])
+def test_bad_input_refused_before_any_trial(name, value, error, monkeypatch):
+    """A value of the wrong type raises its CondtestError, from
+    ExperimentConfig and from run_trial, before any oracle is opened."""
+    opened = []
+    monkeypatch.setattr(harness, "OracleHandle", lambda *a, **kw: opened.append(a))
+    with pytest.raises(error):
+        small_cfg(**{name: value})
+    if name != "trials":
+        args = dict(tester="pcond_uniform", d1=uniform(8), aux=None, eps=0.5, seed=0)
+        args[name] = value
+        with pytest.raises(error):
+            harness.run_trial(**args)
+    assert opened == []
+
+
+def test_numpy_integers_are_taken_as_ints():
+    cfg = small_cfg(seed=np.int64(7), trials=np.int32(2))
+    assert (type(cfg.seed), type(cfg.trials)) == (int, int)
+    res = run_experiment(cfg)
+    assert [r.seed for r in res.trials] == [7, 6]
+    json.dumps(result_document(res))
 
 
 def test_mean_queries_match_np_mean():
@@ -410,6 +447,11 @@ class TestSerialization:
         doc = read_json_report(path)
         assert doc == json.loads(json.dumps(result_document(res)))
         assert doc["aggregate"]["trials"] == 2
+
+    def test_json_records_the_package_version(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(run_experiment(small_cfg(trials=1)), path)
+        assert read_json_report(path)["condtest_version"] == condtest.__version__
 
     # Empty, cut short, not UTF-8, and JSON that is not an object.
     @pytest.mark.parametrize("data", [b"", b"{\"config\": ", b"\xff\xfe", b"[1]\n"])
