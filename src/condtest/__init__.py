@@ -33,7 +33,6 @@ from .distcore import (
     uniform,
 )
 from .equality import (
-    EvalResult,
     approx_eval,
     eval_test_equality,
     pcond_test_equality,
@@ -96,7 +95,6 @@ from .oracles import (
 )
 from .profiles import DESK, THEORETICAL, ConstantsProfile, resolve_profile
 from .subroutines import (
-    CompareOutcome,
     NeighborhoodEstimate,
     compare_budget,
     compare_points,

@@ -87,8 +87,6 @@ def sweep(tester, n_grid, eps, trials, seed, profile):
         grid = [int(x) for x in n_grid.split(",") if x.strip()]
     except ValueError:
         raise click.ClickException(f"bad n-grid {n_grid!r}")
-    if not grid:
-        raise click.ClickException("empty n-grid")
     try:
         res = scaling_sweep(tester, grid, eps, trials, seed, profile)
     except CondtestError as e:

@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distcore import QuerySet
+from .errors import check_eps
 from .oracles import OracleHandle
 from .profiles import DESK
 from .subroutines import (Neighborhood, compare_budget, compare_points,
@@ -46,6 +47,7 @@ class Schedule(NamedTuple):
 
 
 def schedule(n, eps, profile=DESK) -> Schedule:
+    check_eps(eps)
     kappa = eps / 8.0
     log_term = math.log2(2.0 / kappa)
     eta_floor = profile["fr_compare_eta_floor"]
@@ -75,22 +77,17 @@ def find_reference(h: OracleHandle, sched: Schedule):
     """
     n = h.dist.n
     candidates = h.draw_many(QuerySet.full(), sched.x_size)
-    for x in candidates:
-        x = int(x)
+    for x in candidates.tolist():
         en = estimate_neighborhood(h, x, sched.en)
         if en.w_hat < sched.w_gate:
             continue
         ys = h.rng.integers(1, n + 1, size=sched.y_size)
         inside = 0
-        for y in ys:
-            y = int(y)
-            if y == x:
-                inside += 1
-                continue
-            # The pair always has mass: x was drawn from D.
-            out = compare_points(h, x, y, sched.y_m, 4.0)
-            if out.is_ratio and ratio_in_window(out.rho, en.alpha, en.theta):
-                inside += 1
+        for y in ys.tolist():
+            # y == x reads ratio 1, as in compare_to_point; a NaN rho (Low
+            # or High) fails the window. The pair has mass: x was drawn from D.
+            rho = 1.0 if y == x else compare_points(h, x, y, sched.y_m, 4.0)[2]
+            inside += ratio_in_window(rho, en.alpha, en.theta)
         mu_hat = inside / sched.y_size
         if mu_hat < sched.mu_gate:
             continue

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadGeneratorParam,
     BadQuerySet,
     DomainMismatch,
     DomainTooLarge,
@@ -34,6 +35,7 @@ from .errors import (
     SpecParseError,
     ZeroMassSet,
     ZeroTotalMass,
+    as_integer,
 )
 
 
@@ -225,12 +227,13 @@ def make_distribution(weights) -> Distribution:
 
 def uniform(n) -> Distribution:
     """The uniform distribution over 1..n; array-free when n is a power
-    of two. Raises DomainTooLarge when the arrays of any other n do not
-    fit in memory."""
+    of two. Raises BadGeneratorParam when n is no integer, and
+    DomainTooLarge when the arrays of any other n do not fit in memory."""
+    n = as_integer(n, "uniform's n", BadGeneratorParam)
     if n < 1:
         raise ZeroTotalMass("need at least one weight")
     if n & (n - 1) == 0:
-        return _DyadicUniform(int(n))
+        return _DyadicUniform(n)
     try:
         return Distribution(np.broadcast_to(1.0 / n, (n,)))
     except MemoryError:

@@ -2,21 +2,20 @@
 
 Two routes: a pair-query tester that matches neighborhood weights of
 reference points across the two distributions, and a general
-conditional-query tester built on an approximate point-mass evaluator
-(a multiplicative-weight binary drill-down that either returns a
-(1 +- eps) estimate of D(i) or Unknown for points in the light tail).
+conditional-query tester built on approx_eval, a multiplicative-weight
+binary drill-down that returns a (1 +- eps) estimate of D(i), or None
+(the paper's Unknown) for points in the light tail.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .distcore import QuerySet
-from .errors import EvalFailed, ZeroMassSet
+from .errors import EvalFailed, ZeroMassSet, check_eps
 from .oracles import OracleHandle
 from .profiles import DESK
 from .subroutines import (Neighborhood, classify, compare_budget,
@@ -39,6 +38,7 @@ class PcondSchedule(NamedTuple):
 
 
 def pcond_schedule(n, eps, profile=DESK) -> PcondSchedule:
+    check_eps(eps)
     et = eps / 100.0
     t = math.ceil(profile["eq_t_c"] * math.log2(2.0 * n) / eps**2)
     s1 = math.ceil(profile["eq_s1_c"] * t / eps**2)
@@ -107,20 +107,6 @@ def pcond_test_equality(h1: OracleHandle, h2: OracleHandle, eps: float,
 # Approximate point-mass evaluator ----------------------------------
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    tag: str  # "value" | "unknown"
-    estimate: float = None
-
-    @property
-    def is_value(self):
-        return self.tag == "value"
-
-
-VALUE = "value"
-UNKNOWN = "unknown"
-
-
 class EvalBudget(NamedTuple):
     """approx_eval's numbers."""
     M: int             # round cap
@@ -144,15 +130,15 @@ def approx_eval_schedule(n, eps, delta, profile=DESK) -> EvalBudget:
     return EvalBudget(M, kappa, eps, m)
 
 
-def approx_eval(h: OracleHandle, i_star: int, budget: EvalBudget) -> EvalResult:
+def approx_eval(h: OracleHandle, i_star: int, budget: EvalBudget) -> float | None:
     """Estimate D(i_star) by repeatedly halving a conditioning set.
 
     Each round draws a batch on the current set; points that hog the
     batch are set aside, and a fair coin keeps or drops every other
     point. The estimate telescopes the per-round conditional fractions
-    of the surviving set. Returns Unknown when the heavy part is nearly
-    everything or the surviving set looks empty; raises EvalFailed if
-    the round cap runs out.
+    of the surviving set. Returns the estimate, or None (Unknown) when
+    the heavy part is nearly everything or the surviving set looks
+    empty; raises EvalFailed if the round cap runs out.
     """
     n = h.dist.n
     M, kappa, eps, m = budget
@@ -160,12 +146,12 @@ def approx_eval(h: OracleHandle, i_star: int, budget: EvalBudget) -> EvalResult:
     d_hat = 1.0
     for _ in range(M):
         if members is not None and members.size == 1:
-            return EvalResult(VALUE, d_hat)
+            return d_hat
         qs = QuerySet.full() if members is None else QuerySet.explicit(members)
         try:
             idx, counts = h.draw_counts(qs, m)
         except ZeroMassSet:
-            return EvalResult(UNKNOWN)
+            return None
         if members is None:
             members = np.arange(1, n + 1, dtype=np.int64)
         pos = np.searchsorted(idx, i_star)
@@ -178,7 +164,7 @@ def approx_eval(h: OracleHandle, i_star: int, budget: EvalBudget) -> EvalResult:
             continue
         heavy = idx[counts >= 0.75 * kappa * m]
         if counts[counts >= 0.75 * kappa * m].sum() / m > 1.0 - eps / 10.0:
-            return EvalResult(UNKNOWN)
+            return None
         rest = members[~np.isin(members, heavy)]
         rest = rest[rest != i_star]
         keep = h.rng.random(rest.size) < 0.5
@@ -186,11 +172,11 @@ def approx_eval(h: OracleHandle, i_star: int, budget: EvalBudget) -> EvalResult:
         nxt.sort()
         frac = counts[np.isin(idx, nxt)].sum() / m
         if frac == 0.0:
-            return EvalResult(UNKNOWN)
+            return None
         d_hat *= frac
         members = nxt
     if members is not None and members.size == 1:
-        return EvalResult(VALUE, d_hat)
+        return d_hat
     raise EvalFailed(f"no resolution after {M} rounds")
 
 
@@ -205,6 +191,7 @@ class EvalSchedule(NamedTuple):
 
 
 def eval_schedule(n, eps, profile=DESK) -> EvalSchedule:
+    check_eps(eps)
     sub_eps = eps / 100.0
     return EvalSchedule(math.ceil(5.0 / eps),
                         approx_eval_schedule(n, sub_eps, sub_eps, profile),
@@ -230,10 +217,6 @@ def _eval_test_equality_once(h1, h2, sched):
             r2 = approx_eval(h2, x, budget)
         except EvalFailed:
             return REJECT
-        if not (r1.is_value and r2.is_value):
-            return REJECT
-        lo = lo_factor * r2.estimate
-        hi = hi_factor * r2.estimate
-        if not (lo <= r1.estimate <= hi):
+        if r1 is None or r2 is None or not (lo_factor * r2 <= r1 <= hi_factor * r2):
             return REJECT
     return ACCEPT

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the checks that
+refuse a bad accuracy parameter or integer with them."""
+
+import numbers
 
 
 class CondtestError(Exception):
@@ -81,6 +84,20 @@ class BadEpsilon(CondtestError):
     """The accuracy parameter must lie strictly between 0 and 1."""
 
 
+def check_eps(eps):
+    """Refuse an accuracy parameter that is no real number, or outside
+    the open interval (0, 1); NaN and infinities fail the comparison."""
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0.0 < eps < 1.0:
+        raise BadEpsilon(f"eps must lie strictly between 0 and 1, got {eps!r}")
+
+
+def as_integer(value, name, error):
+    """value as an int, numpy integers too; error if no integer, or a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class UnknownTester(CondtestError):
     pass
 
@@ -99,7 +116,8 @@ class BadProfile(CondtestError):
 
 
 class BadSweepGrid(CondtestError):
-    """A sweep's fit takes log(log2 N), so every N must be at least 2."""
+    """A sweep needs at least one domain size, and its fit takes
+    log(log2 N), so every N must be an integer of at least 2."""
 
 
 class BadReport(CondtestError, ValueError):

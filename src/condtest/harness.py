@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -22,7 +21,6 @@ from .distcore import Distribution, load_spec, uniform
 from .equality import eval_test_equality, pcond_test_equality
 from ._version import __version__
 from .errors import (
-    BadEpsilon,
     BadReport,
     BadSeed,
     BadSweepGrid,
@@ -30,6 +28,8 @@ from .errors import (
     DomainMismatch,
     IncompatibleOracleModel,
     UnknownTester,
+    as_integer,
+    check_eps,
 )
 from .identity import KnownTarget, cond_test_known, pcond_test_known
 from .interval import icond_test_uniform
@@ -80,20 +80,6 @@ def tester_spec(tester: str) -> TesterSpec:
         raise UnknownTester(f"unknown tester {tester!r}") from None
 
 
-def check_eps(eps):
-    """Refuse an accuracy parameter that is no real number, or outside
-    the open interval (0, 1); NaN and infinities fail the comparison."""
-    if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0.0 < eps < 1.0:
-        raise BadEpsilon(f"eps must lie strictly between 0 and 1, got {eps!r}")
-
-
-def _integer(value, name, error):
-    """value as an int; error if it is no integer, or a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass
 class ExperimentConfig:
     tester: str
@@ -107,8 +93,8 @@ class ExperimentConfig:
     def __post_init__(self):
         needs_two = tester_spec(self.tester).second != "none"
         check_eps(self.eps)
-        self.trials = _integer(self.trials, "trials", BadTrialCount)
-        self.seed = _integer(self.seed, "seed", BadSeed)
+        self.trials = as_integer(self.trials, "trials", BadTrialCount)
+        self.seed = as_integer(self.seed, "seed", BadSeed)
         if self.trials < 1:
             raise BadTrialCount(f"need at least one trial, got {self.trials!r}")
         if needs_two and self.spec2 is None:
@@ -233,7 +219,7 @@ def run_trial(tester: str, d1: Distribution, aux, eps: float, seed: int,
     DomainMismatch."""
     spec = tester_spec(tester)
     check_eps(eps)
-    seed = _integer(seed, "seed", BadSeed) & _SEED_MASK
+    seed = as_integer(seed, "seed", BadSeed) & _SEED_MASK
     aux_type, aux_name = _AUX[spec.second]
     if not isinstance(d1, Distribution) or not isinstance(aux, aux_type):
         raise IncompatibleOracleModel(
@@ -315,7 +301,10 @@ def scaling_sweep(tester: str, n_grid, eps: float, trials: int, seed: int = 0,
     with the least-squares exponent of queries against log2(n)."""
     check_eps(eps)
     spec = tester_spec(tester)
-    if any(n < 2 for n in n_grid):
+    n_grid = [as_integer(n, "a sweep domain size", BadSweepGrid) for n in n_grid]
+    if not n_grid:
+        raise BadSweepGrid("a sweep needs at least one domain size")
+    if min(n_grid) < 2:
         raise BadSweepGrid(f"sweep domain sizes must be at least 2, got {min(n_grid)}")
     rows = []
     for n in sorted(n_grid):
@@ -324,7 +313,7 @@ def scaling_sweep(tester: str, n_grid, eps: float, trials: int, seed: int = 0,
         cfg = ExperimentConfig(tester=tester, spec=d, spec2=spec2, eps=eps,
                                trials=trials, seed=seed, profile=profile)
         res = run_experiment(cfg)
-        rows.append((int(n), res.aggregate.mean_queries["total"]))
+        rows.append((n, res.aggregate.mean_queries["total"]))
     xs = np.log([math.log2(n) for n, _ in rows])
     ys = np.log([max(q, 1.0) for _, q in rows])
     if len(rows) > 1 and not np.allclose(xs, xs[0]):

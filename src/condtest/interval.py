@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distcore import QuerySet
+from .errors import check_eps
 from .oracles import OracleHandle
 from .profiles import DESK
 from .subroutines import classify, compare_budget
@@ -33,6 +34,7 @@ class Schedule(NamedTuple):
 def schedule(n, eps, profile=DESK) -> Schedule:
     """The numbers for n points. One point, which the tester accepts
     without a draw, takes log2 n as 1, as two points do."""
+    check_eps(eps)
     log_n = max(math.log2(n), 1.0)
     eta = eps / (48.0 * log_n)
     m = compare_budget(eta, 2.0, eps / (100.0 * (1.0 + log_n)), profile)
@@ -121,9 +123,9 @@ def binary_descent(h: OracleHandle, ys, eta: float, m: int, bounds=None):
 
 def icond_test_uniform(h: OracleHandle, eps: float, profile=DESK) -> str:
     n = h.dist.n
+    t, eta, m, bounds = schedule(n, eps, profile)
     if n == 1:
         return ACCEPT
-    t, eta, m, bounds = schedule(n, eps, profile)
     pts = h.draw_many(QuerySet.full(), t)
     # The first walk alone, then the other t - 1 in one call. On U(2^16)
     # (numpy 2.4, one x86-64 core) a call costs about 80 us with one walk

@@ -4,8 +4,8 @@ compare_points estimates the weight ratio of two points from m
 conditional draws on the pair; compare_to_point makes many such
 comparisons against one point in one draw_pair_counts call, as
 estimate_neighborhood does once per estimate of a point's
-weight-neighborhood mass. classify reads the hit counts of the batched
-kernels as the outcomes compare_points would give.
+weight-neighborhood mass. Each answers as classify reads a hit count:
+(low, high, rho), the Low and High flags and rho, NaN on Low or High.
 
 None of them reads the profile: the draw budget m, the sample size and
 the radius grid come from the calling tester's schedule, which
@@ -24,25 +24,6 @@ from .distcore import QuerySet
 from .errors import SetsNotDisjoint
 from .oracles import OracleHandle
 from .profiles import DESK
-
-
-LOW = "low"
-HIGH = "high"
-RATIO = "ratio"
-
-
-@dataclass(frozen=True)
-class CompareOutcome:
-    tag: str
-    rho: float = None
-
-    @property
-    def is_low(self):
-        return self.tag == LOW
-
-    @property
-    def is_ratio(self):
-        return self.tag == RATIO
 
 
 @dataclass(frozen=True)
@@ -85,21 +66,19 @@ def classify(hits, m, K):
     return low, high, rho
 
 
-def compare_points(h, px, py, m, K) -> CompareOutcome:
-    """Estimate D(py)/D(px) from m draws on the pair {px, py}: Low when
-    the hit fraction for py is below (2/3)/(K+1), High when the miss
-    fraction is, and otherwise the ratio estimate mu/(1-mu)."""
+def compare_points(h, px, py, m, K):
+    """Estimate D(py)/D(px) from m draws on {px, py}, as classify reads
+    one count: low when the hit fraction mu is below (2/3)/(K+1), high
+    when 1 - mu is, and rho = mu/(1-mu), NaN when low or high."""
     sub = QuerySet.explicit([py])
     if px == py:
         raise SetsNotDisjoint("compare_points needs two distinct points")
     pair = QuerySet.pair(px, py)
     mu = h.draw_subset_count(pair, sub, m) / m
     thr = _saturation(K)
-    if mu < thr:
-        return CompareOutcome(LOW)
-    if 1.0 - mu < thr:
-        return CompareOutcome(HIGH)
-    return CompareOutcome(RATIO, mu / (1.0 - mu))
+    low = mu < thr
+    high = not low and 1.0 - mu < thr
+    return low, high, math.nan if low or high else mu / (1.0 - mu)
 
 
 def compare_to_point(h, x, ys, m, K):

@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distcore import QuerySet
+from .errors import check_eps
 from .oracles import OracleHandle
 from .profiles import DESK
 from .subroutines import classify, compare_budget
@@ -41,6 +42,7 @@ class Schedule(NamedTuple):
 
 
 def schedule(eps: float, profile=DESK) -> Schedule:
+    check_eps(eps)
     eps = 2.0 ** math.floor(math.log2(eps))  # largest power of 1/2 <= eps
     t = int(round(math.log2(4.0 / eps))) + 1
     delta = min(math.exp(-profile["unif_delta_c"] * t), 0.5)
@@ -59,10 +61,10 @@ def query_budget(eps: float, profile=DESK) -> int:
 
 
 def pcond_test_uniform(h: OracleHandle, eps: float, profile=DESK) -> str:
+    q, stages = schedule(eps, profile)
     n = h.dist.n
     if n == 1:
         return ACCEPT
-    q, stages = schedule(eps, profile)
     refs = h.rng.integers(1, n + 1, size=q)
     full = QuerySet.full()
     reject = False

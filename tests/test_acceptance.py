@@ -12,7 +12,6 @@ import condtest as ct
 from condtest.distcore import light_set
 from condtest.equality import approx_eval, approx_eval_schedule
 from condtest.harness import passes_guarantee, wilson_interval
-from condtest.subroutines import HIGH
 
 
 def report(capsys, num, ok, detail):
@@ -71,14 +70,15 @@ def test_criterion_02_compare_guarantee(capsys):
         d = ct.make_distribution([1.0, r])
         good = 0
         for s in range(trials):
-            out = ct.compare_points(permissive(d, 7000 + s), 1, 2, m, K)
-            in_band = out.is_ratio and (1 - eta) * r <= out.rho <= (1 + eta) * r
+            low, high, rho = ct.compare_points(permissive(d, 7000 + s), 1, 2, m, K)
+            # rho is NaN, out of every band, on a Low or High answer.
+            in_band = (1 - eta) * r <= rho <= (1 + eta) * r
             if 1.0 / K <= r <= K:
                 good += in_band
             elif r > K:
-                good += out.tag == HIGH or in_band
+                good += high or in_band
             else:
-                good += out.is_low or in_band
+                good += low or in_band
         lb = wilson_interval(good, trials)[0]
         details.append(f"r={r:g}: lb={lb:.3f}")
         ok_all &= lb >= target
@@ -213,8 +213,8 @@ def test_criterion_07_approx_eval(capsys):
                                 discipline=ct.STRICT)
             out = approx_eval(h, x, budget)
             exact = d.weight(x)
-            good += out.is_value and (
-                (1 - eps) * exact <= out.estimate <= (1 + eps) * exact
+            good += out is not None and (
+                (1 - eps) * exact <= out <= (1 + eps) * exact
             )
         rate = good / 100
         ok &= rate >= need

@@ -8,8 +8,9 @@ Each is held here against a verbatim copy of the scalar loop it
 replaced: hit counts element by element, verdicts and values exactly,
 every ledger column, and the state the generator is left in.
 find_reference, which calls estimate_neighborhood, is held against a
-copy that calls the scalar one. The copies read a comparison outcome's
-tag where the replaced code read its is_high property, which is gone.
+copy that calls the scalar one. The copies read a comparison's
+(low, high, rho) triple where the replaced code read the tags of an
+outcome object, which is gone.
 
 The copies that compare intervals, or a point against a witness set,
 call `compare` below: the paper's COMPARE of two disjoint sets, with
@@ -57,10 +58,6 @@ from condtest.interval import binary_descent, icond_test_uniform
 from condtest.oracles import COND, ICOND, PCOND, PERMISSIVE, STRICT, OracleHandle
 from condtest.profiles import DESK, ConstantsProfile
 from condtest.subroutines import (
-    HIGH,
-    LOW,
-    RATIO,
-    CompareOutcome,
     NeighborhoodEstimate,
     _saturation,
     classify,
@@ -94,9 +91,10 @@ def ref_union(x, y, n):
 
 
 def compare(h, x, y, eta, K, delta, profile=DESK):
-    """Estimate D(Y)/D(X) from compare_budget draws on X union Y: Low
-    when the hit fraction for Y is below (2/3)/(K+1), High when the
-    miss fraction is, and otherwise the ratio mu/(1-mu)."""
+    """Estimate D(Y)/D(X) from compare_budget draws on X union Y, as
+    (low, high, rho): Low when the hit fraction for Y is below
+    (2/3)/(K+1), High when the miss fraction is, and otherwise the
+    ratio rho = mu/(1-mu), NaN on Low or High."""
     n = h.dist.n
     if np.intersect1d(x.members(n), y.members(n)).size:
         raise SetsNotDisjoint("compare needs disjoint sets")
@@ -104,20 +102,21 @@ def compare(h, x, y, eta, K, delta, profile=DESK):
     mu = h.draw_subset_count(ref_union(x, y, n), y, m) / m
     thr = _saturation(K)
     if mu < thr:
-        return CompareOutcome(LOW)
+        return True, False, math.nan
     if 1.0 - mu < thr:
-        return CompareOutcome(HIGH)
-    return CompareOutcome(RATIO, mu / (1.0 - mu))
+        return False, True, math.nan
+    return False, False, mu / (1.0 - mu)
 
 
 def hit_fraction(out):
     """The hit-rate estimate of a compare outcome; 0 and 1 for the
     saturated outcomes."""
-    if out.is_low:
+    low, high, rho = out
+    if low:
         return 0.0
-    if out.tag == HIGH:
+    if high:
         return 1.0
-    return out.rho / (1.0 + out.rho)
+    return rho / (1.0 + rho)
 
 
 def reference_pcond_test_uniform(h, eps, profile=DESK):
@@ -174,7 +173,7 @@ def reference_binary_descent(h, y, eps, profile=DESK):
             other = (a, c)
             rho_star = math.floor(half) / math.ceil(half)
         try:
-            out = compare(
+            low, high, rho = compare(
                 h,
                 QuerySet.interval(*other),
                 QuerySet.interval(*side),
@@ -185,11 +184,11 @@ def reference_binary_descent(h, y, eps, profile=DESK):
             )
         except ZeroMassSet:
             return None
-        if not out.is_ratio:
+        if low or high:
             return None
-        if not ((1.0 - eta) * rho_star <= out.rho <= (1.0 + eta) * rho_star):
+        if not ((1.0 - eta) * rho_star <= rho <= (1.0 + eta) * rho_star):
             return None
-        value *= out.rho / (1.0 + out.rho)
+        value *= rho / (1.0 + rho)
         a, b = side
     return value
 
@@ -245,7 +244,7 @@ def reference_test_known_main(h, target, eps, sp, profile=DESK):
         if wj >= eps1:
             # The whole prefix below j is a single wide witness.
             try:
-                out = compare(
+                low, high, rho = compare(
                     h,
                     QuerySet.explicit([label]),
                     QuerySet.explicit(target.prefix_labels(j - 1)),
@@ -258,9 +257,9 @@ def reference_test_known_main(h, target, eps, sp, profile=DESK):
                 reject = True
                 continue
             ratio_star = target.prefix_mass(j - 1) / wj
-            if not (out.is_ratio
-                    and (1.0 - eps2 / 8.0) * ratio_star
-                    <= out.rho
+            if low or high or not (
+                    (1.0 - eps2 / 8.0) * ratio_star
+                    <= rho
                     <= (1.0 + eps2 / 8.0) * ratio_star):
                 reject = True
             continue
@@ -270,7 +269,7 @@ def reference_test_known_main(h, target, eps, sp, profile=DESK):
         for lo, hi in zip(los.tolist(), his.tolist()):
             wit = QuerySet.explicit(target.interval_labels(lo, hi))
             try:
-                out = compare(
+                low, high, rho = compare(
                     h,
                     QuerySet.explicit([label]),
                     wit,
@@ -283,9 +282,9 @@ def reference_test_known_main(h, target, eps, sp, profile=DESK):
                 reject = True
                 continue
             ratio_star = (target.prefix_mass(hi) - target.prefix_mass(lo - 1)) / wj
-            if not (out.is_ratio
-                    and (1.0 - eps4 / 4.0) * ratio_star
-                    <= out.rho
+            if low or high or not (
+                    (1.0 - eps4 / 4.0) * ratio_star
+                    <= rho
                     <= (1.0 + eps4 / 4.0) * ratio_star):
                 reject = True
     return "Reject" if reject else "Accept"
@@ -301,10 +300,11 @@ def reference_cond_test_known(h, target, eps, profile=DESK):
 def reference_ratio_in_window(out, alpha, theta):
     """Whether a compare outcome lands inside the closed window
     [1/(1+alpha+theta/2), 1+alpha+theta/2]."""
-    if not out.is_ratio:
+    low, high, rho = out
+    if low or high:
         return False
     hi = 1.0 + alpha + theta / 2.0
-    return 1.0 / hi <= out.rho <= hi
+    return 1.0 / hi <= rho <= hi
 
 
 def reference_estimate_neighborhood(h, x, kappa, beta, eta, delta, profile,
@@ -402,13 +402,12 @@ def reference_estimate_distance_to_uniformity(h, eps, profile=DESK):
         if y == x:
             rho = 1.0
         else:
-            out = compare_points(h, x, y, m, K)
-            if out.tag == HIGH:
+            low, high, rho = compare_points(h, x, y, m, K)
+            if high:
                 continue  # shortfall 0
-            if out.is_low:
+            if low:
                 total += 1.0
                 continue
-            rho = out.rho
         val = rho * d_hat  # estimate of D(y)
         if val >= 1.0 / n:
             continue
@@ -460,8 +459,9 @@ def reference_pcond_test_equality(h1, h2, eps, profile=DESK):
                 # One side gives the pair positive mass (both points
                 # were sampled somewhere), the other gives it none.
                 return "Reject"
-            rho1[i] = o1.rho if o1.is_ratio else o1
-            rho2[i] = o2.rho if o2.is_ratio else o2
+            # None stands for a Low or High outcome.
+            rho1[i] = None if o1[0] or o1[1] else o1[2]
+            rho2[i] = None if o2[0] or o2[1] else o2[2]
         inner = 1.0 + alpha + theta / 2.0
         in1 = {
             i: isinstance(v, float) and 1.0 / inner <= v <= inner
@@ -1407,11 +1407,13 @@ def test_pcond_equality_matches_scalar_loop_on_random_weights(pair, seed):
 
 
 def outcome_or_error(fn):
-    """fn's return value, or the type of the CondtestError it raised."""
+    """fn's (low, high, rho) with None for a NaN rho, so that equal
+    outcomes compare equal, or the type of the CondtestError it raised."""
     try:
-        return fn()
+        low, high, rho = fn()
     except CondtestError as err:
         return type(err)
+    return low, high, None if math.isnan(rho) else rho
 
 
 @given(weights(), st.integers(0, 2**32), st.data(),

@@ -189,6 +189,15 @@ class TestSweep:
         assert r.output.strip().splitlines() == [
             f"Error: sweep domain sizes must be at least 2, got {small}"]
 
+    def test_empty_grid_fails_with_one_line(self):
+        r = CliRunner().invoke(main, [
+            "sweep", "--tester", "pcond_uniform", "--n-grid", ",",
+            "--eps", "0.5",
+        ])
+        assert r.exit_code == 1
+        assert r.output.strip().splitlines() == [
+            "Error: a sweep needs at least one domain size"]
+
     def test_bad_grid(self):
         r = CliRunner().invoke(main, [
             "sweep", "--tester", "pcond_uniform", "--n-grid", "a,b",

@@ -21,6 +21,7 @@ from condtest.distcore import (
     uniform,
 )
 from condtest.errors import (
+    BadGeneratorParam,
     BadQuerySet,
     DomainMismatch,
     NegativeWeight,
@@ -83,6 +84,17 @@ class TestDistribution:
     def test_uniform_needs_a_point(self, n):
         with pytest.raises(ZeroTotalMass):
             uniform(n)
+
+    @pytest.mark.parametrize("n", [2.5, 8.0, "8", True, None, np.float64(8)])
+    def test_uniform_needs_an_integer(self, n):
+        with pytest.raises(BadGeneratorParam):
+            uniform(n)
+
+    @pytest.mark.parametrize("n", [np.int64(8), np.int32(12)])
+    def test_uniform_takes_a_numpy_integer_as_an_int(self, n):
+        d = uniform(n)
+        assert type(d.n) is int and d.n == int(n)
+        assert d.weight(1) == 1.0 / int(n)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_weights(self, bad):

@@ -494,6 +494,22 @@ class TestScalingSweep:
         with pytest.raises(BadSweepGrid):
             scaling_sweep("pcond_uniform", grid, 0.5, trials=1)
 
+    @pytest.mark.parametrize("grid", [[], [1024.0], ["8"], [True, 16],
+                                      [np.float64(64)]])
+    def test_rejects_empty_or_non_integer_grid_before_any_trial(self, grid,
+                                                                monkeypatch):
+        def no_trials(cfg):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_experiment", no_trials)
+        with pytest.raises(BadSweepGrid):
+            scaling_sweep("pcond_uniform", grid, 0.5, trials=1)
+
+    def test_numpy_integer_sizes_are_taken_as_ints(self):
+        sw = scaling_sweep("pcond_uniform", [np.int64(256)], 0.5, trials=1)
+        assert [type(n) for n, _ in sw.rows] == [int]
+        json.dumps(sw.as_dict())
+
     def test_aggregate_helper(self):
         res = run_experiment(small_cfg(trials=3))
         agg = aggregate(res.trials, "verdict")

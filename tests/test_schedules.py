@@ -6,6 +6,7 @@ uses, before anything is drawn. These tests call each one on a small
 grid under both presets.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,10 @@ import pytest
 
 from condtest import distance, equality, identity, interval, uniformity
 from condtest.distcore import bucketize, uniform
+from condtest.errors import BadEpsilon
+from condtest.harness import TESTERS
+from condtest.identity import KnownTarget
+from condtest.oracles import OracleHandle
 from condtest.profiles import DESK, THEORETICAL
 
 SCHEDULES = {
@@ -87,3 +92,27 @@ def test_theoretical_sample_sizes_come_out_with_nothing_drawn():
     assert dist.en.size == 641_193_171
     assert eq.en.size == THEORETICAL["eq_en_sample_cap"] == 10**9
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("eps", [0, -0.5, 1.5, math.nan, True, "0.5"])
+@pytest.mark.parametrize("n", [1, 16])
+@pytest.mark.parametrize("tester", sorted(TESTERS) + ["query_budget"])
+def test_bad_eps_refused_before_any_draw(tester, n, eps):
+    """Each tester, called as the package exports it, refuses a bad eps
+    with BadEpsilon from its schedule, before it draws or charges; the
+    uniformity testers too at N = 1, where they accept without a draw."""
+    if tester == "query_budget":
+        with pytest.raises(BadEpsilon):
+            uniformity.query_budget(eps)
+        return
+    spec = TESTERS[tester]
+    u = uniform(n)
+    handles = [OracleHandle(u, model=spec.model, seed=0, discipline=spec.discipline)
+               for _ in range(1 + (spec.second == "oracle"))]
+    aux = [KnownTarget(u)] if spec.second == "target" else []
+    with pytest.raises(BadEpsilon):
+        spec.fn(*handles, *aux, eps)
+    for h in handles:
+        assert h.ledger.total == 0
+        assert h.rng.bit_generator.state == OracleHandle(
+            u, model=spec.model, seed=0).rng.bit_generator.state

@@ -8,10 +8,6 @@ from condtest.errors import ZeroMassSet
 from condtest.oracles import COND, OracleHandle, PERMISSIVE
 from condtest.profiles import DESK
 from condtest.subroutines import (
-    CompareOutcome,
-    HIGH,
-    LOW,
-    RATIO,
     classify,
     compare_budget,
     compare_points,
@@ -27,13 +23,6 @@ def handle(weights, seed=0):
     )
 
 
-class TestCompareOutcome:
-    def test_flags(self):
-        assert CompareOutcome(LOW).is_low
-        assert CompareOutcome(HIGH).tag == HIGH
-        assert CompareOutcome(RATIO, 2.0).is_ratio
-
-
 class TestCompare:
     def test_budget_formula(self):
         assert compare_budget(0.1, 2.0, 0.1, DESK) == math.ceil(
@@ -44,23 +33,44 @@ class TestCompare:
 
     def test_balanced_pair_gives_ratio_near_one(self):
         h = handle(np.ones(16), seed=1)
-        out = compare_points(h, 1, 2, compare_budget(0.1, 2.0, 0.01), 2.0)
-        assert out.is_ratio
-        assert out.rho == pytest.approx(1.0, rel=0.15)
+        low, high, rho = compare_points(h, 1, 2, compare_budget(0.1, 2.0, 0.01), 2.0)
+        assert not (low or high)
+        assert rho == pytest.approx(1.0, rel=0.15)
 
     def test_heavy_y_gives_high(self):
         w = np.ones(16)
         w[1] = 1000.0
         h = handle(w, seed=2)
-        out = compare_points(h, 1, 2, compare_budget(0.1, 2.0, 0.01), 2.0)
-        assert out.tag == HIGH
+        low, high, rho = compare_points(h, 1, 2, compare_budget(0.1, 2.0, 0.01), 2.0)
+        assert high and not low and math.isnan(rho)
 
     def test_light_y_gives_low(self):
         w = np.ones(16)
         w[1] = 1e-4
         h = handle(w, seed=3)
-        out = compare_points(h, 1, 2, compare_budget(0.1, 2.0, 0.01), 2.0)
-        assert out.is_low
+        low, high, rho = compare_points(h, 1, 2, compare_budget(0.1, 2.0, 0.01), 2.0)
+        assert low and not high and math.isnan(rho)
+
+    @pytest.mark.parametrize("K", [2.0, 4.0])
+    @pytest.mark.parametrize("wy, answer", [
+        (1e-4, "low"), (0.5, "ratio"), (1.0, "ratio"), (2.0, "ratio"),
+        (1000.0, "high")])
+    def test_answers_as_classify_on_the_pair_kernel(self, K, wy, answer):
+        # compare_points is classify's one-element readout of
+        # draw_pair_counts: the same draws, bits and charges.
+        w = np.ones(16)
+        w[1] = wy
+        m = compare_budget(0.1, K, 0.01)
+        for seed in range(5):
+            h1, h2 = handle(w, seed), handle(w, seed)
+            low, high, rho = compare_points(h1, 1, 2, m, K)
+            lows, highs, rhos = classify(h2.draw_pair_counts(1, [2], m), m, K)
+            assert (type(low), type(high), type(rho)) == (bool, bool, float)
+            assert (low, high) == (lows[0], highs[0])
+            assert rho == rhos[0] or math.isnan(rho) and math.isnan(rhos[0])
+            assert {"low": low, "high": high, "ratio": not math.isnan(rho)}[answer]
+            assert h1.ledger.as_dict() == h2.ledger.as_dict()
+            assert h1.rng.bit_generator.state == h2.rng.bit_generator.state
 
     def test_zero_mass_union_raises(self):
         h = handle([1, 0, 0, 1])
