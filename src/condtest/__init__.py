@@ -39,6 +39,7 @@ from .equality import (
 )
 from .errors import (
     BadBlockGeometry,
+    BadDrawCount,
     BadEpsilon,
     BadGeneratorParam,
     BadProfile,

@@ -7,9 +7,11 @@ dyadic bucket decomposition the pair-query identity tester screens
 with. The randomized components are validated against these
 functions.
 
-The domain is 1..N throughout the public API. A Distribution is read
-through n, weights, mass, prefix_at and locate; only this module
-touches the cumulative masses behind the last two. An explicit
+The domain is 1..N throughout the public API. A Distribution owns its
+arithmetic: the oracles read it through n, weights, its masses (mass,
+and pair_masses, interval_masses and set_masses in batches) and its
+inverse-CDF draw points_at. Only this module reads the cumulative
+masses behind them, through prefix_at and locate; an explicit
 Distribution stores them as the array prefix. uniform(n) with n a
 power of two stores no N-sized array: its weights is a read-only
 zero-stride view of the one weight 1/n, it has no prefix, and it
@@ -125,10 +127,9 @@ class Distribution:
     weights is a read-only numpy array indexed 0..N-1 for point 1..N;
     it may be a zero-stride view (see uniform), so read it by index or
     slice rather than through its buffer. prefix_at(k) is the sum of
-    the first k weights, so the mass of interval [a,b] is
-    prefix_at(b) - prefix_at(a-1), and locate inverts it. Only an
-    explicit distribution, one built from its weights, holds them in
-    the array prefix. target_tables is None until identity.KnownTarget
+    the first k weights and locate inverts it; only an explicit
+    distribution, one built from its weights, holds them in the array
+    prefix. target_tables is None until identity.KnownTarget
     first wraps the distribution, then the tables it built from the
     weights; they hold no reference to the distribution, so they die
     with it.
@@ -174,24 +175,49 @@ class Distribution:
         most u."""
         return np.searchsorted(self.prefix[1:], u, side="right")
 
+    def pair_masses(self, x, ys):
+        """D({x, y}) for each y of ys; x and ys are ints or int arrays."""
+        return self.weights[x - 1] + self.weights[ys - 1]
+
+    def interval_masses(self, lo, hi):
+        """D(lo..hi), for ints lo <= hi or int arrays of them."""
+        return self.prefix_at(hi) - self.prefix_at(lo - 1)
+
+    def set_masses(self, members, starts):
+        """D(W_i) for strictly increasing sets W_i held back to back in
+        the int array members, W_i from members[starts[i]]: each set's
+        weights summed as one np.add.reduceat segment. A single set whose
+        span equals its size is a run, read as a slice of the weights,
+        which holds the gather's elements in its order."""
+        first = int(members[0])
+        if len(starts) == 1 and int(members[-1]) - first + 1 == members.size:
+            held = self.weights[first - 1:first - 1 + members.size]
+        else:
+            held = self.weights[members - 1]
+        return np.add.reduceat(held, starts)
+
     def mass(self, s: QuerySet):
-        """D(S). An explicit set's weights are summed as one segment of
-        np.add.reduceat, the rule draw_union_counts sums its sets by."""
+        """D(S), from the rule for its shape."""
         if s.shape == FULL:
             return 1.0
         if s.shape == PAIR:
-            return float(self.weights[s.a - 1] + self.weights[s.b - 1])
+            return float(self.pair_masses(s.a, s.b))
         if s.shape == INTERVAL:
-            return float(self.prefix_at(s.b) - self.prefix_at(s.a - 1))
-        idx = s.indices
-        first = int(idx[0])
-        if int(idx[-1]) - first + 1 == idx.size:
-            # A strictly increasing run first..last: the slice holds the
-            # gather's elements in its order.
-            held = self.weights[first - 1:first - 1 + idx.size]
-        else:
-            held = self.weights[idx - 1]
-        return float(np.add.reduceat(held, [0])[0])
+            return float(self.interval_masses(s.a, s.b))
+        return float(self.set_masses(s.indices, [0])[0])
+
+    def points_at(self, u, lo, hi, mass):
+        """The points of lo..hi, of the given mass, that the uniform
+        variates u (an array) pick: locate(prefix_at(lo - 1) + u * mass)
+        + 1. locate searches with side="right", so a point it places in
+        lo..hi has positive weight, and none lands below lo. One that
+        ties or overshoots the prefix mass of hi lands above hi and goes
+        to the last positive-weight point at or below hi."""
+        out = self.locate(self.prefix_at(lo - 1) + u * mass) + 1
+        over = out > hi
+        if over.any():
+            out[over] = lo + np.flatnonzero(self.weights[lo - 1:hi])[-1]
+        return out
 
     def __repr__(self):
         return f"Distribution(n={self.n})"

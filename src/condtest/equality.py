@@ -84,7 +84,7 @@ def pcond_test_equality(h1: OracleHandle, h2: OracleHandle, eps: float,
         # point, h1 compares before h2, so h1 is charged for one more.
         hits2 = h2.draw_pair_counts(r, ys, m, reached=_first_dead)
         if hits2.size < ys.size:
-            h1.draw_pair_counts(r, ys, m, reached=lambda _: hits2.size + 1)
+            h1.draw_pair_counts(r, ys[:hits2.size + 1], m)
             return REJECT
         rho1, rho2 = np.ones((2, uniq.size))
         rho1[others] = classify(h1.draw_pair_counts(r, ys, m), m, 4.0)[2]

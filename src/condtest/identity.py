@@ -128,9 +128,7 @@ class KnownTarget:
 
     def sample(self, rng, size):
         """size iid original labels drawn from the target itself."""
-        pos = self.dstar.locate(rng.random(size))
-        np.clip(pos, 0, self.n - 1, out=pos)
-        return pos + 1
+        return self.dstar.points_at(rng.random(size), 1, self.n, 1.0)
 
 
 def _target_tables(weights):

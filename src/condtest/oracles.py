@@ -27,9 +27,9 @@ binomial call: draw_pair_counts on the pairs {x, y_i}
 (pcond_test_uniform, pcond_test_equality, compare_to_point),
 draw_interval_counts on intervals (binary_descent, twice per
 icond_test_uniform run) and draw_union_counts on the unions
-{x} ∪ W_i (cond_test_known), which sums the k W_i and the k unions
-in two np.add.reduceat calls. A call costs some tens of microseconds
-before its first element, so the testers make few, large calls.
+{x} ∪ W_i (cond_test_known). A call costs some tens of microseconds
+before its first element, so the testers make few, large calls. Every
+mass and inverse-CDF draw, scalar or batched, is a Distribution method.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .errors import (
     IncompatibleOracleModel,
     SetsNotDisjoint,
     ZeroMassSet,
+    check_draws,
 )
 
 SAMP = "samp"
@@ -71,19 +72,22 @@ _SHAPE_COLUMN = {FULL: "samp_count", PAIR: "pcond_count", INTERVAL: "icond_count
                  EXPLICIT: "cond_count"}
 
 
-def _fix_zero_hits(out, d, lo, hi):
-    """Repair float-edge landings from inverse-CDF search.
-
-    locate searches with side="right", so a draw it places in [lo, hi]
-    has positive weight, and a uniform variate at or above the prefix
-    mass of lo - 1 never lands below lo. One that ties or overshoots the
-    prefix mass of hi lands above hi; each such draw goes to the last
-    positive-weight point at or below hi.
-    """
-    over = out > hi
-    if over.any():
-        out[over] = lo + np.flatnonzero(d.weights[lo - 1:hi])[-1]
-    return out
+def _inside(sub, s, n):
+    """Whether the query set sub lies inside s, which lies inside 1..n."""
+    if s.shape == PAIR and sub.shape == EXPLICIT and sub.indices.size == 1:
+        return sub.indices.item(0) in (s.a, s.b)  # compare_points' subset, kept scalar
+    if sub.shape == FULL:
+        lo, hi, size = 1, n, n
+    elif sub.shape == EXPLICIT:
+        lo, hi, size = int(sub.indices[0]), int(sub.indices[-1]), sub.indices.size
+    else:
+        lo, hi, size = sub.a, sub.b, sub.b - sub.a + 1 if sub.shape == INTERVAL else 2
+    if s.shape == FULL:
+        return hi <= n
+    if s.shape == INTERVAL:
+        return s.a <= lo and hi <= s.b
+    own = s.members(n)
+    return size <= own.size and bool(np.isin(sub.members(n), own).all())
 
 
 def _meets(points, lo, hi):
@@ -142,7 +146,8 @@ class OracleHandle:
         if shape not in _ALLOWED[self.model]:
             raise IllegalShapeForModel(f"{self.model} oracle cannot take a {shape} set")
 
-    def _check(self, s: QuerySet):
+    def _check(self, s: QuerySet, m):
+        check_draws(m)
         self._allow(s.shape)
         _check_domain(self.dist, s)
         if (self.discipline == STRICT and s.shape != FULL
@@ -184,15 +189,11 @@ class OracleHandle:
 
     def draw_many(self, s: QuerySet, m: int):
         """m iid conditional draws, returned as an index array."""
-        mass = self._check(s)
+        mass = self._check(s, m)
         d = self.dist
-        if s.shape == FULL:
-            out = d.locate(self.rng.random(m)) + 1
-            out = _fix_zero_hits(out, d, 1, d.n)
-        elif s.shape == INTERVAL:
-            u = d.prefix_at(s.a - 1) + self.rng.random(m) * mass
-            out = d.locate(u) + 1
-            out = _fix_zero_hits(out, d, s.a, s.b)
+        if s.shape in (FULL, INTERVAL):
+            lo, hi = (1, d.n) if s.shape == FULL else (s.a, s.b)
+            out = d.points_at(self.rng.random(m), lo, hi, mass)
         else:
             idx = s.members(d.n)
             p = d.weights[idx - 1] / mass
@@ -209,7 +210,7 @@ class OracleHandle:
         distribution to draw_many followed by counting, but one
         multinomial regardless of m.
         """
-        mass = self._check(s)
+        mass = self._check(s, m)
         d = self.dist
         idx = s.members(d.n)
         w = d.weights[idx - 1]
@@ -228,7 +229,9 @@ class OracleHandle:
         A coarsened observation: only the hit count is revealed, so no
         returned points are recorded. One binomial regardless of m.
         """
-        mass = self._check(s)
+        mass = self._check(s, m)
+        if not _inside(subset, s, self.dist.n):
+            raise BadQuerySet(f"the subset must lie inside S, in 1..{self.dist.n}")
         sub_mass = self.dist.mass(subset)
         p = min(sub_mass / mass, 1.0)
         self._count(s.shape, m)
@@ -247,6 +250,7 @@ class OracleHandle:
         The generator is then rewound and replays only their draws, and
         only their counts are returned.
         """
+        check_draws(m)
         live = mass > 0.0
         every = live.all()
         p = np.minimum(sub_mass / mass if every else sub_mass[live] / mass[live], 1.0)
@@ -271,10 +275,9 @@ class OracleHandle:
         Refusals, before anything is drawn or charged, in this order:
         IllegalShapeForModel, BadQuerySet for a point outside 1..N or an
         x array not as long as ys, SetsNotDisjoint for x == y and, under
-        STRICT, DisciplineViolation when neither point was returned. A pair's mass w[x-1] + w[y-1]
-        has the bits of Distribution.mass, since float addition
-        commutes. Drawn pairs are charged to pcond; a zero-mass pair is
-        not and reads -1. reached is as in _binomial_counts.
+        STRICT, DisciplineViolation when neither point was returned. Drawn
+        pairs are charged to pcond; a zero-mass pair is not and reads -1.
+        reached is as in _binomial_counts.
         """
         self._allow(PAIR)
         d = self.dist
@@ -297,9 +300,8 @@ class OracleHandle:
                 touched = (self._touched(x) | self._touched(ys)).all()
             if not touched:
                 raise DisciplineViolation(_UNTOUCHED)
-        w = d.weights
-        sub_mass = w[ys - 1]
-        hits, drawn = self._binomial_counts(w[x - 1] + sub_mass, sub_mass, m, reached)
+        hits, drawn = self._binomial_counts(d.pair_masses(x, ys), d.weights[ys - 1],
+                                            m, reached)
         self._count(PAIR, int(m) * int(np.count_nonzero(drawn)))
         return hits
 
@@ -308,8 +310,7 @@ class OracleHandle:
         [sub_lo[i], sub_hi[i]], an interval inside each, in one call.
 
         Every interval passes draw_subset_count's checks, refused ones
-        raising before anything is drawn or charged, and its masses
-        take Distribution.mass's float operations. Drawn intervals are
+        raising before anything is drawn or charged. Drawn intervals are
         charged to icond; a zero-mass one is not and reads -1. reached
         is as in _binomial_counts.
         """
@@ -323,9 +324,8 @@ class OracleHandle:
         if (self.discipline == STRICT
                 and not _meets(self._sorted_returned(), lo, hi).all()):
             raise DisciplineViolation(_UNTOUCHED)
-        hits, drawn = self._binomial_counts(d.prefix_at(hi) - d.prefix_at(lo - 1),
-                                            d.prefix_at(sub_hi) - d.prefix_at(sub_lo - 1),
-                                            m, reached)
+        hits, drawn = self._binomial_counts(d.interval_masses(lo, hi),
+                                            d.interval_masses(sub_lo, sub_hi), m, reached)
         self._count(INTERVAL, int(m) * int(np.count_nonzero(drawn)))
         return hits
 
@@ -340,14 +340,11 @@ class OracleHandle:
         draw_subset_count makes on its union (the shape allowed for the
         model, W_i inside the domain and, under STRICT, touching a
         returned point), and W_i must not hold x (SetsNotDisjoint). A
-        refused element raises before anything is drawn or charged.
-        The masses of the W_i, then of the unions, are one
-        np.add.reduceat each, which sums each set's segment on its own,
-        with the bits of Distribution.mass. One binomial call draws all
-        k counts, with the numbers and generator state of k scalar calls
-        in order. A union of zero mass is neither drawn nor charged and
-        reads -1. A call whose W_i are all one point is
-        draw_pair_counts(x, members, m).
+        refused element raises before anything is drawn or charged. One
+        binomial call draws all k counts, with the numbers and generator
+        state of k scalar calls in order. A union of zero mass is neither
+        drawn nor charged and reads -1. A call whose W_i are all one
+        point is draw_pair_counts(x, members, m).
         """
         x = int(x)
         members = np.asarray(members, dtype=np.int64)
@@ -376,12 +373,11 @@ class OracleHandle:
             touched = np.logical_or.reduceat(self._touched(members), starts)
             if not touched.all():
                 raise DisciplineViolation(_UNTOUCHED)
-        # Each W_i, then each union (x inserted into its W_i), as one
-        # segment of a reduceat: Distribution.mass's rule.
-        sub_mass = np.add.reduceat(d.weights[members - 1], starts)
+        # Each union is x inserted into its W_i.
         union = np.insert(members, starts + below, x)
-        mass = np.add.reduceat(d.weights[union - 1], starts + np.arange(sizes.size))
-        hits, drawn = self._binomial_counts(mass, sub_mass, m, None)
+        hits, drawn = self._binomial_counts(
+            d.set_masses(union, starts + np.arange(sizes.size)),
+            d.set_masses(members, starts), m, None)
         n_drawn_wide = int(np.count_nonzero(drawn & wide))
         self._count(PAIR, int(m) * (int(np.count_nonzero(drawn)) - n_drawn_wide))
         self._count(EXPLICIT, int(m) * n_drawn_wide)
@@ -394,7 +390,7 @@ class OracleHandle:
         schedule: the queries are counted but nothing about the
         responses is observed.
         """
-        self._check(s)
+        self._check(s, m)
         self._count(s.shape, m)
 
     # Bookkeeping ---------------------------------------------------

@@ -47,9 +47,10 @@ def schedule(eps: float, profile=DESK) -> Schedule:
     t = int(round(math.log2(4.0 / eps))) + 1
     delta = min(math.exp(-profile["unif_delta_c"] * t), 0.5)
     stages = []
+    # eps = 2^-a and t = a + 3, so window_j <= 2^(a-2) eps / 4 = 1/16.
     for j in range(1, t + 1):
         s_j = math.ceil(profile["unif_s_c"] * 2.0**j * t)
-        window = min(2.0 ** (j - 5) * eps / 4.0, 1.0)
+        window = 2.0 ** (j - 5) * eps / 4.0
         stages.append((s_j, window, compare_budget(window, 2.0, delta, profile)))
     return Schedule(profile["unif_q"], tuple(stages))
 
@@ -84,9 +85,9 @@ def pcond_test_uniform(h: OracleHandle, eps: float, profile=DESK) -> str:
         # burn the comparison budget to keep the schedule oblivious.
         h.burn(full, m_j * (q * 2 * s_j - int(np.count_nonzero(live))))
         low, high, rho = classify(hits[live], m_j, 2.0)
-        # A Low or High outcome is the hit fraction 0 or 1, off 1/2 by
-        # 1/2; its NaN rho fails every comparison below.
+        # A Low or High outcome is off 1/2 by more than any window; its
+        # NaN rho fails the comparison below, so the flags reject.
         off = np.abs(rho / (1.0 + rho) - 0.5) > window
-        if not live.all() or off.any() or (window < 0.5 and (low | high).any()):
+        if not live.all() or off.any() or (low | high).any():
             reject = True
     return REJECT if reject else ACCEPT

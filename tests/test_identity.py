@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from condtest.adversarial import gen_half_split, gen_block_profile, gen_staircase
-from condtest.distcore import bucketize, make_distribution, uniform
+from condtest.distcore import QuerySet, bucketize, make_distribution, uniform
 from condtest.errors import NotInNoGapRegime
 from condtest.identity import (
     KnownTarget,
@@ -126,6 +126,23 @@ class TestKnownTarget:
         draws = t.sample(rng, 100000)
         freq = np.bincount(draws, minlength=5)[1:] / 100000
         assert freq == pytest.approx(d.weights, abs=0.01)
+
+    def test_sample_at_the_top_variate_returns_positive_weight(self):
+        # Ten weights 0.1 sum to 0.9999999999999999 in the prefix masses,
+        # so the variate just below 1 overshoots them. The target's own
+        # draw and the oracle's put it on label 10, not on the zero-weight
+        # label 11.
+        class TopVariate:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        d = make_distribution([0.1] * 10 + [0.0])
+        labels = KnownTarget(d).sample(TopVariate(), 4)
+        assert labels.tolist() == [10] * 4
+        assert (d.weights[labels - 1] > 0.0).all()
+        h = cond_handle(d)
+        h.rng = TopVariate()
+        assert h.draw_many(QuerySet.full(), 4).tolist() == [10] * 4
 
 
 class TestWitnessPartition:

@@ -11,9 +11,10 @@ alone, so a method counts as used when any `.name` read exists.
 Each module but `__init__.py`, which re-exports, must also load every
 name it imports: a deletion that leaves an import behind fails here.
 
-Only `distcore.py` reads a distribution's cumulative-mass array
-`.prefix`, which array-free distributions do not have; everything else
-goes through `prefix_at` and `locate`.
+Only `distcore.py` reads a distribution's cumulative masses: the array
+`.prefix`, which array-free distributions do not have, and `prefix_at`
+and `locate`, which read or compute them. Everything else goes through
+the Distribution's mass and draw methods.
 
 Only the schedules read a profile: outside `profiles.py`, a subscript
 of a name `profile` may stand only in a function named `schedule` or
@@ -146,18 +147,23 @@ def test_every_import_is_used():
     assert not unused, f"names imported but never used: {unused}"
 
 
+CUMULATIVE = ("prefix", "prefix_at", "locate")
+
+
 def _prefix_reads(tree):
-    """Line numbers where tree loads an attribute named prefix."""
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "prefix"
-            and isinstance(node.ctx, ast.Load)]
+    """Sorted line numbers where tree loads an attribute named in CUMULATIVE."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in CUMULATIVE
+                  and isinstance(node.ctx, ast.Load))
 
 
 def test_prefix_read_check_reads_loads_only():
     source = ("def f(d, prefix):\n"
               "    d.prefix = prefix\n"
-              "    return d.prefix_at(1), d.prefix[1:]\n")
-    assert _prefix_reads(ast.parse(source)) == [3]
+              "    return d.prefix[1:], d.mass(prefix)\n"
+              "def g(d, u):\n"
+              "    return d.prefix_at(1), d.locate(u), d.points_at(u, 1, 2, 1.0)\n")
+    assert _prefix_reads(ast.parse(source)) == [3, 5, 5]
 
 
 def test_only_distcore_reads_prefix():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from condtest.distcore import (INTERVAL, PAIR, QuerySet, conditional_pmf,
                                make_distribution, uniform)
 from condtest.errors import (
+    BadDrawCount,
     BadQuerySet,
     DisciplineViolation,
     IllegalShapeForModel,
@@ -21,12 +22,11 @@ from condtest.oracles import (
     SAMP,
     STRICT,
     QueryLedger,
-    _fix_zero_hits,
 )
 
 
 def stepping_fix_zero_hits(out, d, lo, hi):
-    """The repair loop _fix_zero_hits replaced, kept as its reference:
+    """The repair loop points_at's overshoot repair replaced, kept as its reference:
     clamp into [lo, hi], then step every zero-weight landing down."""
     np.clip(out, lo, hi, out=out)
     bad = d.weights[out - 1] == 0.0
@@ -87,6 +87,87 @@ class TestShapeRules:
         h = OracleHandle(d, model=COND, seed=0, discipline=PERMISSIVE)
         with pytest.raises(ZeroMassSet):
             h.draw(QuerySet.pair(2, 3))
+
+
+def frozen(h):
+    """The ledger and the generator state, which a refusal leaves as they were."""
+    return h.ledger.as_dict(), h.rng.bit_generator.state
+
+
+class TestRefusedSubsetsAndCounts:
+    """A subset outside S or the domain, and a draw count that is no
+    integer >= 0, are refused before anything is drawn or charged."""
+
+    @pytest.mark.parametrize("weights", [None, np.arange(1, 9)], ids=["uniform", "rising"])
+    @pytest.mark.parametrize("s, subset", [
+        (QuerySet.pair(1, 2), QuerySet.explicit([5])),
+        (QuerySet.pair(1, 2), QuerySet.pair(2, 3)),
+        (QuerySet.pair(1, 2), QuerySet.explicit([9])),
+        (QuerySet.interval(1, 4), QuerySet.interval(3, 6)),
+        (QuerySet.interval(1, 4), QuerySet.full()),
+        (QuerySet.explicit([2, 4, 6]), QuerySet.explicit([4, 5])),
+        (QuerySet.explicit([2, 4, 6]), QuerySet.interval(4, 6)),
+        (QuerySet.full(), QuerySet.explicit([9])),
+        (QuerySet.full(), QuerySet.interval(3, 12)),
+    ])
+    def test_subset_outside_s_or_the_domain(self, weights, s, subset):
+        d = uniform(8) if weights is None else make_distribution(weights)
+        h = OracleHandle(d, model=COND, seed=3, discipline=PERMISSIVE)
+        before = frozen(h)
+        with pytest.raises(BadQuerySet):
+            h.draw_subset_count(s, subset, 100)
+        assert frozen(h) == before
+
+    @pytest.mark.parametrize("s, subset", [
+        (QuerySet.pair(1, 2), QuerySet.explicit([2])),
+        (QuerySet.pair(1, 8), QuerySet.pair(1, 8)),
+        (QuerySet.interval(2, 6), QuerySet.explicit([2, 6])),
+        (QuerySet.interval(1, 8), QuerySet.full()),
+        (QuerySet.explicit([2, 4, 6]), QuerySet.interval(4, 4)),
+        (QuerySet.explicit([2, 4, 6]), QuerySet.pair(2, 6)),
+        (QuerySet.full(), QuerySet.interval(3, 8)),
+    ])
+    def test_subset_inside_s_is_drawn(self, s, subset):
+        d = make_distribution(np.arange(1, 9))
+        h = OracleHandle(d, model=COND, seed=3, discipline=PERMISSIVE)
+        hits = h.draw_subset_count(s, subset, 2000)
+        assert hits / 2000 == pytest.approx(d.mass(subset) / d.mass(s), abs=0.05)
+
+    CALLS = {
+        "draw_many": lambda h, m: h.draw_many(QuerySet.full(), m),
+        "draw_counts": lambda h, m: h.draw_counts(QuerySet.interval(2, 5), m),
+        "draw_subset_count": lambda h, m: h.draw_subset_count(
+            QuerySet.pair(1, 2), QuerySet.explicit([2]), m),
+        "burn": lambda h, m: h.burn(QuerySet.full(), m),
+        "draw_pair_counts": lambda h, m: h.draw_pair_counts(1, [2, 3], m),
+        "draw_interval_counts": lambda h, m: h.draw_interval_counts([1], [4], [2], [3], m),
+        "draw_union_counts": lambda h, m: h.draw_union_counts(1, [2, 3, 5], [2, 1], m),
+        "draw_union_counts_of_points": lambda h, m: h.draw_union_counts(1, [2, 3], [1, 1], m),
+    }
+
+    @pytest.mark.parametrize("m", [-1, -5, 2.5, 2.0, np.float64(3.0), True, np.bool_(True),
+                                   "3", None])
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_draw_count_not_an_integer_at_least_zero(self, call, m):
+        h = OracleHandle(uniform(8), model=COND, seed=3, discipline=PERMISSIVE)
+        before = frozen(h)
+        with pytest.raises(BadDrawCount):
+            call(h, m)
+        assert frozen(h) == before
+
+    @pytest.mark.parametrize("m", [0, 7, np.int64(7)])
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_draw_count_integer_at_least_zero(self, call, m):
+        h = OracleHandle(uniform(8), model=COND, seed=3, discipline=PERMISSIVE)
+        call(h, m)
+        assert h.ledger.total % 7 == 0 and (h.ledger.total > 0) == (m > 0)
+
+    def test_burn_of_a_bad_count_leaves_the_ledger(self):
+        h = OracleHandle(uniform(8), model=COND, seed=3, discipline=PERMISSIVE)
+        for m in (-5, 2.5):
+            with pytest.raises(BadDrawCount):
+                h.burn(QuerySet.full(), m)
+        assert h.ledger.as_dict()["samp"] == 0
 
 
 class TestDiscipline:
@@ -242,10 +323,10 @@ class TestSampling:
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_fix_zero_hits_matches_the_stepping_loop(data):
-    """On weights with leading, trailing and interior zeros, every
-    variate an interval draw can produce lands where the stepping loop
-    puts it: each prefix mass from lo - 1 up, its float neighbours and
-    interval draws with r near 1."""
+    """On weights with leading, trailing and interior zeros, points_at
+    puts every variate an interval draw can produce where the stepping
+    loop puts it: the variates r that aim at each prefix mass from
+    lo - 1 up and at its float neighbours, and r near 1."""
     weight = st.one_of(st.just(0.0), st.floats(1e-300, 1e3))
     w = np.array(data.draw(st.lists(weight, min_size=1, max_size=40)))
     assume(w.sum() > 0.0)
@@ -256,10 +337,10 @@ def test_fix_zero_hits_matches_the_stepping_loop(data):
     base, mass = d.prefix[lo - 1], d.prefix[hi] - d.prefix[lo - 1]
     assume(mass > 0.0)
     p = d.prefix[lo - 1:]
-    r = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
-    u = np.concatenate((p, np.nextafter(p, 0.0), np.nextafter(p, 2.0), base + r * mass))
-    out = d.locate(u[u >= base]) + 1
-    got = _fix_zero_hits(out.copy(), d, lo, hi)
+    u = np.concatenate((p, np.nextafter(p, 0.0), np.nextafter(p, 2.0)))
+    r = np.concatenate(((u[u >= base] - base) / mass, [0.0, 0.5, np.nextafter(1.0, 0.0)]))
+    out = d.locate(base + r * mass) + 1
+    got = d.points_at(r, lo, hi, mass)
     assert got.tolist() == stepping_fix_zero_hits(out, d, lo, hi).tolist()
     assert (d.weights[got - 1] > 0.0).all()
 
