@@ -15,7 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .distcore import QuerySet
-from .errors import EvalFailed, ZeroMassSet, check_eps
+from .errors import (DomainMismatch, EvalFailed, IncompatibleOracleModel, ZeroMassSet,
+                     check_eps)
 from .oracles import OracleHandle
 from .profiles import DESK
 from .subroutines import (Neighborhood, classify, compare_budget,
@@ -25,6 +26,12 @@ from .uniformity import ACCEPT, REJECT
 
 
 # Pair-query equality tester ----------------------------------------
+
+
+def _check_same_domain(h1, h2):
+    if h1.dist.n != h2.dist.n:
+        raise DomainMismatch(
+            f"the two oracles have domain sizes {h1.dist.n} and {h2.dist.n}")
 
 
 class PcondSchedule(NamedTuple):
@@ -67,6 +74,7 @@ def pcond_test_equality(h1: OracleHandle, h2: OracleHandle, eps: float,
     draw_pair_counts call on each handle, with the draws, charges and
     generator states of two compare_points calls per point.
     """
+    _check_same_domain(h1, h2)
     et, t, s1, s2, en_sched, m = pcond_schedule(h1.dist.n, eps, profile)
     full = QuerySet.full()
     refs = h1.draw_many(full, t)
@@ -130,7 +138,24 @@ def approx_eval_schedule(n, eps, delta, profile=DESK) -> EvalBudget:
     return EvalBudget(M, kappa, eps, m)
 
 
-def approx_eval(h: OracleHandle, i_star: int, budget: EvalBudget) -> float | None:
+def _settles(share, budget: EvalBudget):
+    """Whether a point's share of a round's draws settles it in
+    approx_eval: at least kappa/20. share may be an array."""
+    return share >= budget.kappa / 20.0
+
+
+def _settled(budget: EvalBudget, idx, counts, points):
+    """Each of the points' share of the m draws in its row of counts
+    (a histogram over idx, one row a point) where that share settles
+    the point, else NaN."""
+    pos = np.minimum(np.searchsorted(idx, points), idx.size - 1)
+    share = counts[np.arange(points.size), pos] / budget.m
+    share[idx[pos] != points] = 0.0
+    return np.where(_settles(share, budget), share, np.nan)
+
+
+def approx_eval(h: OracleHandle, i_star: int, budget: EvalBudget,
+                first=None) -> float | None:
     """Estimate D(i_star) by repeatedly halving a conditioning set.
 
     Each round draws a batch on the current set; points that hog the
@@ -138,30 +163,33 @@ def approx_eval(h: OracleHandle, i_star: int, budget: EvalBudget) -> float | Non
     point. The estimate telescopes the per-round conditional fractions
     of the surviving set. Returns the estimate, or None (Unknown) when
     the heavy part is nearly everything or the surviving set looks
-    empty; raises EvalFailed if the round cap runs out.
+    empty; raises EvalFailed if the round cap runs out. first, if
+    given, is round one's (indices, counts) histogram on the full
+    domain, drawn by the caller.
     """
-    n = h.dist.n
     M, kappa, eps, m = budget
     members = None  # None stands for the full domain
     d_hat = 1.0
     for _ in range(M):
         if members is not None and members.size == 1:
             return d_hat
-        qs = QuerySet.full() if members is None else QuerySet.explicit(members)
-        try:
-            idx, counts = h.draw_counts(qs, m)
-        except ZeroMassSet:
-            return None
-        if members is None:
-            members = np.arange(1, n + 1, dtype=np.int64)
+        if first is None:
+            qs = QuerySet.full() if members is None else QuerySet.explicit(members)
+            try:
+                idx, counts = h.draw_counts(qs, m)
+            except ZeroMassSet:
+                return None
+        else:
+            idx, counts = first
+            first = None
         pos = np.searchsorted(idx, i_star)
         star_frac = (
             counts[pos] / m if pos < idx.size and idx[pos] == i_star else 0.0
         )
-        if star_frac >= kappa / 20.0:
-            members = np.array([i_star], dtype=np.int64)
-            d_hat *= star_frac
-            continue
+        if _settles(star_frac, budget):
+            return d_hat * star_frac
+        if members is None:
+            members = np.arange(1, h.dist.n + 1, dtype=np.int64)
         heavy = idx[counts >= 0.75 * kappa * m]
         if counts[counts >= 0.75 * kappa * m].sum() / m > 1.0 - eps / 10.0:
             return None
@@ -200,23 +228,98 @@ def eval_schedule(n, eps, profile=DESK) -> EvalSchedule:
 
 def eval_test_equality(h1: OracleHandle, h2: OracleHandle, eps: float,
                        profile=DESK) -> str:
-    """Majority verdict of three independent repetitions."""
+    """Majority verdict of three independent repetitions. h1 and h2
+    must be two handles: each repetition draws on one inside a call on
+    the other."""
+    _check_same_domain(h1, h2)
+    if h1 is h2:
+        raise IncompatibleOracleModel("eval_test_equality needs two oracle handles")
     sched = eval_schedule(h1.dist.n, eps, profile)
     votes = sum(_eval_test_equality_once(h1, h2, sched) == ACCEPT for _ in range(3))
     return ACCEPT if votes >= 2 else REJECT
 
 
+def _agree(r1, r2, window):
+    """Whether the estimate r1 lies in the window around r2; False
+    where either is NaN."""
+    lo_factor, hi_factor = window
+    return (lo_factor * r2 <= r1) & (r1 <= hi_factor * r2)
+
+
+def _point_agrees(h1, h2, x, budget, window, first1, first2):
+    """approx_eval of x on h1, then on h2, each from its round one if
+    given, and whether both estimates exist and agree."""
+    try:
+        r1 = approx_eval(h1, x, budget, first1)
+        r2 = approx_eval(h2, x, budget, first2)
+    except EvalFailed:
+        return False
+    return r1 is not None and r2 is not None and bool(_agree(r1, r2, window))
+
+
+def _round_ones(h1, h2, xs, budget, window):
+    """approx_eval's round one at each of the points xs, on h1 and on
+    h2, from at most one draw_counts call each.
+
+    Returns (j, first1, first2): the number j of leading points whose
+    round one settles them on both sides with estimates that agree,
+    and the next point's round-one histograms, on h1 and on h2, or
+    (None, None) when j is every point. h2 draws no further than the
+    first point h1's round one does not settle: approx_eval on h1 may
+    then raise, and h2 would not draw, so first2 is None there. Each
+    handle is charged, and its generator left, as after the calls a
+    point-by-point loop would make; the stop depends on both sides'
+    rows, so h2 draws inside h1's reached.
+    """
+    full, k = QuerySet.full(), xs.size
+    stop, rows2 = k, None
+
+    def reached1(idx1, counts1):
+        nonlocal stop, rows2
+        r1 = _settled(budget, idx1, counts1, xs)
+        unsettled = np.isnan(r1)
+        u = int(np.argmax(unsettled)) if unsettled.any() else k
+        stop = u
+
+        def reached2(idx2, counts2):
+            nonlocal stop
+            agree = _agree(r1[:u], _settled(budget, idx2, counts2, xs[:u]), window)
+            if not agree.all():
+                stop = int(np.argmin(agree))
+            return min(stop + 1, u)
+
+        if u:
+            rows2 = h2.draw_counts(full, budget.m, rows=u, reached=reached2)
+        return min(stop + 1, k)
+
+    idx1, counts1 = h1.draw_counts(full, budget.m, rows=k, reached=reached1)
+    if stop == k:
+        return k, None, None
+    first2 = None
+    if rows2 is not None and rows2[1].shape[0] > stop:
+        first2 = (rows2[0], rows2[1][stop])
+    return stop, (idx1, counts1[stop]), first2
+
+
 def _eval_test_equality_once(h1, h2, sched):
-    m, budget, (lo_factor, hi_factor) = sched
+    """Draw m points from each side, then evaluate them in order until
+    one's estimates do not agree. The first point is evaluated on its
+    own, so a far instance draws nothing ahead; the round ones of the
+    rest are drawn in batches (_round_ones), and a point a batch stops
+    at is finished from its kept round ones."""
+    m, budget, window = sched
     full = QuerySet.full()
     pts = np.concatenate((h1.draw_many(full, m), h2.draw_many(full, m)))
-    for x in pts:
-        x = int(x)
-        try:
-            r1 = approx_eval(h1, x, budget)
-            r2 = approx_eval(h2, x, budget)
-        except EvalFailed:
+    first1 = first2 = None
+    i, size = 0, pts.size
+    while i < pts.size:
+        if not _point_agrees(h1, h2, int(pts[i]), budget, window, first1, first2):
             return REJECT
-        if r1 is None or r2 is None or not (lo_factor * r2 <= r1 <= hi_factor * r2):
-            return REJECT
+        i += 1
+        if i < pts.size:
+            j, first1, first2 = _round_ones(h1, h2, pts[i:i + size], budget, window)
+            i += j
+            # A batch draws at most 2j + 1 rows after one that settled j
+            # points, so points that round one rarely settles waste few.
+            size = 2 * j + 1
     return ACCEPT

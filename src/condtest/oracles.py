@@ -27,9 +27,13 @@ binomial call: draw_pair_counts on the pairs {x, y_i}
 (pcond_test_uniform, pcond_test_equality, compare_to_point),
 draw_interval_counts on intervals (binary_descent, twice per
 icond_test_uniform run) and draw_union_counts on the unions
-{x} ∪ W_i (cond_test_known). A call costs some tens of microseconds
-before its first element, so the testers make few, large calls. Every
-mass and inverse-CDF draw, scalar or batched, is a Distribution method.
+{x} ∪ W_i (cond_test_known). draw_counts(rows=k) draws k histograms
+on one set from one multinomial call, with the numbers, generator
+state, charges and returned points of k calls in order; eval_test_equality
+draws the first round of approx_eval at many points this way. A call
+costs some tens of microseconds before its first element, so the
+testers make few, large calls. Every mass and inverse-CDF draw, scalar
+or batched, is a Distribution method.
 """
 
 from __future__ import annotations
@@ -202,15 +206,25 @@ class OracleHandle:
         self.returned_points.update(out.tolist())
         return out
 
-    def draw_counts(self, s: QuerySet, m: int):
+    def draw_counts(self, s: QuerySet, m: int, rows=None, reached=None):
         """Histogram of m iid conditional draws.
 
         Returns (indices, counts) where indices are the members of S
         with positive conditional probability. Equivalent in
         distribution to draw_many followed by counting, but one
         multinomial regardless of m.
+
+        With rows=k, counts holds k histograms, one a row, from one
+        multinomial call, which gives the numbers and generator state of
+        k calls in order; the checks, charges and returned points are
+        those of the k calls. reached, if given, maps (indices, counts)
+        to the number of leading calls a caller going one at a time
+        would make before it stops. The generator is then rewound and
+        replays only their draws, and only their rows are returned.
         """
         mass = self._check(s, m)
+        if rows is not None:
+            check_draws(rows)
         d = self.dist
         idx = s.members(d.n)
         w = d.weights[idx - 1]
@@ -218,9 +232,19 @@ class OracleHandle:
         idx = idx[support]
         p = w[support] / mass
         p = p / p.sum()
-        counts = self.rng.multinomial(int(m), p)
-        self._count(s.shape, m)
-        self.returned_points.update(idx[counts > 0].tolist())
+        if reached is not None:
+            state = self.rng.bit_generator.state
+        counts = self.rng.multinomial(int(m), p, size=rows)
+        calls = 1 if rows is None else rows
+        if reached is not None:
+            calls = reached(idx, counts)
+            if calls < rows:
+                counts = counts[:calls]
+                self.rng.bit_generator.state = state
+                self.rng.multinomial(int(m), p, size=calls)
+        self._count(s.shape, m * calls)
+        hit = counts > 0 if rows is None else (counts > 0).any(axis=0)
+        self.returned_points.update(idx[hit].tolist())
         return idx, counts
 
     def draw_subset_count(self, s: QuerySet, subset: QuerySet, m: int) -> int:

@@ -3,7 +3,9 @@
 OracleHandle.draw_pair_counts, draw_interval_counts and draw_union_counts,
 pcond_test_uniform, binary_descent, cond_test_known's Main branch,
 estimate_neighborhood, estimate_distance_to_uniformity and
-pcond_test_equality's cross loop draw many comparisons in one call.
+pcond_test_equality's cross loop draw many comparisons in one call, and
+eval_test_equality draws approx_eval's first round at many points in
+one OracleHandle.draw_counts(rows=k) call.
 Each is held here against a verbatim copy of the scalar loop it
 replaced: hit counts element by element, verdicts and values exactly,
 every ledger column, and the state the generator is left in.
@@ -38,11 +40,14 @@ from condtest.distance import (
     find_reference,
 )
 from condtest.distcore import INTERVAL, QuerySet, make_distribution, uniform
-from condtest.equality import pcond_test_equality
+from condtest import equality
+from condtest.equality import _eval_test_equality_once, eval_schedule, pcond_test_equality
 from condtest.errors import (
+    BadDrawCount,
     BadQuerySet,
     CondtestError,
     DisciplineViolation,
+    EvalFailed,
     IllegalShapeForModel,
     SetsNotDisjoint,
     ZeroMassSet,
@@ -66,7 +71,7 @@ from condtest.subroutines import (
     estimate_neighborhood,
     neighborhood_schedule,
 )
-from condtest.uniformity import pcond_test_uniform, query_budget, schedule
+from condtest.uniformity import ACCEPT, REJECT, pcond_test_uniform, query_budget, schedule
 
 
 # The scalar loops, kept verbatim as references --------------------------
@@ -485,6 +490,67 @@ def reference_pcond_test_equality(h1, h2, eps, profile=DESK):
             if isinstance(v1, float) and 1.0 / tight <= v1 <= tight:
                 if not (isinstance(v2, float) and 1.0 / loose <= v2 <= loose):
                     return "Reject"
+    return "Accept"
+
+
+def reference_approx_eval(h, i_star, budget):
+    """approx_eval as it drew every round itself, with the domain's
+    member array built before round one's check."""
+    n = h.dist.n
+    M, kappa, eps, m = budget
+    members = None  # None stands for the full domain
+    d_hat = 1.0
+    for _ in range(M):
+        if members is not None and members.size == 1:
+            return d_hat
+        qs = QuerySet.full() if members is None else QuerySet.explicit(members)
+        try:
+            idx, counts = h.draw_counts(qs, m)
+        except ZeroMassSet:
+            return None
+        if members is None:
+            members = np.arange(1, n + 1, dtype=np.int64)
+        pos = np.searchsorted(idx, i_star)
+        star_frac = (
+            counts[pos] / m if pos < idx.size and idx[pos] == i_star else 0.0
+        )
+        if star_frac >= kappa / 20.0:
+            members = np.array([i_star], dtype=np.int64)
+            d_hat *= star_frac
+            continue
+        heavy = idx[counts >= 0.75 * kappa * m]
+        if counts[counts >= 0.75 * kappa * m].sum() / m > 1.0 - eps / 10.0:
+            return None
+        rest = members[~np.isin(members, heavy)]
+        rest = rest[rest != i_star]
+        keep = h.rng.random(rest.size) < 0.5
+        nxt = np.concatenate((rest[keep], [i_star]))
+        nxt.sort()
+        frac = counts[np.isin(idx, nxt)].sum() / m
+        if frac == 0.0:
+            return None
+        d_hat *= frac
+        members = nxt
+    if members is not None and members.size == 1:
+        return d_hat
+    raise EvalFailed(f"no resolution after {M} rounds")
+
+
+def reference_eval_test_equality_once(h1, h2, sched):
+    """_eval_test_equality_once as approx_eval on h1, then on h2, point
+    by point."""
+    m, budget, (lo_factor, hi_factor) = sched
+    full = QuerySet.full()
+    pts = np.concatenate((h1.draw_many(full, m), h2.draw_many(full, m)))
+    for x in pts:
+        x = int(x)
+        try:
+            r1 = reference_approx_eval(h1, x, budget)
+            r2 = reference_approx_eval(h2, x, budget)
+        except EvalFailed:
+            return "Reject"
+        if r1 is None or r2 is None or not (lo_factor * r2 <= r1 <= hi_factor * r2):
+            return "Reject"
     return "Accept"
 
 
@@ -1401,6 +1467,181 @@ def test_pcond_equality_matches_scalar_loop_on_random_weights(pair, seed):
     assert pcond_test_equality(g1, g2, 0.5) == reference_pcond_test_equality(r1, r2, 0.5)
     assert_same_state(g1, r1)
     assert_same_state(g2, r2)
+
+
+# Histograms in rows, and eval_test_equality's round ones -----------------
+
+
+def sparse_random(n, seed):
+    """Random weights on 1..n, about a third of them zero."""
+    rng = np.random.default_rng(seed)
+    w = rng.random(n) ** 2
+    w[rng.random(n) < 0.3] = 0.0
+    return make_distribution(w)
+
+
+COUNT_SETS = [QuerySet.full(), QuerySet.interval(5, 40),
+              QuerySet.explicit([1, 2, 3, 10, 33, 34, 60])]
+
+
+@pytest.mark.parametrize("p", [np.full(256, 1 / 256), sparse_random(300, 4).weights,
+                               np.array([1e-9, 0.5 - 1e-9, 0.5])],
+                         ids=["uniform_256", "random_300", "tiny_p"])
+@pytest.mark.parametrize("m", [1, 1000, 50_000_000])
+def test_multinomial_rows_are_single_calls(p, m):
+    """numpy's multinomial with size=k draws the numbers, and leaves the
+    generator state, of k calls in order: what draw_counts(rows=k)
+    relies on."""
+    p = p[p > 0]
+    for seed in range(5):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = a.multinomial(m, p, size=6)
+        assert rows.tolist() == [b.multinomial(m, p).tolist() for _ in range(6)]
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestDrawCountsRows:
+    @pytest.mark.parametrize("s", COUNT_SETS, ids=["full", "interval", "explicit"])
+    @pytest.mark.parametrize("d", [uniform(64), ZERO_HALF, sparse_random(64, 2)],
+                             ids=["uniform", "zero_half", "sparse"])
+    def test_rows_are_single_calls(self, s, d):
+        for seed in range(3):
+            h1, h2 = twins(d, COND, seed)
+            idx, rows = h1.draw_counts(s, 1000, rows=5)
+            want = [h2.draw_counts(s, 1000) for _ in range(5)]
+            assert all(i.tolist() == idx.tolist() for i, _ in want)
+            assert rows.tolist() == [c.tolist() for _, c in want]
+            assert_same_state(h1, h2)
+
+    @pytest.mark.parametrize("keep", [0, 1, 3, 6])
+    @pytest.mark.parametrize("s", COUNT_SETS, ids=["full", "interval", "explicit"])
+    def test_reached_keeps_leading_calls(self, keep, s):
+        d = sparse_random(64, 5)
+        seen = []
+
+        def reached(idx, counts):
+            seen.append(counts.shape)
+            return keep
+
+        h1, h2 = twins(d, COND, 9)
+        h1.draw_counts(s, 1000)  # a call before, as in a running tester
+        h2.draw_counts(s, 1000)
+        idx, rows = h1.draw_counts(s, 1000, rows=6, reached=reached)
+        want = [h2.draw_counts(s, 1000)[1].tolist() for _ in range(keep)]
+        assert seen == [(6, idx.size)]
+        assert rows.shape == (keep, idx.size) and rows.tolist() == want
+        assert_same_state(h1, h2)
+        # The next draw is the (keep + 1)-th single call's.
+        assert h1.draw_counts(s, 1000)[1].tolist() == h2.draw_counts(s, 1000)[1].tolist()
+
+    @pytest.mark.parametrize("s, rows, discipline, error", [
+        (QuerySet.interval(40, 50), 3, PERMISSIVE, ZeroMassSet),
+        (QuerySet.interval(1, 8), 3, STRICT, DisciplineViolation),
+        (QuerySet.full(), -1, STRICT, BadDrawCount),
+        (QuerySet.full(), 2.0, STRICT, BadDrawCount),
+    ])
+    def test_refused_before_any_draw(self, s, rows, discipline, error):
+        h = OracleHandle(ZERO_HALF, model=COND, seed=1, discipline=discipline)
+        state = h.rng.bit_generator.state
+        with pytest.raises(error):
+            h.draw_counts(s, 1000, rows=rows)
+        assert h.ledger.total == 0 and not h.returned_points
+        assert h.rng.bit_generator.state == state
+
+
+def bump(n, step, factor):
+    """Uniform on 1..n with every step-th point, from 1, weighted by
+    factor."""
+    w = np.ones(n)
+    w[::step] *= factor
+    return make_distribution(w)
+
+
+def two_level(n, a):
+    """Weight a on 1..n/2, and the rest spread over n/2+1..n."""
+    return make_distribution([a] * (n // 2) + [2.0 / n - a] * (n // 2))
+
+
+# A kappa this large leaves every point of U(64) unsettled by round one
+# (1/64 < kappa/20) and settles it in round two (1/32 > kappa/20).
+WIDE_KAPPA = {"ae_kappa_c": 3e5}
+
+# (name, D1, D2, profile overrides, the verdicts of three repetitions at
+# each of seeds 0..2, the exits seen over those seeds). An exit is "first" for a repetition that
+# rejects at its first point, before any batch; "all" for a batch whose
+# every point settles and agrees; "h1" for a batch that stops at a point
+# h1's round one does not settle, and "h2" for one that stops at a point
+# h1 settles, on h2's round one or on the window.
+EVAL_CASES = [
+    ("U_U_256", uniform(256), uniform(256), {}, [[ACCEPT] * 3] * 3, {"all"}),
+    ("U_half_split_256", uniform(256), gen_half_split(256, 0.5), {},
+     [[REJECT] * 3] * 3, {"first"}),
+    # D2 is zero on 100..110: a later point there stops on h2.
+    ("U_gap_256", uniform(256), gap(256, 100, 110), {},
+     [[ACCEPT, ACCEPT, REJECT], [REJECT, ACCEPT, ACCEPT], [ACCEPT, ACCEPT, REJECT]],
+     {"all", "h2"}),
+    # The same gap in D1: a later point there stops on h1, and h2 draws
+    # that point's round one afresh.
+    ("gap_U_256", gap(256, 100, 110), uniform(256), {},
+     [[ACCEPT, REJECT, REJECT], [REJECT, REJECT, ACCEPT], [ACCEPT, REJECT, ACCEPT]],
+     {"all", "h1"}),
+    # Both sides settle every point; the window rejects a bumped one,
+    # first or later.
+    ("U_bump_256", uniform(256), bump(256, 8, 1.3), {}, [[REJECT] * 3] * 3,
+     {"first", "h2"}),
+    # Every point takes two rounds on both sides: each batch keeps only
+    # h1's first row.
+    ("U_U_64_wide", uniform(64), uniform(64), WIDE_KAPPA, [[ACCEPT] * 3] * 3,
+     {"h1"}),
+    # 1..32 weigh 0.0200 in D1, above kappa/20 = 0.0196, and 0.0194 in
+    # D2: h1 settles them at once and h2 takes more rounds, and the two
+    # estimates agree. 33..64 take more rounds on both sides.
+    ("split_split_64_wide", two_level(64, 0.0200), two_level(64, 0.0194),
+     WIDE_KAPPA, [[ACCEPT] * 3] * 3, {"h1", "h2"}),
+    # Mixed weights: some points settle in round one, some take more.
+    ("rand_rand_64_wide", sparse_random(64, 7), sparse_random(64, 7), WIDE_KAPPA,
+     [[ACCEPT] * 3] * 3, {"all", "h1"}),
+]
+
+
+class TestEvalEqualityMatchesPointLoop:
+    @pytest.mark.parametrize("name, d1, d2, overrides, verdicts, exits", EVAL_CASES)
+    def test_same_verdicts_ledgers_and_generators(self, name, d1, d2, overrides,
+                                                   verdicts, exits, monkeypatch):
+        round_ones = equality._round_ones
+        seen = []
+
+        def spy(h1, h2, xs, budget, window):
+            j, first1, first2 = out = round_ones(h1, h2, xs, budget, window)
+            seen.append("all" if j == xs.size else "h2" if first2 is not None else "h1")
+            return out
+
+        monkeypatch.setattr(equality, "_round_ones", spy)
+        sched = eval_schedule(d1.n, 0.5, ConstantsProfile("desk", overrides))
+        got = []
+        for seed in range(3):
+            (g1, g2), (r1, r2) = eval_twins(d1, d2, seed)
+            reps = []
+            for _ in range(3):
+                calls = len(seen)
+                verdict = _eval_test_equality_once(g1, g2, sched)
+                assert verdict == reference_eval_test_equality_once(r1, r2, sched)
+                assert_same_state(g1, r1)
+                assert_same_state(g2, r2)
+                if len(seen) == calls:
+                    seen.append("first")
+                reps.append(verdict)
+            got.append(reps)
+        assert got == verdicts
+        assert exits <= set(seen)
+
+
+def eval_twins(d1, d2, seed):
+    """Two (h1, h2) pairs, seeded alike, one for each side, as the
+    harness seeds eval_equality."""
+    a1, b1 = twins(d1, COND, seed, STRICT)
+    a2, b2 = twins(d2, COND, seed ^ SECOND_STREAM, STRICT)
+    return (a1, a2), (b1, b2)
 
 
 # The scalar pair comparison ------------------------------------------------

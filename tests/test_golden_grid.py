@@ -9,7 +9,9 @@ the target tables moved onto the target distribution, and the
 block_256, half_256_eps_0.5 and point_mass_256 dist_uniformity entries
 from the code before its comparisons moved onto the pair kernel. The
 pcond_equality entries at seed 1 and the gap_256 ones were recorded
-from the code before its cross loop moved onto the pair kernel. A
+from the code before its cross loop moved onto the pair kernel, and
+the eval_equality U_gap_256, gap_U_256 and U_bump_256 ones from the
+code before approx_eval's first rounds were drawn in batches. A
 change that claims to keep behaviour must keep this test passing
 unchanged.
 
@@ -52,6 +54,14 @@ def _gap(n, a, b):
     points on either side of the gap do not."""
     w = np.ones(n)
     w[a - 1:b] = 0.0
+    return ct.make_distribution(w)
+
+
+def _bump(n, step, factor):
+    """Uniform on 1..n with every step-th point, from 1, weighted by
+    factor before normalising."""
+    w = np.ones(n)
+    w[::step] *= factor
     return ct.make_distribution(w)
 
 
@@ -105,6 +115,19 @@ def grid():
         ("eval_equality/U_U_256", "eval_equality", u256, u256, 0.5, (0, 1)),
         ("eval_equality/U_half_256", "eval_equality", u256,
          ct.gen_half_split(256, 0.5), 0.5, (0,)),
+        # D2 is zero on 100..110. Seed 0 rejects one repetition and seed 4
+        # two, each after some points pass, at a point D2's first round
+        # does not settle.
+        ("eval_equality/U_gap_256", "eval_equality", u256, _gap(256, 100, 110),
+         0.5, (0, 4)),
+        # The same gap in D1: the point D1's first round does not settle
+        # is still evaluated on D2.
+        ("eval_equality/gap_U_256", "eval_equality", _gap(256, 100, 110), u256,
+         0.5, (0, 1)),
+        # D2 is 1.3 times heavier on every eighth point: every repetition
+        # rejects on the window, after some points pass.
+        ("eval_equality/U_bump_256", "eval_equality", u256, _bump(256, 8, 1.3),
+         0.5, (0,)),
         ("dist_uniformity/U_256", "dist_uniformity", u256, None, 0.25, (0,)),
         ("dist_uniformity/half_256", "dist_uniformity",
          ct.gen_half_split(256, 0.25), None, 0.25, (0,)),

@@ -32,6 +32,20 @@ def test_two_runs_are_byte_identical(tmp_path):
             r["ledger"][c] for c in ("samp", "cond", "pcond", "icond"))
 
 
+def test_case_keeps_matching_cases_with_their_seeds(tmp_path):
+    every = [json.loads(line) for line in dump(tmp_path, "all.jsonl").splitlines()]
+    out = tmp_path / "eval.jsonl"
+    subprocess.run([sys.executable, str(TOOL), "--workload", "set_small_n",
+                    "--seed", "11", "--rounds", "2", "--case", "eval_equality",
+                    "--out", str(out)], check=True, timeout=300)
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["case"] for r in rows] == [
+        "eval_equality/U_U_256", "eval_equality/U_half_split_256"] * 2
+    # Round 0 of each case is its line in the dump of every case.
+    assert rows[:2] == [r for r in every if "eval_equality" in r["case"]]
+    assert [r["seed"] for r in rows[2:]] == [r["seed"] ^ 1 for r in rows[:2]]
+
+
 def against(other_src):
     return subprocess.run([sys.executable, str(TOOL), "--workload", "set_small_n",
                            "--seed", "11", "--rounds", "1", "--against", str(other_src)],

@@ -22,7 +22,12 @@ does both in one command:
 It runs the workload once on `--src` and once on OTHER_SRC, each in a
 process of its own, prints the first trial whose lines differ and exits
 1 on any difference, or prints the number of identical trials and
-exits 0.
+exits 0. `--case SUBSTRING` keeps only the cases whose name holds
+SUBSTRING, each with the seed it has in the whole workload, so many
+rounds of a few cases run in seconds:
+
+    python3 tools/outcome_dump.py --workload set_small_n --seed 11 --rounds 200 \
+        --case eval_equality --against ../parent/src
 """
 
 from __future__ import annotations
@@ -37,8 +42,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def outcomes(ct, workload, seed, rounds):
-    """The workload's trial outcomes, as dicts, in run order."""
+def outcomes(ct, workload, seed, rounds, case_filter=""):
+    """The workload's trial outcomes, as dicts, in run order; only the
+    cases whose name holds case_filter."""
     import numpy as np
     import workloads
 
@@ -46,6 +52,7 @@ def outcomes(ct, workload, seed, rounds):
     cases = workloads.build(ct, workload, profile)
     for case, child in zip(cases, np.random.SeedSequence(seed).spawn(len(cases))):
         case.seed = int(child.generate_state(1, dtype=np.uint64)[0])
+    cases = [case for case in cases if case_filter in case.name]
     for r in range(rounds):
         for case in cases:
             trial_seed = case.seed ^ r
@@ -69,7 +76,8 @@ def compare(args):
     sides = []
     for src in (args.src, args.against):
         cmd = [sys.executable, __file__, "--workload", args.workload,
-               "--seed", str(args.seed), "--rounds", str(args.rounds), "--src", src]
+               "--seed", str(args.seed), "--rounds", str(args.rounds),
+               "--case", args.case, "--src", src]
         sides.append(subprocess.run(cmd, check=True, capture_output=True,
                                     text=True).stdout.splitlines())
     mine, theirs = sides
@@ -87,6 +95,8 @@ def main(argv=None):
                     choices=("pair_small_n", "set_small_n", "large_n"))
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--rounds", type=int, default=1)
+    ap.add_argument("--case", default="", metavar="SUBSTRING",
+                    help="dump only the cases whose name holds SUBSTRING (default: all)")
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="directory condtest is imported from (default: this checkout's src)")
     ap.add_argument("--out", default="-", help="output file (default: standard output)")
@@ -100,7 +110,7 @@ def main(argv=None):
 
     f = sys.stdout if args.out == "-" else open(args.out, "w")
     try:
-        for out in outcomes(ct, args.workload, args.seed, args.rounds):
+        for out in outcomes(ct, args.workload, args.seed, args.rounds, args.case):
             f.write(json.dumps(out) + "\n")
     finally:
         if f is not sys.stdout:
