@@ -32,6 +32,11 @@ def _check_flags(profile, length, what):
         raise BadGeneratorParam(f"profile must have length {what}={length}")
 
 
+def _past_memory(name, n):
+    return DomainTooLarge(
+        f"{name} with n={n} needs arrays of {n} weights, which do not fit in memory")
+
+
 def gen_half_split(n: int, eps: float) -> Distribution:
     """Left half (1+2eps)/n, right half (1-2eps)/n; distance from
     uniform exactly eps."""
@@ -40,10 +45,13 @@ def gen_half_split(n: int, eps: float) -> Distribution:
     if n % 2:
         raise OddN(f"n={n} must be even")
     _check_eps(eps)
-    w = np.empty(n)
-    w[: n // 2] = (1.0 + 2.0 * eps) / n
-    w[n // 2 :] = (1.0 - 2.0 * eps) / n
-    return make_distribution(w)
+    try:
+        w = np.empty(n)
+        w[: n // 2] = (1.0 + 2.0 * eps) / n
+        w[n // 2 :] = (1.0 - 2.0 * eps) / n
+        return make_distribution(w)
+    except MemoryError:
+        raise _past_memory("half_split", n) from None
 
 
 def staircase_domain_size(k: int, r: int) -> int:
@@ -100,20 +108,22 @@ def gen_block_profile(n: int, x: int, offset: int, profile, eps: float) -> Distr
     _check_eps(eps)
     hi = (1.0 + 2.0 * eps) / n
     lo = (1.0 - 2.0 * eps) / n
-    base = np.empty(n)
-    for j, flag in enumerate(profile):
-        start = j * delta
-        half = delta // 2
-        if flag == UP_DOWN:
-            base[start : start + half] = hi
-            base[start + half : start + delta] = lo
-        elif flag == DOWN_UP:
-            base[start : start + half] = lo
-            base[start + half : start + delta] = hi
-        else:
-            raise BadGeneratorParam(f"bad profile flag {flag!r}")
-    w = np.roll(base, offset % n)
-    return make_distribution(w)
+    try:
+        base = np.empty(n)
+        for j, flag in enumerate(profile):
+            start = j * delta
+            half = delta // 2
+            if flag == UP_DOWN:
+                base[start : start + half] = hi
+                base[start + half : start + delta] = lo
+            elif flag == DOWN_UP:
+                base[start : start + half] = lo
+                base[start + half : start + delta] = hi
+            else:
+                raise BadGeneratorParam(f"bad profile flag {flag!r}")
+        return make_distribution(np.roll(base, offset % n))
+    except MemoryError:
+        raise _past_memory("block_profile", n) from None
 
 
 # Seeded random wrappers --------------------------------------------

@@ -154,8 +154,7 @@ def _settled(budget: EvalBudget, idx, counts, points):
     return np.where(_settles(share, budget), share, np.nan)
 
 
-def approx_eval(h: OracleHandle, i_star: int, budget: EvalBudget,
-                first=None) -> float | None:
+def approx_eval(h: OracleHandle, i_star: int, budget: EvalBudget) -> float | None:
     """Estimate D(i_star) by repeatedly halving a conditioning set.
 
     Each round draws a batch on the current set; points that hog the
@@ -163,9 +162,7 @@ def approx_eval(h: OracleHandle, i_star: int, budget: EvalBudget,
     point. The estimate telescopes the per-round conditional fractions
     of the surviving set. Returns the estimate, or None (Unknown) when
     the heavy part is nearly everything or the surviving set looks
-    empty; raises EvalFailed if the round cap runs out. first, if
-    given, is round one's (indices, counts) histogram on the full
-    domain, drawn by the caller.
+    empty; raises EvalFailed if the round cap runs out.
     """
     M, kappa, eps, m = budget
     members = None  # None stands for the full domain
@@ -173,15 +170,11 @@ def approx_eval(h: OracleHandle, i_star: int, budget: EvalBudget,
     for _ in range(M):
         if members is not None and members.size == 1:
             return d_hat
-        if first is None:
-            qs = QuerySet.full() if members is None else QuerySet.explicit(members)
-            try:
-                idx, counts = h.draw_counts(qs, m)
-            except ZeroMassSet:
-                return None
-        else:
-            idx, counts = first
-            first = None
+        qs = QuerySet.full() if members is None else QuerySet.explicit(members)
+        try:
+            idx, counts = h.draw_counts(qs, m)
+        except ZeroMassSet:
+            return None
         pos = np.searchsorted(idx, i_star)
         star_frac = (
             counts[pos] / m if pos < idx.size and idx[pos] == i_star else 0.0
@@ -246,12 +239,12 @@ def _agree(r1, r2, window):
     return (lo_factor * r2 <= r1) & (r1 <= hi_factor * r2)
 
 
-def _point_agrees(h1, h2, x, budget, window, first1, first2):
-    """approx_eval of x on h1, then on h2, each from its round one if
-    given, and whether both estimates exist and agree."""
+def _point_agrees(h1, h2, x, budget, window):
+    """approx_eval of x on h1, then on h2, and whether both estimates
+    exist and agree."""
     try:
-        r1 = approx_eval(h1, x, budget, first1)
-        r2 = approx_eval(h2, x, budget, first2)
+        r1 = approx_eval(h1, x, budget)
+        r2 = approx_eval(h2, x, budget)
     except EvalFailed:
         return False
     return r1 is not None and r2 is not None and bool(_agree(r1, r2, window))
@@ -261,63 +254,54 @@ def _round_ones(h1, h2, xs, budget, window):
     """approx_eval's round one at each of the points xs, on h1 and on
     h2, from at most one draw_counts call each.
 
-    Returns (j, first1, first2): the number j of leading points whose
-    round one settles them on both sides with estimates that agree,
-    and the next point's round-one histograms, on h1 and on h2, or
-    (None, None) when j is every point. h2 draws no further than the
-    first point h1's round one does not settle: approx_eval on h1 may
-    then raise, and h2 would not draw, so first2 is None there. Each
-    handle is charged, and its generator left, as after the calls a
-    point-by-point loop would make; the stop depends on both sides'
-    rows, so h2 draws inside h1's reached.
+    Returns the number j of leading points whose round one settles them
+    on both sides with estimates that agree. Each handle keeps only
+    those j rows, so it is charged, and its generator left, as after
+    the approx_eval calls a point-by-point loop makes at those points,
+    and the next point is evaluated afresh. The stop depends on both
+    sides' rows, so h2 draws inside h1's reached, and only up to the
+    first point h1's round one does not settle.
     """
     full, k = QuerySet.full(), xs.size
-    stop, rows2 = k, None
+    stop = k
 
     def reached1(idx1, counts1):
-        nonlocal stop, rows2
+        nonlocal stop
         r1 = _settled(budget, idx1, counts1, xs)
         unsettled = np.isnan(r1)
-        u = int(np.argmax(unsettled)) if unsettled.any() else k
-        stop = u
+        stop = int(np.argmax(unsettled)) if unsettled.any() else k
 
         def reached2(idx2, counts2):
             nonlocal stop
-            agree = _agree(r1[:u], _settled(budget, idx2, counts2, xs[:u]), window)
+            agree = _agree(r1[:stop], _settled(budget, idx2, counts2, xs[:stop]), window)
             if not agree.all():
                 stop = int(np.argmin(agree))
-            return min(stop + 1, u)
+            return stop
 
-        if u:
-            rows2 = h2.draw_counts(full, budget.m, rows=u, reached=reached2)
-        return min(stop + 1, k)
+        if stop:
+            h2.draw_counts(full, budget.m, rows=stop, reached=reached2)
+        return stop
 
-    idx1, counts1 = h1.draw_counts(full, budget.m, rows=k, reached=reached1)
-    if stop == k:
-        return k, None, None
-    first2 = None
-    if rows2 is not None and rows2[1].shape[0] > stop:
-        first2 = (rows2[0], rows2[1][stop])
-    return stop, (idx1, counts1[stop]), first2
+    h1.draw_counts(full, budget.m, rows=k, reached=reached1)
+    return stop
 
 
 def _eval_test_equality_once(h1, h2, sched):
     """Draw m points from each side, then evaluate them in order until
     one's estimates do not agree. The first point is evaluated on its
     own, so a far instance draws nothing ahead; the round ones of the
-    rest are drawn in batches (_round_ones), and a point a batch stops
-    at is finished from its kept round ones."""
+    rest are drawn in batches (_round_ones), and the point a batch
+    stops at is evaluated on its own, as the first point is."""
     m, budget, window = sched
     full = QuerySet.full()
     pts = np.concatenate((h1.draw_many(full, m), h2.draw_many(full, m)))
-    first1 = first2 = None
     i, size = 0, pts.size
     while i < pts.size:
-        if not _point_agrees(h1, h2, int(pts[i]), budget, window, first1, first2):
+        if not _point_agrees(h1, h2, int(pts[i]), budget, window):
             return REJECT
         i += 1
         if i < pts.size:
-            j, first1, first2 = _round_ones(h1, h2, pts[i:i + size], budget, window)
+            j = _round_ones(h1, h2, pts[i:i + size], budget, window)
             i += j
             # A batch draws at most 2j + 1 rows after one that settled j
             # points, so points that round one rarely settles waste few.

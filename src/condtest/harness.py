@@ -216,8 +216,9 @@ def run_trial(tester: str, d1: Distribution, aux, eps: float, seed: int,
     """One seeded run; aux is None, a KnownTarget, or the second
     Distribution depending on the tester. Any other aux raises
     IncompatibleOracleModel, and one of another domain size
-    DomainMismatch."""
+    DomainMismatch. profile takes every form resolve_profile does."""
     spec = tester_spec(tester)
+    profile = resolve_profile(profile)
     check_eps(eps)
     seed = as_integer(seed, "seed", BadSeed) & _SEED_MASK
     aux_type, aux_name = _AUX[spec.second]

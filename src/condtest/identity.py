@@ -42,20 +42,20 @@ class KnownTarget:
     maps position -> original label and prefix_sums[k] is the target
     mass of positions 1..k.
 
-    The tables (the sort, the split points, the witness-chain tables
-    and the bucket decompositions) are kept on the target Distribution
-    itself, in its target_tables slot, and hold no reference back to
-    it. So every KnownTarget of one Distribution instance shares them:
-    the sort is paid once per distribution, a split once per distinct
-    eps1, a chain table once per distinct target weight below eps1 and
-    a decomposition once per distinct eta, and all of it dies with the
-    distribution. Each of the three caches keeps at most MAX_CHAINS
-    entries and evicts its oldest first. Building a chain table
-    costs O(N log N) in numpy, and its unit_run array, one int32 per
-    node, lets resolve read a pick inside a run of one-point witnesses
-    in O(1) and climb O(log N) levels only past it; prefix_labels is a
-    view on the sorted order while that order is still increasing, one
-    O(N) vector pass past it, and never a sort.
+    The tables (the sort, the witness-chain tables and the bucket
+    decompositions) are kept on the target Distribution itself, in its
+    target_tables slot, and hold no reference back to it. So every
+    KnownTarget of one Distribution instance shares them: the sort is
+    paid once per distribution, a chain table once per distinct target
+    weight below eps1 and a decomposition once per distinct eta, and
+    all of it dies with the distribution. Each of the two caches keeps
+    at most MAX_CHAINS entries and evicts its oldest first; a split
+    point is one search of the prefix sums, computed on each call.
+    Building a chain table costs O(N log N) in numpy, and its unit_run
+    array, one int32 per node, lets resolve read a pick inside a run of
+    one-point witnesses in O(1) and climb O(log N) levels only past it;
+    prefix_labels is a view on the sorted order while that order is
+    still increasing, one O(N) vector pass past it, and never a sort.
     """
 
     MAX_CHAINS = 8
@@ -95,14 +95,12 @@ class KnownTarget:
         return labels[np.lexsort((labels, seg))]
 
     def split(self, eps1: float) -> SplitPoint:
-        def build():
-            # Tiny slack so accumulated float error in the prefix sums
-            # cannot flip a prefix that equals 2 eps1 exactly.
-            thr = 2.0 * eps1 * (1.0 + 1e-12) + 1e-15
-            i_star = int(np.searchsorted(self.prefix_sums, thr, side="right"))
-            heavy = self.prefix_mass(i_star - 1) <= eps1
-            return SplitPoint(i_star, i_star - 1, heavy)
-        return self._cached(self._splits, eps1, build)
+        # Tiny slack so accumulated float error in the prefix sums
+        # cannot flip a prefix that equals 2 eps1 exactly.
+        thr = 2.0 * eps1 * (1.0 + 1e-12) + 1e-15
+        i_star = int(np.searchsorted(self.prefix_sums, thr, side="right"))
+        heavy = self.prefix_mass(i_star - 1) <= eps1
+        return SplitPoint(i_star, i_star - 1, heavy)
 
     def witness_chain(self, wj: float) -> WitnessChain:
         """The greedy witness chains for target weight wj, built on the
@@ -149,7 +147,6 @@ def _target_tables(weights):
         "prefix_sums": np.concatenate(([0.0], np.cumsum(sorted_weights))),
         "position_of": position_of,
         "_rising": n if rising.all() else int(np.argmin(rising)) + 1,
-        "_splits": {},
         "_chains": {},
         "_buckets": {},
     }

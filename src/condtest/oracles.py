@@ -46,11 +46,13 @@ from .distcore import (EXPLICIT, FULL, INTERVAL, PAIR, Distribution, QuerySet,
                        _check_domain)
 from .errors import (
     BadQuerySet,
+    BadSeed,
     DisciplineViolation,
     IllegalShapeForModel,
     IncompatibleOracleModel,
     SetsNotDisjoint,
     ZeroMassSet,
+    as_integer,
     check_draws,
 )
 
@@ -137,7 +139,7 @@ class OracleHandle:
             raise IncompatibleOracleModel(f"unknown discipline {discipline!r}")
         self.dist = dist
         self.model = model
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = as_integer(seed, "seed", BadSeed) & 0xFFFFFFFFFFFFFFFF
         self.discipline = discipline
         self.rng = np.random.Generator(np.random.PCG64(self.seed))
         self.ledger = QueryLedger()

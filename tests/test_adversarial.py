@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +27,7 @@ from condtest.errors import (
     SpecParseError,
 )
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 class TestHalfSplit:
     def test_frozen_example(self):
@@ -144,6 +150,30 @@ class TestBlockProfile:
             gen_block_profile(12, 2, 0, ["up_down"] * 4, 0.25)  # block size 3 odd
         with pytest.raises(ValueError):
             gen_block_profile(16, 2, 0, ["up_down"] * 3, 0.25)
+
+
+@pytest.mark.parametrize("call", [
+    "gen_half_split(10**12, 0.25)",
+    "gen_block_profile(10**12, 0, 0, ['up_down'], 0.25)",
+])
+def test_past_memory_names_n(call):
+    """In a process whose address space is capped at 1.5 GB, so that
+    the arrays are refused, not allocated."""
+    code = "\n".join((
+        "import resource",
+        "cap = (1_500_000_000, resource.getrlimit(resource.RLIMIT_AS)[1])",
+        "resource.setrlimit(resource.RLIMIT_AS, cap)",
+        "from condtest.adversarial import gen_block_profile, gen_half_split",
+        "from condtest.errors import DomainTooLarge",
+        "try:",
+        f"    {call}",
+        "except DomainTooLarge as e:",
+        "    print(e)",
+    ))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert "n=1000000000000" in out.stdout
 
 
 class TestParamRefusals:

@@ -20,6 +20,7 @@ disjointness and the union worked out on member arrays. compare_points
 is held against it seed for seed.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -1612,9 +1613,16 @@ class TestEvalEqualityMatchesPointLoop:
         seen = []
 
         def spy(h1, h2, xs, budget, window):
-            j, first1, first2 = out = round_ones(h1, h2, xs, budget, window)
-            seen.append("all" if j == xs.size else "h2" if first2 is not None else "h1")
-            return out
+            j = round_ones(h1, h2, xs, budget, window)
+            if j == xs.size:
+                seen.append("all")
+            else:
+                # Whether h1's round one settles the stop point, drawn on
+                # a copy of h1, whose generator stands just before it.
+                idx, counts = copy.deepcopy(h1).draw_counts(QuerySet.full(), budget.m)
+                share = counts[idx == xs[j]].sum() / budget.m
+                seen.append("h2" if equality._settles(share, budget) else "h1")
+            return j
 
         monkeypatch.setattr(equality, "_round_ones", spy)
         sched = eval_schedule(d1.n, 0.5, ConstantsProfile("desk", overrides))

@@ -13,6 +13,7 @@ from condtest.adversarial import gen_half_split, gen_staircase
 from condtest.distcore import uniform
 from condtest.errors import (
     BadEpsilon,
+    BadProfile,
     BadReport,
     BadSeed,
     BadSweepGrid,
@@ -39,6 +40,7 @@ from condtest.harness import (
 )
 from condtest.identity import KnownTarget
 from condtest.oracles import QueryLedger
+from condtest.profiles import DESK
 
 
 def small_cfg(**kw):
@@ -281,7 +283,6 @@ class TestTargetTables:
         # Every position of a uniform target has the same weight, so one
         # chain table serves all three eps.
         assert len(calls) == 1
-        assert len(target.target_tables["_splits"]) == 3
 
     @pytest.mark.parametrize("tester", ["cond_known", "pcond_known"])
     @pytest.mark.parametrize("make_d, make_t", [
@@ -377,6 +378,15 @@ class TestRunTrial:
     def test_accepts_aux_of_the_right_kind(self, tester, aux):
         rec = harness.run_trial(tester, uniform(8), aux, 0.5, 0)
         assert rec.verdict in ("Accept", "Reject")
+
+    def test_takes_every_profile_form(self):
+        recs = [harness.run_trial("pcond_uniform", uniform(64), None, 0.5, 0, profile)
+                for profile in ("desk", {}, DESK)]
+        assert len({(r.verdict, r.ledger.counts()) for r in recs}) == 1
+
+    def test_rejects_an_unknown_profile(self):
+        with pytest.raises(BadProfile):
+            harness.run_trial("pcond_uniform", uniform(64), None, 0.5, 0, "nonsense")
 
 
 class TestSerialization:

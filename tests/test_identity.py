@@ -88,25 +88,14 @@ class TestKnownTarget:
 
     def test_split_and_chain_cached(self):
         t = KnownTarget(uniform(100))
-        assert t.split(0.05) is t.split(0.05)
+        assert t.split(0.05) == t.split(0.05)
         assert t.witness_chain(0.01) is t.witness_chain(0.01)
-
-    def test_splits_evict_like_the_other_caches(self):
-        t = KnownTarget(gen_staircase(2, 3))
-        eps1s = [0.01 * (i + 1) for i in range(KnownTarget.MAX_CHAINS + 1)]
-        first = t.split(eps1s[0])
-        for eps1 in eps1s[1:]:
-            t.split(eps1)
-        assert len(t._splits) == KnownTarget.MAX_CHAINS
-        assert eps1s[0] not in t._splits
-        again = t.split(eps1s[0])
-        assert again is not first and again == first
 
     def test_tables_shared_by_targets_of_one_distribution(self):
         d = gen_staircase(2, 3)
         t1, t2 = KnownTarget(d), KnownTarget(d)
         assert t1.sorted_order is t2.sorted_order
-        assert t1.split(0.05) is t2.split(0.05)
+        assert t1.split(0.05) == t2.split(0.05)
         assert t1.witness_chain(0.01) is t2.witness_chain(0.01)
         assert t1.buckets(0.1) is t2.buckets(0.1)
         assert t1.buckets(0.1).bucket_index_of.tolist() == (

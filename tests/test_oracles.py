@@ -8,6 +8,7 @@ from condtest.distcore import (INTERVAL, PAIR, QuerySet, conditional_pmf,
 from condtest.errors import (
     BadDrawCount,
     BadQuerySet,
+    BadSeed,
     DisciplineViolation,
     IllegalShapeForModel,
     IncompatibleOracleModel,
@@ -87,6 +88,17 @@ class TestShapeRules:
         h = OracleHandle(d, model=COND, seed=0, discipline=PERMISSIVE)
         with pytest.raises(ZeroMassSet):
             h.draw(QuerySet.pair(2, 3))
+
+
+class TestSeed:
+    @pytest.mark.parametrize("seed", [1.5, "7", True, None])
+    def test_seed_not_an_integer(self, seed):
+        with pytest.raises(BadSeed):
+            OracleHandle(uniform(8), seed=seed)
+
+    def test_numpy_integer_seed(self):
+        got = OracleHandle(uniform(8), seed=np.int64(7)).rng.bit_generator.state
+        assert got == OracleHandle(uniform(8), seed=7).rng.bit_generator.state
 
 
 def frozen(h):
