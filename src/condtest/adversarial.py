@@ -13,7 +13,14 @@ from numbers import Real
 import numpy as np
 
 from .distcore import Distribution, make_distribution
-from .errors import BadBlockGeometry, BadGeneratorParam, DomainTooLarge, OddN, SpecParseError
+from .errors import (
+    BadBlockGeometry,
+    BadGeneratorParam,
+    DomainTooLarge,
+    OddN,
+    SpecParseError,
+    as_integer,
+)
 
 UP_DOWN = "up_down"
 DOWN_UP = "down_up"
@@ -40,6 +47,7 @@ def _past_memory(name, n):
 def gen_half_split(n: int, eps: float) -> Distribution:
     """Left half (1+2eps)/n, right half (1-2eps)/n; distance from
     uniform exactly eps."""
+    n = as_integer(n, "n", BadGeneratorParam)
     if n < 2:
         raise BadGeneratorParam(f"n={n} must be at least 2")
     if n % 2:
@@ -67,6 +75,8 @@ def gen_staircase(k: int, r: int, profile=None) -> Distribution:
     (2i-1, 2i) to (3/(4r), 1/(4r)) or the reverse. A fully perturbed
     staircase sits at distance exactly 1/4 from the reference shape.
     """
+    k = as_integer(k, "k", BadGeneratorParam)
+    r = as_integer(r, "r", BadGeneratorParam)
     if k < 2 or r < 1:
         raise BadGeneratorParam("need k >= 2 and r >= 1")
     n = staircase_domain_size(k, r)
@@ -98,6 +108,9 @@ def gen_block_profile(n: int, x: int, offset: int, profile, eps: float) -> Distr
     """2^x equal blocks, each with a heavy and a light half per its
     profile flag, the whole pattern rotated by offset; distance from
     uniform exactly eps."""
+    n = as_integer(n, "n", BadGeneratorParam)
+    x = as_integer(x, "x", BadGeneratorParam)
+    offset = as_integer(offset, "offset", BadGeneratorParam)
     b = 2**x
     if x < 0 or n % b:
         raise BadBlockGeometry(f"2^{x} blocks do not divide n={n}")
@@ -134,6 +147,8 @@ def rand_profile(rng, length):
 
 
 def rand_staircase(k: int, r: int, rng) -> Distribution:
+    k = as_integer(k, "k", BadGeneratorParam)
+    r = as_integer(r, "r", BadGeneratorParam)
     return gen_staircase(k, r, rand_profile(rng, r))
 
 
@@ -151,6 +166,9 @@ def valid_block_exponents(n):
     return out
 
 def rand_block_profile(n: int, eps: float, rng, x=None) -> Distribution:
+    n = as_integer(n, "n", BadGeneratorParam)
+    if x is not None:
+        x = as_integer(x, "x", BadGeneratorParam)
     choices = valid_block_exponents(n)
     if not choices:
         raise BadBlockGeometry(f"no valid block exponent for n={n}")

@@ -47,12 +47,20 @@ INTERVAL = "interval"
 EXPLICIT = "explicit"
 
 
+def _index(i):
+    """A query set's index i as an int: an int or a numpy integer, but no
+    bool, else BadQuerySet. The factories test type(i) is int first, which
+    skips the isinstance checks, as errors.check_draws does."""
+    return as_integer(i, "a query set index", BadQuerySet)
+
+
 class QuerySet:
     """A subset of 1..N in one of four shapes.
 
     Shapes: full domain, pair {i,j}, interval [a,b], or an explicit
     strictly increasing index list. The shape matters because the
-    restricted oracle models only accept certain shapes.
+    restricted oracle models only accept certain shapes. The factories
+    refuse an index that is no integer, or a bool, with BadQuerySet.
     """
 
     __slots__ = ("shape", "a", "b", "indices")
@@ -69,6 +77,10 @@ class QuerySet:
 
     @classmethod
     def pair(cls, i, j):
+        if type(i) is not int:
+            i = _index(i)
+        if type(j) is not int:
+            j = _index(j)
         if i == j:
             raise BadQuerySet("pair needs two distinct indices")
         if i > j:
@@ -79,13 +91,32 @@ class QuerySet:
 
     @classmethod
     def interval(cls, a, b):
+        if type(a) is not int:
+            a = _index(a)
+        if type(b) is not int:
+            b = _index(b)
         if not (1 <= a <= b):
             raise BadQuerySet("need 1 <= a <= b")
         return cls(INTERVAL, a=a, b=b)
 
     @classmethod
     def explicit(cls, indices):
-        idx = np.asarray(indices, dtype=np.int64)
+        if isinstance(indices, (list, tuple)):
+            # Each item on its own: np.asarray would take a bool or a float
+            # among ints as a number.
+            for i in indices:
+                if type(i) is not int:
+                    _index(i)
+            try:
+                idx = np.asarray(indices, dtype=np.int64)
+            except OverflowError:
+                raise BadQuerySet("explicit indices must fit in int64") from None
+        else:
+            idx = np.asarray(indices)
+            if idx.ndim != 1 or idx.dtype.kind not in "iu":
+                raise BadQuerySet(
+                    f"explicit indices must be a 1-D array of integers, got {indices!r}")
+            idx = idx.astype(np.int64, copy=False)
         if idx.size == 0:
             raise BadQuerySet("empty query set")
         if idx[0] < 1:
@@ -197,13 +228,18 @@ class Distribution:
         return np.add.reduceat(held, starts)
 
     def mass(self, s: QuerySet):
-        """D(S), from the rule for its shape."""
+        """D(S), from the rule for its shape. An explicit set of one
+        point, compare_points' subset, has its point's weight as its
+        mass: set_masses' one-term np.add.reduceat segment adds nothing
+        to that term, so both give the same float, bit for bit."""
         if s.shape == FULL:
             return 1.0
         if s.shape == PAIR:
             return float(self.pair_masses(s.a, s.b))
         if s.shape == INTERVAL:
             return float(self.interval_masses(s.a, s.b))
+        if s.indices.size == 1:
+            return float(self.weights[s.indices.item(0) - 1])
         return float(self.set_masses(s.indices, [0])[0])
 
     def points_at(self, u, lo, hi, mass):

@@ -209,6 +209,40 @@ class TestParamRefusals:
             load_spec({"kind": "generator", "name": name, "params": params})
 
 
+    @pytest.mark.parametrize("call", [
+        lambda: gen_staircase(2.5, 4),
+        lambda: gen_staircase(2, 4.0),
+        lambda: gen_staircase(True, 2),
+        lambda: gen_half_split(8.0, 0.25),
+        lambda: gen_half_split(np.float64(8), 0.25),
+        lambda: gen_block_profile(256.0, 1, 0, ["up_down"] * 2, 0.25),
+        lambda: gen_block_profile(256, 4.0, 0, ["up_down"] * 16, 0.25),
+        lambda: gen_block_profile(256, 1, 0.5, ["up_down"] * 2, 0.25),
+        lambda: rand_block_profile(4096.0, 0.25, np.random.default_rng(0)),
+        lambda: rand_block_profile(4096, 0.25, np.random.default_rng(0), x=2.0),
+        lambda: rand_staircase(2.5, 4, np.random.default_rng(0)),
+        lambda: rand_staircase(2, 4.0, np.random.default_rng(0)),
+    ], ids=["staircase_k", "staircase_r", "staircase_bool", "half_split_n",
+            "half_split_numpy_float", "block_n", "block_x", "block_offset",
+            "rand_block_n", "rand_block_x", "rand_staircase_k", "rand_staircase_r"])
+    def test_integer_params_that_are_no_integers(self, call):
+        with pytest.raises(BadGeneratorParam, match="must be an integer"):
+            call()
+
+    def test_numpy_integer_params_build_the_int_distribution(self):
+        i = np.int64
+        for a, b in [
+            (gen_half_split(i(8), 0.25), gen_half_split(8, 0.25)),
+            (gen_staircase(i(2), np.int32(3)), gen_staircase(2, 3)),
+            (gen_block_profile(i(64), i(2), i(5), ["up_down", "down_up"] * 2, 0.25),
+             gen_block_profile(64, 2, 5, ["up_down", "down_up"] * 2, 0.25)),
+            (rand_block_profile(i(64), 0.25, np.random.default_rng(4), x=i(2)),
+             rand_block_profile(64, 0.25, np.random.default_rng(4), x=2)),
+            (rand_staircase(i(2), i(3), np.random.default_rng(4)),
+             rand_staircase(2, 3, np.random.default_rng(4))),
+        ]:
+            assert a.weights.tobytes() == b.weights.tobytes()
+
     def test_eps_not_a_number(self):
         # Not through GENERATORS, whose float(eps) refuses "x" first.
         with pytest.raises(BadGeneratorParam, match="eps must lie in .* got 'x'"):

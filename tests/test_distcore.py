@@ -20,6 +20,7 @@ from condtest.distcore import (
     tv_distance,
     uniform,
 )
+from condtest.oracles import COND, PERMISSIVE, OracleHandle
 from condtest.errors import (
     BadGeneratorParam,
     BadQuerySet,
@@ -64,6 +65,104 @@ class TestQuerySet:
             QuerySet.explicit([0, 1])
         with pytest.raises(BadQuerySet):
             QuerySet.explicit([3, 1])
+
+    @pytest.mark.parametrize("factory, args", [
+        (QuerySet.explicit, ([1.5, 3],)),
+        (QuerySet.explicit, ([[1, 2]],)),
+        (QuerySet.explicit, ([True, 3],)),
+        (QuerySet.explicit, ((1, np.float64(2.0)),)),
+        (QuerySet.explicit, (np.array([1.0, 3.0]),)),
+        (QuerySet.explicit, (np.array([True, False]),)),
+        (QuerySet.explicit, (np.array([[1, 2]]),)),
+        (QuerySet.explicit, (np.int64(3),)),
+        (QuerySet.explicit, ([2**70],)),
+        (QuerySet.interval, (1.5, 3)),
+        (QuerySet.interval, (1, 3.0)),
+        (QuerySet.interval, (True, 3)),
+        (QuerySet.pair, (1, 2.5)),
+        (QuerySet.pair, (np.bool_(True), 3)),
+        (QuerySet.pair, ("1", 3)),
+    ])
+    def test_refuses_indices_that_are_no_integers(self, factory, args):
+        # Each of these once conditioned on a rounded set, failed later in
+        # numpy, or took True as 1.
+        with pytest.raises(BadQuerySet):
+            factory(*args)
+
+    def test_takes_numpy_integers_as_ints(self):
+        p = QuerySet.pair(np.int32(4), np.uint8(2))
+        assert (p.a, p.b) == (2, 4) and type(p.a) is int and type(p.b) is int
+        iv = QuerySet.interval(np.int64(3), np.uint16(6))
+        assert (iv.a, iv.b) == (3, 6) and type(iv.a) is int and type(iv.b) is int
+        for indices in ([np.int64(1), 5, np.uint32(9)], (1, 5, 9),
+                        np.array([1, 5, 9], dtype=np.uint16)):
+            ex = QuerySet.explicit(indices)
+            assert ex.indices.dtype == np.int64
+            assert ex.indices.tolist() == [1, 5, 9]
+
+    def test_sets_of_numpy_integers_draw_as_sets_of_ints(self):
+        d = make_distribution([3, 1, 4, 1, 5, 9, 2, 6])
+        for as_int, as_numpy in [
+            (QuerySet.pair(2, 7), QuerySet.pair(np.int64(2), np.int64(7))),
+            (QuerySet.interval(2, 7), QuerySet.interval(np.int64(2), np.int64(7))),
+            (QuerySet.explicit([2, 7]), QuerySet.explicit([np.int64(2), np.int64(7)])),
+        ]:
+            h1 = OracleHandle(d, model=COND, seed=3, discipline=PERMISSIVE)
+            h2 = OracleHandle(d, model=COND, seed=3, discipline=PERMISSIVE)
+            assert d.mass(as_int) == d.mass(as_numpy)
+            assert np.array_equal(h1.draw_many(as_int, 50), h2.draw_many(as_numpy, 50))
+
+
+def bits(x):
+    return float(x).hex()
+
+
+# Weights with zeros and subnormals among normal floats; the sum stays normal.
+mixed_weights = st.lists(
+    st.one_of(st.just(0.0),
+              st.floats(min_value=0.0, max_value=2.0**-1022, allow_subnormal=True),
+              st.floats(min_value=0.0, max_value=10.0)),
+    min_size=1, max_size=64,
+).filter(lambda w: sum(w) > 1e-9)
+
+
+class TestOnePointMass:
+    """A one-point explicit set's mass is its point's weight, the one-term
+    np.add.reduceat segment that set_masses sums, bit for bit."""
+
+    @staticmethod
+    def check_every_point(d):
+        for i in range(1, d.n + 1):
+            got = d.mass(QuerySet.explicit([i]))
+            assert type(got) is float
+            assert bits(got) == bits(np.add.reduceat(d.weights[[i - 1]], [0])[0])
+
+    @given(mixed_weights)
+    @settings(max_examples=100, deadline=None)
+    def test_explicit_weights(self, weights):
+        self.check_every_point(Distribution(weights))
+
+    def test_subnormal_and_zero_weights_stay_as_they_are(self):
+        d = Distribution([1.0, 2.0**-1074, 0.0, 3e-310])
+        assert d.mass(QuerySet.explicit([2])) == 2.0**-1074
+        assert d.mass(QuerySet.explicit([3])) == 0.0
+        self.check_every_point(d)
+
+    @given(st.integers(0, 59), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dyadic_uniform(self, k, data):
+        d = uniform(2**k)
+        for i in {1, 2**k, data.draw(st.integers(1, 2**k))}:
+            got = d.mass(QuerySet.explicit([i]))
+            assert bits(got) == bits(np.add.reduceat(d.weights[[i - 1]], [0])[0])
+            assert got == 2.0**-k
+
+    def test_matches_the_explicit_twin(self):
+        for n in (1, 2, 1024, 2**20):
+            d, twin = uniform(n), Distribution(np.full(n, 1.0 / n))
+            for i in {1, min(2, n), n // 2 + 1, n}:
+                s = QuerySet.explicit([i])
+                assert bits(d.mass(s)) == bits(twin.mass(s))
 
 
 class TestDistribution:

@@ -46,10 +46,24 @@ def test_case_keeps_matching_cases_with_their_seeds(tmp_path):
     assert [r["seed"] for r in rows[2:]] == [r["seed"] ^ 1 for r in rows[:2]]
 
 
-def against(other_src):
-    return subprocess.run([sys.executable, str(TOOL), "--workload", "set_small_n",
-                           "--seed", "11", "--rounds", "1", "--against", str(other_src)],
+def against(other_src, *extra, workload="set_small_n"):
+    return subprocess.run([sys.executable, str(TOOL), "--workload", workload,
+                           "--seed", "11", "--rounds", "1", *extra,
+                           "--against", str(other_src)],
                           capture_output=True, text=True, timeout=300)
+
+
+def counting_one_more(tmp_path):
+    """A copy of the sources whose ledgers all count one query more."""
+    other = tmp_path / "src"
+    shutil.copytree(TOOL.parent.parent / "src" / "condtest", other / "condtest",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    oracles = other / "condtest" / "oracles.py"
+    text = oracles.read_text()
+    total = "return self.samp_count + self.cond_count + self.pcond_count + self.icond_count"
+    assert total in text
+    oracles.write_text(text.replace(total, total + " + 1"))
+    return other
 
 
 def test_against_the_same_sources_passes():
@@ -59,16 +73,8 @@ def test_against_the_same_sources_passes():
 
 
 def test_against_changed_sources_names_the_first_difference(tmp_path):
-    # A copy whose ledgers all count one query more: trial 0 differs.
-    other = tmp_path / "src"
-    shutil.copytree(TOOL.parent.parent / "src" / "condtest", other / "condtest",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    oracles = other / "condtest" / "oracles.py"
-    text = oracles.read_text()
-    total = "return self.samp_count + self.cond_count + self.pcond_count + self.icond_count"
-    assert total in text
-    oracles.write_text(text.replace(total, total + " + 1"))
-    run = against(other)
+    # Every ledger counts one query more: trial 0 differs.
+    run = against(counting_one_more(tmp_path))
     assert run.returncode == 1
     lines = run.stdout.splitlines()
     assert lines[0] == "trial 0 differs:"
@@ -76,3 +82,32 @@ def test_against_changed_sources_names_the_first_difference(tmp_path):
     assert theirs["ledger"]["total"] == mine["ledger"]["total"] + 1
     assert {k: v for k, v in mine.items() if k != "ledger"} == {
         k: v for k, v in theirs.items() if k != "ledger"}
+
+
+# One uniform case of each workload, two of large_n: a few fast trials.
+UNIFORM = ("--case", "uniform/U")
+
+
+def test_all_runs_the_three_workloads_in_turn(tmp_path):
+    def dump_of(workload):
+        out = tmp_path / f"{workload}.jsonl"
+        subprocess.run([sys.executable, str(TOOL), "--workload", workload, "--seed", "11",
+                        "--rounds", "1", *UNIFORM, "--out", str(out)],
+                       check=True, timeout=300)
+        return out.read_text()
+
+    assert dump_of("all") == "".join(
+        dump_of(w) for w in ("pair_small_n", "set_small_n", "large_n"))
+    run = against(TOOL.parent.parent / "src", *UNIFORM, workload="all")
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.splitlines() == [
+        "pair_small_n: 1 trials identical", "set_small_n: 1 trials identical",
+        "large_n: 2 trials identical"]
+
+
+def test_all_stops_at_the_first_workload_that_differs(tmp_path):
+    run = against(counting_one_more(tmp_path), *UNIFORM, workload="all")
+    assert run.returncode == 1
+    lines = run.stdout.splitlines()
+    assert lines[0] == "pair_small_n: trial 0 differs:"
+    assert len(lines) == 3  # set_small_n and large_n did not run

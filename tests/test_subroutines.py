@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from condtest.distcore import make_distribution, neighborhood_mass
+from condtest.adversarial import gen_staircase
+from condtest.distcore import (
+    FULL,
+    INTERVAL,
+    PAIR,
+    Distribution,
+    QuerySet,
+    make_distribution,
+    neighborhood_mass,
+    uniform,
+)
 from condtest.errors import ZeroMassSet
 from condtest.oracles import COND, OracleHandle, PERMISSIVE
 from condtest.profiles import DESK
@@ -83,6 +93,59 @@ class TestCompare:
         compare_points(h, 1, 5, m, 2.0)
         assert h.ledger.pcond_count == m
         assert h.ledger.total == m
+
+
+def reference_mass(self, s):
+    """Distribution.mass verbatim from before a one-point explicit set
+    read its weight: every explicit set is summed by set_masses."""
+    if s.shape == FULL:
+        return 1.0
+    if s.shape == PAIR:
+        return float(self.pair_masses(s.a, s.b))
+    if s.shape == INTERVAL:
+        return float(self.interval_masses(s.a, s.b))
+    return float(self.set_masses(s.indices, [0])[0])
+
+
+class TestOnePointSubsetMass:
+    """compare_points' counts, ledger and generator state match those
+    of the reference mass, seed for seed."""
+
+    DISTS = [
+        ("zeros_and_subnormals", lambda: Distribution(
+            [3.0, 0.0, 1.0, 2.0**-1074, 5.0, 0.5, 0.0, 2.0, 4e-310, 7.0])),
+        ("staircase", lambda: gen_staircase(2, 3)),
+        ("dyadic_uniform", lambda: uniform(2**10)),
+        ("uniform_1e3", lambda: uniform(1000)),
+    ]
+
+    @staticmethod
+    def run(d, pairs, seed):
+        h = OracleHandle(d, model=COND, seed=seed, discipline=PERMISSIVE)
+        m = compare_budget(0.1, 2.0, 0.01)
+        out = []
+        for x, y in pairs:
+            out.append(compare_points(h, x, y, m, 2.0))
+            out.append(h.draw_subset_count(QuerySet.pair(x, y), QuerySet.explicit([y]), m))
+        return out, h.ledger.as_dict(), h.rng.bit_generator.state
+
+    @pytest.mark.parametrize("name, build", DISTS, ids=[name for name, _ in DISTS])
+    def test_matches_the_reference_mass(self, monkeypatch, name, build):
+        d = build()
+        rng = np.random.default_rng(7)
+        pairs = [(1, 2), (2, 1), (1, d.n), (d.n, 1)] + [
+            tuple(int(v) for v in rng.choice(np.arange(1, d.n + 1), 2, replace=False))
+            for _ in range(40)]
+        pairs = [(x, y) for x, y in pairs if d.weight(x) + d.weight(y) > 0]
+        seeds = range(4)
+        got = [self.run(d, pairs, seed) for seed in seeds]
+        monkeypatch.setattr(Distribution, "mass", reference_mass)
+        want = [self.run(d, pairs, seed) for seed in seeds]
+        for (out, ledger, state), (ref, ref_ledger, ref_state) in zip(got, want):
+            assert ledger == ref_ledger and state == ref_state
+            for a, b in zip(out, ref):
+                # Equal, NaN ratios included, and of the same types.
+                assert repr(a) == repr(b)
 
 
 class TestRatioWindow:

@@ -28,6 +28,14 @@ rounds of a few cases run in seconds:
 
     python3 tools/outcome_dump.py --workload set_small_n --seed 11 --rounds 200 \
         --case eval_equality --against ../parent/src
+
+`--workload all` runs pair_small_n, set_small_n and large_n in turn,
+each seeded as on its own, so its dump is the three dumps one after the
+other. With `--against` it compares one workload at a time, prints
+"WORKLOAD: N trials identical" for each, and stops at the first
+difference with exit code 1:
+
+    python3 tools/outcome_dump.py --workload all --seed 11 --rounds 20 --against ../parent/src
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("pair_small_n", "set_small_n", "large_n")
 
 
 def outcomes(ct, workload, seed, rounds, case_filter=""):
@@ -70,12 +79,13 @@ def outcomes(ct, workload, seed, rounds, case_filter=""):
             yield out
 
 
-def compare(args):
+def compare(args, workload, prefix=""):
     """Dump the workload on args.src and on args.against, each in its
-    own process; report the first difference. Returns the exit code."""
+    own process; report the first difference, each line after prefix.
+    Returns the exit code."""
     sides = []
     for src in (args.src, args.against):
-        cmd = [sys.executable, __file__, "--workload", args.workload,
+        cmd = [sys.executable, __file__, "--workload", workload,
                "--seed", str(args.seed), "--rounds", str(args.rounds),
                "--case", args.case, "--src", src]
         sides.append(subprocess.run(cmd, check=True, capture_output=True,
@@ -83,16 +93,16 @@ def compare(args):
     mine, theirs = sides
     for i, (a, b) in enumerate(itertools.zip_longest(mine, theirs)):
         if a != b:
-            print(f"trial {i} differs:\n  {args.src}: {a}\n  {args.against}: {b}")
+            print(f"{prefix}trial {i} differs:\n  {args.src}: {a}\n  {args.against}: {b}")
             return 1
-    print(f"{len(mine)} trials identical")
+    print(f"{prefix}{len(mine)} trials identical")
     return 0
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True,
-                    choices=("pair_small_n", "set_small_n", "large_n"))
+    ap.add_argument("--workload", required=True, choices=WORKLOADS + ("all",),
+                    help="a benchmark workload, or all three in turn")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--rounds", type=int, default=1)
     ap.add_argument("--case", default="", metavar="SUBSTRING",
@@ -103,15 +113,21 @@ def main(argv=None):
     ap.add_argument("--against", metavar="OTHER_SRC",
                     help="compare with the dump of OTHER_SRC instead of writing one")
     args = ap.parse_args(argv)
+    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
     if args.against:
-        sys.exit(compare(args))
+        for workload in workloads:
+            prefix = f"{workload}: " if args.workload == "all" else ""
+            if compare(args, workload, prefix):
+                sys.exit(1)
+        sys.exit(0)
     sys.path[:0] = [args.src, str(ROOT / "perfbench")]
     import condtest as ct
 
     f = sys.stdout if args.out == "-" else open(args.out, "w")
     try:
-        for out in outcomes(ct, args.workload, args.seed, args.rounds, args.case):
-            f.write(json.dumps(out) + "\n")
+        for workload in workloads:
+            for out in outcomes(ct, workload, args.seed, args.rounds, args.case):
+                f.write(json.dumps(out) + "\n")
     finally:
         if f is not sys.stdout:
             f.close()
