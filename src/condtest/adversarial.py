@@ -12,7 +12,7 @@ from numbers import Real
 
 import numpy as np
 
-from .distcore import Distribution, make_distribution
+from .distcore import MAX_WEIGHTS, Distribution, make_distribution
 from .errors import (
     BadBlockGeometry,
     BadGeneratorParam,
@@ -44,6 +44,14 @@ def _past_memory(name, n):
         f"{name} with n={n} needs arrays of {n} weights, which do not fit in memory")
 
 
+def _empty_weights(name, n):
+    """np.empty(n), refused past MAX_WEIGHTS, where numpy raises a bare
+    ValueError, as past memory."""
+    if n > MAX_WEIGHTS:
+        raise _past_memory(name, n)
+    return np.empty(n)
+
+
 def gen_half_split(n: int, eps: float) -> Distribution:
     """Left half (1+2eps)/n, right half (1-2eps)/n; distance from
     uniform exactly eps."""
@@ -54,7 +62,7 @@ def gen_half_split(n: int, eps: float) -> Distribution:
         raise OddN(f"n={n} must be even")
     _check_eps(eps)
     try:
-        w = np.empty(n)
+        w = _empty_weights("half_split", n)
         w[: n // 2] = (1.0 + 2.0 * eps) / n
         w[n // 2 :] = (1.0 - 2.0 * eps) / n
         return make_distribution(w)
@@ -122,7 +130,7 @@ def gen_block_profile(n: int, x: int, offset: int, profile, eps: float) -> Distr
     hi = (1.0 + 2.0 * eps) / n
     lo = (1.0 - 2.0 * eps) / n
     try:
-        base = np.empty(n)
+        base = _empty_weights("block_profile", n)
         for j, flag in enumerate(profile):
             start = j * delta
             half = delta // 2

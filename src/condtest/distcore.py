@@ -46,6 +46,10 @@ PAIR = "pair"
 INTERVAL = "interval"
 EXPLICIT = "explicit"
 
+# numpy refuses an array of more bytes than its largest index, so no
+# Distribution has more float64 weights than this.
+MAX_WEIGHTS = np.iinfo(np.intp).max // 8
+
 
 def _index(i):
     """A query set's index i as an int: an int or a numpy integer, but no
@@ -290,18 +294,21 @@ def make_distribution(weights) -> Distribution:
 def uniform(n) -> Distribution:
     """The uniform distribution over 1..n; array-free when n is a power
     of two. Raises BadGeneratorParam when n is no integer, and
-    DomainTooLarge when the arrays of any other n do not fit in memory."""
+    DomainTooLarge past MAX_WEIGHTS or when the arrays of any other n
+    do not fit in memory."""
     n = as_integer(n, "uniform's n", BadGeneratorParam)
     if n < 1:
         raise ZeroTotalMass("need at least one weight")
+    too_large = DomainTooLarge(
+        f"uniform({n}) needs arrays of {n} weights, which do not fit in memory")
+    if n > MAX_WEIGHTS:
+        raise too_large
     if n & (n - 1) == 0:
         return _DyadicUniform(n)
     try:
         return Distribution(np.broadcast_to(1.0 / n, (n,)))
     except MemoryError:
-        raise DomainTooLarge(
-            f"uniform({n}) needs arrays of {n} weights, which do not fit in memory"
-        ) from None
+        raise too_large from None
 
 
 def _check_domain(d: Distribution, s: QuerySet):

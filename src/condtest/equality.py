@@ -15,8 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .distcore import QuerySet
-from .errors import (DomainMismatch, EvalFailed, IncompatibleOracleModel, ZeroMassSet,
-                     check_eps)
+from .errors import (EvalFailed, IncompatibleOracleModel, ZeroMassSet, check_eps,
+                     check_same_domain)
 from .oracles import OracleHandle
 from .profiles import DESK
 from .subroutines import (Neighborhood, classify, compare_budget,
@@ -26,12 +26,6 @@ from .uniformity import ACCEPT, REJECT
 
 
 # Pair-query equality tester ----------------------------------------
-
-
-def _check_same_domain(h1, h2):
-    if h1.dist.n != h2.dist.n:
-        raise DomainMismatch(
-            f"the two oracles have domain sizes {h1.dist.n} and {h2.dist.n}")
 
 
 class PcondSchedule(NamedTuple):
@@ -74,7 +68,7 @@ def pcond_test_equality(h1: OracleHandle, h2: OracleHandle, eps: float,
     draw_pair_counts call on each handle, with the draws, charges and
     generator states of two compare_points calls per point.
     """
-    _check_same_domain(h1, h2)
+    check_same_domain(h1.dist.n, h2.dist.n)
     et, t, s1, s2, en_sched, m = pcond_schedule(h1.dist.n, eps, profile)
     full = QuerySet.full()
     refs = h1.draw_many(full, t)
@@ -224,7 +218,7 @@ def eval_test_equality(h1: OracleHandle, h2: OracleHandle, eps: float,
     """Majority verdict of three independent repetitions. h1 and h2
     must be two handles: each repetition draws on one inside a call on
     the other."""
-    _check_same_domain(h1, h2)
+    check_same_domain(h1.dist.n, h2.dist.n)
     if h1 is h2:
         raise IncompatibleOracleModel("eval_test_equality needs two oracle handles")
     sched = eval_schedule(h1.dist.n, eps, profile)
@@ -251,59 +245,43 @@ def _point_agrees(h1, h2, x, budget, window):
 
 
 def _round_ones(h1, h2, xs, budget, window):
-    """approx_eval's round one at each of the points xs, on h1 and on
-    h2, from at most one draw_counts call each.
-
-    Returns the number j of leading points whose round one settles them
-    on both sides with estimates that agree. Each handle keeps only
-    those j rows, so it is charged, and its generator left, as after
-    the approx_eval calls a point-by-point loop makes at those points,
-    and the next point is evaluated afresh. The stop depends on both
-    sides' rows, so h2 draws inside h1's reached, and only up to the
-    first point h1's round one does not settle.
+    """Whether approx_eval's round one settles each of the points xs on
+    h1 and on h2 with estimates that agree, drawn in one draw_counts
+    call each. If so, each handle keeps every row, so it is charged,
+    and its generator left, as after the approx_eval calls a
+    point-by-point loop makes at xs; if not, neither keeps a row. h2
+    draws only if h1 settles every point.
     """
     full, k = QuerySet.full(), xs.size
-    stop = k
 
     def reached1(idx1, counts1):
-        nonlocal stop
         r1 = _settled(budget, idx1, counts1, xs)
-        unsettled = np.isnan(r1)
-        stop = int(np.argmax(unsettled)) if unsettled.any() else k
+        if np.isnan(r1).any():
+            return 0
 
         def reached2(idx2, counts2):
-            nonlocal stop
-            agree = _agree(r1[:stop], _settled(budget, idx2, counts2, xs[:stop]), window)
-            if not agree.all():
-                stop = int(np.argmin(agree))
-            return stop
+            return k if _agree(r1, _settled(budget, idx2, counts2, xs), window).all() else 0
 
-        if stop:
-            h2.draw_counts(full, budget.m, rows=stop, reached=reached2)
-        return stop
+        return len(h2.draw_counts(full, budget.m, rows=k, reached=reached2)[1])
 
-    h1.draw_counts(full, budget.m, rows=k, reached=reached1)
-    return stop
+    return len(h1.draw_counts(full, budget.m, rows=k, reached=reached1)[1]) == k
 
 
 def _eval_test_equality_once(h1, h2, sched):
     """Draw m points from each side, then evaluate them in order until
     one's estimates do not agree. The first point is evaluated on its
-    own, so a far instance draws nothing ahead; the round ones of the
-    rest are drawn in batches (_round_ones), and the point a batch
-    stops at is evaluated on its own, as the first point is."""
+    own, so a far instance draws nothing ahead. The rest pass on one
+    batch of round ones (_round_ones) when it is kept, and are
+    evaluated point by point when it is not."""
     m, budget, window = sched
     full = QuerySet.full()
     pts = np.concatenate((h1.draw_many(full, m), h2.draw_many(full, m)))
-    i, size = 0, pts.size
-    while i < pts.size:
-        if not _point_agrees(h1, h2, int(pts[i]), budget, window):
-            return REJECT
-        i += 1
-        if i < pts.size:
-            j = _round_ones(h1, h2, pts[i:i + size], budget, window)
-            i += j
-            # A batch draws at most 2j + 1 rows after one that settled j
-            # points, so points that round one rarely settles waste few.
-            size = 2 * j + 1
-    return ACCEPT
+
+    def agrees(x):
+        return _point_agrees(h1, h2, x, budget, window)
+
+    rest = pts[1:]
+    if agrees(int(pts[0])) and (_round_ones(h1, h2, rest, budget, window)
+                                or all(map(agrees, rest.tolist()))):
+        return ACCEPT
+    return REJECT

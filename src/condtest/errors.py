@@ -1,5 +1,5 @@
 """Exception types shared across the library, and the checks that
-refuse a bad accuracy parameter or integer with them."""
+refuse a bad accuracy parameter, integer or pair of domains with them."""
 
 import numbers
 
@@ -89,6 +89,13 @@ def check_eps(eps):
     the open interval (0, 1); NaN and infinities fail the comparison."""
     if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0.0 < eps < 1.0:
         raise BadEpsilon(f"eps must lie strictly between 0 and 1, got {eps!r}")
+
+
+def check_same_domain(n1, n2):
+    """Refuse a tester's two inputs, two oracles or an oracle and a
+    target, unless they have one domain size."""
+    if n1 != n2:
+        raise DomainMismatch(f"the two inputs have domain sizes {n1} and {n2}")
 
 
 class BadDrawCount(CondtestError):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distcore import EXPLICIT, Distribution, QuerySet, bucketize
-from .errors import NotInNoGapRegime, check_eps
+from .errors import NotInNoGapRegime, check_eps, check_same_domain
 from .oracles import OracleHandle
 from .profiles import DESK
 from .subroutines import classify, compare_budget, compare_points
@@ -88,6 +88,8 @@ class KnownTarget:
         lo, hi = np.atleast_1d(lo, hi)
         if (lo == hi).all():
             return self.sorted_order[lo - 1]
+        if lo.size == 1:
+            return np.sort(self.sorted_order[lo.item() - 1:hi.item()])
         sizes = hi - lo + 1
         seg = np.repeat(np.arange(lo.size), sizes)
         pos = np.arange(seg.size) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
@@ -253,12 +255,20 @@ def build_witnesses(target: KnownTarget, j: int, eps1: float) -> WitnessPartitio
         raise NotInNoGapRegime("target splits into the heavy regime")
     if j <= sp.k_star:
         raise NotInNoGapRegime(f"position {j} not above the split {sp.k_star}")
+    lo, hi, wide = _witnesses(target, j, eps1, np.arange)
+    return WitnessPartition(list(zip(lo.tolist(), hi.tolist())), j, wide)
+
+
+def _witnesses(target, j, eps1, pick):
+    """(lo, hi, wide): j's witness intervals, as position arrays. A
+    point of target weight at least eps1 has one, the wide (1, j-1);
+    any other has those picked by pick(d) from the d of its chain."""
     wj = target.weight_at(j)
     if wj >= eps1:
-        return WitnessPartition([(1, j - 1)], j, True)
+        return np.array([1]), np.array([j - 1]), True
     chain = target.witness_chain(wj)
-    lo, hi = chain.resolve(j, np.arange(chain.depth[j - 1]))
-    return WitnessPartition(list(zip(lo.tolist(), hi.tolist())), j, False)
+    lo, hi = chain.resolve(j, pick(int(chain.depth[j - 1])))
+    return lo, hi, False
 
 
 # Pair-query tester -------------------------------------------------
@@ -286,6 +296,7 @@ def pcond_schedule(n, eps, profile=DESK) -> PcondSchedule:
 
 def pcond_test_known(h: OracleHandle, target: KnownTarget, eps: float,
                      profile=DESK) -> str:
+    check_same_domain(h.dist.n, target.n)
     dstar = target.dstar
     eta, b, m, s, compare_m, ratio_floor = pcond_schedule(target.n, eps, profile)
     buckets = target.buckets(eta)
@@ -359,12 +370,13 @@ def cond_test_known(h: OracleHandle, target: KnownTarget, eps: float,
                     profile=DESK) -> str:
     """General conditional-query identity test against a known target.
 
-    The Main branch compares each drawn point above the split with
-    h_count witnesses in one draw_union_counts call. Ledger columns
+    The Main branch compares each drawn point above the split with its
+    witnesses (_witnesses) in one draw_union_counts call. Ledger columns
     follow the shape of each union, not the COND model: a point with a
     one-point witness is a pair and is charged to pcond, a wider union
     to cond; full-domain draws go to samp.
     """
+    check_same_domain(h.dist.n, target.n)
     sched = cond_schedule(target.n, eps, profile)
     sp = target.split(sched.eps1)
     if sp.heavy:
@@ -379,23 +391,19 @@ def _test_known_heavy(h, target, sp, sched):
     idx, counts = h.draw_counts(QuerySet.full(), m)
     freq = np.zeros(target.n + 1)
     freq[idx] = counts / m
-    upper_mass = 0.0
-    reject = False
-    for pos in range(sp.i_star, target.n + 1):
-        label = int(target.sorted_order[pos - 1])
-        est = float(freq[label])
-        upper_mass += est
-        if abs(est - target.weight_at(pos)) > eps1**2:
-            reject = True
+    est = freq[target.sorted_order[sp.i_star - 1:]]
+    # Summed in position order, one term at a time, as a loop adds.
+    upper_mass = np.cumsum(est)[-1]
     leftover = 1.0 - upper_mass
-    if leftover - target.prefix_mass(sp.i_star - 1) > eps1:
-        reject = True
-    return REJECT if reject else ACCEPT
+    if ((np.abs(est - target.sorted_weights[sp.i_star - 1:]) > eps1**2).any()
+            or leftover - target.prefix_mass(sp.i_star - 1) > eps1):
+        return REJECT
+    return ACCEPT
 
 
 def _test_known_main(h, target, sp, sched):
     (eps1, _, m_gate, ell, h_count, m_recheck, witness_m, wide_m,
-     (recheck_lo, recheck_hi), (wide_lo, wide_hi), (witness_lo, witness_hi)) = sched
+     (recheck_lo, recheck_hi), wide, witness) = sched
     k = sp.k_star
     full = QuerySet.full()
     low_prefix = QuerySet.explicit(target.prefix_labels(k))
@@ -413,7 +421,6 @@ def _test_known_main(h, target, sp, sched):
         # the above-split checks would have used. A burn draws nothing,
         # so one call charges them all.
         h.burn(full, n_below * (m_recheck + h_count * witness_m))
-    chains = {}
     # Once reject is set the outcome is fixed, but every oracle call is
     # still made, so the ledger and the generator end as they would.
     for label, j in zip(drawn[above].tolist(), js[above].tolist()):
@@ -425,33 +432,18 @@ def _test_known_main(h, target, sp, sched):
         star = target.prefix_mass(j)
         if not (recheck_lo * star <= est <= recheck_hi * star):
             reject = True
-        wj = target.weight_at(j)
-        if wj >= eps1:
-            # The whole prefix below j is a single wide witness; a
-            # zero-mass union reads -1, which classify calls Low.
-            hits = h.draw_union_counts(label, target.prefix_labels(j - 1),
-                                       [j - 1], wide_m)
-            if not reject:
-                rho = classify(hits, wide_m, 2.0 / eps1)[2].item()
-                ratio_star = target.prefix_mass(j - 1) / wj
-                if not (wide_lo * ratio_star <= rho <= wide_hi * ratio_star):
-                    reject = True
-            continue
-        chain = chains.get(wj)
-        if chain is None:
-            chain = chains[wj] = target.witness_chain(wj)
-        picks = h.rng.integers(0, int(chain.depth[j - 1]), size=h_count)
-        los, his = chain.resolve(j, picks)
-        # All h_count comparisons of {label} against its witnesses, in
-        # one oracle call; a zero-mass union reads -1, which classify
-        # calls Low.
+        los, his, heavy = _witnesses(target, j, eps1,
+                                     lambda d: h.rng.integers(0, d, size=h_count))
+        m, K, (lo, hi) = (wide_m, 2.0 / eps1, wide) if heavy else (witness_m, 4.0, witness)
+        # All the comparisons of {label} against its witnesses, in one
+        # oracle call; a zero-mass union reads -1, which classify calls Low.
         hits = h.draw_union_counts(label, target.interval_labels(los, his),
-                                   his - los + 1, witness_m)
+                                   his - los + 1, m)
         if reject:
             continue
-        rho = classify(hits, witness_m, 4.0)[2]
+        rho = classify(hits, m, K)[2]
+        wj = target.weight_at(j)
         ratio_star = (target.prefix_sums[his] - target.prefix_sums[los - 1]) / wj
-        if not ((witness_lo * ratio_star <= rho)
-                & (rho <= witness_hi * ratio_star)).all():
+        if not ((lo * ratio_star <= rho) & (rho <= hi * ratio_star)).all():
             reject = True
     return REJECT if reject else ACCEPT

@@ -176,6 +176,17 @@ def test_past_memory_names_n(call):
     assert "n=1000000000000" in out.stdout
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda n: gen_half_split(n, 0.25), "half_split"),
+    (lambda n: gen_block_profile(n, 1, 0, ["up_down", "down_up"], 0.25), "block_profile"),
+])
+def test_past_numpy_arrays_names_n(call, name):
+    """2^62 weights are more bytes than numpy can index, so it raises a
+    bare ValueError unless the generator refuses first."""
+    with pytest.raises(DomainTooLarge, match=f"{name} with n={2**62} "):
+        call(2**62)
+
+
 class TestParamRefusals:
     """Every out-of-range parameter raises BadGeneratorParam, a
     CondtestError that is also a ValueError."""

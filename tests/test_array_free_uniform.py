@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condtest.distcore import Distribution, QuerySet, uniform
+from condtest.distcore import MAX_WEIGHTS, Distribution, QuerySet, uniform
+from condtest.errors import DomainTooLarge
 from condtest.harness import run_trial
 from condtest.oracles import COND, PERMISSIVE, OracleHandle
 from condtest.uniformity import query_budget
@@ -73,6 +74,17 @@ class TestDistribution:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=60)
         assert "uniform(1000000000000)" in out.stdout
+
+    @pytest.mark.parametrize("n", [2**60, 2**62, 2**63 + 2])
+    def test_past_numpy_arrays_names_n(self, n):
+        """Past MAX_WEIGHTS numpy refuses even a zero-stride view."""
+        assert n > MAX_WEIGHTS >= 2**59
+        with pytest.raises(DomainTooLarge, match=rf"uniform\({n}\)"):
+            uniform(n)
+
+    def test_largest_dyadic_size_stays_array_free(self):
+        d = uniform(2**59)
+        assert d.n == 2**59 and d.weights.strides == (0,)
 
     @given(exponents, seeds)
     @settings(max_examples=60, deadline=None)

@@ -5,7 +5,8 @@ pcond_test_uniform, binary_descent, cond_test_known's Main branch,
 estimate_neighborhood, estimate_distance_to_uniformity and
 pcond_test_equality's cross loop draw many comparisons in one call, and
 eval_test_equality draws approx_eval's first round at many points in
-one OracleHandle.draw_counts(rows=k) call.
+one OracleHandle.draw_counts(rows=k) call; cond_test_known's Heavy
+branch checks its frequencies in array operations.
 Each is held here against a verbatim copy of the scalar loop it
 replaced: hit counts element by element, verdicts and values exactly,
 every ledger column, and the state the generator is left in.
@@ -20,7 +21,6 @@ disjointness and the union worked out on member arrays. compare_points
 is held against it seed for seed.
 """
 
-import copy
 import math
 
 import numpy as np
@@ -55,7 +55,6 @@ from condtest.errors import (
 )
 from condtest.identity import (
     KnownTarget,
-    _test_known_heavy,
     _test_known_main,
     cond_schedule,
     cond_test_known,
@@ -214,6 +213,27 @@ def reference_icond_test_uniform(h, eps, profile=DESK):
     return "Accept"
 
 
+def reference_test_known_heavy(h, target, sp, sched):
+    """Every position at or above the split is individually heavy;
+    check their frequencies point by point."""
+    eps1, m = sched.eps1, sched.heavy_m
+    idx, counts = h.draw_counts(QuerySet.full(), m)
+    freq = np.zeros(target.n + 1)
+    freq[idx] = counts / m
+    upper_mass = 0.0
+    reject = False
+    for pos in range(sp.i_star, target.n + 1):
+        label = int(target.sorted_order[pos - 1])
+        est = float(freq[label])
+        upper_mass += est
+        if abs(est - target.weight_at(pos)) > eps1**2:
+            reject = True
+    leftover = 1.0 - upper_mass
+    if leftover - target.prefix_mass(sp.i_star - 1) > eps1:
+        reject = True
+    return REJECT if reject else ACCEPT
+
+
 def reference_test_known_main(h, target, eps, sp, profile=DESK):
     """cond_test_known's Main branch as one compare call per witness."""
     eps1, eps2, eps3, eps4 = eps / 10.0, eps / 2.0, eps / 48.0, eps / 6.0
@@ -299,7 +319,7 @@ def reference_test_known_main(h, target, eps, sp, profile=DESK):
 def reference_cond_test_known(h, target, eps, profile=DESK):
     sp = target.split(eps / 10.0)
     if sp.heavy:
-        return _test_known_heavy(h, target, sp, cond_schedule(target.n, eps, profile))
+        return reference_test_known_heavy(h, target, sp, cond_schedule(target.n, eps, profile))
     return reference_test_known_main(h, target, eps, sp, profile)
 
 
@@ -1450,6 +1470,35 @@ def test_cond_known_matches_scalar_loop_on_random_weights(w, seed, same):
     assert_same_state(h1, h2)
 
 
+def small_random(n, seed):
+    rng = np.random.default_rng(seed)
+    return make_distribution(rng.random(n) ** 2 + 1e-3)
+
+
+# Uniform targets on 2..16 points and small random ones: at eps = 0.5
+# the Heavy branch runs up to 9 points, the Main branch past it.
+SMALL_TARGETS = ([uniform(n) for n in range(2, 17)]
+                 + [small_random(n, seed) for n in range(2, 9) for seed in range(3)])
+
+
+@pytest.mark.parametrize("t", SMALL_TARGETS)
+def test_cond_known_matches_scalar_loop_on_small_targets(t):
+    """Against itself and against uniform, each at seeds 0..4; the
+    Heavy branch's arrays against its loop where the split is heavy."""
+    target = KnownTarget(t)
+    for d in (t, uniform(t.n)):
+        for seed in range(5):
+            h1, h2 = twins(d, COND, seed, STRICT)
+            verdict = cond_test_known(h1, target, 0.5)
+            assert verdict == reference_cond_test_known(h2, target, 0.5)
+            assert_same_state(h1, h2)
+
+
+def test_small_targets_reach_both_branches():
+    heavy = [KnownTarget(t).split(0.05).heavy for t in SMALL_TARGETS]
+    assert heavy.count(True) >= 10 and heavy.count(False) >= 10
+
+
 @given(weights(), st.integers(0, 2**32), st.sampled_from([STRICT, PERMISSIVE]),
        st.sampled_from([0.25, 0.5]))
 @settings(max_examples=40, deadline=None)
@@ -1568,40 +1617,40 @@ def two_level(n, a):
 WIDE_KAPPA = {"ae_kappa_c": 3e5}
 
 # (name, D1, D2, profile overrides, the verdicts of three repetitions at
-# each of seeds 0..2, the exits seen over those seeds). An exit is "first" for a repetition that
-# rejects at its first point, before any batch; "all" for a batch whose
-# every point settles and agrees; "h1" for a batch that stops at a point
-# h1's round one does not settle, and "h2" for one that stops at a point
-# h1 settles, on h2's round one or on the window.
+# each of seeds 0..2, the exits seen over those seeds). An exit is
+# "first" for a repetition that rejects at its first point, before the
+# batch; "kept" for a batch whose every point settles on both sides and
+# agrees; "discarded" for one that does not, after which the points run
+# one at a time.
 EVAL_CASES = [
-    ("U_U_256", uniform(256), uniform(256), {}, [[ACCEPT] * 3] * 3, {"all"}),
+    ("U_U_256", uniform(256), uniform(256), {}, [[ACCEPT] * 3] * 3, {"kept"}),
     ("U_half_split_256", uniform(256), gen_half_split(256, 0.5), {},
      [[REJECT] * 3] * 3, {"first"}),
-    # D2 is zero on 100..110: a later point there stops on h2.
+    # D2 is zero on 100..110: a batch with a point there is discarded
+    # on h2's rows.
     ("U_gap_256", uniform(256), gap(256, 100, 110), {},
      [[ACCEPT, ACCEPT, REJECT], [REJECT, ACCEPT, ACCEPT], [ACCEPT, ACCEPT, REJECT]],
-     {"all", "h2"}),
-    # The same gap in D1: a later point there stops on h1, and h2 draws
-    # that point's round one afresh.
+     {"kept", "discarded"}),
+    # The same gap in D1: a batch with a point there is discarded on
+    # h1's rows, and h2 draws none.
     ("gap_U_256", gap(256, 100, 110), uniform(256), {},
      [[ACCEPT, REJECT, REJECT], [REJECT, REJECT, ACCEPT], [ACCEPT, REJECT, ACCEPT]],
-     {"all", "h1"}),
+     {"kept", "discarded"}),
     # Both sides settle every point; the window rejects a bumped one,
     # first or later.
     ("U_bump_256", uniform(256), bump(256, 8, 1.3), {}, [[REJECT] * 3] * 3,
-     {"first", "h2"}),
-    # Every point takes two rounds on both sides: each batch keeps only
-    # h1's first row.
+     {"first", "discarded"}),
+    # Every point takes two rounds on both sides.
     ("U_U_64_wide", uniform(64), uniform(64), WIDE_KAPPA, [[ACCEPT] * 3] * 3,
-     {"h1"}),
+     {"discarded"}),
     # 1..32 weigh 0.0200 in D1, above kappa/20 = 0.0196, and 0.0194 in
     # D2: h1 settles them at once and h2 takes more rounds, and the two
     # estimates agree. 33..64 take more rounds on both sides.
     ("split_split_64_wide", two_level(64, 0.0200), two_level(64, 0.0194),
-     WIDE_KAPPA, [[ACCEPT] * 3] * 3, {"h1", "h2"}),
+     WIDE_KAPPA, [[ACCEPT] * 3] * 3, {"discarded"}),
     # Mixed weights: some points settle in round one, some take more.
     ("rand_rand_64_wide", sparse_random(64, 7), sparse_random(64, 7), WIDE_KAPPA,
-     [[ACCEPT] * 3] * 3, {"all", "h1"}),
+     [[ACCEPT] * 3] * 3, {"discarded"}),
 ]
 
 
@@ -1612,17 +1661,10 @@ class TestEvalEqualityMatchesPointLoop:
         round_ones = equality._round_ones
         seen = []
 
-        def spy(h1, h2, xs, budget, window):
-            j = round_ones(h1, h2, xs, budget, window)
-            if j == xs.size:
-                seen.append("all")
-            else:
-                # Whether h1's round one settles the stop point, drawn on
-                # a copy of h1, whose generator stands just before it.
-                idx, counts = copy.deepcopy(h1).draw_counts(QuerySet.full(), budget.m)
-                share = counts[idx == xs[j]].sum() / budget.m
-                seen.append("h2" if equality._settles(share, budget) else "h1")
-            return j
+        def spy(*args):
+            kept = round_ones(*args)
+            seen.append("kept" if kept else "discarded")
+            return kept
 
         monkeypatch.setattr(equality, "_round_ones", spy)
         sched = eval_schedule(d1.n, 0.5, ConstantsProfile("desk", overrides))

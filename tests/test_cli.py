@@ -189,6 +189,17 @@ class TestSweep:
         assert r.output.strip().splitlines() == [
             f"Error: sweep domain sizes must be at least 2, got {small}"]
 
+    def test_grid_past_numpy_arrays_fails_with_one_line(self):
+        """2^60 weights are more bytes than numpy can index."""
+        r = CliRunner().invoke(main, [
+            "sweep", "--tester", "pcond_uniform", f"--n-grid={2**60}",
+            "--eps", "0.5", "--trials", "1",
+        ])
+        assert r.exit_code == 1
+        assert r.output.strip().splitlines() == [
+            f"Error: uniform({2**60}) needs arrays of {2**60} weights, "
+            "which do not fit in memory"]
+
     def test_empty_grid_fails_with_one_line(self):
         r = CliRunner().invoke(main, [
             "sweep", "--tester", "pcond_uniform", "--n-grid", ",",

@@ -11,9 +11,11 @@ from the code before its comparisons moved onto the pair kernel. The
 pcond_equality entries at seed 1 and the gap_256 ones were recorded
 from the code before its cross loop moved onto the pair kernel, and
 the eval_equality U_gap_256, gap_U_256 and U_bump_256 ones from the
-code before approx_eval's first rounds were drawn in batches. A
-change that claims to keep behaviour must keep this test passing
-unchanged.
+code before approx_eval's first rounds were drawn in batches. The
+cond_known U_U_4, U_U_8 and rand_rand_6 entries, which split into the
+Heavy branch, were recorded from the code before that branch checked
+its frequencies in array operations. A change that claims to keep
+behaviour must keep this test passing unchanged.
 
 Regenerate the file (only when behaviour is meant to change) with
 
@@ -106,6 +108,12 @@ def grid():
          ct.gen_half_split(2**14, 0.5), u16k, 0.5, (0, 1)),
         ("cond_known/spiky_256", "cond_known", _spiky(256, 3, 0.06),
          _spiky(256, 3, 0.06), 0.5, (0, 1)),
+        # Every point weighs at least eps/10, or the prefix below the
+        # split at most that: the Heavy branch.
+        ("cond_known/U_U_4", "cond_known", ct.uniform(4), ct.uniform(4), 0.5, (0, 1)),
+        ("cond_known/U_U_8", "cond_known", ct.uniform(8), ct.uniform(8), 0.5, (0, 1)),
+        ("cond_known/rand_rand_6", "cond_known", _random(6, 0), _random(6, 0), 0.5,
+         (0, 1)),
         ("pcond_equality/U_U_256", "pcond_equality", u256, u256, 0.5, (0, 1)),
         ("pcond_equality/U_half_256", "pcond_equality", u256,
          ct.gen_half_split(256, 0.5), 0.5, (0, 1)),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from condtest.adversarial import gen_half_split, gen_block_profile, gen_staircase
 from condtest.distcore import QuerySet, bucketize, make_distribution, uniform
-from condtest.errors import NotInNoGapRegime
+from condtest.errors import DomainMismatch, NotInNoGapRegime
 from condtest.identity import (
     KnownTarget,
     WitnessChain,
@@ -55,6 +55,11 @@ class TestKnownTarget:
         want = [np.sort(t.sorted_order[a - 1:b]) for a, b in zip(lo, hi)]
         assert t.interval_labels(lo, hi).tolist() == np.concatenate(want).tolist()
         assert t.interval_labels(lo[2:4], hi[2:4]).tolist() == np.concatenate(want[2:4]).tolist()
+        for a, b, one in zip(lo, hi, want):
+            assert t.interval_labels(a, b).tolist() == one.tolist()
+        # The one wide witness (1, j-1) of a heavy point is a prefix.
+        for k in range(1, 61):
+            assert t.interval_labels(1, k).tolist() == t.prefix_labels(k).tolist()
 
     def test_stable_tie_break(self):
         t = KnownTarget(uniform(4))
@@ -343,6 +348,17 @@ class TestWitnessChainTable:
         assert len({t.weight_at(int(j)) for j in js}) > KnownTarget.MAX_CHAINS
         assert self._check(t, [int(j) for j in js]) > KnownTarget.MAX_CHAINS
         assert len(t._chains) == KnownTarget.MAX_CHAINS
+
+
+@pytest.mark.parametrize("tester, handle", [(pcond_test_known, pcond_handle),
+                                             (cond_test_known, cond_handle)])
+@pytest.mark.parametrize("n, n_target", [(64, 32), (32, 64)])
+def test_domain_mismatch_refused_before_any_draw(tester, handle, n, n_target):
+    h = handle(uniform(n))
+    state = h.rng.bit_generator.state
+    with pytest.raises(DomainMismatch, match=f"domain sizes {n} and {n_target}"):
+        tester(h, KnownTarget(uniform(n_target)), 0.5)
+    assert h.rng.bit_generator.state == state and h.ledger.total == 0
 
 
 class TestPcondTestKnown:
