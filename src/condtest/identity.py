@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -105,25 +106,24 @@ class KnownTarget:
         return SplitPoint(i_star, i_star - 1, heavy)
 
     def witness_chain(self, wj: float) -> WitnessChain:
-        """The greedy witness chains for target weight wj, built on the
-        first call for wj and cached."""
-        def build():
-            last = int(np.searchsorted(self.sorted_weights, wj, side="right"))
-            return WitnessChain.build(self.prefix_sums, wj, last)
-        return self._cached(self._chains, wj, build)
+        """The greedy witness chains for target weight wj, cached."""
+        return self._cached(self._chains, wj, self._build_chain, wj)
+
+    def _build_chain(self, wj):
+        last = int(np.searchsorted(self.sorted_weights, wj, side="right"))
+        return WitnessChain.build(self.prefix_sums, wj, last)
 
     def buckets(self, eta):
-        """bucketize(dstar, eta), built on the first call for eta and
-        cached."""
-        return self._cached(self._buckets, eta, lambda: bucketize(self.dstar, eta))
+        """bucketize(dstar, eta), built on the first call for eta."""
+        return self._cached(self._buckets, eta, bucketize, self.dstar, eta)
 
-    def _cached(self, cache, key, build):
-        """cache[key], from build() on a miss."""
+    def _cached(self, cache, key, build, *args):
+        """cache[key], from build(*args) on a miss."""
         table = cache.get(key)
         if table is None:
             if len(cache) >= self.MAX_CHAINS:
                 del cache[next(iter(cache))]
-            table = cache[key] = build()
+            table = cache[key] = build(*args)
         return table
 
     def sample(self, rng, size):
@@ -421,6 +421,7 @@ def _test_known_main(h, target, sp, sched):
         # the above-split checks would have used. A burn draws nothing,
         # so one call charges them all.
         h.burn(full, n_below * (m_recheck + h_count * witness_m))
+    pick = partial(h.rng.integers, 0, size=h_count)  # pick(d): h_count picks in [0, d)
     # Once reject is set the outcome is fixed, but every oracle call is
     # still made, so the ledger and the generator end as they would.
     for label, j in zip(drawn[above].tolist(), js[above].tolist()):
@@ -432,8 +433,7 @@ def _test_known_main(h, target, sp, sched):
         star = target.prefix_mass(j)
         if not (recheck_lo * star <= est <= recheck_hi * star):
             reject = True
-        los, his, heavy = _witnesses(target, j, eps1,
-                                     lambda d: h.rng.integers(0, d, size=h_count))
+        los, his, heavy = _witnesses(target, j, eps1, pick)
         m, K, (lo, hi) = (wide_m, 2.0 / eps1, wide) if heavy else (witness_m, 4.0, witness)
         # All the comparisons of {label} against its witnesses, in one
         # oracle call; a zero-mass union reads -1, which classify calls Low.

@@ -30,10 +30,10 @@ icond_test_uniform run) and draw_union_counts on the unions
 {x} ∪ W_i (cond_test_known). draw_counts(rows=k) draws k histograms
 on one set from one multinomial call, with the numbers, generator
 state, charges and returned points of k calls in order; eval_test_equality
-draws the first round of approx_eval at many points this way. A call
-costs some tens of microseconds before its first element, so the
-testers make few, large calls. Every mass and inverse-CDF draw, scalar
-or batched, is a Distribution method.
+draws the first round of approx_eval at many points this way. A kernel
+call costs 20-40 us for k up to 64, some ten scalar calls (U(1024),
+tools/kernel_cost.py), so the testers make few, large calls. Every
+mass and inverse-CDF draw, scalar or batched, is a Distribution method.
 """
 
 from __future__ import annotations
@@ -359,18 +359,17 @@ class OracleHandle:
         """draw_subset_count on the k unions {x} ∪ W_i against W_i, in
         one call.
 
-        members holds W_1..W_k back to back, each strictly increasing,
-        and sizes their lengths. The union with a one-point W_i is a
-        pair, charged to pcond, and any wider union an explicit set,
-        charged to cond. Every element passes the checks
-        draw_subset_count makes on its union (the shape allowed for the
-        model, W_i inside the domain and, under STRICT, touching a
-        returned point), and W_i must not hold x (SetsNotDisjoint). A
-        refused element raises before anything is drawn or charged. One
-        binomial call draws all k counts, with the numbers and generator
-        state of k scalar calls in order. A union of zero mass is neither
-        drawn nor charged and reads -1. A call whose W_i are all one
-        point is draw_pair_counts(x, members, m).
+        members holds W_1..W_k back to back, each strictly increasing, and sizes
+        their lengths. A union with a one-point W_i is a pair, charged to pcond;
+        a wider one is an explicit set, charged to cond. Refusals, before
+        anything is drawn or charged, in this order: IllegalShapeForModel;
+        BadQuerySet for no sets, a size below 1, sizes not summing to the
+        members or x outside 1..N, then a W_i not increasing or outside 1..N;
+        SetsNotDisjoint for x in a W_i; under STRICT with x not returned,
+        DisciplineViolation for a W_i with no returned point. One binomial call
+        draws the k counts, with the numbers and generator state of k scalar
+        calls in order; a zero-mass union is neither drawn nor charged and reads
+        -1. If every W_i is one point, this is draw_pair_counts(x, members, m).
         """
         x = int(x)
         members = np.asarray(members, dtype=np.int64)
@@ -383,27 +382,28 @@ class OracleHandle:
         for shape, used in ((PAIR, n_wide < sizes.size), (EXPLICIT, n_wide > 0)):
             if used:
                 self._allow(shape)
-        if (sizes.size == 0 or sizes.min() < 1 or members.size != sizes.sum()
-                or not 1 <= x <= d.n or members.min() < 1 or members.max() > d.n):
+        ends = np.add.accumulate(sizes)
+        if (sizes.size == 0 or sizes.min() < 1 or ends[-1] != members.size
+                or not 1 <= x <= d.n):
             raise BadQuerySet(f"unions need a point and non-empty sets in 1..{d.n}")
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
+        starts, last = ends - sizes, ends - 1
         rising = members[1:] > members[:-1]
-        rising[starts[1:] - 1] = True
-        if not rising.all():
-            raise BadQuerySet("explicit indices must be strictly increasing")
-        below = np.add.reduceat(members < x, starts)
-        if (members[np.minimum(starts + below, ends - 1)] == x).any():
+        rising[last[:-1]] = True
+        # A rising W_i lies in 1..N when its first and last members do.
+        if (np.count_nonzero(rising) < rising.size or min(members[starts].tolist()) < 1
+                or max(members[last].tolist()) > d.n):
+            raise BadQuerySet(f"each W_i must be strictly increasing, in 1..{d.n}")
+        if np.count_nonzero(members == x):
             raise SetsNotDisjoint("a union needs x outside its set")
-        if self.discipline == STRICT and x not in self.returned_points:
-            touched = np.logical_or.reduceat(self._touched(members), starts)
-            if not touched.all():
-                raise DisciplineViolation(_UNTOUCHED)
-        # Each union is x inserted into its W_i.
-        union = np.insert(members, starts + below, x)
+        if (self.discipline == STRICT and x not in self.returned_points
+                and not np.logical_or.reduceat(self._touched(members), starts).all()):
+            raise DisciplineViolation(_UNTOUCHED)
+        # Member t of W_i lands at union place t + i, one further on past x.
+        k = np.arange(sizes.size)
+        union = np.full(members.size + sizes.size, x)
+        union[np.arange(members.size) + np.repeat(k, sizes) + (members > x)] = members
         hits, drawn = self._binomial_counts(
-            d.set_masses(union, starts + np.arange(sizes.size)),
-            d.set_masses(members, starts), m, None)
+            d.set_masses(union, starts + k), d.set_masses(members, starts), m, None)
         n_drawn_wide = int(np.count_nonzero(drawn & wide))
         self._count(PAIR, int(m) * (int(np.count_nonzero(drawn)) - n_drawn_wide))
         self._count(EXPLICIT, int(m) * n_drawn_wide)

@@ -944,6 +944,29 @@ class TestUnionKernel:
         assert h.ledger.total == 0
         assert h.rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("model, discipline, x, members, sizes, error", [
+        # Outside the domain and not increasing.
+        (COND, PERMISSIVE, 5, [70, 3], [2], BadQuerySet),
+        (COND, PERMISSIVE, 5, [3, 70, 1], [1, 2], BadQuerySet),
+        # Outside the domain, or not increasing, with x inside the set.
+        (COND, PERMISSIVE, 5, [5, 70], [2], BadQuerySet),
+        (COND, PERMISSIVE, 5, [9, 5], [2], BadQuerySet),
+        # x inside a set, and a set with no returned point under STRICT.
+        (COND, STRICT, 5, [4, 5, 6, 60, 61], [3, 2], SetsNotDisjoint),
+        # A wide set under PCOND, and sizes that do not sum to the members.
+        (PCOND, PERMISSIVE, 5, [2, 3, 4], [3, 1], IllegalShapeForModel),
+        (PCOND, PERMISSIVE, 5, [2, 3, 4], [0, 3], IllegalShapeForModel),
+    ])
+    def test_refusals_in_the_docstring_order(self, model, discipline, x, members,
+                                             sizes, error):
+        """With two faults at once, the one listed first is raised."""
+        h = OracleHandle(uniform(64), model=model, seed=0, discipline=discipline)
+        state = h.rng.bit_generator.state
+        with pytest.raises(error):
+            h.draw_union_counts(x, members, sizes, 10)
+        assert h.ledger.total == 0
+        assert h.rng.bit_generator.state == state
+
     def test_sizes_must_match_the_members(self):
         h = OracleHandle(uniform(64), model=COND, seed=0, discipline=PERMISSIVE)
         # [2, 1, 1] has one size per member but sums past them.

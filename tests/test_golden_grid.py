@@ -14,8 +14,11 @@ the eval_equality U_gap_256, gap_U_256 and U_bump_256 ones from the
 code before approx_eval's first rounds were drawn in batches. The
 cond_known U_U_4, U_U_8 and rand_rand_6 entries, which split into the
 Heavy branch, were recorded from the code before that branch checked
-its frequencies in array operations. A change that claims to keep
-behaviour must keep this test passing unchanged.
+its frequencies in array operations. The cond_known stair_stair
+entries at seeds 1 and 2, pert_stair at seed 1 and rand_rand_4096 were
+recorded from the code before draw_union_counts built its unions
+without np.insert. A change that claims to keep behaviour must keep this
+test passing unchanged.
 
 Regenerate the file (only when behaviour is meant to change) with
 
@@ -81,6 +84,7 @@ def grid():
     pert = ct.gen_staircase(2, 4, ["up_down"] * 4)
     block4k = ct.rand_block_profile(2**12, 0.5, np.random.default_rng(90), x=6)
     rand512 = _random(512, 7)
+    rand4k = _random(2**12, 7)
     return [
         ("pcond_uniform/U_1024", "pcond_uniform", u1k, None, 0.5, (0, 1)),
         ("pcond_uniform/half_1024", "pcond_uniform",
@@ -93,8 +97,8 @@ def grid():
         ("pcond_known/U_U_1024", "pcond_known", u1k, u1k, 0.5, (0,)),
         ("pcond_known/pert_stair", "pcond_known", pert, stair, 0.5, (0, 1)),
         ("cond_known/U_U_1024", "cond_known", u1k, u1k, 0.5, (0, 1)),
-        ("cond_known/stair_stair", "cond_known", stair, stair, 0.5, (0,)),
-        ("cond_known/pert_stair", "cond_known", pert, stair, 0.5, (0,)),
+        ("cond_known/stair_stair", "cond_known", stair, stair, 0.5, (0, 1, 2)),
+        ("cond_known/pert_stair", "cond_known", pert, stair, 0.5, (0, 1)),
         ("cond_known/half_U_1024", "cond_known",
          ct.gen_half_split(2**10, 0.5), u1k, 0.5, (0,)),
         ("cond_known/rand_rand_512", "cond_known", rand512, rand512, 0.5,
@@ -102,6 +106,9 @@ def grid():
         ("cond_known/U_rand_512", "cond_known", ct.uniform(512), rand512, 0.5,
          (0, 1)),
         ("cond_known/U_U_4096", "cond_known", u4k, u4k, 0.5, (0,)),
+        # No two weights tie, so the labels stop rising at position 2 and
+        # nearly every witness interval is wide and lies past that.
+        ("cond_known/rand_rand_4096", "cond_known", rand4k, rand4k, 0.5, (0, 1)),
         # Fourteen-level witness chains, as in the large_n benchmark.
         ("cond_known/U_U_16384", "cond_known", u16k, u16k, 0.5, (0, 1)),
         ("cond_known/half_U_16384", "cond_known",

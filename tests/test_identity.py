@@ -504,3 +504,59 @@ def test_resolve_matches_parent_walk(walk):
     assert lo.dtype == hi.dtype == np.int32
     assert hi.tolist() == [nodes[a] for a in picks]
     assert lo.tolist() == chain.lo[hi].tolist()
+
+
+def reference_interval_labels(target, lo, hi):
+    """KnownTarget.interval_labels's body, which sorts every run, kept
+    verbatim as the reference that any faster version must match."""
+    lo, hi = np.atleast_1d(lo, hi)
+    if (lo == hi).all():
+        return target.sorted_order[lo - 1]
+    if lo.size == 1:
+        return np.sort(target.sorted_order[lo.item() - 1:hi.item()])
+    sizes = hi - lo + 1
+    seg = np.repeat(np.arange(lo.size), sizes)
+    pos = np.arange(seg.size) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+    labels = target.sorted_order[pos - 1]
+    return labels[np.lexsort((labels, seg))]
+
+
+@st.composite
+def tied_target_intervals(draw):
+    """A target whose weights tie often, so that its labels stop rising
+    at some position r = _rising < N, and intervals that each lie inside
+    1..r, cross r or lie past it."""
+    w = draw(st.lists(st.integers(1, 3), min_size=2, max_size=60))
+    t = KnownTarget(make_distribution(np.array(w, dtype=float)))
+    r, n = t._rising, t.n
+    spans = {"inside": (1, r, 1, r), "across": (1, r, r + 1, n),
+             "past": (r + 1, n, r + 1, n)}
+    intervals = []
+    for where in draw(st.lists(st.sampled_from(sorted(spans)), min_size=1, max_size=8)):
+        a, b, c, d = spans[where] if r < n else spans["inside"]
+        lo = draw(st.integers(a, b))
+        intervals.append((lo, draw(st.integers(max(lo, c), d))))
+    return t, intervals
+
+
+@given(tied_target_intervals(), st.sampled_from([np.int32, np.int64]))
+@settings(max_examples=300, deadline=None)
+def test_interval_labels_match_the_sorting_version(case, dtype):
+    """Single intervals, as ints and as arrays, and batches give the
+    labels, dtype and order of the version that sorts every run."""
+    t, intervals = case
+    lo, hi = (np.array(v, dtype=dtype) for v in zip(*intervals))
+    calls = [(lo, hi)] + [(a, b) for a, b in intervals]
+    calls += [(lo[i:i + 1], hi[i:i + 1]) for i in range(lo.size)]
+    for a, b in calls:
+        got, want = t.interval_labels(a, b), reference_interval_labels(t, a, b)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist(), (a, b, t._rising)
+
+
+def test_tied_targets_stop_rising_inside_the_domain():
+    """Tied weights keep their label order, so the labels stop rising
+    at the last position before a lighter point follows a heavier one."""
+    t = KnownTarget(make_distribution([1.0, 1.0, 2.0, 1.0, 3.0, 1.0]))
+    assert t.sorted_order.tolist() == [1, 2, 4, 6, 3, 5]
+    assert t._rising == 4
