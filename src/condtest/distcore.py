@@ -49,6 +49,7 @@ EXPLICIT = "explicit"
 # numpy refuses an array of more bytes than its largest index, so no
 # Distribution has more float64 weights than this.
 MAX_WEIGHTS = np.iinfo(np.intp).max // 8
+_INT64 = np.dtype(np.int64)  # numpy's one instance, so _index_array tests it with is
 
 
 def _index(i):
@@ -56,6 +57,17 @@ def _index(i):
     bool, else BadQuerySet. The factories test type(i) is int first, which
     skips the isinstance checks, as errors.check_draws does."""
     return as_integer(i, "a query set index", BadQuerySet)
+
+
+def _index_array(a):
+    """An array of query set indices as a 1-D int64 array: any 1-D integer
+    array, or an empty one of any dtype, else BadQuerySet. numpy holds ints
+    past int64 as objects or floats, refused here, or as uint64s, which wrap
+    below 1 here and so fail the callers' domain checks."""
+    a = np.asarray(a)
+    if a.ndim != 1 or a.dtype.kind not in "iu" and a.size:
+        raise BadQuerySet(f"need a 1-D integer array, not {a.ndim}-D {a.dtype}")
+    return a if a.dtype is _INT64 else a.astype(np.int64)
 
 
 class QuerySet:
@@ -116,11 +128,7 @@ class QuerySet:
             except OverflowError:
                 raise BadQuerySet("explicit indices must fit in int64") from None
         else:
-            idx = np.asarray(indices)
-            if idx.ndim != 1 or idx.dtype.kind not in "iu":
-                raise BadQuerySet(
-                    f"explicit indices must be a 1-D array of integers, got {indices!r}")
-            idx = idx.astype(np.int64, copy=False)
+            idx = _index_array(indices)
         if idx.size == 0:
             raise BadQuerySet("empty query set")
         if idx[0] < 1:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distcore import QuerySet
+from .distcore import PAIR, QuerySet
 from .errors import (EvalFailed, IncompatibleOracleModel, ZeroMassSet, check_eps,
                      check_same_domain)
 from .oracles import OracleHandle
@@ -65,7 +65,7 @@ def pcond_test_equality(h1: OracleHandle, h2: OracleHandle, eps: float,
     drawn from D1, under both oracles, and reject when the neighborhood
     weights or the pointwise ratios disagree, or when D2 gives a pair
     zero mass. Cost: per reference, one estimate_neighborhood and one
-    draw_pair_counts call on each handle, with the draws, charges and
+    draw_subset_counts call on each handle, with the draws, charges and
     generator states of two compare_points calls per point.
     """
     check_same_domain(h1.dist.n, h2.dist.n)
@@ -84,12 +84,12 @@ def pcond_test_equality(h1: OracleHandle, h2: OracleHandle, eps: float,
         ys = uniq[others]
         # Only D2 can give a pair zero mass: r was drawn from D1. Point by
         # point, h1 compares before h2, so h1 is charged for one more.
-        hits2 = h2.draw_pair_counts(r, ys, m, reached=_first_dead)
+        hits2 = h2.draw_subset_counts(PAIR, (r, ys), m, reached=_first_dead)
         if hits2.size < ys.size:
-            h1.draw_pair_counts(r, ys[:hits2.size + 1], m)
+            h1.draw_subset_counts(PAIR, (r, ys[:hits2.size + 1]), m)
             return REJECT
         rho1, rho2 = np.ones((2, uniq.size))
-        rho1[others] = classify(h1.draw_pair_counts(r, ys, m), m, 4.0)[2]
+        rho1[others] = classify(h1.draw_subset_counts(PAIR, (r, ys), m), m, 4.0)[2]
         rho2[others] = classify(hits2, m, 4.0)[2]
         w2 = np.count_nonzero(ratio_in_window(rho1, alpha, theta)[in_sample2]) / s2
         # Neighborhood weights must agree across the two distributions.

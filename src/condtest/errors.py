@@ -111,7 +111,10 @@ def check_draws(m):
 
 
 def as_integer(value, name, error):
-    """value as an int, numpy integers too; error if no integer, or a bool."""
+    """value as an int, numpy integers too; error if no integer, or a bool.
+    An int skips the isinstance checks, as in check_draws."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)

@@ -371,7 +371,7 @@ def cond_test_known(h: OracleHandle, target: KnownTarget, eps: float,
     """General conditional-query identity test against a known target.
 
     The Main branch compares each drawn point above the split with its
-    witnesses (_witnesses) in one draw_union_counts call. Ledger columns
+    witnesses (_witnesses) in one draw_subset_counts call. Ledger columns
     follow the shape of each union, not the COND model: a point with a
     one-point witness is a pair and is charged to pcond, a wider union
     to cond; full-domain draws go to samp.
@@ -437,8 +437,8 @@ def _test_known_main(h, target, sp, sched):
         m, K, (lo, hi) = (wide_m, 2.0 / eps1, wide) if heavy else (witness_m, 4.0, witness)
         # All the comparisons of {label} against its witnesses, in one
         # oracle call; a zero-mass union reads -1, which classify calls Low.
-        hits = h.draw_union_counts(label, target.interval_labels(los, his),
-                                   his - los + 1, m)
+        hits = h.draw_subset_counts(
+            EXPLICIT, (label, target.interval_labels(los, his), his - los + 1), m)
         if reject:
             continue
         rho = classify(hits, m, K)[2]

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distcore import QuerySet
+from .distcore import INTERVAL, QuerySet
 from .errors import check_eps
 from .oracles import OracleHandle
 from .profiles import DESK
@@ -82,9 +82,10 @@ def binary_descent(h: OracleHandle, ys, eta: float, m: int, bounds=None):
     interval has zero mass, or, given bounds = (lo, hi), once a walk
     ends on a value outside [lo, hi].
 
-    Every level of every walk is drawn in one batched call. The oracle
-    is charged only for the levels up to the one where the walks stop,
-    and its generator ends where a level-by-level walk leaves it.
+    Every level of every walk is drawn in one draw_subset_counts call
+    on INTERVAL sets. The oracle is charged only for the levels up to
+    the one where the walks stop, and its generator ends where a
+    level-by-level walk leaves it.
     """
     n = h.dist.n
     ys = np.asarray(ys, dtype=np.int64)
@@ -117,7 +118,7 @@ def binary_descent(h: OracleHandle, ys, eta: float, m: int, bounds=None):
         values = None
         return int(np.argmin(passed)) + 1
 
-    h.draw_interval_counts(lo, hi, sub_lo, sub_hi, m, reached=walked)
+    h.draw_subset_counts(INTERVAL, (lo, hi, sub_lo, sub_hi), m, reached=walked)
     return values
 
 

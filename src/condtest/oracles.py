@@ -20,20 +20,16 @@ Besides per-point draws the handle offers batched observations
 (draw_many, draw_counts, draw_subset_count, burn). Each batch of m
 draws is sampled in one shot from the exact joint distribution of m
 iid conditional draws, so testers that only consume counts can afford
-the full theoretical query budgets. Three kernels make k
-draw_subset_count observations in one call, with the checks, ledger
-charges and random numbers of k scalar calls in order, from one
-binomial call: draw_pair_counts on the pairs {x, y_i}
-(pcond_test_uniform, pcond_test_equality, compare_to_point),
-draw_interval_counts on intervals (binary_descent, twice per
-icond_test_uniform run) and draw_union_counts on the unions
-{x} ∪ W_i (cond_test_known). draw_counts(rows=k) draws k histograms
-on one set from one multinomial call, with the numbers, generator
-state, charges and returned points of k calls in order; eval_test_equality
-draws the first round of approx_eval at many points this way. A kernel
-call costs 20-40 us for k up to 64, some ten scalar calls (U(1024),
-tools/kernel_cost.py), so the testers make few, large calls. Every
-mass and inverse-CDF draw, scalar or batched, is a Distribution method.
+the full theoretical query budgets. draw_subset_counts makes k
+draw_subset_count observations, on k pairs, intervals or unions
+{x} ∪ W_i, in one call, with the checks, ledger charges and random
+numbers of k scalar calls in order, from one binomial call;
+draw_counts(rows=k) draws k histograms on one set from one multinomial
+call, with the numbers, generator state, charges and returned points of
+k calls in order. A batched call costs 20-40 us for k up to 64, some
+ten scalar calls (U(1024), tools/kernel_cost.py), so the testers make
+few, large calls. Every mass and inverse-CDF draw, scalar or batched,
+is a Distribution method.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distcore import (EXPLICIT, FULL, INTERVAL, PAIR, Distribution, QuerySet,
-                       _check_domain)
+                       _check_domain, _index_array)
 from .errors import (
     BadQuerySet,
     BadSeed,
@@ -294,119 +290,95 @@ class OracleHandle:
                 self.rng.binomial(int(m), p[:np.count_nonzero(live)])
         return hits, live
 
-    def draw_pair_counts(self, x, ys, m, reached=None):
-        """draw_subset_count on the k pairs {x, ys[i]} against ys[i], in
-        one call; x is an int or a numpy array of k points.
+    def draw_subset_counts(self, shape, sets, m, reached=None):
+        """draw_subset_count on k (set, subset) pairs in one call, by shape:
 
-        Refusals, before anything is drawn or charged, in this order:
-        IllegalShapeForModel, BadQuerySet for a point outside 1..N or an
-        x array not as long as ys, SetsNotDisjoint for x == y and, under
-        STRICT, DisciplineViolation when neither point was returned. Drawn
-        pairs are charged to pcond; a zero-mass pair is not and reads -1.
-        reached is as in _binomial_counts.
+          PAIR      (x, ys): {x, ys[i]} against ys[i]; one x, or one per pair
+          INTERVAL  (lo, hi, sub_lo, sub_hi): [lo[i], hi[i]] against [sub_lo[i], sub_hi[i]]
+          EXPLICIT  (x, members, sizes): {x} ∪ W_i against W_i; members holds
+                    the rising W_i back to back, sizes their lengths
+
+        A drawn set is charged to its shape's column, a union with a one-point W_i as
+        a pair; a batch of no wider W_i is checked as pairs. reached and the -1 of a
+        zero-mass set are as in _binomial_counts. Refusals, before anything is drawn
+        or charged, in order: BadQuerySet for any other shape; IllegalShapeForModel
+        (for unions, once members and sizes are 1-D integers); BadQuerySet for arrays
+        not 1-D integers of one length, an x no integer, a point outside 1..N, a
+        subset interval outside its interval, or for unions no sets, a size below 1,
+        sizes not summing to the members, then a W_i not rising; SetsNotDisjoint for
+        x in its set; under STRICT, DisciplineViolation for a set with no returned
+        point; BadDrawCount for m.
         """
-        self._allow(PAIR)
-        d = self.dist
-        ys = np.asarray(ys, dtype=np.int64)
-        one = not isinstance(x, np.ndarray)
-        if one:
-            x = int(x)
-            x_bad = not 1 <= x <= d.n
-        else:
-            x = x.astype(np.int64, copy=False)
-            x_bad = x.shape != ys.shape or x.size and (x.min() < 1 or x.max() > d.n)
-        if x_bad or (ys.size and (ys.min() < 1 or ys.max() > d.n)):
-            raise BadQuerySet(f"pairs need two points in 1..{d.n}")
-        if (ys == x).any():
-            raise SetsNotDisjoint("a pair needs two distinct points")
-        if self.discipline == STRICT:
-            if one:
-                touched = x in self.returned_points or self._touched(ys).all()
+        d, strict = self.dist, self.discipline == STRICT
+        n_wide = 0
+        if shape == EXPLICIT:
+            x, members, sizes = sets
+            members, sizes = _index_array(members), _index_array(sizes)
+            if (0 < sizes.size == members.size and not isinstance(x, np.ndarray)
+                    and np.count_nonzero(sizes == 1) == sizes.size):
+                shape, sets = PAIR, (x, members)  # the pairs {x, W_i}
             else:
-                touched = (self._touched(x) | self._touched(ys)).all()
-            if not touched:
-                raise DisciplineViolation(_UNTOUCHED)
-        hits, drawn = self._binomial_counts(d.pair_masses(x, ys), d.weights[ys - 1],
-                                            m, reached)
-        self._count(PAIR, int(m) * int(np.count_nonzero(drawn)))
-        return hits
-
-    def draw_interval_counts(self, lo, hi, sub_lo, sub_hi, m, reached=None):
-        """draw_subset_count on the k intervals [lo[i], hi[i]] against
-        [sub_lo[i], sub_hi[i]], an interval inside each, in one call.
-
-        Every interval passes draw_subset_count's checks, refused ones
-        raising before anything is drawn or charged. Drawn intervals are
-        charged to icond; a zero-mass one is not and reads -1. reached
-        is as in _binomial_counts.
-        """
-        self._allow(INTERVAL)
-        lo, hi, sub_lo, sub_hi = (np.asarray(v, dtype=np.int64)
-                                  for v in (lo, hi, sub_lo, sub_hi))
-        d = self.dist
-        if lo.size and not (lo.min() >= 1 and hi.max() <= d.n and (
-                (lo <= sub_lo) & (sub_lo <= sub_hi) & (sub_hi <= hi)).all()):
-            raise BadQuerySet(f"intervals and their subsets must lie in 1..{d.n}")
-        if (self.discipline == STRICT
-                and not _meets(self._sorted_returned(), lo, hi).all()):
+                wide = sizes > 1
+                n_wide = int(np.count_nonzero(wide))
+        elif shape not in (PAIR, INTERVAL):
+            raise BadQuerySet(f"a batch holds pairs, intervals or unions, not {shape}")
+        self._allow(PAIR if shape == EXPLICIT and not n_wide else shape)
+        if shape == PAIR:
+            x, ys = sets
+            one = not isinstance(x, np.ndarray)
+            ys = _index_array(ys)
+            if one:
+                x = as_integer(x, "x", BadQuerySet)
+                x_bad = not 1 <= x <= d.n
+            else:
+                x = _index_array(x)
+                x_bad = x.shape != ys.shape or x.size and (x.min() < 1 or x.max() > d.n)
+            if x_bad or ys.size and (np.minimum.reduce(ys) < 1
+                                     or np.maximum.reduce(ys) > d.n):
+                raise BadQuerySet(f"pairs need two points in 1..{d.n}")
+            if np.count_nonzero(ys == x):
+                raise SetsNotDisjoint("a pair needs two distinct points")
+            touched = not strict or (x in self.returned_points or self._touched(ys).all()
+                                     if one else (self._touched(x) | self._touched(ys)).all())
+            mass, sub_mass = d.pair_masses(x, ys), d.weights[ys - 1]
+        elif shape == INTERVAL:
+            lo, hi, sub_lo, sub_hi = map(_index_array, sets)
+            if not lo.size == hi.size == sub_lo.size == sub_hi.size or lo.size and not (
+                    lo.min() >= 1 and hi.max() <= d.n
+                    and ((lo <= sub_lo) & (sub_lo <= sub_hi) & (sub_hi <= hi)).all()):
+                raise BadQuerySet(f"k intervals and k subsets of them, in 1..{d.n}")
+            touched = not strict or _meets(self._sorted_returned(), lo, hi).all()
+            mass, sub_mass = d.interval_masses(lo, hi), d.interval_masses(sub_lo, sub_hi)
+        else:
+            x = as_integer(x, "x", BadQuerySet)
+            ends = np.add.accumulate(sizes)
+            if (sizes.size == 0 or sizes.min() < 1 or ends[-1] != members.size
+                    or not 1 <= x <= d.n):
+                raise BadQuerySet(f"unions need a point and non-empty sets in 1..{d.n}")
+            starts, last = ends - sizes, ends - 1
+            rising = members[1:] > members[:-1]
+            rising[last[:-1]] = True
+            # A rising W_i lies in 1..N when its first and last members do.
+            if (np.count_nonzero(rising) < rising.size or min(members[starts].tolist()) < 1
+                    or max(members[last].tolist()) > d.n):
+                raise BadQuerySet(f"each W_i must be strictly increasing, in 1..{d.n}")
+            if np.count_nonzero(members == x):
+                raise SetsNotDisjoint("a union needs x outside its set")
+            touched = not strict or x in self.returned_points or np.logical_or.reduceat(
+                self._touched(members), starts).all()
+            # Member t of W_i lands at union place t + i, one further on past x.
+            k = np.arange(sizes.size)
+            union = np.full(members.size + sizes.size, x)
+            union[np.arange(members.size) + np.repeat(k, sizes) + (members > x)] = members
+            mass, sub_mass = d.set_masses(union, starts + k), d.set_masses(members, starts)
+        if not touched:
             raise DisciplineViolation(_UNTOUCHED)
-        hits, drawn = self._binomial_counts(d.interval_masses(lo, hi),
-                                            d.interval_masses(sub_lo, sub_hi), m, reached)
-        self._count(INTERVAL, int(m) * int(np.count_nonzero(drawn)))
-        return hits
-
-    def draw_union_counts(self, x, members, sizes, m):
-        """draw_subset_count on the k unions {x} ∪ W_i against W_i, in
-        one call.
-
-        members holds W_1..W_k back to back, each strictly increasing, and sizes
-        their lengths. A union with a one-point W_i is a pair, charged to pcond;
-        a wider one is an explicit set, charged to cond. Refusals, before
-        anything is drawn or charged, in this order: IllegalShapeForModel;
-        BadQuerySet for no sets, a size below 1, sizes not summing to the
-        members or x outside 1..N, then a W_i not increasing or outside 1..N;
-        SetsNotDisjoint for x in a W_i; under STRICT with x not returned,
-        DisciplineViolation for a W_i with no returned point. One binomial call
-        draws the k counts, with the numbers and generator state of k scalar
-        calls in order; a zero-mass union is neither drawn nor charged and reads
-        -1. If every W_i is one point, this is draw_pair_counts(x, members, m).
-        """
-        x = int(x)
-        members = np.asarray(members, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        if 0 < members.size == sizes.size and (sizes == 1).all():
-            return self.draw_pair_counts(x, members, m)
-        d = self.dist
-        wide = sizes > 1
-        n_wide = int(np.count_nonzero(wide))
-        for shape, used in ((PAIR, n_wide < sizes.size), (EXPLICIT, n_wide > 0)):
-            if used:
-                self._allow(shape)
-        ends = np.add.accumulate(sizes)
-        if (sizes.size == 0 or sizes.min() < 1 or ends[-1] != members.size
-                or not 1 <= x <= d.n):
-            raise BadQuerySet(f"unions need a point and non-empty sets in 1..{d.n}")
-        starts, last = ends - sizes, ends - 1
-        rising = members[1:] > members[:-1]
-        rising[last[:-1]] = True
-        # A rising W_i lies in 1..N when its first and last members do.
-        if (np.count_nonzero(rising) < rising.size or min(members[starts].tolist()) < 1
-                or max(members[last].tolist()) > d.n):
-            raise BadQuerySet(f"each W_i must be strictly increasing, in 1..{d.n}")
-        if np.count_nonzero(members == x):
-            raise SetsNotDisjoint("a union needs x outside its set")
-        if (self.discipline == STRICT and x not in self.returned_points
-                and not np.logical_or.reduceat(self._touched(members), starts).all()):
-            raise DisciplineViolation(_UNTOUCHED)
-        # Member t of W_i lands at union place t + i, one further on past x.
-        k = np.arange(sizes.size)
-        union = np.full(members.size + sizes.size, x)
-        union[np.arange(members.size) + np.repeat(k, sizes) + (members > x)] = members
-        hits, drawn = self._binomial_counts(
-            d.set_masses(union, starts + k), d.set_masses(members, starts), m, None)
-        n_drawn_wide = int(np.count_nonzero(drawn & wide))
-        self._count(PAIR, int(m) * (int(np.count_nonzero(drawn)) - n_drawn_wide))
-        self._count(EXPLICIT, int(m) * n_drawn_wide)
+        hits, drawn = self._binomial_counts(mass, sub_mass, m, reached)
+        if n_wide:
+            n_wide = int(np.count_nonzero(drawn & wide[:drawn.size]))
+            self._count(EXPLICIT, int(m) * n_wide)
+        self._count(PAIR if shape == EXPLICIT else shape,
+                    int(m) * (int(np.count_nonzero(drawn)) - n_wide))
         return hits
 
     def burn(self, s: QuerySet, m: int):

@@ -2,7 +2,7 @@
 
 compare_points estimates the weight ratio of two points from m
 conditional draws on the pair; compare_to_point makes many such
-comparisons against one point in one draw_pair_counts call, as
+comparisons against one point in one draw_subset_counts call, as
 estimate_neighborhood does once per estimate of a point's
 weight-neighborhood mass. Each answers as classify reads a hit count:
 (low, high, rho), the Low and High flags and rho, NaN on Low or High.
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distcore import QuerySet
+from .distcore import PAIR, QuerySet
 from .errors import SetsNotDisjoint
 from .oracles import OracleHandle
 from .profiles import DESK
@@ -83,7 +83,7 @@ def compare_points(h, px, py, m, K):
 
 def compare_to_point(h, x, ys, m, K):
     """compare_points(h, x, y, ...) for each y in ys, in one
-    draw_pair_counts call with the draws, charges and generator state
+    draw_subset_counts call with the draws, charges and generator state
     of those calls in order: classify's (low, high, rho). A y equal to
     x is neither drawn nor charged and reads as ratio 1. x must have
     positive weight, as an x the oracle returned has: no pair then has
@@ -91,7 +91,7 @@ def compare_to_point(h, x, ys, m, K):
     ys = np.asarray(ys, dtype=np.int64)
     other = ys != x
     y = ys[other]
-    hits = h.draw_pair_counts(x, y, m)
+    hits = h.draw_subset_counts(PAIR, (x, y), m)
     low, high = np.zeros((2, ys.size), dtype=bool)
     rho = np.ones(ys.size)
     low[other], high[other], rho[other] = classify(hits, m, K)
@@ -136,7 +136,7 @@ def estimate_neighborhood(h: OracleHandle, x: int,
     fraction of the sample (as a multiset) whose ratio lands in the
     closed window for alpha.
 
-    Cost: one draw_many and one draw_pair_counts call per estimate.
+    Cost: one draw_many and one draw_subset_counts call per estimate.
     """
     alpha = en.kappa + int(h.rng.integers(1, en.r)) * en.theta
     pts = h.draw_many(QuerySet.full(), en.size)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distcore import QuerySet
+from .distcore import PAIR, QuerySet
 from .errors import check_eps
 from .oracles import OracleHandle
 from .profiles import DESK
@@ -78,7 +78,7 @@ def pcond_test_uniform(h: OracleHandle, eps: float, profile=DESK) -> str:
         y = np.concatenate((drawn, fresh) * q)
         distinct = x != y
         x, y = x[distinct], y[distinct]
-        hits = h.draw_pair_counts(x, y, m_j)
+        hits = h.draw_subset_counts(PAIR, (x, y), m_j)
         live = hits >= 0
         # x == y has ratio exactly 1, inside every window; a zero-mass
         # pair is impossible under uniformity: certain rejection. Both

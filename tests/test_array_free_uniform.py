@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condtest.distcore import MAX_WEIGHTS, Distribution, QuerySet, uniform
+from condtest.distcore import (EXPLICIT, INTERVAL, MAX_WEIGHTS, PAIR, Distribution, QuerySet,
+                               uniform)
 from condtest.errors import DomainTooLarge
 from condtest.harness import run_trial
 from condtest.oracles import COND, PERMISSIVE, OracleHandle
@@ -160,16 +161,17 @@ def test_oracle_calls_match_the_explicit_twin(j, seed):
         return
     lo = rng.integers(1, n, size=30)
     hi = lo + rng.integers(1, n - lo + 1)
-    same(lambda h: h.draw_pair_counts(lo, hi, 10**5))
+    same(lambda h: h.draw_subset_counts(PAIR, (lo, hi), 10**5))
     sub_lo = lo + (hi - lo) // 3
-    same(lambda h: h.draw_interval_counts(lo, hi, sub_lo, hi - 1, 10**5))
+    same(lambda h: h.draw_subset_counts(INTERVAL, (lo, hi, sub_lo, hi - 1), 10**5))
     x = int(rng.integers(1, n + 1))
     rest = members[members != x]
     if rest.size:
-        same(lambda h: h.draw_union_counts(x, rest, np.ones(rest.size, np.int64), 10**5))
+        same(lambda h: h.draw_subset_counts(
+            EXPLICIT, (x, rest, np.ones(rest.size, np.int64)), 10**5))
         cut = rest.size // 2 or rest.size
         sizes = np.array([cut, rest.size - cut] if cut < rest.size else [cut])
-        same(lambda h: h.draw_union_counts(x, rest, sizes, 10**5))
+        same(lambda h: h.draw_subset_counts(EXPLICIT, (x, rest, sizes), 10**5))
 
 
 class TestScale:

@@ -1,6 +1,6 @@
 """The batched comparison kernels against the scalar loops they replaced.
 
-OracleHandle.draw_pair_counts, draw_interval_counts and draw_union_counts,
+OracleHandle.draw_subset_counts on pairs, intervals and unions,
 pcond_test_uniform, binary_descent, cond_test_known's Main branch,
 estimate_neighborhood, estimate_distance_to_uniformity and
 pcond_test_equality's cross loop draw many comparisons in one call, and
@@ -40,7 +40,8 @@ from condtest.distance import (
     estimate_distance_to_uniformity,
     find_reference,
 )
-from condtest.distcore import INTERVAL, QuerySet, make_distribution, uniform
+from condtest.distcore import (EXPLICIT, INTERVAL, PAIR, QuerySet, make_distribution,
+                               uniform)
 from condtest import equality
 from condtest.equality import _eval_test_equality_once, eval_schedule, pcond_test_equality
 from condtest.errors import (
@@ -648,17 +649,17 @@ class TestPairKernel:
             x, y = random_pairs(rng, 40, 300)
             assert np.any(d.weights[x - 1] + d.weights[y - 1] == 0.0)
             h1, h2 = twins(d, model, seed)
-            got = h1.draw_pair_counts(x, y, 5000)
+            got = h1.draw_subset_counts(PAIR, (x, y), 5000)
             assert got.tolist() == scalar_pair_counts(h2, x, y, 5000)
             assert_same_state(h1, h2)
             # One point x against every other point.
             x0 = int(x[0])
             ys = np.delete(np.arange(1, 41), x0 - 1)
-            got = h1.draw_pair_counts(x0, ys, 5000)
+            got = h1.draw_subset_counts(PAIR, (x0, ys), 5000)
             assert got.tolist() == scalar_pair_counts(h2, x0, ys, 5000)
             assert_same_state(h1, h2)
         for x in (3, np.empty(0, dtype=np.int64)):
-            assert h1.draw_pair_counts(x, [], 10).size == 0
+            assert h1.draw_subset_counts(PAIR, (x, []), 10).size == 0
         assert_same_state(h1, h2)
 
     def test_strict_discipline(self):
@@ -669,19 +670,19 @@ class TestPairKernel:
         seen = sorted(h1.returned_points)
         x = np.array([seen[0], seen[2], 1])
         y = np.array([64, seen[1], seen[3]])
-        got = h1.draw_pair_counts(x, y, 100)
+        got = h1.draw_subset_counts(PAIR, (x, y), 100)
         assert got.tolist() == scalar_pair_counts(h2, x, y, 100)
         assert_same_state(h1, h2)
         # Neither point returned: refused before anything is drawn.
         fresh = [i for i in range(1, 65) if i not in h1.returned_points][:4]
         with pytest.raises(DisciplineViolation):
-            h1.draw_pair_counts(np.array([x[0], fresh[0]]), [y[0], fresh[1]], 100)
+            h1.draw_subset_counts(PAIR, (np.array([x[0], fresh[0]]), [y[0], fresh[1]]), 100)
         with pytest.raises(DisciplineViolation):
-            h1.draw_pair_counts(fresh[0], [seen[0], fresh[1]], 100)
+            h1.draw_subset_counts(PAIR, (fresh[0], [seen[0], fresh[1]]), 100)
         assert_same_state(h1, h2)
         # A returned x passes with any points; a fresh one with returned ones.
         for x0, ys in ((seen[3], fresh), (fresh[0], seen[:3])):
-            got = h1.draw_pair_counts(x0, ys, 100)
+            got = h1.draw_subset_counts(PAIR, (x0, ys), 100)
             assert got.tolist() == scalar_pair_counts(h2, x0, ys, 100)
             assert_same_state(h1, h2)
 
@@ -695,23 +696,24 @@ class TestPairKernel:
         h = OracleHandle(uniform(64), model=PCOND, seed=0, discipline=PERMISSIVE)
         state = h.rng.bit_generator.state
         with pytest.raises(error):
-            h.draw_pair_counts(np.array([1, x]), [2, y], 10)
+            h.draw_subset_counts(PAIR, (np.array([1, x]), [2, y]), 10)
         with pytest.raises(error):
-            h.draw_pair_counts(x, [1, y], 10)
+            h.draw_subset_counts(PAIR, (x, [1, y]), 10)
         assert h.ledger.total == 0
         assert h.rng.bit_generator.state == state
 
     def test_x_needs_one_point_per_pair(self):
         h = OracleHandle(uniform(64), model=PCOND, seed=0, discipline=PERMISSIVE)
         with pytest.raises(BadQuerySet):
-            h.draw_pair_counts(np.array([1, 2]), [3, 4, 5], 10)
+            h.draw_subset_counts(PAIR, (np.array([1, 2]), [3, 4, 5]), 10)
         assert h.ledger.total == 0
 
     @pytest.mark.parametrize("one_point", [True, False])
     def test_refusal_order(self, one_point):
         """Shape, then domain, then distinct points, then discipline."""
         def call(h, x, ys):
-            return h.draw_pair_counts(x if one_point else np.full(len(ys), x), ys, 10)
+            return h.draw_subset_counts(
+                PAIR, (x if one_point else np.full(len(ys), x), ys), 10)
 
         with pytest.raises(IllegalShapeForModel):
             call(OracleHandle(uniform(64), model=ICOND, seed=0), 5, [5, 65, 6])
@@ -731,21 +733,21 @@ class TestPairKernel:
         x = np.array([1, 2, 40, 33, 5, 6, 7])
         y = np.array([9, 34, 50, 8, 20, 30, 3])
         h1, h2 = twins(d, PCOND, 4)
-        got = h1.draw_pair_counts(x, y, 1000, reached=lambda hits: k)
+        got = h1.draw_subset_counts(PAIR, (x, y), 1000, reached=lambda hits: k)
         assert got.tolist() == scalar_pair_counts(h2, x[:k], y[:k], 1000)
         assert_same_state(h1, h2)
         h1, h2 = twins(d, PCOND, 4)
-        got = h1.draw_pair_counts(40, y, 1000, reached=lambda hits: k)
+        got = h1.draw_subset_counts(PAIR, (40, y), 1000, reached=lambda hits: k)
         assert got.tolist() == scalar_pair_counts(h2, 40, y[:k], 1000)
         assert_same_state(h1, h2)
 
     def test_shape_must_suit_the_model(self):
         h = OracleHandle(uniform(8), model=ICOND, seed=0, discipline=PERMISSIVE)
         with pytest.raises(IllegalShapeForModel):
-            h.draw_pair_counts(np.array([1]), [2], 10)
+            h.draw_subset_counts(PAIR, (np.array([1]), [2]), 10)
         h = OracleHandle(uniform(8), model=PCOND, seed=0, discipline=PERMISSIVE)
         with pytest.raises(IllegalShapeForModel):
-            h.draw_interval_counts([1], [4], [1], [2], 10)
+            h.draw_subset_counts(INTERVAL, ([1], [4], [1], [2]), 10)
 
 
 class TestIntervalKernel:
@@ -760,7 +762,7 @@ class TestIntervalKernel:
         sub_hi = np.maximum(sub_lo, hi - 1)
         assert np.any(d.prefix[hi] - d.prefix[lo - 1] == 0.0)
         h1, h2 = twins(d, ICOND, 2)
-        got = h1.draw_interval_counts(lo, hi, sub_lo, sub_hi, 777)
+        got = h1.draw_subset_counts(INTERVAL, (lo, hi, sub_lo, sub_hi), 777)
         assert got.tolist() == scalar_interval_counts(h2, lo, hi, sub_lo, sub_hi, 777)
         assert_same_state(h1, h2)
 
@@ -774,8 +776,22 @@ class TestIntervalKernel:
     def test_bad_intervals_refused(self, lo, hi, sub_lo, sub_hi):
         h = OracleHandle(uniform(16), model=ICOND, seed=0, discipline=PERMISSIVE)
         with pytest.raises(BadQuerySet):
-            h.draw_interval_counts([lo], [hi], [sub_lo], [sub_hi], 10)
+            h.draw_subset_counts(INTERVAL, ([lo], [hi], [sub_lo], [sub_hi]), 10)
         assert h.ledger.total == 0
+
+    def test_refusal_order(self):
+        """Shape, then domain, then discipline, with two faults at once."""
+        with pytest.raises(IllegalShapeForModel):
+            OracleHandle(uniform(16), model=PCOND, seed=0).draw_subset_counts(
+                INTERVAL, ([2], [17], [3], [4]), 10)
+        # No point returned yet: under STRICT every interval is untouched.
+        h = OracleHandle(uniform(16), model=ICOND, seed=0, discipline=STRICT)
+        state = h.rng.bit_generator.state
+        for hi, error in ((17, BadQuerySet), (8, DisciplineViolation)):
+            with pytest.raises(error):
+                h.draw_subset_counts(INTERVAL, ([2], [hi], [3], [4]), 10)
+        assert h.ledger.total == 0
+        assert h.rng.bit_generator.state == state
 
     @pytest.mark.parametrize("k", [0, 1, 4, 7, 12])
     def test_reached_ends_where_the_scalar_calls_stop(self, k):
@@ -784,7 +800,7 @@ class TestIntervalKernel:
         lo = np.array([1, 3, 1, 17, 2, 9, 5, 1, 17, 3, 1, 20])
         hi = np.array([24, 9, 8, 24, 20, 16, 18, 16, 20, 4, 2, 22])
         h1, h2 = twins(d, COND, 9)
-        got = h1.draw_interval_counts(lo, hi, lo, lo, 1000, reached=lambda hits: k)
+        got = h1.draw_subset_counts(INTERVAL, (lo, hi, lo, lo), 1000, reached=lambda hits: k)
         want = scalar_interval_counts(h2, lo[:k], hi[:k], lo[:k], lo[:k], 1000)
         assert got.tolist() == want
         assert_same_state(h1, h2)
@@ -842,7 +858,7 @@ class TestUnionKernel:
             x = int(rng.integers(1, d.n + 1))
             sets = random_sets(rng, d.n, x, 24, max_size)
             h1, h2 = recording_twins(d, COND, seed)
-            got = h1.draw_union_counts(x, *union_args(sets), 7919)
+            got = h1.draw_subset_counts(EXPLICIT, (x, *union_args(sets)), 7919)
             assert got.tolist() == scalar_union_counts(h2, x, sets, 7919)
             assert_same_draws(h1, h2)
         sizes = {len(w) for w in sets}
@@ -858,8 +874,8 @@ class TestUnionKernel:
         ys = sorted(h1.returned_points)
         if discipline == PERMISSIVE:
             ys += [40, 50]  # zero-mass pairs with x
-        got = h1.draw_union_counts(35, ys, np.ones(len(ys), np.int64), 1000)
-        assert got.tolist() == h2.draw_pair_counts(35, ys, 1000).tolist()
+        got = h1.draw_subset_counts(EXPLICIT, (35, ys, np.ones(len(ys), np.int64)), 1000)
+        assert got.tolist() == h2.draw_subset_counts(PAIR, (35, ys), 1000).tolist()
         assert_same_state(h1, h2)
 
     def test_union_summed_below_its_subset_draws_with_p_one(self):
@@ -879,7 +895,7 @@ class TestUnionKernel:
         # Found by the rule the kernel sums with, before anything is drawn.
         assert union < sub
         h1, h2 = recording_twins(d, COND, 3)
-        got = h1.draw_union_counts(x, *union_args([rest, rest[:3]]), 500)
+        got = h1.draw_subset_counts(EXPLICIT, (x, *union_args([rest, rest[:3]])), 500)
         assert got.tolist()[0] == 500
         assert got.tolist() == scalar_union_counts(h2, x, [rest, rest[:3]], 500)
         assert_same_draws(h1, h2)
@@ -888,14 +904,14 @@ class TestUnionKernel:
         d = ZERO_HALF  # points 33..64 weigh nothing
         sets = [[40], [1], [33, 50], [2, 40], [34], [60, 61, 62]]
         h1, h2 = recording_twins(d, COND, 5)
-        got = h1.draw_union_counts(35, *union_args(sets), 1000)
+        got = h1.draw_subset_counts(EXPLICIT, (35, *union_args(sets)), 1000)
         assert got.tolist() == scalar_union_counts(h2, 35, sets, 1000)
         assert got.tolist()[0] == got.tolist()[2] == got.tolist()[4] == -1
         assert_same_draws(h1, h2)
         assert h1.ledger.pcond_count == h1.ledger.cond_count == 1000
         # One-point sets only.
         sets = [[40], [1], [34], [2]]
-        got = h1.draw_union_counts(35, *union_args(sets), 1000)
+        got = h1.draw_subset_counts(EXPLICIT, (35, *union_args(sets)), 1000)
         assert got.tolist() == scalar_union_counts(h2, 35, sets, 1000)
         assert got.tolist()[0] == got.tolist()[2] == -1
         assert_same_draws(h1, h2)
@@ -910,16 +926,19 @@ class TestUnionKernel:
         fresh = [i for i in range(1, 65) if i not in h1.returned_points]
         # x never returned: every set must hold a returned point.
         sets = [[seen[0]], sorted([fresh[1], seen[1]]), sorted([seen[2], fresh[2], fresh[3]])]
-        got = h1.draw_union_counts(fresh[0], *union_args(sets), 100)
+        got = h1.draw_subset_counts(EXPLICIT, (fresh[0], *union_args(sets)), 100)
         assert got.tolist() == scalar_union_counts(h2, fresh[0], sets, 100)
         assert_same_state(h1, h2)
         with pytest.raises(DisciplineViolation):
-            h1.draw_union_counts(fresh[0], *union_args(sets + [fresh[4:6]]), 100)
+            h1.draw_subset_counts(
+                EXPLICIT, (fresh[0], *union_args(sets + [fresh[4:6]])), 100)
         with pytest.raises(DisciplineViolation):
-            h1.draw_union_counts(fresh[0], *union_args([[seen[0]], [fresh[4]]]), 100)
+            h1.draw_subset_counts(
+                EXPLICIT, (fresh[0], *union_args([[seen[0]], [fresh[4]]])), 100)
         assert_same_state(h1, h2)
         # A returned x passes with any sets.
-        got = h1.draw_union_counts(seen[3], *union_args([fresh[4:6], [fresh[7]]]), 100)
+        got = h1.draw_subset_counts(
+            EXPLICIT, (seen[3], *union_args([fresh[4:6], [fresh[7]]])), 100)
         assert got.tolist() == scalar_union_counts(h2, seen[3], [fresh[4:6], [fresh[7]]], 100)
         assert_same_state(h1, h2)
 
@@ -940,7 +959,7 @@ class TestUnionKernel:
         state = h.rng.bit_generator.state
         members = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
         with pytest.raises(error):
-            h.draw_union_counts(x, members, [len(w) for w in sets], 10)
+            h.draw_subset_counts(EXPLICIT, (x, members, [len(w) for w in sets]), 10)
         assert h.ledger.total == 0
         assert h.rng.bit_generator.state == state
 
@@ -956,6 +975,10 @@ class TestUnionKernel:
         # A wide set under PCOND, and sizes that do not sum to the members.
         (PCOND, PERMISSIVE, 5, [2, 3, 4], [3, 1], IllegalShapeForModel),
         (PCOND, PERMISSIVE, 5, [2, 3, 4], [0, 3], IllegalShapeForModel),
+        # No sets under a model that takes no pairs; sizes that are no
+        # integers, from which no shape can be read, under PCOND.
+        (ICOND, PERMISSIVE, 5, [], [], IllegalShapeForModel),
+        (PCOND, PERMISSIVE, 5, [2, 3, 4], [1.0, 2.0], BadQuerySet),
     ])
     def test_refusals_in_the_docstring_order(self, model, discipline, x, members,
                                              sizes, error):
@@ -963,7 +986,7 @@ class TestUnionKernel:
         h = OracleHandle(uniform(64), model=model, seed=0, discipline=discipline)
         state = h.rng.bit_generator.state
         with pytest.raises(error):
-            h.draw_union_counts(x, members, sizes, 10)
+            h.draw_subset_counts(EXPLICIT, (x, members, sizes), 10)
         assert h.ledger.total == 0
         assert h.rng.bit_generator.state == state
 
@@ -972,17 +995,17 @@ class TestUnionKernel:
         # [2, 1, 1] has one size per member but sums past them.
         for sizes in ([1, 1], [2, 0, 1], [3, 1], [2, 1, 1], [1, 1, 1, 1]):
             with pytest.raises(BadQuerySet):
-                h.draw_union_counts(5, [1, 2, 3], sizes, 10)
+                h.draw_subset_counts(EXPLICIT, (5, [1, 2, 3], sizes), 10)
         assert h.ledger.total == 0
 
     def test_shapes_must_suit_the_model(self):
         h = OracleHandle(uniform(8), model=PCOND, seed=0, discipline=PERMISSIVE)
-        h.draw_union_counts(1, [2, 3], [1, 1], 10)
+        h.draw_subset_counts(EXPLICIT, (1, [2, 3], [1, 1]), 10)
         with pytest.raises(IllegalShapeForModel):
-            h.draw_union_counts(1, [2, 3, 4], [1, 2], 10)
+            h.draw_subset_counts(EXPLICIT, (1, [2, 3, 4], [1, 2]), 10)
         h = OracleHandle(uniform(8), model=ICOND, seed=0, discipline=PERMISSIVE)
         with pytest.raises(IllegalShapeForModel):
-            h.draw_union_counts(1, [2], [1], 10)
+            h.draw_subset_counts(EXPLICIT, (1, [2], [1]), 10)
 
 
 @given(st.integers(0, 2**32), st.lists(st.tuples(
@@ -1013,7 +1036,7 @@ def test_union_sums_by_width_are_the_per_set_sums(seed, shapes):
         return inner(mass, sub_mass, m, reached)
 
     h._binomial_counts = spy
-    h.draw_union_counts(x, *union_args(sets), 100)
+    h.draw_subset_counts(EXPLICIT, (x, *union_args(sets)), 100)
     unions = [QuerySet.explicit(np.sort(np.append(w, x))) for w in sets]
     assert seen == [([d.mass(u) for u in unions],
                      [d.mass(QuerySet.explicit(w)) for w in sets])]
@@ -1049,11 +1072,131 @@ class TestAllLiveBinomial:
         reached = None if stop is None else (lambda hits: min(stop, hits.size))
         h1, h2 = twins(d, COND, 7)
         h2._binomial_counts = masked_binomial_counts.__get__(h2)
-        for call in (lambda h: h.draw_pair_counts(x, y, 1000, reached),
-                     lambda h: h.draw_interval_counts(lo, lo + 4, lo, lo + 1, 1000,
-                                                      reached)):
+        for call in (lambda h: h.draw_subset_counts(PAIR, (x, y), 1000, reached),
+                     lambda h: h.draw_subset_counts(INTERVAL, (lo, lo + 4, lo, lo + 1),
+                                                    1000, reached)):
             assert call(h1).tolist() == call(h2).tolist()
             assert_same_state(h1, h2)
+
+
+class TestMalformedBatches:
+    """A batch whose point arrays are not 1-D integers of one length, or
+    whose x is no integer, is refused with BadQuerySet before anything is
+    drawn or charged, as is a point past int64 and a shape with no batch
+    encoding."""
+
+    @staticmethod
+    def assert_refused(shape, sets):
+        h = OracleHandle(uniform(64), model=COND, seed=0, discipline=PERMISSIVE)
+        state = h.rng.bit_generator.state
+        with pytest.raises(BadQuerySet):
+            h.draw_subset_counts(shape, sets, 10)
+        assert h.ledger.total == 0
+        assert h.rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("sets", [
+        (3, [1.5, 2]),              # float points were truncated and drawn
+        (3.9, [5, 6]),              # so was a float x
+        (True, [5, 6]),
+        (3, [True, False]),
+        (3, [[5, 6]]),              # 2-D points gave a 2-D count array
+        (np.array([[3]]), [5]),
+        (np.array([3.0]), [5]),
+        (np.array([3, 4]), [5]),    # x not one per pair
+        (3, [2**70]),               # past int64: a bare OverflowError
+        (3, [2**63]),               # past int64, held as uint64
+        (2**70, [5]),
+    ])
+    def test_pairs(self, sets):
+        self.assert_refused(PAIR, sets)
+
+    @pytest.mark.parametrize("sets", [
+        ([1, 2], [4], [2], [3]),    # one hi was broadcast over two intervals
+        ([1], [4], [2], [3, 3]),
+        ([1.0], [4], [2], [3]),
+        ([[1]], [[4]], [[2]], [[3]]),
+        ([1], [2**70], [2], [3]),
+    ])
+    def test_intervals(self, sets):
+        self.assert_refused(INTERVAL, sets)
+
+    @pytest.mark.parametrize("sets", [
+        (3, [5, 6.5], [2]),         # a float member was truncated and drawn
+        (3, [5, 6], [2.0]),
+        (3.5, [5, 6], [2]),
+        (3.5, [5, 6], [1, 1]),
+        (np.array([3]), [5, 6], [2]),   # one x per union is not taken
+        (np.array([3]), [5], [1]),
+        (3, [[5, 6]], [2]),
+        (3, [[5], [6]], [1, 1]),
+        (3, [5], [[1]]),
+        (3, [5, 2**70], [2]),
+        (2**70, [5], [1]),
+    ])
+    def test_unions(self, sets):
+        self.assert_refused(EXPLICIT, sets)
+
+    @pytest.mark.parametrize("shape", ["full", "points"])
+    def test_shapes_with_no_batch(self, shape):
+        self.assert_refused(shape, (3, [5]))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_batches_are_the_scalar_calls(data):
+    """draw_subset_counts on a random batch of pairs, intervals or unions
+    gives the counts, ledger and generator state of draw_subset_count
+    called set by set, with zero-mass sets (-1), under either discipline,
+    with or without a reached cut. Under STRICT every set holds a
+    returned point."""
+    n = 24
+    w = data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]), min_size=n,
+                           max_size=n).filter(any))
+    discipline = data.draw(st.sampled_from([STRICT, PERMISSIVE]))
+    h1, h2 = twins(make_distribution(w), COND, data.draw(st.integers(0, 2**32)), discipline)
+    for h in (h1, h2):
+        h.draw_many(QuerySet.full(), 3)
+    anchor = st.sampled_from(sorted(h1.returned_points)) if discipline == STRICT else (
+        st.integers(1, n))
+    shape = data.draw(st.sampled_from([PAIR, INTERVAL, EXPLICIT]))
+    k = data.draw(st.integers(1, 8))
+    m = data.draw(st.sampled_from([0, 1, 37, 1000]))
+    cut = data.draw(st.none() | st.integers(0, k))
+    reached = None if cut is None else (lambda hits: cut)
+    done = k if cut is None else cut
+
+    def other_than(x):
+        return st.integers(1, n).filter(lambda y: y != x)
+
+    if shape == PAIR:
+        if data.draw(st.booleans()):
+            x = data.draw(anchor)
+            xs = [x] * k
+        else:
+            xs = [data.draw(anchor) for _ in range(k)]
+            x = np.array(xs)
+        ys = [data.draw(other_than(a)) for a in xs]
+        got = h1.draw_subset_counts(PAIR, (x, ys), m, reached)
+        want = scalar_pair_counts(h2, xs[:done], ys[:done], m)
+    elif shape == INTERVAL:
+        cols = []
+        for _ in range(k):
+            s = data.draw(anchor)
+            lo, hi = data.draw(st.integers(1, s)), data.draw(st.integers(s, n))
+            sub_lo = data.draw(st.integers(lo, hi))
+            cols.append((lo, hi, sub_lo, data.draw(st.integers(sub_lo, hi))))
+        lo, hi, sub_lo, sub_hi = (list(c) for c in zip(*cols))
+        got = h1.draw_subset_counts(INTERVAL, (lo, hi, sub_lo, sub_hi), m, reached)
+        want = scalar_interval_counts(h2, lo[:done], hi[:done], sub_lo[:done],
+                                      sub_hi[:done], m)
+    else:
+        x = data.draw(anchor)
+        sets = [sorted(data.draw(st.sets(other_than(x), min_size=1, max_size=6)))
+                for _ in range(k)]
+        got = h1.draw_subset_counts(EXPLICIT, (x, *union_args(sets)), m, reached)
+        want = scalar_union_counts(h2, x, sets[:done], m)
+    assert got.tolist() == want
+    assert_same_state(h1, h2)
 
 
 class TestClassify:
@@ -1219,13 +1362,13 @@ class TestDescentMatchesScalarWalk:
         that fails its first walk never makes."""
         h = OracleHandle(d, model=ICOND, seed=seed, discipline=STRICT)
         sizes = []
-        kernel = h.draw_interval_counts
+        kernel = h.draw_subset_counts
 
-        def counted(lo, *args, **kwargs):
-            sizes.append(len(lo))
-            return kernel(lo, *args, **kwargs)
+        def counted(shape, sets, *args, **kwargs):
+            sizes.append(len(sets[0]))
+            return kernel(shape, sets, *args, **kwargs)
 
-        h.draw_interval_counts = counted
+        h.draw_subset_counts = counted
         assert icond_test_uniform(h, 0.5) == verdict
         assert sizes[:1] == [16] and len(sizes) == calls
 

@@ -16,9 +16,9 @@ cond_known U_U_4, U_U_8 and rand_rand_6 entries, which split into the
 Heavy branch, were recorded from the code before that branch checked
 its frequencies in array operations. The cond_known stair_stair
 entries at seeds 1 and 2, pert_stair at seed 1 and rand_rand_4096 were
-recorded from the code before draw_union_counts built its unions
-without np.insert. A change that claims to keep behaviour must keep this
-test passing unchanged.
+recorded from the code before the union comparisons built their
+unions without np.insert. A change that claims to keep behaviour must
+keep this test passing unchanged.
 
 Regenerate the file (only when behaviour is meant to change) with
 

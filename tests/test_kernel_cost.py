@@ -10,9 +10,8 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "kernel_cost.py"
 SRC = TOOL.parent.parent / "src"
 NAMES = {
-    "compare_points", "draw_subset_count_pair", "draw_pair_counts_1",
-    "draw_pair_counts_64", "draw_interval_counts_1", "draw_union_counts_points",
-    "draw_union_counts_wide", "interval_labels", "classify",
+    "compare_points", "draw_subset_count_pair", "pair_1", "pair_64", "interval_1",
+    "union_points", "union_wide", "interval_labels", "classify",
 }
 
 

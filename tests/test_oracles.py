@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from condtest.distcore import (INTERVAL, PAIR, QuerySet, conditional_pmf,
+from condtest.distcore import (EXPLICIT, INTERVAL, PAIR, QuerySet, conditional_pmf,
                                make_distribution, uniform)
 from condtest.errors import (
     BadDrawCount,
@@ -145,16 +145,22 @@ class TestRefusedSubsetsAndCounts:
         hits = h.draw_subset_count(s, subset, 2000)
         assert hits / 2000 == pytest.approx(d.mass(subset) / d.mass(s), abs=0.05)
 
+    BATCHED = {
+        "subset_counts_pairs": lambda h, m: h.draw_subset_counts(PAIR, (1, [2, 3]), m),
+        "subset_counts_intervals": lambda h, m: h.draw_subset_counts(
+            INTERVAL, ([1], [4], [2], [3]), m),
+        "subset_counts_unions": lambda h, m: h.draw_subset_counts(
+            EXPLICIT, (1, [2, 3, 5], [2, 1]), m),
+        "subset_counts_unions_of_points": lambda h, m: h.draw_subset_counts(
+            EXPLICIT, (1, [2, 3], [1, 1]), m),
+    }
     CALLS = {
         "draw_many": lambda h, m: h.draw_many(QuerySet.full(), m),
         "draw_counts": lambda h, m: h.draw_counts(QuerySet.interval(2, 5), m),
         "draw_subset_count": lambda h, m: h.draw_subset_count(
             QuerySet.pair(1, 2), QuerySet.explicit([2]), m),
         "burn": lambda h, m: h.burn(QuerySet.full(), m),
-        "draw_pair_counts": lambda h, m: h.draw_pair_counts(1, [2, 3], m),
-        "draw_interval_counts": lambda h, m: h.draw_interval_counts([1], [4], [2], [3], m),
-        "draw_union_counts": lambda h, m: h.draw_union_counts(1, [2, 3, 5], [2, 1], m),
-        "draw_union_counts_of_points": lambda h, m: h.draw_union_counts(1, [2, 3], [1, 1], m),
+        **BATCHED,
     }
 
     @pytest.mark.parametrize("m", [-1, -5, 2.5, 2.0, np.float64(3.0), True, np.bool_(True),
@@ -164,6 +170,17 @@ class TestRefusedSubsetsAndCounts:
         h = OracleHandle(uniform(8), model=COND, seed=3, discipline=PERMISSIVE)
         before = frozen(h)
         with pytest.raises(BadDrawCount):
+            call(h, m)
+        assert frozen(h) == before
+
+    @pytest.mark.parametrize("m", [-1, 2.5, None])
+    @pytest.mark.parametrize("call", BATCHED.values(), ids=BATCHED.keys())
+    def test_batched_draw_count_checked_after_the_discipline(self, call, m):
+        """A batched call refuses an untouched set under STRICT before it
+        looks at m: no point was returned, so every set is untouched."""
+        h = OracleHandle(uniform(8), model=COND, seed=3, discipline=STRICT)
+        before = frozen(h)
+        with pytest.raises(DisciplineViolation):
             call(h, m)
         assert frozen(h) == before
 
@@ -249,15 +266,12 @@ class TestDiscipline:
                 hi.append(b)
             touched = all(({a, b} if shape == PAIR else set(range(a, b + 1))) & seen
                           for a, b in zip(lo, hi))
-            if shape == PAIR:
-                kernel, args = h.draw_pair_counts, (np.array(lo), hi, 3)
-            else:
-                kernel, args = h.draw_interval_counts, (lo, hi, lo, lo, 3)
+            sets = (np.array(lo), hi) if shape == PAIR else (lo, hi, lo, lo)
             if touched:
-                kernel(*args)
+                h.draw_subset_counts(shape, sets, 3)
             else:
                 with pytest.raises(DisciplineViolation):
-                    kernel(*args)
+                    h.draw_subset_counts(shape, sets, 3)
 
         steps = data.draw(st.integers(1, 12))
         batch_at = data.draw(st.integers(0, steps))

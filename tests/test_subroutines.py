@@ -67,14 +67,14 @@ class TestCompare:
         (1000.0, "high")])
     def test_answers_as_classify_on_the_pair_kernel(self, K, wy, answer):
         # compare_points is classify's one-element readout of
-        # draw_pair_counts: the same draws, bits and charges.
+        # draw_subset_counts on a pair: the same draws, bits and charges.
         w = np.ones(16)
         w[1] = wy
         m = compare_budget(0.1, K, 0.01)
         for seed in range(5):
             h1, h2 = handle(w, seed), handle(w, seed)
             low, high, rho = compare_points(h1, 1, 2, m, K)
-            lows, highs, rhos = classify(h2.draw_pair_counts(1, [2], m), m, K)
+            lows, highs, rhos = classify(h2.draw_subset_counts(PAIR, (1, [2]), m), m, K)
             assert (type(low), type(high), type(rho)) == (bool, bool, float)
             assert (low, high) == (lows[0], highs[0])
             assert rho == rhos[0] or math.isnan(rho) and math.isnan(rhos[0])

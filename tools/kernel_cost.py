@@ -1,4 +1,4 @@
-"""Median microseconds per call of the oracle kernels, at fixed shapes.
+"""Median microseconds per call of the oracle's comparisons, at fixed shapes.
 
     python3 tools/kernel_cost.py --repeat 7 --number 200
 
@@ -8,17 +8,19 @@ to the median sample's microseconds per call:
 
     compare_points             one scalar pair comparison, U(1024)
     draw_subset_count_pair     draw_subset_count on a pair, U(1024)
-    draw_pair_counts_1/_64     draw_pair_counts on 1 and 64 pairs
-    draw_interval_counts_1     draw_interval_counts on one interval
-    draw_union_counts_points   draw_union_counts on 16 one-point sets
-    draw_union_counts_wide     draw_union_counts on 16 sets of 2-16 points
+    pair_1/_64                 draw_subset_counts on 1 and 64 pairs
+    interval_1                 draw_subset_counts on one interval
+    union_points               draw_subset_counts on the unions of x with
+                               16 one-point sets
+    union_wide                 draw_subset_counts on the unions of x with
+                               16 sets of 2-16 points
     interval_labels            16 intervals of the staircase target
                                gen_staircase(2, 4), as cond_known reads
     classify                   16 counts
 
 Every handle is STRICT, under COND, and every x was returned by the
 handle, as in the testers. The tracer in perfbench/ charges about 1 us
-to each span and does not trace the kernels, so a saving of a few
+to each span and does not trace draw_subset_counts, so a saving of a few
 microseconds a call shows here and not in its layer metrics.
 
 `--against OTHER_SRC` times both trees, each in a process of its own,
@@ -27,6 +29,9 @@ line with each side's median over the rounds and against_over_src,
 their ratio (above 1 where `--src` is cheaper):
 
     python3 tools/kernel_cost.py --rounds 5 --against ../parent/src
+
+Both trees must take the calls above. To compare across a change of
+those calls, run each tree's own copy of this tool, alternating.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ M = 1000
 def calls(ct):
     """The timed calls, by name, as argument-free callables."""
     import numpy as np
-    from condtest.distcore import QuerySet
+    from condtest.distcore import EXPLICIT, INTERVAL, PAIR, QuerySet
     from condtest.oracles import COND, STRICT, OracleHandle
     from condtest.subroutines import classify, compare_points
 
@@ -71,12 +76,12 @@ def calls(ct):
     return {
         "compare_points": lambda: compare_points(h, x, y, M, 2.0),
         "draw_subset_count_pair": lambda: h.draw_subset_count(pair, sub, M),
-        "draw_pair_counts_1": lambda: h.draw_pair_counts(x, ys[:1], M),
-        "draw_pair_counts_64": lambda: h.draw_pair_counts(x, ys, M),
-        "draw_interval_counts_1": lambda: h.draw_interval_counts(*iv, M),
-        "draw_union_counts_points": lambda: h.draw_union_counts(
-            x, ys[:16], np.ones(16, dtype=np.int64), M),
-        "draw_union_counts_wide": lambda: h.draw_union_counts(x, wide, sizes, M),
+        "pair_1": lambda: h.draw_subset_counts(PAIR, (x, ys[:1]), M),
+        "pair_64": lambda: h.draw_subset_counts(PAIR, (x, ys), M),
+        "interval_1": lambda: h.draw_subset_counts(INTERVAL, iv, M),
+        "union_points": lambda: h.draw_subset_counts(
+            EXPLICIT, (x, ys[:16], np.ones(16, dtype=np.int64)), M),
+        "union_wide": lambda: h.draw_subset_counts(EXPLICIT, (x, wide, sizes), M),
         "interval_labels": lambda: stair.interval_labels(lo16, hi16),
         "classify": lambda: classify(hits, M, 4.0),
     }
