@@ -99,15 +99,16 @@ def check_same_domain(n1, n2):
 
 
 class BadDrawCount(CondtestError):
-    """A number of draws must be an integer of at least zero."""
+    """A number of draws must be an integer of at least zero, and of at
+    least one for a comparison, which reads its hits over m."""
 
 
-def check_draws(m):
-    """Refuse a draw count that is no integer, a bool, or negative. An
+def check_draws(m, least=0):
+    """Refuse a draw count that is no integer, a bool, or below least. An
     int skips the isinstance checks, which cost some hundreds of ns."""
     if (type(m) is not int and (isinstance(m, bool) or not isinstance(m, numbers.Integral))
-            or m < 0):
-        raise BadDrawCount(f"a draw count must be an integer >= 0, got {m!r}")
+            or m < least):
+        raise BadDrawCount(f"a draw count must be an integer >= {least}, got {m!r}")
 
 
 def as_integer(value, name, error):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distcore import INTERVAL, QuerySet
-from .errors import check_eps
+from .errors import check_draws, check_eps
 from .oracles import OracleHandle
 from .profiles import DESK
 from .subroutines import classify, compare_budget
@@ -75,7 +75,7 @@ def binary_descent(h: OracleHandle, ys, eta: float, m: int, bounds=None):
     """Estimate D(y) for each point y of ys, walking the points in order.
 
     Each level of a walk estimates D(half)/D(other half) with
-    classify, from m draws on the level's interval, and multiplies the
+    classify, from m >= 1 draws on the level's interval, and multiplies the
     estimate of D(half)/D(interval) into the walk's value. Returns the
     values, or None once a walk reaches a level whose estimate is not a
     ratio within the factor 1 +- eta of the uniform split, or whose
@@ -87,6 +87,7 @@ def binary_descent(h: OracleHandle, ys, eta: float, m: int, bounds=None):
     the one where the walks stop, and its generator ends where a
     level-by-level walk leaves it.
     """
+    check_draws(m, 1)
     n = h.dist.n
     ys = np.asarray(ys, dtype=np.int64)
     if n == 1 or ys.size == 0:

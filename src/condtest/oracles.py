@@ -218,10 +218,11 @@ class OracleHandle:
         those of the k calls. reached, if given, maps (indices, counts)
         to the number of leading calls a caller going one at a time
         would make before it stops. The generator is then rewound and
-        replays only their draws, and only their rows are returned.
+        replays only their draws, and only their rows are returned, so
+        reached needs rows.
         """
         mass = self._check(s, m)
-        if rows is not None:
+        if rows is not None or reached is not None:
             check_draws(rows)
         d = self.dist
         idx = s.members(d.n)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distcore import PAIR, QuerySet
-from .errors import SetsNotDisjoint
+from .errors import SetsNotDisjoint, check_draws
 from .oracles import OracleHandle
 from .profiles import DESK
 
@@ -67,12 +67,13 @@ def classify(hits, m, K):
 
 
 def compare_points(h, px, py, m, K):
-    """Estimate D(py)/D(px) from m draws on {px, py}, as classify reads
-    one count: low when the hit fraction mu is below (2/3)/(K+1), high
-    when 1 - mu is, and rho = mu/(1-mu), NaN when low or high."""
+    """Estimate D(py)/D(px) from m >= 1 draws on {px, py}, as classify
+    reads one count: low when the hit fraction mu is below (2/3)/(K+1),
+    high when 1 - mu is, and rho = mu/(1-mu), NaN when low or high."""
     sub = QuerySet.explicit([py])
     if px == py:
         raise SetsNotDisjoint("compare_points needs two distinct points")
+    check_draws(m, 1)
     pair = QuerySet.pair(px, py)
     mu = h.draw_subset_count(pair, sub, m) / m
     thr = _saturation(K)
@@ -87,7 +88,9 @@ def compare_to_point(h, x, ys, m, K):
     of those calls in order: classify's (low, high, rho). A y equal to
     x is neither drawn nor charged and reads as ratio 1. x must have
     positive weight, as an x the oracle returned has: no pair then has
-    zero mass, whose -1 count classify would read as Low."""
+    zero mass, whose -1 count classify would read as Low. m >= 1, as in
+    compare_points."""
+    check_draws(m, 1)
     ys = np.asarray(ys, dtype=np.int64)
     other = ys != x
     y = ys[other]

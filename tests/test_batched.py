@@ -19,13 +19,19 @@ The copies that compare intervals, or a point against a witness set,
 call `compare` below: the paper's COMPARE of two disjoint sets, with
 disjointness and the union worked out on member arrays. compare_points
 is held against it seed for seed.
+
+draw_subset_counts is held against draw_subset_count called set by set
+on random batches of every shape, model and discipline. Its refusals,
+compare_points', and those of the comparisons of no draws and of
+draw_counts in rows, are one table.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condtest import distance, interval
@@ -69,6 +75,7 @@ from condtest.subroutines import (
     classify,
     compare_budget,
     compare_points,
+    compare_to_point,
     estimate_neighborhood,
     neighborhood_schedule,
 )
@@ -576,39 +583,25 @@ def reference_eval_test_equality_once(h1, h2, sched):
     return "Accept"
 
 
-def scalar_pair_counts(h, x, ys, m):
-    """draw_subset_count on each pair {x, y} against y, x one point or
-    one per pair; -1 on a zero-mass pair."""
+def scalar_counts(h, shape, sets, m, k=None):
+    """draw_subset_count on each (set, subset) of a batch in
+    draw_subset_counts' encoding, or on its first k, set by set; -1 on a
+    zero-mass set. A union {x} ∪ W is built as compare builds it."""
+    if shape == PAIR:
+        x, ys = sets
+        queries = [(QuerySet.pair(a, b), QuerySet.explicit([b])) for a, b in
+                   zip(np.broadcast_to(x, np.shape(ys)).tolist(), np.asarray(ys).tolist())]
+    elif shape == INTERVAL:
+        queries = [(QuerySet.interval(a, b), QuerySet.interval(sa, sb))
+                   for a, b, sa, sb in zip(*(np.asarray(c).tolist() for c in sets))]
+    else:
+        x, members, sizes = sets
+        wits = [QuerySet.explicit(w) for w in np.split(members, np.cumsum(sizes)[:-1])]
+        queries = [(ref_union(QuerySet.explicit([x]), w, h.dist.n), w) for w in wits]
     out = []
-    for a, b in zip(np.broadcast_to(x, np.shape(ys)).tolist(), np.asarray(ys).tolist()):
+    for s, sub in queries[:k]:
         try:
-            out.append(h.draw_subset_count(QuerySet.pair(a, b), QuerySet.explicit([b]), m))
-        except ZeroMassSet:
-            out.append(-1)
-    return out
-
-
-def scalar_interval_counts(h, lo, hi, sub_lo, sub_hi, m):
-    """draw_subset_count interval by interval; -1 on a zero-mass one."""
-    out = []
-    for a, b, sa, sb in zip(lo, hi, sub_lo, sub_hi):
-        try:
-            out.append(h.draw_subset_count(QuerySet.interval(int(a), int(b)),
-                                           QuerySet.interval(int(sa), int(sb)), m))
-        except ZeroMassSet:
-            out.append(-1)
-    return out
-
-
-def scalar_union_counts(h, x, sets, m):
-    """compare's draw for each set W: {x} union W against W, element by
-    element; -1 on a zero-mass union."""
-    out = []
-    for wit in sets:
-        wit = QuerySet.explicit(wit)
-        try:
-            out.append(h.draw_subset_count(
-                ref_union(QuerySet.explicit([x]), wit, h.dist.n), wit, m))
+            out.append(h.draw_subset_count(s, sub, m))
         except ZeroMassSet:
             out.append(-1)
     return out
@@ -625,185 +618,10 @@ def assert_same_state(h1, h2):
     assert h1.returned_points == h2.returned_points
 
 
-def random_pairs(rng, n, k):
-    x = rng.integers(1, n + 1, size=k)
-    y = rng.integers(1, n + 1, size=k)
-    keep = x != y
-    return x[keep], y[keep]
-
-
 ZERO_HALF = make_distribution([1.0] * 32 + [0.0] * 32)
 
 
 # The kernel ----------------------------------------------------------------
-
-
-class TestPairKernel:
-    @pytest.mark.parametrize("model", [PCOND, COND])
-    def test_matches_scalar_calls(self, model):
-        rng = np.random.default_rng(3)
-        w = rng.random(40) ** 3
-        w[rng.random(40) < 0.3] = 0.0
-        d = make_distribution(w)
-        for seed in range(5):
-            x, y = random_pairs(rng, 40, 300)
-            assert np.any(d.weights[x - 1] + d.weights[y - 1] == 0.0)
-            h1, h2 = twins(d, model, seed)
-            got = h1.draw_subset_counts(PAIR, (x, y), 5000)
-            assert got.tolist() == scalar_pair_counts(h2, x, y, 5000)
-            assert_same_state(h1, h2)
-            # One point x against every other point.
-            x0 = int(x[0])
-            ys = np.delete(np.arange(1, 41), x0 - 1)
-            got = h1.draw_subset_counts(PAIR, (x0, ys), 5000)
-            assert got.tolist() == scalar_pair_counts(h2, x0, ys, 5000)
-            assert_same_state(h1, h2)
-        for x in (3, np.empty(0, dtype=np.int64)):
-            assert h1.draw_subset_counts(PAIR, (x, []), 10).size == 0
-        assert_same_state(h1, h2)
-
-    def test_strict_discipline(self):
-        d = uniform(64)
-        h1, h2 = twins(d, PCOND, 1, STRICT)
-        for h in (h1, h2):
-            h.draw_many(QuerySet.full(), 5)
-        seen = sorted(h1.returned_points)
-        x = np.array([seen[0], seen[2], 1])
-        y = np.array([64, seen[1], seen[3]])
-        got = h1.draw_subset_counts(PAIR, (x, y), 100)
-        assert got.tolist() == scalar_pair_counts(h2, x, y, 100)
-        assert_same_state(h1, h2)
-        # Neither point returned: refused before anything is drawn.
-        fresh = [i for i in range(1, 65) if i not in h1.returned_points][:4]
-        with pytest.raises(DisciplineViolation):
-            h1.draw_subset_counts(PAIR, (np.array([x[0], fresh[0]]), [y[0], fresh[1]]), 100)
-        with pytest.raises(DisciplineViolation):
-            h1.draw_subset_counts(PAIR, (fresh[0], [seen[0], fresh[1]]), 100)
-        assert_same_state(h1, h2)
-        # A returned x passes with any points; a fresh one with returned ones.
-        for x0, ys in ((seen[3], fresh), (fresh[0], seen[:3])):
-            got = h1.draw_subset_counts(PAIR, (x0, ys), 100)
-            assert got.tolist() == scalar_pair_counts(h2, x0, ys, 100)
-            assert_same_state(h1, h2)
-
-    @pytest.mark.parametrize("x, y, error", [
-        (3, 3, SetsNotDisjoint),   # not two points
-        (0, 4, BadQuerySet),       # below the domain
-        (3, 65, BadQuerySet),      # above the domain
-        (65, 3, BadQuerySet),
-    ])
-    def test_bad_pairs_refused(self, x, y, error):
-        h = OracleHandle(uniform(64), model=PCOND, seed=0, discipline=PERMISSIVE)
-        state = h.rng.bit_generator.state
-        with pytest.raises(error):
-            h.draw_subset_counts(PAIR, (np.array([1, x]), [2, y]), 10)
-        with pytest.raises(error):
-            h.draw_subset_counts(PAIR, (x, [1, y]), 10)
-        assert h.ledger.total == 0
-        assert h.rng.bit_generator.state == state
-
-    def test_x_needs_one_point_per_pair(self):
-        h = OracleHandle(uniform(64), model=PCOND, seed=0, discipline=PERMISSIVE)
-        with pytest.raises(BadQuerySet):
-            h.draw_subset_counts(PAIR, (np.array([1, 2]), [3, 4, 5]), 10)
-        assert h.ledger.total == 0
-
-    @pytest.mark.parametrize("one_point", [True, False])
-    def test_refusal_order(self, one_point):
-        """Shape, then domain, then distinct points, then discipline."""
-        def call(h, x, ys):
-            return h.draw_subset_counts(
-                PAIR, (x if one_point else np.full(len(ys), x), ys), 10)
-
-        with pytest.raises(IllegalShapeForModel):
-            call(OracleHandle(uniform(64), model=ICOND, seed=0), 5, [5, 65, 6])
-        h = OracleHandle(uniform(64), model=PCOND, seed=0, discipline=STRICT)
-        state = h.rng.bit_generator.state
-        for ys, error in (([5, 65, 6], BadQuerySet), ([5, 64, 6], SetsNotDisjoint),
-                          ([4, 64, 6], DisciplineViolation)):
-            with pytest.raises(error):
-                call(h, 5, ys)
-        assert h.ledger.total == 0
-        assert h.rng.bit_generator.state == state
-
-    @pytest.mark.parametrize("k", [0, 1, 3, 4, 7])
-    def test_reached_ends_where_the_scalar_calls_stop(self, k):
-        # Pair 3 has zero mass: reached past it charges nothing for it.
-        d = ZERO_HALF
-        x = np.array([1, 2, 40, 33, 5, 6, 7])
-        y = np.array([9, 34, 50, 8, 20, 30, 3])
-        h1, h2 = twins(d, PCOND, 4)
-        got = h1.draw_subset_counts(PAIR, (x, y), 1000, reached=lambda hits: k)
-        assert got.tolist() == scalar_pair_counts(h2, x[:k], y[:k], 1000)
-        assert_same_state(h1, h2)
-        h1, h2 = twins(d, PCOND, 4)
-        got = h1.draw_subset_counts(PAIR, (40, y), 1000, reached=lambda hits: k)
-        assert got.tolist() == scalar_pair_counts(h2, 40, y[:k], 1000)
-        assert_same_state(h1, h2)
-
-    def test_shape_must_suit_the_model(self):
-        h = OracleHandle(uniform(8), model=ICOND, seed=0, discipline=PERMISSIVE)
-        with pytest.raises(IllegalShapeForModel):
-            h.draw_subset_counts(PAIR, (np.array([1]), [2]), 10)
-        h = OracleHandle(uniform(8), model=PCOND, seed=0, discipline=PERMISSIVE)
-        with pytest.raises(IllegalShapeForModel):
-            h.draw_subset_counts(INTERVAL, ([1], [4], [1], [2]), 10)
-
-
-class TestIntervalKernel:
-    def test_matches_scalar_calls(self):
-        rng = np.random.default_rng(5)
-        w = rng.random(50)
-        w[10:20] = 0.0
-        d = make_distribution(w)
-        lo = rng.integers(1, 51, size=200)
-        hi = np.minimum(lo + rng.integers(0, 20, size=200), 50)
-        sub_lo = lo + (hi - lo) // 3
-        sub_hi = np.maximum(sub_lo, hi - 1)
-        assert np.any(d.prefix[hi] - d.prefix[lo - 1] == 0.0)
-        h1, h2 = twins(d, ICOND, 2)
-        got = h1.draw_subset_counts(INTERVAL, (lo, hi, sub_lo, sub_hi), 777)
-        assert got.tolist() == scalar_interval_counts(h2, lo, hi, sub_lo, sub_hi, 777)
-        assert_same_state(h1, h2)
-
-    @pytest.mark.parametrize("lo, hi, sub_lo, sub_hi", [
-        (2, 8, 1, 4),     # subset starts below the union
-        (2, 8, 3, 9),     # subset ends above it
-        (2, 8, 5, 4),     # empty subset
-        (8, 2, 8, 8),     # empty union
-        (2, 17, 3, 4),    # union above the domain
-    ])
-    def test_bad_intervals_refused(self, lo, hi, sub_lo, sub_hi):
-        h = OracleHandle(uniform(16), model=ICOND, seed=0, discipline=PERMISSIVE)
-        with pytest.raises(BadQuerySet):
-            h.draw_subset_counts(INTERVAL, ([lo], [hi], [sub_lo], [sub_hi]), 10)
-        assert h.ledger.total == 0
-
-    def test_refusal_order(self):
-        """Shape, then domain, then discipline, with two faults at once."""
-        with pytest.raises(IllegalShapeForModel):
-            OracleHandle(uniform(16), model=PCOND, seed=0).draw_subset_counts(
-                INTERVAL, ([2], [17], [3], [4]), 10)
-        # No point returned yet: under STRICT every interval is untouched.
-        h = OracleHandle(uniform(16), model=ICOND, seed=0, discipline=STRICT)
-        state = h.rng.bit_generator.state
-        for hi, error in ((17, BadQuerySet), (8, DisciplineViolation)):
-            with pytest.raises(error):
-                h.draw_subset_counts(INTERVAL, ([2], [hi], [3], [4]), 10)
-        assert h.ledger.total == 0
-        assert h.rng.bit_generator.state == state
-
-    @pytest.mark.parametrize("k", [0, 1, 4, 7, 12])
-    def test_reached_ends_where_the_scalar_calls_stop(self, k):
-        # Element 5 has zero mass: reached past it charges nothing for it.
-        d = make_distribution([1.0] * 8 + [0.0] * 8 + [2.0] * 8)
-        lo = np.array([1, 3, 1, 17, 2, 9, 5, 1, 17, 3, 1, 20])
-        hi = np.array([24, 9, 8, 24, 20, 16, 18, 16, 20, 4, 2, 22])
-        h1, h2 = twins(d, COND, 9)
-        got = h1.draw_subset_counts(INTERVAL, (lo, hi, lo, lo), 1000, reached=lambda hits: k)
-        want = scalar_interval_counts(h2, lo[:k], hi[:k], lo[:k], lo[:k], 1000)
-        assert got.tolist() == want
-        assert_same_state(h1, h2)
 
 
 class RecordingRng:
@@ -858,25 +676,14 @@ class TestUnionKernel:
             x = int(rng.integers(1, d.n + 1))
             sets = random_sets(rng, d.n, x, 24, max_size)
             h1, h2 = recording_twins(d, COND, seed)
-            got = h1.draw_subset_counts(EXPLICIT, (x, *union_args(sets)), 7919)
-            assert got.tolist() == scalar_union_counts(h2, x, sets, 7919)
+            batch = (x, *union_args(sets))
+            got = h1.draw_subset_counts(EXPLICIT, batch, 7919)
+            assert got.tolist() == scalar_counts(h2, EXPLICIT, batch, 7919)
             assert_same_draws(h1, h2)
         sizes = {len(w) for w in sets}
         assert (sizes == {1}) == (max_size == 1)
         if name == "mixed":
             assert 1 in sizes and len(sizes) > 1
-
-    @pytest.mark.parametrize("discipline", [STRICT, PERMISSIVE])
-    def test_one_point_sets_are_a_pair_call(self, discipline):
-        h1, h2 = twins(ZERO_HALF, PCOND, 6, discipline)
-        for h in (h1, h2):
-            h.draw_many(QuerySet.full(), 8)
-        ys = sorted(h1.returned_points)
-        if discipline == PERMISSIVE:
-            ys += [40, 50]  # zero-mass pairs with x
-        got = h1.draw_subset_counts(EXPLICIT, (35, ys, np.ones(len(ys), np.int64)), 1000)
-        assert got.tolist() == h2.draw_subset_counts(PAIR, (35, ys), 1000).tolist()
-        assert_same_state(h1, h2)
 
     def test_union_summed_below_its_subset_draws_with_p_one(self):
         """A zero-weight x can shift numpy's summation blocks so that the
@@ -895,117 +702,11 @@ class TestUnionKernel:
         # Found by the rule the kernel sums with, before anything is drawn.
         assert union < sub
         h1, h2 = recording_twins(d, COND, 3)
-        got = h1.draw_subset_counts(EXPLICIT, (x, *union_args([rest, rest[:3]])), 500)
+        batch = (x, *union_args([rest, rest[:3]]))
+        got = h1.draw_subset_counts(EXPLICIT, batch, 500)
         assert got.tolist()[0] == 500
-        assert got.tolist() == scalar_union_counts(h2, x, [rest, rest[:3]], 500)
+        assert got.tolist() == scalar_counts(h2, EXPLICIT, batch, 500)
         assert_same_draws(h1, h2)
-
-    def test_zero_mass_unions_are_neither_drawn_nor_charged(self):
-        d = ZERO_HALF  # points 33..64 weigh nothing
-        sets = [[40], [1], [33, 50], [2, 40], [34], [60, 61, 62]]
-        h1, h2 = recording_twins(d, COND, 5)
-        got = h1.draw_subset_counts(EXPLICIT, (35, *union_args(sets)), 1000)
-        assert got.tolist() == scalar_union_counts(h2, 35, sets, 1000)
-        assert got.tolist()[0] == got.tolist()[2] == got.tolist()[4] == -1
-        assert_same_draws(h1, h2)
-        assert h1.ledger.pcond_count == h1.ledger.cond_count == 1000
-        # One-point sets only.
-        sets = [[40], [1], [34], [2]]
-        got = h1.draw_subset_counts(EXPLICIT, (35, *union_args(sets)), 1000)
-        assert got.tolist() == scalar_union_counts(h2, 35, sets, 1000)
-        assert got.tolist()[0] == got.tolist()[2] == -1
-        assert_same_draws(h1, h2)
-        assert h1.ledger.pcond_count == 3000
-
-    def test_strict_discipline(self):
-        d = uniform(64)
-        h1, h2 = twins(d, COND, 1, STRICT)
-        for h in (h1, h2):
-            h.draw_many(QuerySet.full(), 6)
-        seen = sorted(h1.returned_points)
-        fresh = [i for i in range(1, 65) if i not in h1.returned_points]
-        # x never returned: every set must hold a returned point.
-        sets = [[seen[0]], sorted([fresh[1], seen[1]]), sorted([seen[2], fresh[2], fresh[3]])]
-        got = h1.draw_subset_counts(EXPLICIT, (fresh[0], *union_args(sets)), 100)
-        assert got.tolist() == scalar_union_counts(h2, fresh[0], sets, 100)
-        assert_same_state(h1, h2)
-        with pytest.raises(DisciplineViolation):
-            h1.draw_subset_counts(
-                EXPLICIT, (fresh[0], *union_args(sets + [fresh[4:6]])), 100)
-        with pytest.raises(DisciplineViolation):
-            h1.draw_subset_counts(
-                EXPLICIT, (fresh[0], *union_args([[seen[0]], [fresh[4]]])), 100)
-        assert_same_state(h1, h2)
-        # A returned x passes with any sets.
-        got = h1.draw_subset_counts(
-            EXPLICIT, (seen[3], *union_args([fresh[4:6], [fresh[7]]])), 100)
-        assert got.tolist() == scalar_union_counts(h2, seen[3], [fresh[4:6], [fresh[7]]], 100)
-        assert_same_state(h1, h2)
-
-    @pytest.mark.parametrize("x, sets, error", [
-        (5, [[1], [5]], SetsNotDisjoint),
-        (5, [[1, 2], [3, 5, 9]], SetsNotDisjoint),
-        (5, [[1, 2], [9, 5]], BadQuerySet),     # not increasing
-        (5, [[1, 2], [9, 9]], BadQuerySet),
-        (5, [[2, 1], [3]], BadQuerySet),
-        (5, [[0, 2]], BadQuerySet),             # outside the domain
-        (5, [[7, 65]], BadQuerySet),
-        (65, [[1]], BadQuerySet),
-        (0, [[1]], BadQuerySet),
-        (5, [], BadQuerySet),                   # no sets
-    ])
-    def test_bad_unions_refused_before_any_draw(self, x, sets, error):
-        h = OracleHandle(uniform(64), model=COND, seed=0, discipline=PERMISSIVE)
-        state = h.rng.bit_generator.state
-        members = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
-        with pytest.raises(error):
-            h.draw_subset_counts(EXPLICIT, (x, members, [len(w) for w in sets]), 10)
-        assert h.ledger.total == 0
-        assert h.rng.bit_generator.state == state
-
-    @pytest.mark.parametrize("model, discipline, x, members, sizes, error", [
-        # Outside the domain and not increasing.
-        (COND, PERMISSIVE, 5, [70, 3], [2], BadQuerySet),
-        (COND, PERMISSIVE, 5, [3, 70, 1], [1, 2], BadQuerySet),
-        # Outside the domain, or not increasing, with x inside the set.
-        (COND, PERMISSIVE, 5, [5, 70], [2], BadQuerySet),
-        (COND, PERMISSIVE, 5, [9, 5], [2], BadQuerySet),
-        # x inside a set, and a set with no returned point under STRICT.
-        (COND, STRICT, 5, [4, 5, 6, 60, 61], [3, 2], SetsNotDisjoint),
-        # A wide set under PCOND, and sizes that do not sum to the members.
-        (PCOND, PERMISSIVE, 5, [2, 3, 4], [3, 1], IllegalShapeForModel),
-        (PCOND, PERMISSIVE, 5, [2, 3, 4], [0, 3], IllegalShapeForModel),
-        # No sets under a model that takes no pairs; sizes that are no
-        # integers, from which no shape can be read, under PCOND.
-        (ICOND, PERMISSIVE, 5, [], [], IllegalShapeForModel),
-        (PCOND, PERMISSIVE, 5, [2, 3, 4], [1.0, 2.0], BadQuerySet),
-    ])
-    def test_refusals_in_the_docstring_order(self, model, discipline, x, members,
-                                             sizes, error):
-        """With two faults at once, the one listed first is raised."""
-        h = OracleHandle(uniform(64), model=model, seed=0, discipline=discipline)
-        state = h.rng.bit_generator.state
-        with pytest.raises(error):
-            h.draw_subset_counts(EXPLICIT, (x, members, sizes), 10)
-        assert h.ledger.total == 0
-        assert h.rng.bit_generator.state == state
-
-    def test_sizes_must_match_the_members(self):
-        h = OracleHandle(uniform(64), model=COND, seed=0, discipline=PERMISSIVE)
-        # [2, 1, 1] has one size per member but sums past them.
-        for sizes in ([1, 1], [2, 0, 1], [3, 1], [2, 1, 1], [1, 1, 1, 1]):
-            with pytest.raises(BadQuerySet):
-                h.draw_subset_counts(EXPLICIT, (5, [1, 2, 3], sizes), 10)
-        assert h.ledger.total == 0
-
-    def test_shapes_must_suit_the_model(self):
-        h = OracleHandle(uniform(8), model=PCOND, seed=0, discipline=PERMISSIVE)
-        h.draw_subset_counts(EXPLICIT, (1, [2, 3], [1, 1]), 10)
-        with pytest.raises(IllegalShapeForModel):
-            h.draw_subset_counts(EXPLICIT, (1, [2, 3, 4], [1, 2]), 10)
-        h = OracleHandle(uniform(8), model=ICOND, seed=0, discipline=PERMISSIVE)
-        with pytest.raises(IllegalShapeForModel):
-            h.draw_subset_counts(EXPLICIT, (1, [2], [1]), 10)
 
 
 @given(st.integers(0, 2**32), st.lists(st.tuples(
@@ -1042,161 +743,294 @@ def test_union_sums_by_width_are_the_per_set_sums(seed, shapes):
                      [d.mass(QuerySet.explicit(w)) for w in sets])]
 
 
-def masked_binomial_counts(self, mass, sub_mass, m, reached):
-    """OracleHandle._binomial_counts with its live mask, -1 fill and
-    scatter taken whether or not any mass is zero: the reference for
-    the path that skips them."""
-    live = mass > 0.0
-    p = np.minimum(sub_mass[live] / mass[live], 1.0)
-    if reached is not None:
-        state = self.rng.bit_generator.state
-    hits = np.full(mass.size, -1, dtype=np.int64)
-    hits[live] = self.rng.binomial(int(m), p)
-    if reached is not None:
-        k = reached(hits)
-        if k < hits.size:
-            hits, live = hits[:k], live[:k]
-            self.rng.bit_generator.state = state
-            self.rng.binomial(int(m), p[:np.count_nonzero(live)])
-    return hits, live
+class Batch(NamedTuple):
+    """One draw_subset_counts call, on a handle made from the other
+    fields that has drawn three points from the full domain."""
+    weights: list
+    model: str
+    discipline: str
+    seed: int
+    shape: str
+    sets: tuple         # the batch in draw_subset_counts' encoding
+    m: int
+    cut: int | None     # what reached returns; None for no reached
 
 
-class TestAllLiveBinomial:
-    @pytest.mark.parametrize("stop", [None, 0, 1, 17, 40])
-    @pytest.mark.parametrize("d", [uniform(64), ZERO_HALF], ids=["all_live", "zero_half"])
-    def test_matches_the_masked_path(self, stop, d):
-        rng = np.random.default_rng(11)
-        x, y = random_pairs(rng, 64, 48)
-        x, y = x[:40], y[:40]
-        lo = rng.integers(1, 60, size=40)
-        reached = None if stop is None else (lambda hits: min(stop, hits.size))
-        h1, h2 = twins(d, COND, 7)
-        h2._binomial_counts = masked_binomial_counts.__get__(h2)
-        for call in (lambda h: h.draw_subset_counts(PAIR, (x, y), 1000, reached),
-                     lambda h: h.draw_subset_counts(INTERVAL, (lo, lo + 4, lo, lo + 1),
-                                                    1000, reached)):
-            assert call(h1).tolist() == call(h2).tolist()
-            assert_same_state(h1, h2)
+def prepared(weights, model, discipline, seed):
+    """A handle that has drawn three points from the full domain."""
+    h = OracleHandle(make_distribution(weights), model=model, seed=seed, discipline=discipline)
+    h.draw_many(QuerySet.full(), 3)
+    return h
 
 
-class TestMalformedBatches:
-    """A batch whose point arrays are not 1-D integers of one length, or
-    whose x is no integer, is refused with BadQuerySet before anything is
-    drawn or charged, as is a point past int64 and a shape with no batch
-    encoding."""
-
-    @staticmethod
-    def assert_refused(shape, sets):
-        h = OracleHandle(uniform(64), model=COND, seed=0, discipline=PERMISSIVE)
-        state = h.rng.bit_generator.state
-        with pytest.raises(BadQuerySet):
-            h.draw_subset_counts(shape, sets, 10)
-        assert h.ledger.total == 0
-        assert h.rng.bit_generator.state == state
-
-    @pytest.mark.parametrize("sets", [
-        (3, [1.5, 2]),              # float points were truncated and drawn
-        (3.9, [5, 6]),              # so was a float x
-        (True, [5, 6]),
-        (3, [True, False]),
-        (3, [[5, 6]]),              # 2-D points gave a 2-D count array
-        (np.array([[3]]), [5]),
-        (np.array([3.0]), [5]),
-        (np.array([3, 4]), [5]),    # x not one per pair
-        (3, [2**70]),               # past int64: a bare OverflowError
-        (3, [2**63]),               # past int64, held as uint64
-        (2**70, [5]),
-    ])
-    def test_pairs(self, sets):
-        self.assert_refused(PAIR, sets)
-
-    @pytest.mark.parametrize("sets", [
-        ([1, 2], [4], [2], [3]),    # one hi was broadcast over two intervals
-        ([1], [4], [2], [3, 3]),
-        ([1.0], [4], [2], [3]),
-        ([[1]], [[4]], [[2]], [[3]]),
-        ([1], [2**70], [2], [3]),
-    ])
-    def test_intervals(self, sets):
-        self.assert_refused(INTERVAL, sets)
-
-    @pytest.mark.parametrize("sets", [
-        (3, [5, 6.5], [2]),         # a float member was truncated and drawn
-        (3, [5, 6], [2.0]),
-        (3.5, [5, 6], [2]),
-        (3.5, [5, 6], [1, 1]),
-        (np.array([3]), [5, 6], [2]),   # one x per union is not taken
-        (np.array([3]), [5], [1]),
-        (3, [[5, 6]], [2]),
-        (3, [[5], [6]], [1, 1]),
-        (3, [5], [[1]]),
-        (3, [5, 2**70], [2]),
-        (2**70, [5], [1]),
-    ])
-    def test_unions(self, sets):
-        self.assert_refused(EXPLICIT, sets)
-
-    @pytest.mark.parametrize("shape", ["full", "points"])
-    def test_shapes_with_no_batch(self, shape):
-        self.assert_refused(shape, (3, [5]))
-
-
-@given(st.data())
-@settings(max_examples=120, deadline=None)
-def test_batches_are_the_scalar_calls(data):
-    """draw_subset_counts on a random batch of pairs, intervals or unions
-    gives the counts, ledger and generator state of draw_subset_count
-    called set by set, with zero-mass sets (-1), under either discipline,
-    with or without a reached cut. Under STRICT every set holds a
-    returned point."""
-    n = 24
-    w = data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]), min_size=n,
-                           max_size=n).filter(any))
-    discipline = data.draw(st.sampled_from([STRICT, PERMISSIVE]))
-    h1, h2 = twins(make_distribution(w), COND, data.draw(st.integers(0, 2**32)), discipline)
-    for h in (h1, h2):
-        h.draw_many(QuerySet.full(), 3)
-    anchor = st.sampled_from(sorted(h1.returned_points)) if discipline == STRICT else (
-        st.integers(1, n))
-    shape = data.draw(st.sampled_from([PAIR, INTERVAL, EXPLICIT]))
-    k = data.draw(st.integers(1, 8))
-    m = data.draw(st.sampled_from([0, 1, 37, 1000]))
-    cut = data.draw(st.none() | st.integers(0, k))
-    reached = None if cut is None else (lambda hits: cut)
-    done = k if cut is None else cut
+@st.composite
+def batches(draw, n=24):
+    """A batch of any shape under each model that takes it: pairs under
+    PCOND or COND, intervals under ICOND or COND, and unions under COND,
+    or under PCOND when every set is one point. Half the weights are
+    zero, so zero-mass sets come up. Under STRICT each set holds a
+    returned point: x does, or else each y, interval or union's set does,
+    and a pair of two given points holds one on either side."""
+    w = draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 3.0]), min_size=n,
+                      max_size=n).filter(any))
+    shape = draw(st.sampled_from([PAIR, INTERVAL, EXPLICIT]))
+    model = draw(st.sampled_from([COND, ICOND if shape == INTERVAL else PCOND]))
+    discipline = draw(st.sampled_from([STRICT, PERMISSIVE]))
+    seed = draw(st.integers(0, 2**32))
+    seen = sorted(prepared(w, model, discipline, seed).returned_points)
+    strict = discipline == STRICT
+    anywhere = st.integers(1, n)
+    anchor = st.sampled_from(seen) if strict else anywhere
 
     def other_than(x):
-        return st.integers(1, n).filter(lambda y: y != x)
+        return anywhere.filter(lambda y: y != x)
 
-    if shape == PAIR:
-        if data.draw(st.booleans()):
-            x = data.draw(anchor)
-            xs = [x] * k
-        else:
-            xs = [data.draw(anchor) for _ in range(k)]
-            x = np.array(xs)
-        ys = [data.draw(other_than(a)) for a in xs]
-        got = h1.draw_subset_counts(PAIR, (x, ys), m, reached)
-        want = scalar_pair_counts(h2, xs[:done], ys[:done], m)
+    k = draw(st.integers(shape == EXPLICIT, 8))
+    on_x = not strict or draw(st.booleans())
+    x = draw(anchor if on_x else anywhere.filter(lambda p: p not in seen))
+    if shape == PAIR and draw(st.booleans()):
+        sets = x, [draw(other_than(x) if on_x else anchor) for _ in range(k)]
+    elif shape == PAIR:
+        pairs = [(a, draw(other_than(a))) for a in [draw(anchor) for _ in range(k)]]
+        pairs = [p[::-1] if draw(st.booleans()) else p for p in pairs]
+        sets = np.array([a for a, _ in pairs], dtype=np.int64), [b for _, b in pairs]
     elif shape == INTERVAL:
         cols = []
         for _ in range(k):
-            s = data.draw(anchor)
-            lo, hi = data.draw(st.integers(1, s)), data.draw(st.integers(s, n))
-            sub_lo = data.draw(st.integers(lo, hi))
-            cols.append((lo, hi, sub_lo, data.draw(st.integers(sub_lo, hi))))
-        lo, hi, sub_lo, sub_hi = (list(c) for c in zip(*cols))
-        got = h1.draw_subset_counts(INTERVAL, (lo, hi, sub_lo, sub_hi), m, reached)
-        want = scalar_interval_counts(h2, lo[:done], hi[:done], sub_lo[:done],
-                                      sub_hi[:done], m)
+            s = draw(anchor)
+            lo, hi = draw(st.integers(1, s)), draw(st.integers(s, n))
+            sub_lo = draw(st.integers(lo, hi))
+            cols.append((lo, hi, sub_lo, draw(st.integers(sub_lo, hi))))
+        sets = tuple([c[i] for c in cols] for i in range(4))
     else:
-        x = data.draw(anchor)
-        sets = [sorted(data.draw(st.sets(other_than(x), min_size=1, max_size=6)))
-                for _ in range(k)]
-        got = h1.draw_subset_counts(EXPLICIT, (x, *union_args(sets)), m, reached)
-        want = scalar_union_counts(h2, x, sets[:done], m)
-    assert got.tolist() == want
+        width = 1 if model == PCOND else draw(st.sampled_from([1, 6]))
+        wits = []
+        for _ in range(k):
+            held = set() if on_x else {draw(anchor)}
+            wits.append(sorted(held | draw(st.sets(other_than(x), min_size=1 - len(held),
+                                                   max_size=width - len(held)))))
+        sets = (x, *union_args(wits))
+    m = draw(st.sampled_from([0, 1, 37, 1000]))
+    return Batch(w, model, discipline, seed, shape, sets, m,
+                 draw(st.none() | st.integers(0, k)))
+
+
+# Points 13..24 weigh nothing.
+HALF_DEAD = [1.0] * 12 + [0.0] * 12
+
+
+@given(batches())
+@example(Batch(HALF_DEAD, PCOND, PERMISSIVE, 0, PAIR, (3, []), 10, None))
+@example(Batch(HALF_DEAD, PCOND, PERMISSIVE, 0, PAIR,
+               (np.empty(0, dtype=np.int64), []), 10, 0))
+@example(Batch(HALF_DEAD, ICOND, PERMISSIVE, 0, INTERVAL, ([], [], [], []), 10, None))
+# Pair 3 has zero mass; the cut after pair 4 replays three draws, not
+# the four live ones.
+@example(Batch(HALF_DEAD, PCOND, PERMISSIVE, 4, PAIR,
+               (np.array([1, 2, 14, 4, 5]), [9, 3, 20, 8, 6]), 1000, 4))
+# Seed 0's three draws return 1, 7 and 16: each pair holds one, on
+# either side.
+@example(Batch([1.0] * 24, PCOND, STRICT, 0, PAIR, (np.array([1, 9, 16, 3]), [5, 7, 2, 16]),
+               37, None))
+@example(Batch([1.0] * 24, COND, PERMISSIVE, 7, INTERVAL,
+               ([1, 3, 5, 2, 9], [5, 9, 20, 2, 24], [1, 4, 5, 2, 10], [2, 9, 12, 2, 10]),
+               1000, 3))
+# x weighs nothing, so the pairs with 14 and 15 do too.
+@example(Batch(HALF_DEAD, PCOND, PERMISSIVE, 6, EXPLICIT, (13, [1, 14, 2, 15], [1] * 4),
+               1000, None))
+@settings(max_examples=200, deadline=None)
+def test_batches_are_the_scalar_calls(b):
+    """draw_subset_counts gives the counts, ledger, generator state and
+    returned points of draw_subset_count called set by set, up to the
+    reached cut."""
+    h1, h2 = prepared(*b[:4]), prepared(*b[:4])
+    reached = None if b.cut is None else (lambda hits: b.cut)
+    got = h1.draw_subset_counts(b.shape, b.sets, b.m, reached)
+    assert got.tolist() == scalar_counts(h2, b.shape, b.sets, b.m, b.cut)
     assert_same_state(h1, h2)
+
+
+# Refusals ------------------------------------------------------------------
+
+
+def kernel(shape, *sets):
+    """draw_subset_counts on the batch sets."""
+    return lambda h: h.draw_subset_counts(shape, sets, 10)
+
+
+def unions(x, sets):
+    return kernel(EXPLICIT, x, *union_args(sets))
+
+
+def rows(name, model, discipline, setup, error, *calls):
+    """The table rows of the calls, which raise error on the handle of
+    model, discipline and setup."""
+    return [pytest.param(model, discipline, setup, call, error, id=f"{name}-{i}")
+            for i, call in enumerate(calls)]
+
+
+# Setups: a distribution and the full-domain draws made before the call.
+U8, U16, U64 = ((uniform(n), 0) for n in (8, 16, 64))
+
+REFUSALS = [
+    *rows("pair-not-two-points", PCOND, PERMISSIVE, U64, SetsNotDisjoint,
+          kernel(PAIR, np.array([1, 3]), [2, 3]), kernel(PAIR, 3, [1, 3])),
+    *rows("pair-outside", PCOND, PERMISSIVE, U64, BadQuerySet,
+          kernel(PAIR, np.array([1, 0]), [2, 4]), kernel(PAIR, 0, [1, 4]),
+          kernel(PAIR, np.array([1, 3]), [2, 65]), kernel(PAIR, 3, [1, 65]),
+          kernel(PAIR, np.array([1, 65]), [2, 3]), kernel(PAIR, 65, [1, 3]),
+          kernel(PAIR, np.array([1, 2]), [3, 4, 5])),    # x not one per pair
+    # Two or three faults at once: shape, then domain, then distinct
+    # points, then discipline.
+    *rows("pair-order-shape", ICOND, STRICT, U64, IllegalShapeForModel,
+          kernel(PAIR, 5, [5, 65, 6]), kernel(PAIR, np.full(3, 5), [5, 65, 6])),
+    *rows("pair-order-domain", PCOND, STRICT, U64, BadQuerySet,
+          kernel(PAIR, 5, [5, 65, 6]), kernel(PAIR, np.full(3, 5), [5, 65, 6])),
+    *rows("pair-order-distinct", PCOND, STRICT, U64, SetsNotDisjoint,
+          kernel(PAIR, 5, [5, 64, 6]), kernel(PAIR, np.full(3, 5), [5, 64, 6])),
+    *rows("pair-order-discipline", PCOND, STRICT, U64, DisciplineViolation,
+          kernel(PAIR, 5, [4, 64, 6]), kernel(PAIR, np.full(3, 5), [4, 64, 6])),
+    # Seed 1's six draws return 10, 20, 28, 33 and 61: the pair {1, 2}
+    # holds none.
+    *rows("pair-untouched", PCOND, STRICT, (uniform(64), 6), DisciplineViolation,
+          kernel(PAIR, np.array([10, 1]), [3, 2]), kernel(PAIR, 1, [10, 2])),
+    *rows("interval-outside", ICOND, PERMISSIVE, U16, BadQuerySet,
+          kernel(INTERVAL, [2], [8], [1], [4]),     # subset starts below the interval
+          kernel(INTERVAL, [2], [8], [3], [9]),     # subset ends above it
+          kernel(INTERVAL, [2], [8], [5], [4]),     # empty subset
+          kernel(INTERVAL, [8], [2], [8], [8]),     # empty interval
+          kernel(INTERVAL, [2], [17], [3], [4])),   # interval above the domain
+    *rows("interval-order-shape", PCOND, STRICT, U16, IllegalShapeForModel,
+          kernel(INTERVAL, [2], [17], [3], [4])),
+    *rows("interval-order-domain", ICOND, STRICT, U16, BadQuerySet,
+          kernel(INTERVAL, [2], [17], [3], [4])),
+    *rows("interval-untouched", ICOND, STRICT, U16, DisciplineViolation,
+          kernel(INTERVAL, [2], [8], [3], [4])),
+    *rows("union-x-inside", COND, PERMISSIVE, U64, SetsNotDisjoint,
+          unions(5, [[1], [5]]), unions(5, [[1, 2], [3, 5, 9]])),
+    *rows("union-bad-set", COND, PERMISSIVE, U64, BadQuerySet,
+          unions(5, [[1, 2], [9, 5]]),              # not increasing
+          unions(5, [[1, 2], [9, 9]]),
+          unions(5, [[2, 1], [3]]),
+          unions(5, [[0, 2]]),                      # outside the domain
+          unions(5, [[7, 65]]),
+          unions(65, [[1]]),
+          unions(0, [[1]]),
+          kernel(EXPLICIT, 5, [], []),              # no sets
+          # Sizes that do not sum to the members; [2, 1, 1] has one size
+          # per member but sums past them.
+          *(kernel(EXPLICIT, 5, [1, 2, 3], sizes)
+            for sizes in ([1, 1], [2, 0, 1], [3, 1], [2, 1, 1], [1, 1, 1, 1])),
+          # Two faults at once, where the one draw_subset_counts' docstring
+          # lists first is raised: outside the domain and not increasing;
+          # either, with x inside the set.
+          kernel(EXPLICIT, 5, [70, 3], [2]), kernel(EXPLICIT, 5, [3, 70, 1], [1, 2]),
+          kernel(EXPLICIT, 5, [5, 70], [2]), kernel(EXPLICIT, 5, [9, 5], [2])),
+    # x inside a set, and a set with no returned point.
+    *rows("union-order-distinct", COND, STRICT, U64, SetsNotDisjoint,
+          kernel(EXPLICIT, 5, [4, 5, 6, 60, 61], [3, 2])),
+    # Shapes the model does not take; the last two under PCOND are a wide
+    # set with sizes that do not sum to the members, and the last under
+    # ICOND no sets at all.
+    *rows("shape-pcond", PCOND, PERMISSIVE, U8, IllegalShapeForModel,
+          kernel(INTERVAL, [1], [4], [1], [2]), kernel(EXPLICIT, 1, [2, 3, 4], [1, 2]),
+          kernel(EXPLICIT, 5, [2, 3, 4], [3, 1]), kernel(EXPLICIT, 5, [2, 3, 4], [0, 3])),
+    *rows("shape-icond", ICOND, PERMISSIVE, U8, IllegalShapeForModel,
+          kernel(PAIR, np.array([1]), [2]), kernel(EXPLICIT, 1, [2], [1]),
+          kernel(EXPLICIT, 5, [], [])),
+    # Sizes that are no integers, from which no shape can be read.
+    *rows("union-order-sizes", PCOND, PERMISSIVE, U64, BadQuerySet,
+          kernel(EXPLICIT, 5, [2, 3, 4], [1.0, 2.0])),
+    # As above, x = 1 and the last set hold no returned point.
+    *rows("union-untouched", COND, STRICT, (uniform(64), 6), DisciplineViolation,
+          unions(1, [[10], [2, 20], [3, 4, 28], [5, 6]]), unions(1, [[10], [5]])),
+    # Arrays that are not 1-D integers of one length, an x no integer, a
+    # point past int64, and a shape with no batch encoding.
+    *rows("malformed-pairs", COND, PERMISSIVE, U64, BadQuerySet,
+          kernel(PAIR, 3, [1.5, 2]),                # float points were truncated and drawn
+          kernel(PAIR, 3.9, [5, 6]),                # so was a float x
+          kernel(PAIR, True, [5, 6]),
+          kernel(PAIR, 3, [True, False]),
+          kernel(PAIR, 3, [[5, 6]]),                # 2-D points gave a 2-D count array
+          kernel(PAIR, np.array([[3]]), [5]),
+          kernel(PAIR, np.array([3.0]), [5]),
+          kernel(PAIR, np.array([3, 4]), [5]),      # x not one per pair
+          kernel(PAIR, 3, [2**70]),                 # past int64: a bare OverflowError
+          kernel(PAIR, 3, [2**63]),                 # past int64, held as uint64
+          kernel(PAIR, 2**70, [5])),
+    *rows("malformed-intervals", COND, PERMISSIVE, U64, BadQuerySet,
+          kernel(INTERVAL, [1, 2], [4], [2], [3]),  # one hi was broadcast over two
+          kernel(INTERVAL, [1], [4], [2], [3, 3]),
+          kernel(INTERVAL, [1.0], [4], [2], [3]),
+          kernel(INTERVAL, [[1]], [[4]], [[2]], [[3]]),
+          kernel(INTERVAL, [1], [2**70], [2], [3])),
+    *rows("malformed-unions", COND, PERMISSIVE, U64, BadQuerySet,
+          kernel(EXPLICIT, 3, [5, 6.5], [2]),       # a float member was truncated and drawn
+          kernel(EXPLICIT, 3, [5, 6], [2.0]),
+          kernel(EXPLICIT, 3.5, [5, 6], [2]),
+          kernel(EXPLICIT, 3.5, [5, 6], [1, 1]),
+          kernel(EXPLICIT, np.array([3]), [5, 6], [2]),   # one x per union is not taken
+          kernel(EXPLICIT, np.array([3]), [5], [1]),
+          kernel(EXPLICIT, 3, [[5, 6]], [2]),
+          kernel(EXPLICIT, 3, [[5], [6]], [1, 1]),
+          kernel(EXPLICIT, 3, [5], [[1]]),
+          kernel(EXPLICIT, 3, [5, 2**70], [2]),
+          kernel(EXPLICIT, 2**70, [5], [1])),
+    *rows("malformed-shape", COND, PERMISSIVE, U64, BadQuerySet,
+          kernel("full", 3, [5]), kernel("points", 3, [5])),
+    # compare_points, which raises each before its draw_subset_count draws.
+    *rows("compare-points-distinct", COND, PERMISSIVE, U8, SetsNotDisjoint,
+          lambda h: compare_points(h, 2, 2, 100, 2.0),
+          lambda h: compare_points(h, 2, 2, 0, 2.0)),   # distinct points before m
+    *rows("compare-points-outside", COND, PERMISSIVE, U8, BadQuerySet,
+          lambda h: compare_points(h, 0, 2, 100, 2.0),
+          lambda h: compare_points(h, 2, 0, 100, 2.0),
+          lambda h: compare_points(h, 9, 2, 100, 2.0)),
+    *rows("compare-points-outside-pcond", PCOND, PERMISSIVE, U8, BadQuerySet,
+          lambda h: compare_points(h, 2, 9, 100, 2.0)),
+    *rows("compare-points-shape", ICOND, PERMISSIVE, U8, IllegalShapeForModel,
+          lambda h: compare_points(h, 1, 2, 100, 2.0)),
+    *rows("compare-points-untouched", PCOND, STRICT, U8, DisciplineViolation,
+          lambda h: compare_points(h, 1, 2, 100, 2.0)),
+    *rows("compare-points-zero-mass", PCOND, PERMISSIVE, (ZERO_HALF, 0), ZeroMassSet,
+          lambda h: compare_points(h, 40, 50, 100, 2.0)),
+    # A comparison of no draws would read hits / 0; compare_budget gives 0
+    # draws for delta = 2. An m that is no integer is refused as before.
+    *rows("compare-draws", PCOND, PERMISSIVE, U8, BadDrawCount,
+          lambda h: compare_points(h, 1, 2, 0, 2.0),
+          lambda h: compare_points(h, 1, 2, compare_budget(0.1, 2.0, 2.0), 2.0),
+          lambda h: compare_points(h, 0, 2, 0, 2.0),    # m before the domain
+          lambda h: compare_points(h, 1, 2, 2.5, 2.0),
+          lambda h: compare_to_point(h, 1, [2, 3], 0, 2.0),
+          lambda h: compare_to_point(h, 1, [2, 3], 2.5, 2.0)),
+    *rows("descent-draws", ICOND, PERMISSIVE, U8, BadDrawCount,
+          lambda h: binary_descent(h, [3], 0.1, 0),
+          lambda h: binary_descent(h, [], 0.1, 0)),     # even with no walk
+    # draw_counts in rows, refused before its multinomial.
+    *rows("counts-zero-mass", COND, PERMISSIVE, (ZERO_HALF, 0), ZeroMassSet,
+          lambda h: h.draw_counts(QuerySet.interval(40, 50), 1000, rows=3)),
+    *rows("counts-untouched", COND, STRICT, (ZERO_HALF, 0), DisciplineViolation,
+          lambda h: h.draw_counts(QuerySet.interval(1, 8), 1000, rows=3)),
+    *rows("counts-rows", COND, STRICT, (ZERO_HALF, 0), BadDrawCount,
+          lambda h: h.draw_counts(QuerySet.full(), 1000, rows=-1),
+          lambda h: h.draw_counts(QuerySet.full(), 1000, rows=2.0),
+          # reached reads rows calls.
+          lambda h: h.draw_counts(QuerySet.full(), 1000, reached=lambda idx, c: 1)),
+]
+
+
+@pytest.mark.parametrize("model, discipline, setup, call, error", REFUSALS)
+def test_refused_before_anything_is_drawn(model, discipline, setup, call, error):
+    """Each call raises its typed error before anything is drawn, charged
+    or recorded: the ledger, the generator state and the returned points
+    stay as the setup left them."""
+    d, draws = setup
+    h = OracleHandle(d, model=model, seed=1, discipline=discipline)
+    h.draw_many(QuerySet.full(), draws)
+    before = h.ledger.as_dict(), h.rng.bit_generator.state, set(h.returned_points)
+    with pytest.raises(error):
+        call(h)
+    assert (h.ledger.as_dict(), h.rng.bit_generator.state, h.returned_points) == before
 
 
 class TestClassify:
@@ -1750,20 +1584,6 @@ class TestDrawCountsRows:
         # The next draw is the (keep + 1)-th single call's.
         assert h1.draw_counts(s, 1000)[1].tolist() == h2.draw_counts(s, 1000)[1].tolist()
 
-    @pytest.mark.parametrize("s, rows, discipline, error", [
-        (QuerySet.interval(40, 50), 3, PERMISSIVE, ZeroMassSet),
-        (QuerySet.interval(1, 8), 3, STRICT, DisciplineViolation),
-        (QuerySet.full(), -1, STRICT, BadDrawCount),
-        (QuerySet.full(), 2.0, STRICT, BadDrawCount),
-    ])
-    def test_refused_before_any_draw(self, s, rows, discipline, error):
-        h = OracleHandle(ZERO_HALF, model=COND, seed=1, discipline=discipline)
-        state = h.rng.bit_generator.state
-        with pytest.raises(error):
-            h.draw_counts(s, 1000, rows=rows)
-        assert h.ledger.total == 0 and not h.returned_points
-        assert h.rng.bit_generator.state == state
-
 
 def bump(n, step, factor):
     """Uniform on 1..n with every step-th point, from 1, weighted by
@@ -1897,25 +1717,3 @@ def test_compare_points_matches_compare_on_points(w, seed, data, model,
         h2, QuerySet.explicit([px]), QuerySet.explicit([py]), *params))
     assert got == want
     assert_same_state(h1, h2)
-
-
-class TestComparePointsRefusals:
-    """Each refusal raises before anything is drawn or charged."""
-
-    @pytest.mark.parametrize("px, py, model, discipline, d, error", [
-        (2, 2, COND, PERMISSIVE, uniform(8), SetsNotDisjoint),
-        (0, 2, COND, PERMISSIVE, uniform(8), BadQuerySet),
-        (2, 0, COND, PERMISSIVE, uniform(8), BadQuerySet),
-        (9, 2, COND, PERMISSIVE, uniform(8), BadQuerySet),
-        (2, 9, PCOND, PERMISSIVE, uniform(8), BadQuerySet),
-        (1, 2, ICOND, PERMISSIVE, uniform(8), IllegalShapeForModel),
-        (1, 2, PCOND, STRICT, uniform(8), DisciplineViolation),
-        (40, 50, PCOND, PERMISSIVE, ZERO_HALF, ZeroMassSet),
-    ])
-    def test_refused_before_any_charge(self, px, py, model, discipline, d, error):
-        h = OracleHandle(d, model=model, seed=3, discipline=discipline)
-        state = h.rng.bit_generator.state
-        with pytest.raises(error):
-            compare_points(h, px, py, compare_budget(0.1, 2.0, 0.1), 2.0)
-        assert h.ledger.total == 0
-        assert h.rng.bit_generator.state == state

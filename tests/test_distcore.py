@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from condtest.distcore import (
@@ -257,6 +257,43 @@ class TestDistribution:
             old = np.concatenate(([0.0], np.cumsum(d.weights)))
             assert np.array_equal(d.prefix, old)
             assert not d.prefix.flags.writeable
+
+
+def stepping_points_at(out, d, lo, hi):
+    """The repair loop points_at's overshoot repair replaced, kept as its reference:
+    clamp into [lo, hi], then step every zero-weight landing down."""
+    np.clip(out, lo, hi, out=out)
+    bad = d.weights[out - 1] == 0.0
+    while np.any(bad):
+        out[bad] -= 1
+        np.clip(out, lo, hi, out=out)
+        bad = d.weights[out - 1] == 0.0
+    return out
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_points_at_matches_the_stepping_loop(data):
+    """On weights with leading, trailing and interior zeros, points_at
+    puts every variate an interval draw can produce where the stepping
+    loop puts it: the variates r that aim at each prefix mass from
+    lo - 1 up and at its float neighbours, and r near 1."""
+    weight = st.one_of(st.just(0.0), st.floats(1e-300, 1e3))
+    w = np.array(data.draw(st.lists(weight, min_size=1, max_size=40)))
+    assume(w.sum() > 0.0)
+    d = make_distribution(w)
+    lo, hi = sorted(data.draw(st.tuples(st.integers(1, d.n), st.integers(1, d.n))))
+    if data.draw(st.booleans()):
+        lo, hi = 1, d.n
+    base, mass = d.prefix[lo - 1], d.prefix[hi] - d.prefix[lo - 1]
+    assume(mass > 0.0)
+    p = d.prefix[lo - 1:]
+    u = np.concatenate((p, np.nextafter(p, 0.0), np.nextafter(p, 2.0)))
+    r = np.concatenate(((u[u >= base] - base) / mass, [0.0, 0.5, np.nextafter(1.0, 0.0)]))
+    out = d.locate(base + r * mass) + 1
+    got = d.points_at(r, lo, hi, mass)
+    assert got.tolist() == stepping_points_at(out, d, lo, hi).tolist()
+    assert (d.weights[got - 1] > 0.0).all()
 
 
 def copying_normalization(weights):

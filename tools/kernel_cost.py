@@ -24,11 +24,16 @@ to each span and does not trace draw_subset_counts, so a saving of a few
 microseconds a call shows here and not in its layer metrics.
 
 `--against OTHER_SRC` times both trees, each in a process of its own,
-`--rounds` times, alternating which runs first, and prints one JSON
-line with each side's median over the rounds and against_over_src,
-their ratio (above 1 where `--src` is cheaper):
+`--rounds` times (20 by default), alternating which runs first, and
+prints one JSON line with each side's median over the rounds and
+against_over_src, their ratio (above 1 where `--src` is cheaper):
 
-    python3 tools/kernel_cost.py --rounds 5 --against ../parent/src
+    python3 tools/kernel_cost.py --against ../parent/src
+
+On two shared x86-64 cores, six processes a side could not judge a 5 %
+bound: a row whose code is the same on both sides read 0.92-1.32x, as
+machine load moved every row together. Twenty settled such rows to
+1.000-1.002x.
 
 Both trees must take the calls above. To compare across a change of
 those calls, run each tree's own copy of this tool, alternating.
@@ -128,7 +133,7 @@ def main(argv=None):
                     help="directory condtest is imported from (default: this checkout's src)")
     ap.add_argument("--against", metavar="OTHER_SRC",
                     help="time OTHER_SRC as well, in alternating processes")
-    ap.add_argument("--rounds", type=int, default=3,
+    ap.add_argument("--rounds", type=int, default=20,
                     help="processes per side with --against")
     args = ap.parse_args(argv)
     if args.against:
