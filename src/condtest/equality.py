@@ -15,13 +15,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .distcore import PAIR, QuerySet
-from .errors import (EvalFailed, IncompatibleOracleModel, ZeroMassSet, check_eps,
-                     check_same_domain)
+from .errors import EvalFailed, ZeroMassSet, check_eps, check_same_domain
 from .oracles import OracleHandle
 from .profiles import DESK
-from .subroutines import (Neighborhood, classify, compare_budget,
-                          estimate_neighborhood, neighborhood_schedule,
-                          ratio_in_window)
+from .subroutines import (Neighborhood, _first, _first_dead, classify,
+                          compare_budget, estimate_neighborhood,
+                          neighborhood_schedule, ratio_in_window)
 from .uniformity import ACCEPT, REJECT
 
 
@@ -54,19 +53,14 @@ def pcond_schedule(n, eps, profile=DESK) -> PcondSchedule:
     return PcondSchedule(et, t, s1, s2, en, m)
 
 
-def _first_dead(hits):
-    """Index of the first zero-mass count (-1), or the number of counts."""
-    return int(np.argmax(hits < 0)) if (hits < 0).any() else hits.size
-
-
 def pcond_test_equality(h1: OracleHandle, h2: OracleHandle, eps: float,
                         profile=DESK) -> str:
     """Compare every pooled sample point against each of t references
     drawn from D1, under both oracles, and reject when the neighborhood
     weights or the pointwise ratios disagree, or when D2 gives a pair
     zero mass. Cost: per reference, one estimate_neighborhood and one
-    draw_subset_counts call on each handle, with the draws, charges and
-    generator states of two compare_points calls per point.
+    draw_subset_counts call on each handle, with the charges of two
+    compare_points calls per point.
     """
     check_same_domain(h1.dist.n, h2.dist.n)
     et, t, s1, s2, en_sched, m = pcond_schedule(h1.dist.n, eps, profile)
@@ -85,11 +79,12 @@ def pcond_test_equality(h1: OracleHandle, h2: OracleHandle, eps: float,
         # Only D2 can give a pair zero mass: r was drawn from D1. Point by
         # point, h1 compares before h2, so h1 is charged for one more.
         hits2 = h2.draw_subset_counts(PAIR, (r, ys), m, reached=_first_dead)
+        hits1 = h1.draw_subset_counts(PAIR, (r, ys), m,
+                                      reached=lambda _: min(hits2.size + 1, ys.size))
         if hits2.size < ys.size:
-            h1.draw_subset_counts(PAIR, (r, ys[:hits2.size + 1]), m)
             return REJECT
         rho1, rho2 = np.ones((2, uniq.size))
-        rho1[others] = classify(h1.draw_subset_counts(PAIR, (r, ys), m), m, 4.0)[2]
+        rho1[others] = classify(hits1, m, 4.0)[2]
         rho2[others] = classify(hits2, m, 4.0)[2]
         w2 = np.count_nonzero(ratio_in_window(rho1, alpha, theta)[in_sample2]) / s2
         # Neighborhood weights must agree across the two distributions.
@@ -158,17 +153,22 @@ def approx_eval(h: OracleHandle, i_star: int, budget: EvalBudget) -> float | Non
     the heavy part is nearly everything or the surviving set looks
     empty; raises EvalFailed if the round cap runs out.
     """
+    return _approx_eval_from(h, i_star, budget, h.draw_counts(QuerySet.full(), budget.m))
+
+
+def _approx_eval_from(h, i_star, budget, round_one):
+    """approx_eval from round_one, its round one's (indices, counts) on
+    the full domain, drawn and charged already."""
     M, kappa, eps, m = budget
     members = None  # None stands for the full domain
     d_hat = 1.0
-    for _ in range(M):
-        if members is not None and members.size == 1:
-            return d_hat
-        qs = QuerySet.full() if members is None else QuerySet.explicit(members)
-        try:
-            idx, counts = h.draw_counts(qs, m)
-        except ZeroMassSet:
-            return None
+    idx, counts = round_one
+    for r in range(M):
+        if r:
+            try:
+                idx, counts = h.draw_counts(QuerySet.explicit(members), m)
+            except ZeroMassSet:
+                return None
         pos = np.searchsorted(idx, i_star)
         star_frac = (
             counts[pos] / m if pos < idx.size and idx[pos] == i_star else 0.0
@@ -190,8 +190,8 @@ def approx_eval(h: OracleHandle, i_star: int, budget: EvalBudget) -> float | Non
             return None
         d_hat *= frac
         members = nxt
-    if members is not None and members.size == 1:
-        return d_hat
+        if members.size == 1:
+            return d_hat
     raise EvalFailed(f"no resolution after {M} rounds")
 
 
@@ -215,12 +215,8 @@ def eval_schedule(n, eps, profile=DESK) -> EvalSchedule:
 
 def eval_test_equality(h1: OracleHandle, h2: OracleHandle, eps: float,
                        profile=DESK) -> str:
-    """Majority verdict of three independent repetitions. h1 and h2
-    must be two handles: each repetition draws on one inside a call on
-    the other."""
+    """Majority verdict of three independent repetitions."""
     check_same_domain(h1.dist.n, h2.dist.n)
-    if h1 is h2:
-        raise IncompatibleOracleModel("eval_test_equality needs two oracle handles")
     sched = eval_schedule(h1.dist.n, eps, profile)
     votes = sum(_eval_test_equality_once(h1, h2, sched) == ACCEPT for _ in range(3))
     return ACCEPT if votes >= 2 else REJECT
@@ -233,55 +229,71 @@ def _agree(r1, r2, window):
     return (lo_factor * r2 <= r1) & (r1 <= hi_factor * r2)
 
 
-def _point_agrees(h1, h2, x, budget, window):
-    """approx_eval of x on h1, then on h2, and whether both estimates
-    exist and agree."""
+def _point_agrees(h1, h2, x, budget, window, rows):
+    """approx_eval of x on h1, then on h2, each from its round one in rows
+    (h1's, h2's) where given, and whether both estimates exist and agree."""
     try:
-        r1 = approx_eval(h1, x, budget)
-        r2 = approx_eval(h2, x, budget)
+        r1, r2 = (approx_eval(h, x, budget) if row is None
+                  else _approx_eval_from(h, x, budget, row) for h, row in zip((h1, h2), rows))
     except EvalFailed:
         return False
     return r1 is not None and r2 is not None and bool(_agree(r1, r2, window))
 
 
 def _round_ones(h1, h2, xs, budget, window):
-    """Whether approx_eval's round one settles each of the points xs on
-    h1 and on h2 with estimates that agree, drawn in one draw_counts
-    call each. If so, each handle keeps every row, so it is charged,
-    and its generator left, as after the approx_eval calls a
-    point-by-point loop makes at xs; if not, neither keeps a row. h2
-    draws only if h1 settles every point.
+    """approx_eval's round one at each of the points xs, on h1 and on
+    h2, in one draw_counts call each, read in a point-by-point loop's
+    order: (passed, rows). The first `passed` points settle on both
+    handles with estimates that agree. rows holds, for h1 and for h2,
+    the round one read at the next point, as approx_eval's (indices,
+    counts), or None where that handle's row there was not read. Each
+    handle is charged only for the rows read on it; h2 draws rows only
+    for the points h1 settles.
     """
     full, k = QuerySet.full(), xs.size
+    passed, rows = k, [None, None]
 
     def reached1(idx1, counts1):
+        nonlocal passed
         r1 = _settled(budget, idx1, counts1, xs)
-        if np.isnan(r1).any():
-            return 0
+        passed = _first(np.isnan(r1))
 
         def reached2(idx2, counts2):
-            return k if _agree(r1, _settled(budget, idx2, counts2, xs), window).all() else 0
+            nonlocal passed
+            r2 = _settled(budget, idx2, counts2, xs[:passed])
+            j = _first(~_agree(r1[:passed], r2, window))
+            if j < passed:
+                passed, rows[1] = j, (idx2, counts2[j])
+            return min(j + 1, len(r2))
 
-        return len(h2.draw_counts(full, budget.m, rows=k, reached=reached2)[1])
+        if passed:
+            h2.draw_counts(full, budget.m, rows=passed, reached=reached2)
+        if passed < k:
+            rows[0] = (idx1, counts1[passed])
+        return min(passed + 1, k)
 
-    return len(h1.draw_counts(full, budget.m, rows=k, reached=reached1)[1]) == k
+    h1.draw_counts(full, budget.m, rows=k, reached=reached1)
+    return passed, rows
 
 
 def _eval_test_equality_once(h1, h2, sched):
     """Draw m points from each side, then evaluate them in order until
-    one's estimates do not agree. The first point is evaluated on its
-    own, so a far instance draws nothing ahead. The rest pass on one
-    batch of round ones (_round_ones) when it is kept, and are
-    evaluated point by point when it is not."""
+    one's estimates do not agree: the first on its own, so a far instance
+    draws nothing ahead, the rest in batches of round ones (_round_ones),
+    each twice as long as the rows the one before read."""
     m, budget, window = sched
     full = QuerySet.full()
     pts = np.concatenate((h1.draw_many(full, m), h2.draw_many(full, m)))
-
-    def agrees(x):
-        return _point_agrees(h1, h2, x, budget, window)
-
-    rest = pts[1:]
-    if agrees(int(pts[0])) and (_round_ones(h1, h2, rest, budget, window)
-                                or all(map(agrees, rest.tolist()))):
-        return ACCEPT
-    return REJECT
+    if not _point_agrees(h1, h2, int(pts[0]), budget, window, (None, None)):
+        return REJECT
+    done, size = 1, pts.size
+    while done < pts.size:
+        xs = pts[done:done + size]
+        passed, rows = _round_ones(h1, h2, xs, budget, window)
+        done += passed
+        if passed < xs.size:
+            if not _point_agrees(h1, h2, int(xs[passed]), budget, window, rows):
+                return REJECT
+            done += 1
+        size = 2 * (passed + 1)
+    return ACCEPT

@@ -84,8 +84,8 @@ def binary_descent(h: OracleHandle, ys, eta: float, m: int, bounds=None):
 
     Every level of every walk is drawn in one draw_subset_counts call
     on INTERVAL sets. The oracle is charged only for the levels up to
-    the one where the walks stop, and its generator ends where a
-    level-by-level walk leaves it.
+    the one where the walks stop; the levels past it are drawn, and read
+    by nothing.
     """
     check_draws(m, 1)
     n = h.dist.n

@@ -22,14 +22,16 @@ draws is sampled in one shot from the exact joint distribution of m
 iid conditional draws, so testers that only consume counts can afford
 the full theoretical query budgets. draw_subset_counts makes k
 draw_subset_count observations, on k pairs, intervals or unions
-{x} ∪ W_i, in one call, with the checks, ledger charges and random
-numbers of k scalar calls in order, from one binomial call;
-draw_counts(rows=k) draws k histograms on one set from one multinomial
-call, with the numbers, generator state, charges and returned points of
-k calls in order. A batched call costs 20-40 us for k up to 64, some
-ten scalar calls (U(1024), tools/kernel_cost.py), so the testers make
-few, large calls. Every mass and inverse-CDF draw, scalar or batched,
-is a Distribution method.
+{x} ∪ W_i, from one binomial call, with the checks and charges of k
+scalar calls in order; draw_counts(rows=k) draws k histograms on one
+set from one multinomial call. A batched call draws all k. Where a
+tester stops part way, reached names the leading ones charged and
+returned; the rest, which nothing reads, leave every verdict, estimate
+and ledger with the law of the one-at-a-time loop, so no generator is
+rewound. A batched call costs 20-40 us for k up to 64, some ten scalar
+calls (U(1024), tools/kernel_cost.py), so the testers make few, large
+calls. Every mass and inverse-CDF draw, scalar or batched, is a
+Distribution method.
 """
 
 from __future__ import annotations
@@ -213,13 +215,11 @@ class OracleHandle:
         multinomial regardless of m.
 
         With rows=k, counts holds k histograms, one a row, from one
-        multinomial call, which gives the numbers and generator state of
-        k calls in order; the checks, charges and returned points are
-        those of the k calls. reached, if given, maps (indices, counts)
-        to the number of leading calls a caller going one at a time
-        would make before it stops. The generator is then rewound and
-        replays only their draws, and only their rows are returned, so
-        reached needs rows.
+        multinomial call; the checks, charges and returned points are
+        those of k calls. reached, if given, maps (indices, counts) to
+        the number of leading rows a caller going one at a time reads
+        before it stops: only those are charged, recorded and returned,
+        so reached needs rows.
         """
         mass = self._check(s, m)
         if rows is not None or reached is not None:
@@ -231,16 +231,11 @@ class OracleHandle:
         idx = idx[support]
         p = w[support] / mass
         p = p / p.sum()
-        if reached is not None:
-            state = self.rng.bit_generator.state
         counts = self.rng.multinomial(int(m), p, size=rows)
         calls = 1 if rows is None else rows
         if reached is not None:
             calls = reached(idx, counts)
-            if calls < rows:
-                counts = counts[:calls]
-                self.rng.bit_generator.state = state
-                self.rng.multinomial(int(m), p, size=calls)
+            counts = counts[:calls]
         self._count(s.shape, m * calls)
         hit = counts > 0 if rows is None else (counts > 0).any(axis=0)
         self.returned_points.update(idx[hit].tolist())
@@ -260,37 +255,6 @@ class OracleHandle:
         self._count(s.shape, m)
         return int(self.rng.binomial(int(m), p))
 
-    def _binomial_counts(self, mass, sub_mass, m, reached):
-        """(hits, drawn): the hits in subsets of masses sub_mass among m
-        draws on each union of masses mass, from one binomial call, which
-        with PCG64 gives the numbers and generator state of the scalar
-        calls in order, and the mask of the unions drawn, which the
-        caller charges. A zero-mass union, where the scalar call raises
-        ZeroMassSet, is not drawn and reads -1.
-
-        reached, if given, maps the k counts to the number of leading
-        unions a caller going one at a time would query before it stops.
-        The generator is then rewound and replays only their draws, and
-        only their counts are returned.
-        """
-        check_draws(m)
-        live = mass > 0.0
-        every = live.all()
-        p = np.minimum(sub_mass / mass if every else sub_mass[live] / mass[live], 1.0)
-        if reached is not None:
-            state = self.rng.bit_generator.state
-        hits = self.rng.binomial(int(m), p)
-        if not every:
-            hits, drawn = np.full(live.size, -1, dtype=np.int64), hits
-            hits[live] = drawn
-        if reached is not None:
-            k = reached(hits)
-            if k < hits.size:
-                hits, live = hits[:k], live[:k]
-                self.rng.bit_generator.state = state
-                self.rng.binomial(int(m), p[:np.count_nonzero(live)])
-        return hits, live
-
     def draw_subset_counts(self, shape, sets, m, reached=None):
         """draw_subset_count on k (set, subset) pairs in one call, by shape:
 
@@ -299,16 +263,19 @@ class OracleHandle:
           EXPLICIT  (x, members, sizes): {x} ∪ W_i against W_i; members holds
                     the rising W_i back to back, sizes their lengths
 
-        A drawn set is charged to its shape's column, a union with a one-point W_i as
-        a pair; a batch of no wider W_i is checked as pairs. reached and the -1 of a
-        zero-mass set are as in _binomial_counts. Refusals, before anything is drawn
-        or charged, in order: BadQuerySet for any other shape; IllegalShapeForModel
-        (for unions, once members and sizes are 1-D integers); BadQuerySet for arrays
-        not 1-D integers of one length, an x no integer, a point outside 1..N, a
-        subset interval outside its interval, or for unions no sets, a size below 1,
-        sizes not summing to the members, then a W_i not rising; SetsNotDisjoint for
-        x in its set; under STRICT, DisciplineViolation for a set with no returned
-        point; BadDrawCount for m.
+        Every set is drawn in one binomial call but a zero-mass one, where the scalar
+        call raises ZeroMassSet: it is neither drawn nor charged, and reads -1. Each
+        other set is charged to its shape's column, a union with a one-point W_i as a
+        pair; a batch of no wider W_i is checked as pairs. reached, if given, maps the
+        k counts to the number of leading sets a caller going one at a time queries
+        before it stops; only their counts are returned, and only they are charged.
+        Refusals, before anything is drawn or charged, in order: BadQuerySet for any
+        other shape; IllegalShapeForModel (for unions, once members and sizes are 1-D
+        integers); BadQuerySet for arrays not 1-D integers of one length, an x no
+        integer, a point outside 1..N, a subset interval outside its interval, or for
+        unions no sets, a size below 1, sizes not summing to the members, then a W_i
+        not rising; SetsNotDisjoint for x in its set; under STRICT,
+        DisciplineViolation for a set with no returned point; BadDrawCount for m.
         """
         d, strict = self.dist, self.discipline == STRICT
         n_wide = 0
@@ -374,12 +341,22 @@ class OracleHandle:
             mass, sub_mass = d.set_masses(union, starts + k), d.set_masses(members, starts)
         if not touched:
             raise DisciplineViolation(_UNTOUCHED)
-        hits, drawn = self._binomial_counts(mass, sub_mass, m, reached)
+        check_draws(m)
+        live = mass > 0.0
+        every = live.all()
+        p = np.minimum(sub_mass / mass if every else sub_mass[live] / mass[live], 1.0)
+        hits = self.rng.binomial(int(m), p)
+        if not every:
+            hits, drawn = np.full(live.size, -1, dtype=np.int64), hits
+            hits[live] = drawn
+        if reached is not None:
+            k = reached(hits)
+            hits, live = hits[:k], live[:k]
         if n_wide:
-            n_wide = int(np.count_nonzero(drawn & wide[:drawn.size]))
+            n_wide = int(np.count_nonzero(live & wide[:live.size]))
             self._count(EXPLICIT, int(m) * n_wide)
         self._count(PAIR if shape == EXPLICIT else shape,
-                    int(m) * (int(np.count_nonzero(drawn)) - n_wide))
+                    int(m) * (int(np.count_nonzero(live)) - n_wide))
         return hits
 
     def burn(self, s: QuerySet, m: int):

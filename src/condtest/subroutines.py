@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distcore import PAIR, QuerySet
-from .errors import SetsNotDisjoint, check_draws
+from .errors import SetsNotDisjoint, ZeroMassSet, check_draws
 from .oracles import OracleHandle
 from .profiles import DESK
 
@@ -82,19 +82,29 @@ def compare_points(h, px, py, m, K):
     return low, high, math.nan if low or high else mu / (1.0 - mu)
 
 
+def _first(mask):
+    """Index of the first True in mask, or its size."""
+    return int(np.argmax(mask)) if mask.any() else mask.size
+
+
+def _first_dead(hits):
+    """Index of the first zero-mass count (-1), or the number of counts."""
+    return _first(hits < 0)
+
+
 def compare_to_point(h, x, ys, m, K):
     """compare_points(h, x, y, ...) for each y in ys, in one
-    draw_subset_counts call with the draws, charges and generator state
-    of those calls in order: classify's (low, high, rho). A y equal to
-    x is neither drawn nor charged and reads as ratio 1. x must have
-    positive weight, as an x the oracle returned has: no pair then has
-    zero mass, whose -1 count classify would read as Low. m >= 1, as in
-    compare_points."""
+    draw_subset_counts call with the checks and charges of those calls
+    in order: classify's (low, high, rho). A y equal to x is neither
+    drawn nor charged and reads as ratio 1; a zero-mass pair raises
+    ZeroMassSet, charged for the pairs before it. m >= 1."""
     check_draws(m, 1)
     ys = np.asarray(ys, dtype=np.int64)
     other = ys != x
     y = ys[other]
-    hits = h.draw_subset_counts(PAIR, (x, y), m)
+    hits = h.draw_subset_counts(PAIR, (x, y), m, reached=_first_dead)
+    if hits.size < y.size:
+        raise ZeroMassSet("oracle failure: query set has zero mass")
     low, high = np.zeros((2, ys.size), dtype=bool)
     rho = np.ones(ys.size)
     low[other], high[other], rho[other] = classify(hits, m, K)

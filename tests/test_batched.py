@@ -9,7 +9,14 @@ one OracleHandle.draw_counts(rows=k) call; cond_test_known's Heavy
 branch checks its frequencies in array operations.
 Each is held here against a verbatim copy of the scalar loop it
 replaced: hit counts element by element, verdicts and values exactly,
-every ledger column, and the state the generator is left in.
+every ledger column, and the state the generator is left in. A batched
+call draws every set or row it is given and charges only those before
+a stop, so where a batch stops part way the loop's generator is
+compared once it has drawn the rest of that batch (assert_same_state).
+eval_test_equality, whose next point goes on from the rows a stopped
+batch read, is held against its loop in law instead: accept rates and
+the distribution of every ledger column on disjoint seeds, by
+tools/law_check.py's comparison; its verdicts at a few seeds are fixed.
 find_reference, which calls estimate_neighborhood, is held against a
 copy that calls the scalar one. The copies read a comparison's
 (low, high, rho) triple where the replaced code read the tags of an
@@ -27,7 +34,10 @@ draw_counts in rows, are one table.
 """
 
 import math
+import sys
+from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,8 +56,8 @@ from condtest.distance import (
     estimate_distance_to_uniformity,
     find_reference,
 )
-from condtest.distcore import (EXPLICIT, INTERVAL, PAIR, QuerySet, make_distribution,
-                               uniform)
+from condtest.distcore import (EXPLICIT, INTERVAL, PAIR, Distribution, QuerySet,
+                               make_distribution, uniform)
 from condtest import equality
 from condtest.equality import _eval_test_equality_once, eval_schedule, pcond_test_equality
 from condtest.errors import (
@@ -80,6 +90,9 @@ from condtest.subroutines import (
     neighborhood_schedule,
 )
 from condtest.uniformity import ACCEPT, REJECT, pcond_test_uniform, query_budget, schedule
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import law_check  # noqa: E402
 
 
 # The scalar loops, kept verbatim as references --------------------------
@@ -583,10 +596,10 @@ def reference_eval_test_equality_once(h1, h2, sched):
     return "Accept"
 
 
-def scalar_counts(h, shape, sets, m, k=None):
+def scalar_counts(h, shape, sets, m, part=slice(None)):
     """draw_subset_count on each (set, subset) of a batch in
-    draw_subset_counts' encoding, or on its first k, set by set; -1 on a
-    zero-mass set. A union {x} ∪ W is built as compare builds it."""
+    draw_subset_counts' encoding, or of the slice part of it, set by set;
+    -1 on a zero-mass set. A union {x} ∪ W is built as compare builds it."""
     if shape == PAIR:
         x, ys = sets
         queries = [(QuerySet.pair(a, b), QuerySet.explicit([b])) for a, b in
@@ -599,7 +612,7 @@ def scalar_counts(h, shape, sets, m, k=None):
         wits = [QuerySet.explicit(w) for w in np.split(members, np.cumsum(sizes)[:-1])]
         queries = [(ref_union(QuerySet.explicit([x]), w, h.dist.n), w) for w in wits]
     out = []
-    for s, sub in queries[:k]:
+    for s, sub in queries[part]:
         try:
             out.append(h.draw_subset_count(s, sub, m))
         except ZeroMassSet:
@@ -607,15 +620,41 @@ def scalar_counts(h, shape, sets, m, k=None):
     return out
 
 
+def recording_cuts(h):
+    """h, its draw_subset_counts wrapped to record, in h.cuts, each batch
+    that stops part way as (shape, sets, m, the number of sets kept)."""
+    kernel, h.cuts = h.draw_subset_counts, []
+
+    def recorded(shape, sets, m, reached=None):
+        hits = kernel(shape, sets, m, reached)
+        if hits.size < len(sets[-1]):  # ys, sub_hi or sizes: one per set
+            h.cuts.append((shape, sets, m, hits.size))
+        return hits
+
+    h.draw_subset_counts = recorded
+    return h
+
+
 def twins(d, model, seed, discipline=PERMISSIVE):
-    return (OracleHandle(d, model=model, seed=seed, discipline=discipline),
+    """Two handles seeded alike: the first for the batched code, recording
+    its cuts, the second for the scalar loop."""
+    return (recording_cuts(OracleHandle(d, model=model, seed=seed, discipline=discipline)),
             OracleHandle(d, model=model, seed=seed, discipline=discipline))
 
 
 def assert_same_state(h1, h2):
+    """The same ledger and returned points, and the same generator once
+    h2, whose loop stopped where each of h1's batches in h1.cuts did,
+    has drawn the rest of each batch set by set, uncharged: a batched
+    call draws every set it is given, and charges only those before the
+    stop."""
     assert h1.ledger.as_dict() == h2.ledger.as_dict()
-    assert h1.rng.bit_generator.state == h2.rng.bit_generator.state
     assert h1.returned_points == h2.returned_points
+    ledger = h2.snapshot_ledger()
+    for shape, sets, m, kept in getattr(h1, "cuts", ()):
+        scalar_counts(h2, shape, sets, m, slice(kept, None))
+    h1.cuts, h2.ledger = [], ledger
+    assert h1.rng.bit_generator.state == h2.rng.bit_generator.state
 
 
 ZERO_HALF = make_distribution([1.0] * 32 + [0.0] * 32)
@@ -730,17 +769,20 @@ def test_union_sums_by_width_are_the_per_set_sums(seed, shapes):
             np.sort(rng.choice(np.arange(x + 1, 701), size=size - below, replace=False)))))
     h = OracleHandle(d, model=COND, seed=seed, discipline=PERMISSIVE)
     seen = []
-    inner = h._binomial_counts
+    inner = Distribution.set_masses
 
-    def spy(mass, sub_mass, m, reached):
-        seen.append((mass.tolist(), sub_mass.tolist()))
-        return inner(mass, sub_mass, m, reached)
+    def spy(self, members, starts):
+        out = inner(self, members, starts)
+        seen.append(out.tolist())
+        return out
 
-    h._binomial_counts = spy
-    h.draw_subset_counts(EXPLICIT, (x, *union_args(sets)), 100)
+    with mock.patch.object(Distribution, "set_masses", spy):
+        h.draw_subset_counts(EXPLICIT, (x, *union_args(sets)), 100)
     unions = [QuerySet.explicit(np.sort(np.append(w, x))) for w in sets]
-    assert seen == [([d.mass(u) for u in unions],
-                     [d.mass(QuerySet.explicit(w)) for w in sets])]
+    # A batch of one-point sets only takes the pair arithmetic.
+    assert seen == ([[d.mass(u) for u in unions],
+                     [d.mass(QuerySet.explicit(w)) for w in sets]]
+                    if max(map(len, sets)) > 1 else [])
 
 
 class Batch(NamedTuple):
@@ -824,8 +866,8 @@ HALF_DEAD = [1.0] * 12 + [0.0] * 12
 @example(Batch(HALF_DEAD, PCOND, PERMISSIVE, 0, PAIR,
                (np.empty(0, dtype=np.int64), []), 10, 0))
 @example(Batch(HALF_DEAD, ICOND, PERMISSIVE, 0, INTERVAL, ([], [], [], []), 10, None))
-# Pair 3 has zero mass; the cut after pair 4 replays three draws, not
-# the four live ones.
+# Pair 3 has zero mass; the cut after pair 4 charges the three live
+# pairs before it, and the live pair after it is drawn too.
 @example(Batch(HALF_DEAD, PCOND, PERMISSIVE, 4, PAIR,
                (np.array([1, 2, 14, 4, 5]), [9, 3, 20, 8, 6]), 1000, 4))
 # Seed 0's three draws return 1, 7 and 16: each pair holds one, on
@@ -840,13 +882,13 @@ HALF_DEAD = [1.0] * 12 + [0.0] * 12
                1000, None))
 @settings(max_examples=200, deadline=None)
 def test_batches_are_the_scalar_calls(b):
-    """draw_subset_counts gives the counts, ledger, generator state and
-    returned points of draw_subset_count called set by set, up to the
-    reached cut."""
-    h1, h2 = prepared(*b[:4]), prepared(*b[:4])
+    """draw_subset_counts gives the counts, ledger and returned points of
+    draw_subset_count called set by set up to the reached cut, and the
+    generator state of those calls on every set."""
+    h1, h2 = recording_cuts(prepared(*b[:4])), prepared(*b[:4])
     reached = None if b.cut is None else (lambda hits: b.cut)
     got = h1.draw_subset_counts(b.shape, b.sets, b.m, reached)
-    assert got.tolist() == scalar_counts(h2, b.shape, b.sets, b.m, b.cut)
+    assert got.tolist() == scalar_counts(h2, b.shape, b.sets, b.m, slice(b.cut))
     assert_same_state(h1, h2)
 
 
@@ -1540,8 +1582,8 @@ COUNT_SETS = [QuerySet.full(), QuerySet.interval(5, 40),
 @pytest.mark.parametrize("m", [1, 1000, 50_000_000])
 def test_multinomial_rows_are_single_calls(p, m):
     """numpy's multinomial with size=k draws the numbers, and leaves the
-    generator state, of k calls in order: what draw_counts(rows=k)
-    relies on."""
+    generator state, of k calls in order: what holding draw_counts(rows=k)
+    against k single calls relies on."""
     p = p[p > 0]
     for seed in range(5):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -1580,8 +1622,12 @@ class TestDrawCountsRows:
         want = [h2.draw_counts(s, 1000)[1].tolist() for _ in range(keep)]
         assert seen == [(6, idx.size)]
         assert rows.shape == (keep, idx.size) and rows.tolist() == want
-        assert_same_state(h1, h2)
-        # The next draw is the (keep + 1)-th single call's.
+        assert h1.ledger.as_dict() == h2.ledger.as_dict()
+        assert h1.returned_points == h2.returned_points
+        # Every row is drawn: the next draw is the seventh single call's.
+        for _ in range(6 - keep):
+            h2.draw_counts(s, 1000)
+        assert h1.rng.bit_generator.state == h2.rng.bit_generator.state
         assert h1.draw_counts(s, 1000)[1].tolist() == h2.draw_counts(s, 1000)[1].tolist()
 
 
@@ -1603,81 +1649,117 @@ def two_level(n, a):
 WIDE_KAPPA = {"ae_kappa_c": 3e5}
 
 # (name, D1, D2, profile overrides, the verdicts of three repetitions at
-# each of seeds 0..2, the exits seen over those seeds). An exit is
-# "first" for a repetition that rejects at its first point, before the
-# batch; "kept" for a batch whose every point settles on both sides and
-# agrees; "discarded" for one that does not, after which the points run
-# one at a time.
+# each of seeds 0..2, the exits seen over those repetitions). An exit is
+# "first" for a repetition that rejects at its first point, before any
+# batch; "passed" for a batch whose every point settles on both sides
+# and agrees; "h1 row" for one that stops at a point h1's round one does
+# not settle, whose approx_eval on h1 goes on from that row; "h2 row"
+# for one that stops at a point h1 settles, whose approx_eval on h2 goes
+# on from h2's row.
 EVAL_CASES = [
-    ("U_U_256", uniform(256), uniform(256), {}, [[ACCEPT] * 3] * 3, {"kept"}),
+    ("U_U_256", uniform(256), uniform(256), {}, [[ACCEPT] * 3] * 3, {"passed"}),
     ("U_half_split_256", uniform(256), gen_half_split(256, 0.5), {},
      [[REJECT] * 3] * 3, {"first"}),
-    # D2 is zero on 100..110: a batch with a point there is discarded
-    # on h2's rows.
+    # D2 is zero on 100..110: a batch with a point there stops on h2's
+    # row.
     ("U_gap_256", uniform(256), gap(256, 100, 110), {},
      [[ACCEPT, ACCEPT, REJECT], [REJECT, ACCEPT, ACCEPT], [ACCEPT, ACCEPT, REJECT]],
-     {"kept", "discarded"}),
-    # The same gap in D1: a batch with a point there is discarded on
-    # h1's rows, and h2 draws none.
+     {"passed", "h2 row"}),
+    # The same gap in D1: a batch with a point there stops on h1's row,
+    # and h2 draws no row there.
     ("gap_U_256", gap(256, 100, 110), uniform(256), {},
      [[ACCEPT, REJECT, REJECT], [REJECT, REJECT, ACCEPT], [ACCEPT, REJECT, ACCEPT]],
-     {"kept", "discarded"}),
+     {"passed", "h1 row"}),
     # Both sides settle every point; the window rejects a bumped one,
     # first or later.
     ("U_bump_256", uniform(256), bump(256, 8, 1.3), {}, [[REJECT] * 3] * 3,
-     {"first", "discarded"}),
+     {"first", "h2 row"}),
     # Every point takes two rounds on both sides.
     ("U_U_64_wide", uniform(64), uniform(64), WIDE_KAPPA, [[ACCEPT] * 3] * 3,
-     {"discarded"}),
+     {"h1 row"}),
     # 1..32 weigh 0.0200 in D1, above kappa/20 = 0.0196, and 0.0194 in
     # D2: h1 settles them at once and h2 takes more rounds, and the two
     # estimates agree. 33..64 take more rounds on both sides.
     ("split_split_64_wide", two_level(64, 0.0200), two_level(64, 0.0194),
-     WIDE_KAPPA, [[ACCEPT] * 3] * 3, {"discarded"}),
+     WIDE_KAPPA, [[ACCEPT] * 3] * 3, {"h1 row", "h2 row"}),
     # Mixed weights: some points settle in round one, some take more.
     ("rand_rand_64_wide", sparse_random(64, 7), sparse_random(64, 7), WIDE_KAPPA,
-     [[ACCEPT] * 3] * 3, {"discarded"}),
+     [[ACCEPT] * 3] * 3, {"passed", "h1 row"}),
 ]
 
 
+def grid():
+    """EVAL_CASES in the golden grid's form, for tools/law_check.py
+    --grid; its --profile gives the WIDE_KAPPA cases their overrides."""
+    return [(f"eval_equality/{name}", "eval_equality", d1, d2, 0.5, ())
+            for name, d1, d2, *_ in EVAL_CASES]
+
+
+def eval_outcomes(once, d1, d2, sched, seeds):
+    """once's verdict and the two ledgers' sum at each seed, as
+    tools/law_check.py reads a trial."""
+    out = []
+    for seed in seeds:
+        h1, h2 = eval_handles(d1, d2, seed)
+        verdict = once(h1, h2, sched)
+        out.append({"verdict": verdict, "ledger": (h1.ledger + h2.ledger).as_dict()})
+    return out
+
+
+# Repetitions a side in the law check: at level 0.05 over the eight
+# cases' 48 tests it tells an accept rate of 0.5 from one of 0.75, and a
+# ledger column whose distribution function moves by 0.28. The full check,
+# 2,000 a side, runs through tools/law_check.py --grid tests/test_batched.py.
+LAW_TRIALS = 100
+
+
 class TestEvalEqualityMatchesPointLoop:
+    def test_same_law_as_the_loop(self):
+        """The batched repetitions and reference_eval_test_equality_once,
+        on disjoint seeds, agree in accept rate and in the law of every
+        ledger column, by tools/law_check.py's comparison."""
+        batched, loop = {}, {}
+        for name, d1, d2, overrides, *_ in EVAL_CASES:
+            sched = eval_schedule(d1.n, 0.5, ConstantsProfile("desk", overrides))
+            batched[name] = eval_outcomes(_eval_test_equality_once, d1, d2, sched,
+                                          range(LAW_TRIALS))
+            loop[name] = eval_outcomes(reference_eval_test_equality_once, d1, d2, sched,
+                                       range(LAW_TRIALS, 2 * LAW_TRIALS))
+        rows = law_check.compare_sides(batched, loop)
+        assert not [law_check.format_row(row) for row in rows if row.outside]
+
     @pytest.mark.parametrize("name, d1, d2, overrides, verdicts, exits", EVAL_CASES)
-    def test_same_verdicts_ledgers_and_generators(self, name, d1, d2, overrides,
-                                                   verdicts, exits, monkeypatch):
+    def test_verdicts_and_exits(self, name, d1, d2, overrides, verdicts, exits,
+                                monkeypatch):
         round_ones = equality._round_ones
         seen = []
 
-        def spy(*args):
-            kept = round_ones(*args)
-            seen.append("kept" if kept else "discarded")
-            return kept
+        def spy(h1, h2, xs, *args):
+            passed, rows = round_ones(h1, h2, xs, *args)
+            seen.append("passed" if passed == xs.size
+                        else "h2 row" if rows[1] is not None else "h1 row")
+            return passed, rows
 
         monkeypatch.setattr(equality, "_round_ones", spy)
         sched = eval_schedule(d1.n, 0.5, ConstantsProfile("desk", overrides))
         got = []
         for seed in range(3):
-            (g1, g2), (r1, r2) = eval_twins(d1, d2, seed)
+            h1, h2 = eval_handles(d1, d2, seed)
             reps = []
             for _ in range(3):
                 calls = len(seen)
-                verdict = _eval_test_equality_once(g1, g2, sched)
-                assert verdict == reference_eval_test_equality_once(r1, r2, sched)
-                assert_same_state(g1, r1)
-                assert_same_state(g2, r2)
+                reps.append(_eval_test_equality_once(h1, h2, sched))
                 if len(seen) == calls:
                     seen.append("first")
-                reps.append(verdict)
             got.append(reps)
         assert got == verdicts
-        assert exits <= set(seen)
+        assert exits == set(seen)
 
 
-def eval_twins(d1, d2, seed):
-    """Two (h1, h2) pairs, seeded alike, one for each side, as the
-    harness seeds eval_equality."""
-    a1, b1 = twins(d1, COND, seed, STRICT)
-    a2, b2 = twins(d2, COND, seed ^ SECOND_STREAM, STRICT)
-    return (a1, a2), (b1, b2)
+def eval_handles(d1, d2, seed):
+    """(h1, h2), seeded as the harness seeds eval_equality."""
+    return (OracleHandle(d1, model=COND, seed=seed, discipline=STRICT),
+            OracleHandle(d2, model=COND, seed=seed ^ SECOND_STREAM, discipline=STRICT))
 
 
 # The scalar pair comparison ------------------------------------------------

@@ -13,7 +13,7 @@ from condtest.equality import (
     pcond_schedule,
     pcond_test_equality,
 )
-from condtest.errors import DomainMismatch, IncompatibleOracleModel
+from condtest.errors import DomainMismatch
 from condtest.oracles import COND, OracleHandle, PCOND, PERMISSIVE, STRICT
 from condtest.profiles import DESK
 from condtest.uniformity import ACCEPT, REJECT
@@ -138,6 +138,17 @@ class TestEvalEquality:
         )
         assert acc >= 13
 
+    def test_one_handle_twice(self):
+        # Every point of U(64) settles in approx_eval's round one, so each
+        # repetition draws 2m points and 2 x 2m round ones of budget.m.
+        m, budget = eval_schedule(64, 0.5, DESK)[:2]
+        for seed in range(3):
+            h, _ = cond_pair(uniform(64), uniform(64), seed)
+            assert eval_test_equality(h, h, 0.5) == ACCEPT
+            assert h.ledger.as_dict() == {"samp": 3 * (2 * m + 4 * m * budget.m),
+                                          "cond": 0, "pcond": 0, "icond": 0,
+                                          "total": 3 * (2 * m + 4 * m * budget.m)}
+
     def test_rejects_half_split(self):
         u = uniform(256)
         hs = gen_half_split(256, 0.5)
@@ -161,10 +172,3 @@ class TestRefusals:
             tester(h1, h2, 0.5)
         assert [h.rng.bit_generator.state for h in (h1, h2)] == states
         assert h1.ledger.total == h2.ledger.total == 0
-
-    def test_eval_needs_two_handles(self):
-        h, _ = cond_pair(uniform(64), uniform(64))
-        state = h.rng.bit_generator.state
-        with pytest.raises(IncompatibleOracleModel):
-            eval_test_equality(h, h, 0.5)
-        assert h.rng.bit_generator.state == state and h.ledger.total == 0

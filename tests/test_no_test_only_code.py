@@ -16,6 +16,10 @@ Only `distcore.py` reads a distribution's cumulative masses: the array
 and `locate`, which read or compute them. Everything else goes through
 the Distribution's mass and draw methods.
 
+No module assigns a generator's `bit_generator.state`: a batched call
+draws every set or row it is given and charges only those before a
+stop, so no draw is ever rewound and replayed.
+
 Only the schedules read a profile: outside `profiles.py`, a subscript
 of a name `profile` may stand only in a function named `schedule` or
 `*_schedule`, or in `compare_budget`, which they share. Tester and
@@ -174,6 +178,33 @@ def test_only_distcore_reads_prefix():
             if lines:
                 reads[path.name] = lines
     assert not reads, f"cumulative masses read outside distcore: {reads}"
+
+
+def _state_assignments(tree):
+    """Sorted line numbers where tree assigns an attribute `state` of an
+    attribute `bit_generator`."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "state"
+                  and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "bit_generator")
+
+
+def test_state_assignment_check_reads_stores_only():
+    source = ("state = h.rng.bit_generator.state\n"
+              "h.rng.bit_generator.state = state\n"
+              "h.rng.bit_generator.state, n = state, 1\n"
+              "h.rng.state = state\n")
+    assert _state_assignments(ast.parse(source)) == [2, 3]
+
+
+def test_no_generator_is_rewound():
+    rewinds = {}
+    for path in sorted(SRC.glob("*.py")):
+        lines = _state_assignments(ast.parse(path.read_text()))
+        if lines:
+            rewinds[path.name] = lines
+    assert not rewinds, f"bit_generator.state assigned: {rewinds}"
 
 
 def _profile_reads(tree):

@@ -15,12 +15,13 @@ from condtest.distcore import (
     uniform,
 )
 from condtest.errors import ZeroMassSet
-from condtest.oracles import COND, OracleHandle, PERMISSIVE
+from condtest.oracles import COND, PCOND, OracleHandle, PERMISSIVE
 from condtest.profiles import DESK
 from condtest.subroutines import (
     classify,
     compare_budget,
     compare_points,
+    compare_to_point,
     estimate_neighborhood,
     neighborhood_schedule,
     ratio_in_window,
@@ -86,6 +87,21 @@ class TestCompare:
         h = handle([1, 0, 0, 1])
         with pytest.raises(ZeroMassSet):
             compare_points(h, 2, 3, compare_budget(0.1, 2.0, 0.1), 2.0)
+
+    def test_compare_to_point_raises_at_a_zero_mass_pair(self):
+        """As a compare_points loop does, charged only for the pairs
+        before the dead one: x = 6 weighs nothing, so {6, 7} has no mass."""
+        d = make_distribution([1.0] * 4 + [0.0] * 4)
+        h, loop = (OracleHandle(d, model=PCOND, seed=0, discipline=PERMISSIVE)
+                   for _ in range(2))
+        with pytest.raises(ZeroMassSet):
+            compare_to_point(h, 6, [1, 7], 100, 2.0)
+        compare_points(loop, 6, 1, 100, 2.0)
+        with pytest.raises(ZeroMassSet):
+            compare_points(loop, 6, 7, 100, 2.0)
+        assert h.ledger.as_dict() == loop.ledger.as_dict()
+        assert h.ledger.pcond_count == h.ledger.total == 100
+        assert h.rng.bit_generator.state == loop.rng.bit_generator.state
 
     def test_queries_land_in_one_column(self):
         h = handle(np.ones(8), seed=6)

@@ -20,11 +20,11 @@ does both in one command:
     python3 tools/outcome_dump.py --workload large_n --seed 11 --rounds 20 --against ../parent/src
 
 It runs the workload once on `--src` and once on OTHER_SRC, each in a
-process of its own, prints the first trial whose lines differ and exits
-1 on any difference, or prints the number of identical trials and
-exits 0. `--case SUBSTRING` keeps only the cases whose name holds
-SUBSTRING, each with the seed it has in the whole workload, so many
-rounds of a few cases run in seconds:
+process of its own and both at once, prints the first trial whose
+lines differ and exits 1 on any difference, or prints the number of
+identical trials and exits 0. `--case SUBSTRING` keeps only the cases
+whose name holds SUBSTRING, each with the seed it has in the whole
+workload, so many rounds of a few cases run in seconds:
 
     python3 tools/outcome_dump.py --workload set_small_n --seed 11 --rounds 200 \
         --case eval_equality --against ../parent/src
@@ -79,18 +79,26 @@ def outcomes(ct, workload, seed, rounds, case_filter=""):
             yield out
 
 
+def run_sides(script, argvs):
+    """The lines script writes to standard output, run once for each
+    argument list of argvs, each in a process of its own, all at once.
+    Raises CalledProcessError for a run that fails."""
+    procs = [subprocess.Popen([sys.executable, str(script), *argv],
+                              stdout=subprocess.PIPE, text=True) for argv in argvs]
+    outs = [proc.communicate()[0] for proc in procs]
+    for proc, argv in zip(procs, argvs):
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, [script, *argv])
+    return [out.splitlines() for out in outs]
+
+
 def compare(args, workload, prefix=""):
     """Dump the workload on args.src and on args.against, each in its
     own process; report the first difference, each line after prefix.
     Returns the exit code."""
-    sides = []
-    for src in (args.src, args.against):
-        cmd = [sys.executable, __file__, "--workload", workload,
-               "--seed", str(args.seed), "--rounds", str(args.rounds),
-               "--case", args.case, "--src", src]
-        sides.append(subprocess.run(cmd, check=True, capture_output=True,
-                                    text=True).stdout.splitlines())
-    mine, theirs = sides
+    mine, theirs = run_sides(__file__, [
+        ["--workload", workload, "--seed", str(args.seed), "--rounds", str(args.rounds),
+         "--case", args.case, "--src", src] for src in (args.src, args.against)])
     for i, (a, b) in enumerate(itertools.zip_longest(mine, theirs)):
         if a != b:
             print(f"{prefix}trial {i} differs:\n  {args.src}: {a}\n  {args.against}: {b}")
