@@ -17,8 +17,14 @@ Heavy branch, were recorded from the code before that branch checked
 its frequencies in array operations. The cond_known stair_stair
 entries at seeds 1 and 2, pert_stair at seed 1 and rand_rand_4096 were
 recorded from the code before the union comparisons built their
-unions without np.insert. A change that claims to keep behaviour must
-keep this test passing unchanged.
+unions without np.insert. The eval_equality U_bump_256 entry at seed 0
+and U_gap_256 at seed 4 were recorded after the batched calls stopped
+rewinding the generator: a round-one batch that stops part way now
+hands the rows it read to the next point's approx_eval, and the next
+batch draws on from there, so these two trials' ledgers moved, with
+their verdicts unchanged; tools/law_check.py holds the tester's law to
+its parent's. A change that claims to keep behaviour must keep this
+test passing unchanged.
 
 Regenerate the file (only when behaviour is meant to change) with
 
