@@ -241,9 +241,10 @@ class Distribution:
 
     def mass(self, s: QuerySet):
         """D(S), from the rule for its shape. An explicit set of one
-        point, compare_points' subset, has its point's weight as its
-        mass: set_masses' one-term np.add.reduceat segment adds nothing
-        to that term, so both give the same float, bit for bit."""
+        point, compare_points' subset and approx_eval's round-one {i*},
+        has its point's weight as its mass: set_masses' one-term
+        np.add.reduceat segment adds nothing to that term, so both give
+        the same float, bit for bit."""
         if s.shape == FULL:
             return 1.0
         if s.shape == PAIR:

@@ -15,10 +15,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .distcore import PAIR, QuerySet
-from .errors import EvalFailed, ZeroMassSet, check_eps, check_same_domain
+from .errors import EvalFailed, check_eps, check_same_domain
 from .oracles import OracleHandle
 from .profiles import DESK
-from .subroutines import (Neighborhood, _first, _first_dead, classify,
+from .subroutines import (Neighborhood, _first_dead, classify,
                           compare_budget, estimate_neighborhood,
                           neighborhood_schedule, ratio_in_window)
 from .uniformity import ACCEPT, REJECT
@@ -129,18 +129,8 @@ def approx_eval_schedule(n, eps, delta, profile=DESK) -> EvalBudget:
 
 def _settles(share, budget: EvalBudget):
     """Whether a point's share of a round's draws settles it in
-    approx_eval: at least kappa/20. share may be an array."""
+    approx_eval: at least kappa/20."""
     return share >= budget.kappa / 20.0
-
-
-def _settled(budget: EvalBudget, idx, counts, points):
-    """Each of the points' share of the m draws in its row of counts
-    (a histogram over idx, one row a point) where that share settles
-    the point, else NaN."""
-    pos = np.minimum(np.searchsorted(idx, points), idx.size - 1)
-    share = counts[np.arange(points.size), pos] / budget.m
-    share[idx[pos] != points] = 0.0
-    return np.where(_settles(share, budget), share, np.nan)
 
 
 def approx_eval(h: OracleHandle, i_star: int, budget: EvalBudget) -> float | None:
@@ -151,32 +141,27 @@ def approx_eval(h: OracleHandle, i_star: int, budget: EvalBudget) -> float | Non
     point. The estimate telescopes the per-round conditional fractions
     of the surviving set. Returns the estimate, or None (Unknown) when
     the heavy part is nearly everything or the surviving set looks
-    empty; raises EvalFailed if the round cap runs out.
+    empty; raises EvalFailed if the round cap runs out. Round one draws
+    i_star's count first, one binomial, and the rest of its histogram
+    on the full domain only when that count does not settle i_star.
     """
-    return _approx_eval_from(h, i_star, budget, h.draw_counts(QuerySet.full(), budget.m))
-
-
-def _approx_eval_from(h, i_star, budget, round_one):
-    """approx_eval from round_one, its round one's (indices, counts) on
-    the full domain, drawn and charged already."""
     M, kappa, eps, m = budget
-    members = None  # None stands for the full domain
+    full = QuerySet.full()
+    c = h.draw_subset_count(full, QuerySet.explicit([i_star]), m)
+    if _settles(c / m, budget):
+        return c / m
+    idx, counts = h.draw_counts(full, m, given=(i_star, c))
+    members = np.arange(1, h.dist.n + 1, dtype=np.int64)
     d_hat = 1.0
-    idx, counts = round_one
     for r in range(M):
         if r:
-            try:
-                idx, counts = h.draw_counts(QuerySet.explicit(members), m)
-            except ZeroMassSet:
-                return None
-        pos = np.searchsorted(idx, i_star)
-        star_frac = (
-            counts[pos] / m if pos < idx.size and idx[pos] == i_star else 0.0
-        )
-        if _settles(star_frac, budget):
-            return d_hat * star_frac
-        if members is None:
-            members = np.arange(1, h.dist.n + 1, dtype=np.int64)
+            # members holds a point the round before drew (frac > 0), so
+            # it has mass, and under STRICT that point was returned.
+            idx, counts = h.draw_counts(QuerySet.explicit(members), m)
+            pos = np.searchsorted(idx, i_star)
+            star_frac = counts[pos] / m if pos < idx.size and idx[pos] == i_star else 0.0
+            if _settles(star_frac, budget):
+                return d_hat * star_frac
         heavy = idx[counts >= 0.75 * kappa * m]
         if counts[counts >= 0.75 * kappa * m].sum() / m > 1.0 - eps / 10.0:
             return None
@@ -222,78 +207,22 @@ def eval_test_equality(h1: OracleHandle, h2: OracleHandle, eps: float,
     return ACCEPT if votes >= 2 else REJECT
 
 
-def _agree(r1, r2, window):
-    """Whether the estimate r1 lies in the window around r2; False
-    where either is NaN."""
-    lo_factor, hi_factor = window
-    return (lo_factor * r2 <= r1) & (r1 <= hi_factor * r2)
-
-
-def _point_agrees(h1, h2, x, budget, window, rows):
-    """approx_eval of x on h1, then on h2, each from its round one in rows
-    (h1's, h2's) where given, and whether both estimates exist and agree."""
+def _point_agrees(h1, h2, x, budget, window):
+    """approx_eval of x on h1, then on h2, and whether both estimates
+    exist and D2's window around the second holds the first."""
     try:
-        r1, r2 = (approx_eval(h, x, budget) if row is None
-                  else _approx_eval_from(h, x, budget, row) for h, row in zip((h1, h2), rows))
+        r1, r2 = approx_eval(h1, x, budget), approx_eval(h2, x, budget)
     except EvalFailed:
         return False
-    return r1 is not None and r2 is not None and bool(_agree(r1, r2, window))
-
-
-def _round_ones(h1, h2, xs, budget, window):
-    """approx_eval's round one at each of the points xs, on h1 and on
-    h2, in one draw_counts call each, read in a point-by-point loop's
-    order: (passed, rows). The first `passed` points settle on both
-    handles with estimates that agree. rows holds, for h1 and for h2,
-    the round one read at the next point, as approx_eval's (indices,
-    counts), or None where that handle's row there was not read. Each
-    handle is charged only for the rows read on it; h2 draws rows only
-    for the points h1 settles.
-    """
-    full, k = QuerySet.full(), xs.size
-    passed, rows = k, [None, None]
-
-    def reached1(idx1, counts1):
-        nonlocal passed
-        r1 = _settled(budget, idx1, counts1, xs)
-        passed = _first(np.isnan(r1))
-
-        def reached2(idx2, counts2):
-            nonlocal passed
-            r2 = _settled(budget, idx2, counts2, xs[:passed])
-            j = _first(~_agree(r1[:passed], r2, window))
-            if j < passed:
-                passed, rows[1] = j, (idx2, counts2[j])
-            return min(j + 1, len(r2))
-
-        if passed:
-            h2.draw_counts(full, budget.m, rows=passed, reached=reached2)
-        if passed < k:
-            rows[0] = (idx1, counts1[passed])
-        return min(passed + 1, k)
-
-    h1.draw_counts(full, budget.m, rows=k, reached=reached1)
-    return passed, rows
+    lo_factor, hi_factor = window
+    return r1 is not None and r2 is not None and lo_factor * r2 <= r1 <= hi_factor * r2
 
 
 def _eval_test_equality_once(h1, h2, sched):
     """Draw m points from each side, then evaluate them in order until
-    one's estimates do not agree: the first on its own, so a far instance
-    draws nothing ahead, the rest in batches of round ones (_round_ones),
-    each twice as long as the rows the one before read."""
+    one's estimates do not agree."""
     m, budget, window = sched
     full = QuerySet.full()
     pts = np.concatenate((h1.draw_many(full, m), h2.draw_many(full, m)))
-    if not _point_agrees(h1, h2, int(pts[0]), budget, window, (None, None)):
-        return REJECT
-    done, size = 1, pts.size
-    while done < pts.size:
-        xs = pts[done:done + size]
-        passed, rows = _round_ones(h1, h2, xs, budget, window)
-        done += passed
-        if passed < xs.size:
-            if not _point_agrees(h1, h2, int(xs[passed]), budget, window, rows):
-                return REJECT
-            done += 1
-        size = 2 * (passed + 1)
-    return ACCEPT
+    return ACCEPT if all(_point_agrees(h1, h2, x, budget, window)
+                         for x in pts.tolist()) else REJECT

@@ -20,18 +20,15 @@ Besides per-point draws the handle offers batched observations
 (draw_many, draw_counts, draw_subset_count, burn). Each batch of m
 draws is sampled in one shot from the exact joint distribution of m
 iid conditional draws, so testers that only consume counts can afford
-the full theoretical query budgets. draw_subset_counts makes k
-draw_subset_count observations, on k pairs, intervals or unions
-{x} ∪ W_i, from one binomial call, with the checks and charges of k
-scalar calls in order; draw_counts(rows=k) draws k histograms on one
-set from one multinomial call. A batched call draws all k. Where a
-tester stops part way, reached names the leading ones charged and
-returned; the rest, which nothing reads, leave every verdict, estimate
-and ledger with the law of the one-at-a-time loop, so no generator is
-rewound. A batched call costs 20-40 us for k up to 64, some ten scalar
-calls (U(1024), tools/kernel_cost.py), so the testers make few, large
-calls. Every mass and inverse-CDF draw, scalar or batched, is a
-Distribution method.
+the full theoretical query budgets; draw_counts(given=(x, c)) draws
+the rest of a histogram whose count c at x a draw_subset_count read.
+draw_subset_counts makes k draw_subset_count observations, on k
+pairs, intervals or unions {x} ∪ W_i, from one binomial call, with the
+checks and charges of k scalar calls in order; where a tester stops
+part way, reached names the leading ones charged. A batched call
+costs 20-40 us for k up to 64, some ten scalar calls (U(1024),
+tools/kernel_cost.py), so the testers make few, large calls. Every
+mass and inverse-CDF draw, scalar or batched, is a Distribution method.
 """
 
 from __future__ import annotations
@@ -43,6 +40,7 @@ import numpy as np
 from .distcore import (EXPLICIT, FULL, INTERVAL, PAIR, Distribution, QuerySet,
                        _check_domain, _index_array)
 from .errors import (
+    BadDrawCount,
     BadQuerySet,
     BadSeed,
     DisciplineViolation,
@@ -82,7 +80,7 @@ def _inside(sub, s, n):
         return sub.indices.item(0) in (s.a, s.b)  # compare_points' subset, kept scalar
     if sub.shape == FULL:
         lo, hi, size = 1, n, n
-    elif sub.shape == EXPLICIT:
+    elif sub.shape == EXPLICIT:  # approx_eval's {i*} in 1..n reads two scalars
         lo, hi, size = int(sub.indices[0]), int(sub.indices[-1]), sub.indices.size
     else:
         lo, hi, size = sub.a, sub.b, sub.b - sub.a + 1 if sub.shape == INTERVAL else 2
@@ -206,7 +204,7 @@ class OracleHandle:
         self.returned_points.update(out.tolist())
         return out
 
-    def draw_counts(self, s: QuerySet, m: int, rows=None, reached=None):
+    def draw_counts(self, s: QuerySet, m: int, given=None):
         """Histogram of m iid conditional draws.
 
         Returns (indices, counts) where indices are the members of S
@@ -214,31 +212,34 @@ class OracleHandle:
         distribution to draw_many followed by counting, but one
         multinomial regardless of m.
 
-        With rows=k, counts holds k histograms, one a row, from one
-        multinomial call; the checks, charges and returned points are
-        those of k calls. reached, if given, maps (indices, counts) to
-        the number of leading rows a caller going one at a time reads
-        before it stops: only those are charged, recorded and returned,
-        so reached needs rows.
+        given=(x, c) completes an observation whose count c at x in S
+        draw_subset_count(S, {x}, m) drew and charged: the other m - c
+        draws are one multinomial on S without x, and nothing more is
+        charged. Refused before anything is drawn: BadQuerySet for an x
+        outside S, BadDrawCount for a c the count cannot take (outside
+        0..m, above 0 at a zero-weight x, below m where x holds S's mass).
         """
         mass = self._check(s, m)
-        if rows is not None or reached is not None:
-            check_draws(rows)
-        d = self.dist
-        idx = s.members(d.n)
-        w = d.weights[idx - 1]
+        idx = s.members(self.dist.n)
+        w = self.dist.weights[idx - 1]
         support = w > 0
         idx = idx[support]
         p = w[support] / mass
         p = p / p.sum()
-        counts = self.rng.multinomial(int(m), p, size=rows)
-        calls = 1 if rows is None else rows
-        if reached is not None:
-            calls = reached(idx, counts)
-            counts = counts[:calls]
-        self._count(s.shape, m * calls)
-        hit = counts > 0 if rows is None else (counts > 0).any(axis=0)
-        self.returned_points.update(idx[hit].tolist())
+        if given is None:
+            counts = self.rng.multinomial(int(m), p)
+            self._count(s.shape, m)
+        else:
+            x, c = given
+            if not _inside(QuerySet.explicit([x]), s, self.dist.n):
+                raise BadQuerySet("the given point must lie in S")
+            at, c = idx == x, as_integer(c, "c", BadDrawCount)
+            if not (m if at.all() else 0) <= c <= (m if at.any() else 0):
+                raise BadDrawCount(f"x's count of {m} draws cannot be {c}")
+            rest = np.where(at, 0.0, p)
+            counts = self.rng.multinomial(int(m) - c, rest / (rest.sum() or 1.0))
+            counts[at] = c
+        self.returned_points.update(idx[counts > 0].tolist())
         return idx, counts
 
     def draw_subset_count(self, s: QuerySet, subset: QuerySet, m: int) -> int:
@@ -250,8 +251,7 @@ class OracleHandle:
         mass = self._check(s, m)
         if not _inside(subset, s, self.dist.n):
             raise BadQuerySet(f"the subset must lie inside S, in 1..{self.dist.n}")
-        sub_mass = self.dist.mass(subset)
-        p = min(sub_mass / mass, 1.0)
+        p = min(self.dist.mass(subset) / mass, 1.0)
         self._count(s.shape, m)
         return int(self.rng.binomial(int(m), p))
 

@@ -82,14 +82,10 @@ def compare_points(h, px, py, m, K):
     return low, high, math.nan if low or high else mu / (1.0 - mu)
 
 
-def _first(mask):
-    """Index of the first True in mask, or its size."""
-    return int(np.argmax(mask)) if mask.any() else mask.size
-
-
 def _first_dead(hits):
     """Index of the first zero-mass count (-1), or the number of counts."""
-    return _first(hits < 0)
+    dead = hits < 0
+    return int(np.argmax(dead)) if dead.any() else dead.size
 
 
 def compare_to_point(h, x, ys, m, K):

@@ -3,19 +3,20 @@
 OracleHandle.draw_subset_counts on pairs, intervals and unions,
 pcond_test_uniform, binary_descent, cond_test_known's Main branch,
 estimate_neighborhood, estimate_distance_to_uniformity and
-pcond_test_equality's cross loop draw many comparisons in one call, and
-eval_test_equality draws approx_eval's first round at many points in
-one OracleHandle.draw_counts(rows=k) call; cond_test_known's Heavy
-branch checks its frequencies in array operations.
+pcond_test_equality's cross loop draw many comparisons in one call;
+cond_test_known's Heavy branch checks its frequencies in array
+operations.
 Each is held here against a verbatim copy of the scalar loop it
 replaced: hit counts element by element, verdicts and values exactly,
 every ledger column, and the state the generator is left in. A batched
-call draws every set or row it is given and charges only those before
-a stop, so where a batch stops part way the loop's generator is
-compared once it has drawn the rest of that batch (assert_same_state).
-eval_test_equality, whose next point goes on from the rows a stopped
-batch read, is held against its loop in law instead: accept rates and
-the distribution of every ledger column on disjoint seeds, by
+call draws every set it is given and charges only those before a
+stop, so where a batch stops part way the loop's generator is compared
+once it has drawn the rest of that batch (assert_same_state).
+eval_test_equality's approx_eval draws round one as i*'s count, one
+binomial, and the rest of that histogram only when the count does not
+settle i* (OracleHandle.draw_counts(given=...)); it is held against the
+loop that draws every round one whole, in law: accept rates and the
+distribution of every ledger column on disjoint seeds, by
 tools/law_check.py's comparison; its verdicts at a few seeds are fixed.
 find_reference, which calls estimate_neighborhood, is held against a
 copy that calls the scalar one. The copies read a comparison's
@@ -30,7 +31,7 @@ is held against it seed for seed.
 draw_subset_counts is held against draw_subset_count called set by set
 on random batches of every shape, model and discipline. Its refusals,
 compare_points', and those of the comparisons of no draws and of
-draw_counts in rows, are one table.
+draw_counts, are one table.
 """
 
 import math
@@ -56,7 +57,7 @@ from condtest.distance import (
     estimate_distance_to_uniformity,
     find_reference,
 )
-from condtest.distcore import (EXPLICIT, INTERVAL, PAIR, Distribution, QuerySet,
+from condtest.distcore import (EXPLICIT, FULL, INTERVAL, PAIR, Distribution, QuerySet,
                                make_distribution, uniform)
 from condtest import equality
 from condtest.equality import _eval_test_equality_once, eval_schedule, pcond_test_equality
@@ -1048,16 +1049,30 @@ REFUSALS = [
     *rows("descent-draws", ICOND, PERMISSIVE, U8, BadDrawCount,
           lambda h: binary_descent(h, [3], 0.1, 0),
           lambda h: binary_descent(h, [], 0.1, 0)),     # even with no walk
-    # draw_counts in rows, refused before its multinomial.
+    # draw_counts, refused before its multinomial.
     *rows("counts-zero-mass", COND, PERMISSIVE, (ZERO_HALF, 0), ZeroMassSet,
-          lambda h: h.draw_counts(QuerySet.interval(40, 50), 1000, rows=3)),
+          lambda h: h.draw_counts(QuerySet.interval(40, 50), 1000)),
     *rows("counts-untouched", COND, STRICT, (ZERO_HALF, 0), DisciplineViolation,
-          lambda h: h.draw_counts(QuerySet.interval(1, 8), 1000, rows=3)),
-    *rows("counts-rows", COND, STRICT, (ZERO_HALF, 0), BadDrawCount,
-          lambda h: h.draw_counts(QuerySet.full(), 1000, rows=-1),
-          lambda h: h.draw_counts(QuerySet.full(), 1000, rows=2.0),
-          # reached reads rows calls.
-          lambda h: h.draw_counts(QuerySet.full(), 1000, reached=lambda idx, c: 1)),
+          lambda h: h.draw_counts(QuerySet.interval(1, 8), 1000)),
+    # A given point outside S, or no point of 1..N.
+    *rows("counts-given-outside", COND, PERMISSIVE, U8, BadQuerySet,
+          lambda h: h.draw_counts(QuerySet.interval(2, 5), 10, given=(6, 0)),
+          lambda h: h.draw_counts(QuerySet.explicit([1, 3]), 10, given=(2, 0)),
+          lambda h: h.draw_counts(QuerySet.full(), 10, given=(9, 0)),
+          lambda h: h.draw_counts(QuerySet.full(), 10, given=(0, 0)),
+          lambda h: h.draw_counts(QuerySet.full(), 10, given=(2.0, 0))),
+    # A given count outside 0..m, or no integer.
+    *rows("counts-given-count", COND, PERMISSIVE, U8, BadDrawCount,
+          lambda h: h.draw_counts(QuerySet.full(), 10, given=(2, -1)),
+          lambda h: h.draw_counts(QuerySet.full(), 10, given=(2, 11)),
+          lambda h: h.draw_counts(QuerySet.full(), 10, given=(2, 2.0)),
+          lambda h: h.draw_counts(QuerySet.full(), 10, given=(2, True))),
+    # A count a zero-weight point cannot have; one below m at the only
+    # point of S with weight, 32 in 32..40.
+    *rows("counts-given-zero-weight", COND, PERMISSIVE, (ZERO_HALF, 0), BadDrawCount,
+          lambda h: h.draw_counts(QuerySet.full(), 10, given=(40, 1)),
+          lambda h: h.draw_counts(QuerySet.interval(32, 40), 10, given=(33, 10)),
+          lambda h: h.draw_counts(QuerySet.interval(32, 40), 10, given=(32, 9))),
 ]
 
 
@@ -1561,7 +1576,7 @@ def test_pcond_equality_matches_scalar_loop_on_random_weights(pair, seed):
     assert_same_state(g2, r2)
 
 
-# Histograms in rows, and eval_test_equality's round ones -----------------
+# eval_test_equality's approx_eval ------------------------------------------
 
 
 def sparse_random(n, seed):
@@ -1570,65 +1585,6 @@ def sparse_random(n, seed):
     w = rng.random(n) ** 2
     w[rng.random(n) < 0.3] = 0.0
     return make_distribution(w)
-
-
-COUNT_SETS = [QuerySet.full(), QuerySet.interval(5, 40),
-              QuerySet.explicit([1, 2, 3, 10, 33, 34, 60])]
-
-
-@pytest.mark.parametrize("p", [np.full(256, 1 / 256), sparse_random(300, 4).weights,
-                               np.array([1e-9, 0.5 - 1e-9, 0.5])],
-                         ids=["uniform_256", "random_300", "tiny_p"])
-@pytest.mark.parametrize("m", [1, 1000, 50_000_000])
-def test_multinomial_rows_are_single_calls(p, m):
-    """numpy's multinomial with size=k draws the numbers, and leaves the
-    generator state, of k calls in order: what holding draw_counts(rows=k)
-    against k single calls relies on."""
-    p = p[p > 0]
-    for seed in range(5):
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        rows = a.multinomial(m, p, size=6)
-        assert rows.tolist() == [b.multinomial(m, p).tolist() for _ in range(6)]
-        assert a.bit_generator.state == b.bit_generator.state
-
-
-class TestDrawCountsRows:
-    @pytest.mark.parametrize("s", COUNT_SETS, ids=["full", "interval", "explicit"])
-    @pytest.mark.parametrize("d", [uniform(64), ZERO_HALF, sparse_random(64, 2)],
-                             ids=["uniform", "zero_half", "sparse"])
-    def test_rows_are_single_calls(self, s, d):
-        for seed in range(3):
-            h1, h2 = twins(d, COND, seed)
-            idx, rows = h1.draw_counts(s, 1000, rows=5)
-            want = [h2.draw_counts(s, 1000) for _ in range(5)]
-            assert all(i.tolist() == idx.tolist() for i, _ in want)
-            assert rows.tolist() == [c.tolist() for _, c in want]
-            assert_same_state(h1, h2)
-
-    @pytest.mark.parametrize("keep", [0, 1, 3, 6])
-    @pytest.mark.parametrize("s", COUNT_SETS, ids=["full", "interval", "explicit"])
-    def test_reached_keeps_leading_calls(self, keep, s):
-        d = sparse_random(64, 5)
-        seen = []
-
-        def reached(idx, counts):
-            seen.append(counts.shape)
-            return keep
-
-        h1, h2 = twins(d, COND, 9)
-        h1.draw_counts(s, 1000)  # a call before, as in a running tester
-        h2.draw_counts(s, 1000)
-        idx, rows = h1.draw_counts(s, 1000, rows=6, reached=reached)
-        want = [h2.draw_counts(s, 1000)[1].tolist() for _ in range(keep)]
-        assert seen == [(6, idx.size)]
-        assert rows.shape == (keep, idx.size) and rows.tolist() == want
-        assert h1.ledger.as_dict() == h2.ledger.as_dict()
-        assert h1.returned_points == h2.returned_points
-        # Every row is drawn: the next draw is the seventh single call's.
-        for _ in range(6 - keep):
-            h2.draw_counts(s, 1000)
-        assert h1.rng.bit_generator.state == h2.rng.bit_generator.state
-        assert h1.draw_counts(s, 1000)[1].tolist() == h2.draw_counts(s, 1000)[1].tolist()
 
 
 def bump(n, step, factor):
@@ -1649,42 +1605,30 @@ def two_level(n, a):
 WIDE_KAPPA = {"ae_kappa_c": 3e5}
 
 # (name, D1, D2, profile overrides, the verdicts of three repetitions at
-# each of seeds 0..2, the exits seen over those repetitions). An exit is
-# "first" for a repetition that rejects at its first point, before any
-# batch; "passed" for a batch whose every point settles on both sides
-# and agrees; "h1 row" for one that stops at a point h1's round one does
-# not settle, whose approx_eval on h1 goes on from that row; "h2 row"
-# for one that stops at a point h1 settles, whose approx_eval on h2 goes
-# on from h2's row.
+# each of seeds 0..2).
 EVAL_CASES = [
-    ("U_U_256", uniform(256), uniform(256), {}, [[ACCEPT] * 3] * 3, {"passed"}),
-    ("U_half_split_256", uniform(256), gen_half_split(256, 0.5), {},
-     [[REJECT] * 3] * 3, {"first"}),
-    # D2 is zero on 100..110: a batch with a point there stops on h2's
-    # row.
+    ("U_U_256", uniform(256), uniform(256), {}, [[ACCEPT] * 3] * 3),
+    ("U_half_split_256", uniform(256), gen_half_split(256, 0.5), {}, [[REJECT] * 3] * 3),
+    # D2 is zero on 100..110: a point there has no estimate on h2.
     ("U_gap_256", uniform(256), gap(256, 100, 110), {},
-     [[ACCEPT, ACCEPT, REJECT], [REJECT, ACCEPT, ACCEPT], [ACCEPT, ACCEPT, REJECT]],
-     {"passed", "h2 row"}),
-    # The same gap in D1: a batch with a point there stops on h1's row,
-    # and h2 draws no row there.
+     [[ACCEPT, REJECT, REJECT], [REJECT, ACCEPT, ACCEPT], [ACCEPT, REJECT, ACCEPT]]),
+    # The same gap in D1: a point there has no estimate on h1.
     ("gap_U_256", gap(256, 100, 110), uniform(256), {},
-     [[ACCEPT, REJECT, REJECT], [REJECT, REJECT, ACCEPT], [ACCEPT, REJECT, ACCEPT]],
-     {"passed", "h1 row"}),
-    # Both sides settle every point; the window rejects a bumped one,
-    # first or later.
-    ("U_bump_256", uniform(256), bump(256, 8, 1.3), {}, [[REJECT] * 3] * 3,
-     {"first", "h2 row"}),
+     [[ACCEPT, ACCEPT, ACCEPT], [REJECT, ACCEPT, ACCEPT], [ACCEPT, ACCEPT, REJECT]]),
+    # Both sides settle every point in round one; the window rejects a
+    # bumped one.
+    ("U_bump_256", uniform(256), bump(256, 8, 1.3), {},
+     [[REJECT, REJECT, ACCEPT], [REJECT] * 3, [REJECT] * 3]),
     # Every point takes two rounds on both sides.
-    ("U_U_64_wide", uniform(64), uniform(64), WIDE_KAPPA, [[ACCEPT] * 3] * 3,
-     {"h1 row"}),
+    ("U_U_64_wide", uniform(64), uniform(64), WIDE_KAPPA, [[ACCEPT] * 3] * 3),
     # 1..32 weigh 0.0200 in D1, above kappa/20 = 0.0196, and 0.0194 in
     # D2: h1 settles them at once and h2 takes more rounds, and the two
     # estimates agree. 33..64 take more rounds on both sides.
     ("split_split_64_wide", two_level(64, 0.0200), two_level(64, 0.0194),
-     WIDE_KAPPA, [[ACCEPT] * 3] * 3, {"h1 row", "h2 row"}),
+     WIDE_KAPPA, [[ACCEPT] * 3] * 3),
     # Mixed weights: some points settle in round one, some take more.
     ("rand_rand_64_wide", sparse_random(64, 7), sparse_random(64, 7), WIDE_KAPPA,
-     [[ACCEPT] * 3] * 3, {"passed", "h1 row"}),
+     [[ACCEPT] * 3] * 3),
 ]
 
 
@@ -1728,32 +1672,36 @@ class TestEvalEqualityMatchesPointLoop:
         rows = law_check.compare_sides(batched, loop)
         assert not [law_check.format_row(row) for row in rows if row.outside]
 
-    @pytest.mark.parametrize("name, d1, d2, overrides, verdicts, exits", EVAL_CASES)
-    def test_verdicts_and_exits(self, name, d1, d2, overrides, verdicts, exits,
-                                monkeypatch):
-        round_ones = equality._round_ones
-        seen = []
-
-        def spy(h1, h2, xs, *args):
-            passed, rows = round_ones(h1, h2, xs, *args)
-            seen.append("passed" if passed == xs.size
-                        else "h2 row" if rows[1] is not None else "h1 row")
-            return passed, rows
-
-        monkeypatch.setattr(equality, "_round_ones", spy)
+    @pytest.mark.parametrize("name, d1, d2, overrides, verdicts", EVAL_CASES)
+    def test_verdicts(self, name, d1, d2, overrides, verdicts):
         sched = eval_schedule(d1.n, 0.5, ConstantsProfile("desk", overrides))
         got = []
         for seed in range(3):
             h1, h2 = eval_handles(d1, d2, seed)
-            reps = []
-            for _ in range(3):
-                calls = len(seen)
-                reps.append(_eval_test_equality_once(h1, h2, sched))
-                if len(seen) == calls:
-                    seen.append("first")
-            got.append(reps)
+            got.append([_eval_test_equality_once(h1, h2, sched) for _ in range(3)])
         assert got == verdicts
-        assert exits == set(seen)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_strict_later_rounds_on_a_handle_that_drew_nothing(self, seed):
+        """Under STRICT, approx_eval's round two queries a set that holds a
+        point of round one's histogram (frac > 0), which the rest drawn
+        with given recorded as returned. On the handle that did not draw
+        i* that point, not i*, is what lets the query through."""
+        budget = eval_schedule(64, 0.5, ConstantsProfile("desk", WIDE_KAPPA)).budget
+        h = OracleHandle(uniform(64), model=COND, seed=seed, discipline=STRICT)
+        draw_counts, calls = h.draw_counts, []
+
+        def spy(s, m, given=None):
+            idx, counts = draw_counts(s, m, given)
+            calls.append((s.shape, given, set(idx[counts > 0].tolist()),
+                          set(h.returned_points)))
+            return idx, counts
+
+        h.draw_counts = spy
+        assert equality.approx_eval(h, 5, budget) is not None
+        (shape1, given1, support, returned), (shape2, *_) = calls[:2]
+        assert (shape1, given1[0], shape2) == (FULL, 5, EXPLICIT)
+        assert returned == support
 
 
 def eval_handles(d1, d2, seed):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from condtest.equality import (
     pcond_test_equality,
 )
 from condtest.errors import DomainMismatch
+from condtest.harness import run_trial
 from condtest.oracles import COND, OracleHandle, PCOND, PERMISSIVE, STRICT
 from condtest.profiles import DESK
 from condtest.uniformity import ACCEPT, REJECT
@@ -52,6 +54,29 @@ class TestPcondEquality:
             for s in range(15)
         )
         assert acc >= 13
+
+    def test_cost_flat_in_n(self, monkeypatch):
+        # At the desk constants every point of U(2^20) settles on its
+        # round-one count, a binomial: a trial draws no histogram and
+        # holds no array of the domain's size. The first trial, unmeasured,
+        # loads the modules numpy imports on first use.
+        calls = []
+        draw_counts = OracleHandle.draw_counts
+
+        def spy(h, *args, **kwargs):
+            calls.append(args)
+            return draw_counts(h, *args, **kwargs)
+
+        monkeypatch.setattr(OracleHandle, "draw_counts", spy)
+        u = uniform(2**20)
+        run_trial("eval_equality", u, u, 0.5, 2)
+        tracemalloc.start()
+        try:
+            run_trial("eval_equality", u, u, 0.5, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [] and peak < 2**20
 
     def test_rejects_half_split(self):
         u = uniform(256)

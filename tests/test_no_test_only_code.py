@@ -17,8 +17,8 @@ and `locate`, which read or compute them. Everything else goes through
 the Distribution's mass and draw methods.
 
 No module assigns a generator's `bit_generator.state`: a batched call
-draws every set or row it is given and charges only those before a
-stop, so no draw is ever rewound and replayed.
+draws every set it is given and charges only those before a stop, so
+no draw is ever rewound and replayed.
 
 Only the schedules read a profile: outside `profiles.py`, a subscript
 of a name `profile` may stand only in a function named `schedule` or

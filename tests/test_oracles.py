@@ -313,6 +313,23 @@ class TestSampling:
             assert c / 200000 == pytest.approx(pmf[int(i)], abs=0.01)
         assert counts.sum() == 200000
 
+    @pytest.mark.parametrize("w, s, x, c", [
+        ([1.0] * 64, QuerySet.full(), 5, 3),
+        ([1.0] * 64, QuerySet.interval(5, 40), 40, 10),        # no draw left
+        ([1.0] * 32 + [0.0] * 32, QuerySet.full(), 40, 0),     # a zero-weight x
+        ([1.0] * 32 + [0.0] * 32, QuerySet.interval(32, 40), 32, 10),  # x is S's mass
+    ])
+    def test_draw_counts_given_completes_the_histogram(self, w, s, x, c):
+        # The other 10 - c draws fall on S's support without x; nothing is
+        # charged, and the histogram's support is recorded as returned.
+        d = make_distribution(w)
+        h = OracleHandle(d, model=COND, seed=4, discipline=PERMISSIVE)
+        idx, counts = h.draw_counts(s, 10, given=(x, c))
+        assert counts.sum() == 10 and counts[idx == x].sum() == c
+        assert idx.tolist() == [i for i, q in conditional_pmf(d, s) if q > 0]
+        assert h.ledger.total == 0
+        assert h.returned_points == set(idx[counts > 0].tolist())
+
     def test_draw_subset_count_mean(self):
         d = uniform(10)
         h = OracleHandle(d, model=COND, seed=3, discipline=PERMISSIVE)
