@@ -23,6 +23,12 @@ rewinding the generator: a round-one batch that stops part way now
 hands the rows it read to the next point's approx_eval, and the next
 batch draws on from there, so these two trials' ledgers moved, with
 their verdicts unchanged; tools/law_check.py holds the tester's law to
+its parent's. The eval_equality U_bump_256 entry at seed 0, U_gap_256
+at seeds 0 and 4 and gap_U_256 at seeds 0 and 1 were recorded after
+approx_eval's round one became i*'s binomial count, with the rest of
+that histogram drawn only when the count does not settle i*: the same
+law, other random numbers, so these five trials' ledgers and four of
+their verdicts moved, and tools/law_check.py held the tester's law to
 its parent's. A change that claims to keep behaviour must keep this
 test passing unchanged.
 
