@@ -14,7 +14,9 @@ stop, so where a batch stops part way the loop's generator is compared
 once it has drawn the rest of that batch (assert_same_state).
 eval_test_equality's approx_eval draws round one as i*'s count, one
 binomial, and the rest of that histogram only when the count does not
-settle i* (OracleHandle.draw_counts(given=...)); it is held against the
+settle i* (OracleHandle.draw_counts(given=...)). The rest is held
+against draw_counts on S without i*, number for number, and the two
+draws together against one multinomial, in law. approx_eval is held against the
 loop that draws every round one whole, in law: accept rates and the
 distribution of every ledger column on disjoint seeds, by
 tools/law_check.py's comparison; its verdicts at a few seeds are fixed.
@@ -1585,6 +1587,74 @@ def sparse_random(n, seed):
     w = rng.random(n) ** 2
     w[rng.random(n) < 0.3] = 0.0
     return make_distribution(w)
+
+
+COUNT_SETS = [QuerySet.full(), QuerySet.interval(5, 40),
+              QuerySet.explicit([1, 2, 3, 10, 33, 34, 60])]
+
+
+def heaviest(d, s):
+    """The member of S with the most weight: a point round one can hit."""
+    idx = s.members(d.n)
+    return int(idx[np.argmax(d.weights[idx - 1])])
+
+
+class TestDrawCountsGiven:
+    """draw_counts(S, m, given=(x, c)) completes the observation whose
+    count at x draw_subset_count(S, {x}, m) drew: approx_eval's round
+    one."""
+
+    @pytest.mark.parametrize("c", [0, 1, 500, 999])
+    @pytest.mark.parametrize("s", COUNT_SETS, ids=["full", "interval", "explicit"])
+    def test_rest_is_the_draw_on_s_without_x(self, c, s):
+        """The other m - c draws are draw_counts(S without x, m - c),
+        number for number, leaving the generator where that call leaves
+        it, and nothing is charged."""
+        d = sparse_random(64, 5)
+        x = heaviest(d, s)
+        h1, h2 = twins(d, COND, 9)
+        h1.draw_counts(s, 1000)  # a call before, as in a running tester
+        h2.draw_counts(s, 1000)
+        ledger = h1.ledger.as_dict()
+        idx, counts = h1.draw_counts(s, 1000, given=(x, c))
+        others = s.members(d.n)
+        rest_idx, rest = h2.draw_counts(QuerySet.explicit(others[others != x]), 1000 - c)
+        at = idx == x
+        assert counts[at].tolist() == [c] and counts.sum() == 1000
+        assert idx[~at].tolist() == rest_idx.tolist()
+        assert counts[~at].tolist() == rest.tolist()
+        assert h1.ledger.as_dict() == ledger
+        assert h1.returned_points == h2.returned_points | ({x} if c else set())
+        assert h1.rng.bit_generator.state == h2.rng.bit_generator.state
+
+    @pytest.mark.parametrize("s", COUNT_SETS, ids=["full", "interval", "explicit"])
+    @pytest.mark.parametrize("d", [uniform(64), ZERO_HALF, sparse_random(64, 2)],
+                             ids=["uniform", "zero_half", "sparse"])
+    def test_split_has_the_multinomial_law(self, s, d):
+        """x's binomial count and the rest drawn with given, against one
+        multinomial on disjoint seeds: the counts at x, at the members of
+        S below x and above it, two-sample KS at 0.01 over the three; the
+        same charges and a histogram of m draws every time."""
+        m, k = 50, 1000
+        x = heaviest(d, s)
+        split = OracleHandle(d, model=COND, seed=1, discipline=PERMISSIVE)
+        whole = OracleHandle(d, model=COND, seed=2, discipline=PERMISSIVE)
+        one = QuerySet.explicit([x])
+        sides = []
+        for h, draw in ((split, lambda: split.draw_counts(
+                            s, m, given=(x, split.draw_subset_count(s, one, m)))),
+                        (whole, lambda: whole.draw_counts(s, m))):
+            cols = []
+            for _ in range(k):
+                idx, counts = draw()
+                assert counts.sum() == m
+                cols.append((counts[idx == x].sum(), counts[idx < x].sum(),
+                             counts[idx > x].sum()))
+            sides.append(np.array(cols))
+        assert split.ledger.as_dict() == whole.ledger.as_dict()
+        crit = law_check.ks_critical(k, k, 0.01 / 3)
+        for a, b in zip(sides[0].T, sides[1].T):
+            assert law_check.ks_statistic(a, b) <= crit
 
 
 def bump(n, step, factor):
