@@ -57,7 +57,6 @@ from .errors import (
     IncompatibleOracleModel,
     NegativeWeight,
     NonFiniteWeight,
-    NotInNoGapRegime,
     OddN,
     SetsNotDisjoint,
     SpecParseError,
@@ -79,7 +78,6 @@ from .harness import (
 )
 from .identity import (
     KnownTarget,
-    build_witnesses,
     cond_test_known,
     pcond_test_known,
 )

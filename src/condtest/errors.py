@@ -48,10 +48,6 @@ class SetsNotDisjoint(CondtestError):
     pass
 
 
-class NotInNoGapRegime(CondtestError):
-    pass
-
-
 class OddN(CondtestError):
     pass
 

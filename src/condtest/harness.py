@@ -25,7 +25,6 @@ from .errors import (
     BadSeed,
     BadSweepGrid,
     BadTrialCount,
-    DomainMismatch,
     IncompatibleOracleModel,
     UnknownTester,
     as_integer,
@@ -204,18 +203,11 @@ _AUX = {
 }
 
 
-def _check_same_domain(d1: Distribution, other):
-    """DomainMismatch unless other, a Distribution or KnownTarget, has
-    d1's domain size."""
-    if other.n != d1.n:
-        raise DomainMismatch(f"spec has domain size {d1.n} but spec2 has {other.n}")
-
-
 def run_trial(tester: str, d1: Distribution, aux, eps: float, seed: int,
               profile=DESK) -> TrialRecord:
     """One seeded run; aux is None, a KnownTarget, or the second
     Distribution depending on the tester. Any other aux raises
-    IncompatibleOracleModel, and one of another domain size
+    IncompatibleOracleModel, and one of another domain size the tester's
     DomainMismatch. profile takes every form resolve_profile does."""
     spec = tester_spec(tester)
     profile = resolve_profile(profile)
@@ -226,8 +218,6 @@ def run_trial(tester: str, d1: Distribution, aux, eps: float, seed: int,
         raise IncompatibleOracleModel(
             f"tester {tester!r} takes a Distribution and {aux_name}, "
             f"not {type(d1).__name__} and {type(aux).__name__}")
-    if aux is not None:
-        _check_same_domain(d1, aux)
     h = OracleHandle(d1, model=spec.model, seed=seed, discipline=spec.discipline)
     t0 = time.perf_counter()
     if spec.second == "oracle":
@@ -236,7 +226,7 @@ def run_trial(tester: str, d1: Distribution, aux, eps: float, seed: int,
                            discipline=spec.discipline)
     inputs = [h] if aux is None else [h, aux]
     out = spec.fn(*inputs, eps, profile)
-    ledger = h.ledger + aux.ledger if spec.second == "oracle" else h.snapshot_ledger()
+    ledger = h.ledger + aux.ledger if spec.second == "oracle" else h.ledger.copy()
     millis = (time.perf_counter() - t0) * 1000.0
     if spec.kind == "estimate":
         return TrialRecord(0, seed, "", float(out), ledger, millis)
@@ -250,7 +240,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     aux = None
     if spec.second != "none":
         aux = _resolve_dist(cfg.spec2)
-        _check_same_domain(d1, aux)
         if spec.second == "target":
             aux = KnownTarget(aux)
     records = []

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distcore import EXPLICIT, Distribution, QuerySet, bucketize
-from .errors import NotInNoGapRegime, check_eps, check_same_domain
+from .errors import IncompatibleOracleModel, check_eps, check_same_domain
 from .oracles import OracleHandle
 from .profiles import DESK
 from .subroutines import classify, compare_budget, compare_points
@@ -32,7 +32,6 @@ from .uniformity import ACCEPT, REJECT
 @dataclass(frozen=True)
 class SplitPoint:
     i_star: int   # first position (ascending-weight order) with prefix > 2 eps1
-    k_star: int   # i_star - 1 (meaningful in the no-gap regime)
     heavy: bool   # True when the prefix below i_star weighs at most eps1
 
 
@@ -62,6 +61,9 @@ class KnownTarget:
     MAX_CHAINS = 8
 
     def __init__(self, dstar: Distribution):
+        if not isinstance(dstar, Distribution):
+            raise IncompatibleOracleModel(
+                f"KnownTarget takes a Distribution, not {type(dstar).__name__}")
         self.dstar = dstar
         self.n = dstar.n
         if dstar.target_tables is None:
@@ -103,7 +105,7 @@ class KnownTarget:
         thr = 2.0 * eps1 * (1.0 + 1e-12) + 1e-15
         i_star = int(np.searchsorted(self.prefix_sums, thr, side="right"))
         heavy = self.prefix_mass(i_star - 1) <= eps1
-        return SplitPoint(i_star, i_star - 1, heavy)
+        return SplitPoint(i_star, heavy)
 
     def witness_chain(self, wj: float) -> WitnessChain:
         """The greedy witness chains for target weight wj, cached."""
@@ -229,40 +231,13 @@ class WitnessChain:
         return self.lo[node], node
 
 
-@dataclass
-class WitnessPartition:
-    intervals: list  # (lo, hi) position intervals, rightmost first
-    target_point: int  # position j
-    heavy: bool  # single wide witness because the point itself is heavy
-
-
-def build_witnesses(target: KnownTarget, j: int, eps1: float) -> WitnessPartition:
-    """Partition positions 1..j-1 into comparable-witness intervals.
-
-    When the target weight of j is at least eps1 the whole prefix is a
-    single witness. Otherwise a right-to-left greedy scan cuts maximal
-    intervals of mass at most w(j); each has mass at least w(j)/2, and
-    a light leftover prefix is merged into the last interval (mass at
-    most 2 w(j)).
-
-    Cost: the intervals are read off the target's cached chain table
-    for w(j) (O(N log N) once per distinct weight) by resolve, a vector
-    op for the run of one-point witnesses and O(log N) scalar lookups
-    for each of the d intervals past it.
-    """
-    sp = target.split(eps1)
-    if sp.heavy:
-        raise NotInNoGapRegime("target splits into the heavy regime")
-    if j <= sp.k_star:
-        raise NotInNoGapRegime(f"position {j} not above the split {sp.k_star}")
-    lo, hi, wide = _witnesses(target, j, eps1, np.arange)
-    return WitnessPartition(list(zip(lo.tolist(), hi.tolist())), j, wide)
-
-
 def _witnesses(target, j, eps1, pick):
-    """(lo, hi, wide): j's witness intervals, as position arrays. A
-    point of target weight at least eps1 has one, the wide (1, j-1);
-    any other has those picked by pick(d) from the d of its chain."""
+    """(lo, hi, wide): j's comparable-witness intervals, as position
+    arrays, rightmost first. A point of target weight at least eps1 has
+    one, the wide (1, j-1). Any other has those pick(d) picks from the d
+    of its greedy chain: each of mass in [w(j)/2, w(j)], but the last,
+    where a light leftover is merged (at most 2 w(j)). pick = np.arange
+    reads the whole partition of 1..j-1."""
     wj = target.weight_at(j)
     if wj >= eps1:
         return np.array([1]), np.array([j - 1]), True
@@ -404,9 +379,11 @@ def _test_known_heavy(h, target, sp, sched):
 def _test_known_main(h, target, sp, sched):
     (eps1, _, m_gate, ell, h_count, m_recheck, witness_m, wide_m,
      (recheck_lo, recheck_hi), wide, witness) = sched
-    k = sp.k_star
+    k = sp.i_star - 1
     full = QuerySet.full()
-    low_prefix = QuerySet.explicit(target.prefix_labels(k))
+    # The gate's and each re-check's target prefix: its labels come sorted
+    # and inside the domain, so the set skips explicit's O(k) order check.
+    low_prefix = QuerySet(EXPLICIT, indices=target.prefix_labels(k))
     reject = False
     # Gate: the mass below the split must look right.
     gate = h.draw_subset_count(full, low_prefix, m_gate) / m_gate
@@ -425,9 +402,7 @@ def _test_known_main(h, target, sp, sched):
     # Once reject is set the outcome is fixed, but every oracle call is
     # still made, so the ledger and the generator end as they would.
     for label, j in zip(drawn[above].tolist(), js[above].tolist()):
-        # Re-check the target prefix mass up to this point. The labels
-        # come sorted and inside the domain, so the set skips explicit's
-        # O(j) order check.
+        # Re-check the target prefix mass up to this point.
         up_to_j = QuerySet(EXPLICIT, indices=target.prefix_labels(j))
         est = h.draw_subset_count(full, up_to_j, m_recheck) / m_recheck
         star = target.prefix_mass(j)

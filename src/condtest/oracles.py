@@ -129,6 +129,9 @@ class OracleHandle:
     """Sampling front-end for one Distribution under one access model."""
 
     def __init__(self, dist: Distribution, model=COND, seed=0, discipline=STRICT):
+        if not isinstance(dist, Distribution):
+            raise IncompatibleOracleModel(
+                f"OracleHandle takes a Distribution, not {type(dist).__name__}")
         if model not in _ALLOWED:
             raise IncompatibleOracleModel(f"unknown model {model!r}")
         if discipline not in (STRICT, PERMISSIVE):
@@ -185,9 +188,6 @@ class OracleHandle:
         setattr(self.ledger, field, getattr(self.ledger, field) + m)
 
     # Drawing -------------------------------------------------------
-
-    def draw(self, s: QuerySet) -> int:
-        return int(self.draw_many(s, 1)[0])
 
     def draw_many(self, s: QuerySet, m: int):
         """m iid conditional draws, returned as an index array."""
@@ -370,9 +370,6 @@ class OracleHandle:
         self._count(s.shape, m)
 
     # Bookkeeping ---------------------------------------------------
-
-    def snapshot_ledger(self) -> QueryLedger:
-        return self.ledger.copy()
 
     def __repr__(self):
         return (

@@ -12,6 +12,7 @@ import condtest as ct
 from condtest.distcore import light_set
 from condtest.equality import approx_eval, approx_eval_schedule
 from condtest.harness import passes_guarantee, wilson_interval
+from condtest.identity import _witnesses
 
 
 def report(capsys, num, ok, detail):
@@ -305,13 +306,14 @@ def test_criterion_10_exact_math(capsys):
         if sp.heavy:
             continue
         for j in (sp.i_star, n):
-            parts = ct.build_witnesses(t, j, 0.05)
+            # The whole partition, as cond_test_known's Main branch reads it.
+            los, his, wide = _witnesses(t, j, 0.05, np.arange)
             wj = t.weight_at(j)
             covered = []
-            for lo, hi in parts.intervals:
+            for lo, hi in zip(los.tolist(), his.tolist()):
                 covered.extend(range(lo, hi + 1))
                 mass = t.prefix_mass(hi) - t.prefix_mass(lo - 1)
-                if not parts.heavy:
+                if not wide:
                     # greedy partitions bound every witness mass; the
                     # single wide witness of a heavy point does not
                     cap = 2.0 * wj if lo == 1 else wj

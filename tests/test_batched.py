@@ -47,7 +47,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from condtest import distance, interval
+from condtest import distance, harness, interval
 from condtest.adversarial import (
     gen_block_profile,
     gen_half_split,
@@ -261,7 +261,7 @@ def reference_test_known_heavy(h, target, sp, sched):
 def reference_test_known_main(h, target, eps, sp, profile=DESK):
     """cond_test_known's Main branch as one compare call per witness."""
     eps1, eps2, eps3, eps4 = eps / 10.0, eps / 2.0, eps / 48.0, eps / 6.0
-    k = sp.k_star
+    k = sp.i_star - 1
     full = QuerySet.full()
     low_prefix = QuerySet.explicit(target.prefix_labels(k))
     reject = False
@@ -653,7 +653,7 @@ def assert_same_state(h1, h2):
     stop."""
     assert h1.ledger.as_dict() == h2.ledger.as_dict()
     assert h1.returned_points == h2.returned_points
-    ledger = h2.snapshot_ledger()
+    ledger = h2.ledger.copy()
     for shape, sets, m, kept in getattr(h1, "cuts", ()):
         scalar_counts(h2, shape, sets, m, slice(kept, None))
     h1.cuts, h2.ledger = [], ledger
@@ -1271,7 +1271,7 @@ def witness_dead(target):
     lies: each witness comparison sees a zero-mass witness."""
     sp = target.split(0.05)
     w = target.dstar.weights.copy()
-    w[target.prefix_labels(sp.k_star) - 1] = 0.0
+    w[target.prefix_labels(sp.i_star - 1) - 1] = 0.0
     return make_distribution(w)
 
 
@@ -1379,8 +1379,8 @@ class TestDistanceMatchesScalarLoops:
                 [(1 / 32, 1e-3, 1 / 32, 1e-3), (0.1, 0.05, 0.2, 0.01),
                  (0.25, 0.1, 0.25, 0.1)]):
             h1, h2 = recording_twins(d, PCOND, seed, discipline)
-            x = h1.draw(QuerySet.full())
-            assert h2.draw(QuerySet.full()) == x
+            x = int(h1.draw_many(QuerySet.full(), 1)[0])
+            assert h2.draw_many(QuerySet.full(), 1)[0] == x
             # desk's find_reference cap and floors
             caps = (400, 0.02, 1e-4)
             got = estimate_neighborhood(
@@ -1430,9 +1430,6 @@ def near_uniform(n, lift, seed):
     return make_distribution(w)
 
 
-# The second oracle's seed, as the harness derives it.
-SECOND_STREAM = 0x9E3779B97F4A7C15
-
 # (name, D1, D2, verdicts at seeds 0..3). The Rejects' exits, read off
 # an instrumented copy of the scalar loop at these seeds:
 EQUALITY_CASES = [
@@ -1466,7 +1463,7 @@ EQUALITY_CASES = [
 def equality_twins(d1, d2, seed):
     """Two (h1, h2) pairs, seeded alike, one for each side."""
     a1, b1 = twins(d1, PCOND, seed)
-    a2, b2 = twins(d2, PCOND, seed ^ SECOND_STREAM)
+    a2, b2 = twins(d2, PCOND, seed ^ harness._SECOND_STREAM)
     return (a1, a2), (b1, b2)
 
 
@@ -1777,7 +1774,7 @@ class TestEvalEqualityMatchesPointLoop:
 def eval_handles(d1, d2, seed):
     """(h1, h2), seeded as the harness seeds eval_equality."""
     return (OracleHandle(d1, model=COND, seed=seed, discipline=STRICT),
-            OracleHandle(d2, model=COND, seed=seed ^ SECOND_STREAM, discipline=STRICT))
+            OracleHandle(d2, model=COND, seed=seed ^ harness._SECOND_STREAM, discipline=STRICT))
 
 
 # The scalar pair comparison ------------------------------------------------

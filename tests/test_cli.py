@@ -126,7 +126,7 @@ class TestRun:
         ])
         assert r.exit_code == 1
         assert r.output.strip().splitlines() == [
-            "Error: spec has domain size 64 but spec2 has 32"]
+            "Error: the two inputs have domain sizes 64 and 32"]
 
     @pytest.mark.parametrize("text, message", [
         (None, "'nonsense' is neither a preset nor a readable file"),

@@ -1,36 +1,9 @@
 """Seed-for-seed identity on a fixed grid of (tester, spec, eps, seed).
 
 Every trial's verdict, estimate and ledger must equal the values in
-golden_grid.json, which were recorded from the code before the
-shape-aware set operations and the vectorized witness partition
-replaced their member-array and scalar-loop versions; the two 2^14
-cond_known entries were added later, recorded from the code before
-the target tables moved onto the target distribution, and the
-block_256, half_256_eps_0.5 and point_mass_256 dist_uniformity entries
-from the code before its comparisons moved onto the pair kernel. The
-pcond_equality entries at seed 1 and the gap_256 ones were recorded
-from the code before its cross loop moved onto the pair kernel, and
-the eval_equality U_gap_256, gap_U_256 and U_bump_256 ones from the
-code before approx_eval's first rounds were drawn in batches. The
-cond_known U_U_4, U_U_8 and rand_rand_6 entries, which split into the
-Heavy branch, were recorded from the code before that branch checked
-its frequencies in array operations. The cond_known stair_stair
-entries at seeds 1 and 2, pert_stair at seed 1 and rand_rand_4096 were
-recorded from the code before the union comparisons built their
-unions without np.insert. The eval_equality U_bump_256 entry at seed 0
-and U_gap_256 at seed 4 were recorded after the batched calls stopped
-rewinding the generator: a round-one batch that stops part way now
-hands the rows it read to the next point's approx_eval, and the next
-batch draws on from there, so these two trials' ledgers moved, with
-their verdicts unchanged; tools/law_check.py holds the tester's law to
-its parent's. The eval_equality U_bump_256 entry at seed 0, U_gap_256
-at seeds 0 and 4 and gap_U_256 at seeds 0 and 1 were recorded after
-approx_eval's round one became i*'s binomial count, with the rest of
-that histogram drawn only when the count does not settle i*: the same
-law, other random numbers, so these five trials' ledgers and four of
-their verdicts moved, and tools/law_check.py held the tester's law to
-its parent's. A change that claims to keep behaviour must keep this
-test passing unchanged.
+golden_grid.json. A change that claims to keep behaviour must keep this
+test passing unchanged; CHANGES.md records which code each entry was
+recorded from.
 
 Regenerate the file (only when behaviour is meant to change) with
 

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import condtest
 from condtest import harness, identity
@@ -38,8 +39,9 @@ from condtest.harness import (
     write_csv,
     write_json,
 )
+from condtest.cli import main
 from condtest.identity import KnownTarget
-from condtest.oracles import QueryLedger
+from condtest.oracles import OracleHandle, QueryLedger
 from condtest.profiles import DESK
 
 
@@ -234,7 +236,7 @@ class TestRunExperiment:
             spec2={"kind": "explicit", "weights": [1.0] * 32},
             eps=0.5,
         )
-        with pytest.raises(DomainMismatch, match="64 but spec2 has 32"):
+        with pytest.raises(DomainMismatch, match="domain sizes 64 and 32"):
             run_experiment(cfg)
 
     def test_target_freed_after_experiment(self, monkeypatch):
@@ -333,6 +335,59 @@ class TestTargetTables:
             gc.enable()
 
 
+def _refuse_64_against_32(entry, tester, tmp_path):
+    """Run tester on a 64-point input and a 32-point second input
+    through entry; the refusal it raises, or the CLI's output lines."""
+    spec = harness.TESTERS[tester]
+    docs = [{"kind": "explicit", "weights": [1.0] * n} for n in (64, 32)]
+    d1, d2 = uniform(64), uniform(32)
+    if entry == "cli":
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, doc in zip(paths, docs):
+            path.write_text(json.dumps(doc))
+        r = CliRunner().invoke(main, ["run", "--tester", tester, "--dist", str(paths[0]),
+                                      "--dist2", str(paths[1]), "--eps", "0.5"])
+        assert r.exit_code == 1
+        return r.output.strip().splitlines()
+    with pytest.raises(DomainMismatch) as err:
+        if entry == "run_experiment":
+            run_experiment(ExperimentConfig(tester=tester, spec=docs[0], spec2=docs[1],
+                                            eps=0.5))
+        elif entry == "run_trial":
+            aux = KnownTarget(d2) if spec.second == "target" else d2
+            harness.run_trial(tester, d1, aux, 0.5, 0)
+        else:  # harness.OracleHandle: the recording class the test installs
+            h1 = harness.OracleHandle(d1, model=spec.model, seed=0,
+                                      discipline=spec.discipline)
+            aux = (KnownTarget(d2) if spec.second == "target" else harness.OracleHandle(
+                d2, model=spec.model, seed=1, discipline=spec.discipline))
+            spec.fn(h1, aux, 0.5)
+    return [f"Error: {err.value}"]
+
+
+@pytest.mark.parametrize("tester", [
+    "pcond_known", "cond_known", "pcond_equality", "eval_equality"])
+@pytest.mark.parametrize("entry", ["cli", "run_experiment", "run_trial", "direct"])
+def test_domain_mismatch_refused_before_any_draw(entry, tester, tmp_path, monkeypatch):
+    """Every entry point leaves the domain check to the tester, which
+    refuses with check_same_domain's one message before any handle
+    draws or is charged."""
+    made = []
+
+    class Recorded(OracleHandle):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.start = self.rng.bit_generator.state
+            made.append(self)
+
+    monkeypatch.setattr(harness, "OracleHandle", Recorded)
+    assert _refuse_64_against_32(entry, tester, tmp_path) == [
+        "Error: the two inputs have domain sizes 64 and 32"]
+    assert made
+    for h in made:
+        assert h.ledger.total == 0 and h.rng.bit_generator.state == h.start
+
+
 class TestRunTrial:
     def test_unknown_tester(self):
         with pytest.raises(UnknownTester, match="'nope'"):
@@ -367,7 +422,7 @@ class TestRunTrial:
         ("pcond_equality", uniform(4)),
     ])
     def test_rejects_aux_of_another_domain(self, tester, aux):
-        with pytest.raises(DomainMismatch, match="8 but spec2 has"):
+        with pytest.raises(DomainMismatch, match="domain sizes 8 and"):
             harness.run_trial(tester, uniform(8), aux, 0.5, 0)
 
     @pytest.mark.parametrize("tester, aux", [

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from condtest.adversarial import gen_half_split, gen_block_profile, gen_staircase
 from condtest.distcore import QuerySet, bucketize, make_distribution, uniform
-from condtest.errors import DomainMismatch, NotInNoGapRegime
+from condtest.errors import DomainMismatch
 from condtest.identity import (
     KnownTarget,
     WitnessChain,
-    build_witnesses,
+    _witnesses,
     cond_schedule,
     cond_test_known,
     pcond_test_known,
@@ -70,7 +70,7 @@ class TestKnownTarget:
         # position 11; prefix below is 0.10 > eps1, so not heavy.
         t = KnownTarget(uniform(100))
         sp = t.split(0.05)
-        assert (sp.i_star, sp.k_star, sp.heavy) == (11, 10, False)
+        assert (sp.i_star, sp.heavy) == (11, False)
 
     def test_split_point_mass_is_heavy(self):
         w = np.full(50, 0.001)
@@ -139,11 +139,18 @@ class TestKnownTarget:
         assert h.draw_many(QuerySet.full(), 4).tolist() == [10] * 4
 
 
-class TestWitnessPartition:
-    def _brute_valid(self, t, parts, j):
+def partition(t, j, eps1=0.05):
+    """(intervals, wide): j's whole witness partition as (lo, hi)
+    position pairs, rightmost first, read as cond_test_known reads it."""
+    lo, hi, wide = _witnesses(t, j, eps1, np.arange)
+    return list(zip(lo.tolist(), hi.tolist())), wide
+
+
+class TestWitnessIntervals:
+    def _brute_valid(self, t, intervals, j):
         wj = t.weight_at(j)
         covered = []
-        for k, (lo, hi) in enumerate(parts.intervals):
+        for lo, hi in intervals:
             assert 1 <= lo <= hi <= j - 1
             covered.extend(range(lo, hi + 1))
             mass = t.prefix_mass(hi) - t.prefix_mass(lo - 1)
@@ -164,11 +171,11 @@ class TestWitnessPartition:
             if sp.heavy:
                 continue
             for j in range(sp.i_star, n + 1, max(1, (n - sp.i_star) // 5)):
-                parts = build_witnesses(t, j, 0.05)
-                if parts.heavy:
-                    assert parts.intervals == [(1, j - 1)]
+                intervals, wide = partition(t, j)
+                if wide:
+                    assert intervals == [(1, j - 1)]
                 else:
-                    self._brute_valid(t, parts, j)
+                    self._brute_valid(t, intervals, j)
                 checked += 1
         assert checked > 50
 
@@ -176,22 +183,11 @@ class TestWitnessPartition:
         w = np.full(40, 0.5 / 39)
         w[39] = 0.5
         t = KnownTarget(make_distribution(w))
-        parts = build_witnesses(t, 40, 0.05)
-        assert parts.heavy and parts.intervals == [(1, 39)]
-
-    def test_guards(self):
-        t = KnownTarget(uniform(100))
-        with pytest.raises(NotInNoGapRegime):
-            build_witnesses(t, 3, 0.05)  # below the split
-        w = np.full(50, 0.001)
-        w[0] = 1.0
-        heavy_t = KnownTarget(make_distribution(w))
-        with pytest.raises(NotInNoGapRegime):
-            build_witnesses(heavy_t, 30, 0.05)
+        assert partition(t, 40) == ([(1, 39)], True)
 
 
 def reference_witnesses(target, j, eps1):
-    """The scalar greedy scan build_witnesses replaced, kept verbatim as
+    """The scalar greedy scan the chain table replaced, kept verbatim as
     the reference: one searchsorted call per interval."""
     wj = target.weight_at(j)
     prefix = target.prefix_sums
@@ -223,11 +219,11 @@ class TestWitnessesMatchScalarScan:
     def _check(self, t, js, eps1=0.05):
         merged = 0
         for j in js:
-            parts = build_witnesses(t, j, eps1)
-            if parts.heavy:
+            intervals, wide = partition(t, j, eps1)
+            if wide:
                 continue
             want = reference_witnesses(t, j, eps1)
-            assert parts.intervals == want, j
+            assert intervals == want, j
             merged += light_remainder_merged(t, want, j)
         return merged
 
@@ -248,9 +244,9 @@ class TestWitnessesMatchScalarScan:
         t = KnownTarget(uniform(n))
         js = [t.split(0.05).i_star, n // 2, n - 1, n]
         self._check(t, js)
-        parts = build_witnesses(t, n, 0.05)
-        assert len(parts.intervals) >= n - 3
-        assert all(lo == hi for lo, hi in parts.intervals[:-1])
+        intervals, _ = partition(t, n)
+        assert len(intervals) >= n - 3
+        assert all(lo == hi for lo, hi in intervals[:-1])
 
     def test_light_remainder_merged(self):
         # A light head of tiny points below a flat body: the greedy scan

@@ -41,7 +41,6 @@ ALLOWED = {
     "distcore.neighborhood_mass": "criterion 3 holds estimate_neighborhood against it",
     "distcore.light_set": "criterion 7 keeps its light tail out of approx_eval's points",
     "distcore.psi_vector": "criterion 10 checks the mean-psi identity with it",
-    "identity.build_witnesses": "criterion 10 checks the witness partition bounds with it",
     "harness.passes_guarantee": "the Wilson rule every acceptance criterion applies",
     "distcore.QuerySet.interval": "criterion 1 draws on interval sets built with it",
     # Names the benchmark in perfbench/ calls.
@@ -52,7 +51,6 @@ ALLOWED = {
     "harness.read_json_report": "reads back a JSON report written by write_json",
     # Library conveniences.
     "adversarial.rand_staircase": "random staircase instances, the twin of rand_block_profile",
-    "oracles.OracleHandle.draw": "the single-draw form of draw_many",
 }
 
 

@@ -14,6 +14,7 @@ from condtest.errors import (
     IncompatibleOracleModel,
     ZeroMassSet,
 )
+from condtest.identity import KnownTarget
 from condtest.oracles import (
     COND,
     ICOND,
@@ -47,7 +48,7 @@ class TestShapeRules:
         for model, oks in cases.items():
             h = OracleHandle(d, model=model, seed=0, discipline=PERMISSIVE)
             for s in oks:
-                h.draw(s)
+                h.draw_many(s, 1)
 
     @pytest.mark.parametrize("kw", [{"model": "bogus"}, {"discipline": "lax"}])
     def test_unknown_model_or_discipline(self, kw):
@@ -64,18 +65,18 @@ class TestShapeRules:
         for model, s in bad.items():
             h = OracleHandle(d, model=model, seed=0, discipline=PERMISSIVE)
             with pytest.raises(IllegalShapeForModel):
-                h.draw(s)
+                h.draw_many(s, 1)
 
     def test_domain_check(self):
         h = OracleHandle(uniform(4), model=COND, seed=0, discipline=PERMISSIVE)
         with pytest.raises(BadQuerySet):
-            h.draw(QuerySet.interval(2, 9))
+            h.draw_many(QuerySet.interval(2, 9), 1)
 
     def test_zero_mass_failure(self):
         d = make_distribution([1, 0, 0, 1])
         h = OracleHandle(d, model=COND, seed=0, discipline=PERMISSIVE)
         with pytest.raises(ZeroMassSet):
-            h.draw(QuerySet.pair(2, 3))
+            h.draw_many(QuerySet.pair(2, 3), 1)
 
 
 class TestSeed:
@@ -191,18 +192,18 @@ class TestDiscipline:
     def test_strict_blocks_unseen_sets(self):
         h = OracleHandle(uniform(16), model=COND, seed=1, discipline=STRICT)
         with pytest.raises(DisciplineViolation):
-            h.draw(QuerySet.pair(1, 2))
+            h.draw_many(QuerySet.pair(1, 2), 1)
 
     def test_strict_allows_sets_with_returned_point(self):
         h = OracleHandle(uniform(16), model=COND, seed=1, discipline=STRICT)
-        x = h.draw(QuerySet.full())
+        x = int(h.draw_many(QuerySet.full(), 1)[0])
         y = x + 1 if x < 16 else x - 1
-        h.draw(QuerySet.pair(x, y))
-        h.draw(QuerySet.interval(max(1, x - 2), min(16, x + 2)))
+        h.draw_many(QuerySet.pair(x, y), 1)
+        h.draw_many(QuerySet.interval(max(1, x - 2), min(16, x + 2)), 1)
 
     def test_permissive_allows_anything_nonzero(self):
         h = OracleHandle(uniform(16), model=COND, seed=1, discipline=PERMISSIVE)
-        h.draw(QuerySet.explicit([3, 9]))
+        h.draw_many(QuerySet.explicit([3, 9]), 1)
 
     @staticmethod
     def _observe(h, op, s):
@@ -390,8 +391,8 @@ class TestLedger:
 
     def test_snapshot_is_a_copy(self):
         h = OracleHandle(uniform(4), model=SAMP, seed=0)
-        snap = h.snapshot_ledger()
-        h.draw(QuerySet.full())
+        snap = h.ledger.copy()
+        h.draw_many(QuerySet.full(), 1)
         assert snap.total == 0 and h.ledger.total == 1
 
     def test_ledger_dict(self):
@@ -399,3 +400,11 @@ class TestLedger:
         assert led.as_dict() == {
             "samp": 1, "cond": 2, "pcond": 3, "icond": 4, "total": 10,
         }
+
+
+@pytest.mark.parametrize("make", [OracleHandle, KnownTarget])
+@pytest.mark.parametrize("x", [[1, 2, 3], np.ones(3), None, "uniform(4)",
+                               KnownTarget(uniform(4))])
+def test_input_that_is_no_distribution_refused(make, x):
+    with pytest.raises(IncompatibleOracleModel, match="takes a Distribution, not "):
+        make(x)

@@ -62,7 +62,7 @@ def calls(ct):
 
     d = ct.uniform(2**10)
     h = OracleHandle(d, model=COND, seed=0, discipline=STRICT)
-    x = h.draw(QuerySet.full())
+    x = int(h.draw_many(QuerySet.full(), 1)[0])
     rng = np.random.default_rng(0)
     others = np.setdiff1d(np.arange(1, d.n + 1), [x])
     ys = rng.choice(others, size=64, replace=False)
