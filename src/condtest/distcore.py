@@ -16,13 +16,16 @@ Distribution stores them as the array prefix. uniform(n) with n a
 power of two stores no N-sized array: its weights is a read-only
 zero-stride view of the one weight 1/n, it has no prefix, and it
 computes prefix masses and the inverse CDF instead, with the same
-floats and so the same draws as the explicit twin.
+floats and so the same draws as the explicit twin. Every builder,
+uniform here and the generators in adversarial, enters the one size
+rule, size_rule, before it computes anything from N.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,24 +303,34 @@ def make_distribution(weights) -> Distribution:
     return Distribution(weights)
 
 
+@contextmanager
+def size_rule(builder, n):
+    """The one size rule of every distribution builder, entered before
+    it computes anything from its domain size n or draws: an n past
+    MAX_WEIGHTS, or a build that runs out of memory, raises
+    DomainTooLarge naming builder and n. Past 2^64 the message gives
+    the power of two n reaches, so it formats for any n."""
+    if n <= MAX_WEIGHTS:
+        try:
+            yield
+            return
+        except MemoryError:
+            pass
+    shown = f"n={n}" if n.bit_length() <= 64 else f"n >= 2^{n.bit_length() - 1}"
+    raise DomainTooLarge(f"{builder} with {shown} needs more weights than fit in memory")
+
+
 def uniform(n) -> Distribution:
     """The uniform distribution over 1..n; array-free when n is a power
     of two. Raises BadGeneratorParam when n is no integer, and
-    DomainTooLarge past MAX_WEIGHTS or when the arrays of any other n
-    do not fit in memory."""
+    DomainTooLarge by the size rule (size_rule)."""
     n = as_integer(n, "uniform's n", BadGeneratorParam)
-    if n < 1:
-        raise ZeroTotalMass("need at least one weight")
-    too_large = DomainTooLarge(
-        f"uniform({n}) needs arrays of {n} weights, which do not fit in memory")
-    if n > MAX_WEIGHTS:
-        raise too_large
-    if n & (n - 1) == 0:
-        return _DyadicUniform(n)
-    try:
+    with size_rule("uniform", n):
+        if n < 1:
+            raise ZeroTotalMass("need at least one weight")
+        if n & (n - 1) == 0:
+            return _DyadicUniform(n)
         return Distribution(np.broadcast_to(1.0 / n, (n,)))
-    except MemoryError:
-        raise too_large from None
 
 
 def _check_domain(d: Distribution, s: QuerySet):
@@ -410,16 +423,20 @@ def load_spec(source) -> Distribution:
     if isinstance(source, dict):
         doc = source
     else:
-        text = None
+        # A ValueError is any text json cannot parse, a JSONDecodeError
+        # or an integer of more digits than Python converts.
         try:
             with open(source) as f:
-                text = f.read()
-        except (OSError, TypeError):
-            text = source
-        try:
-            doc = json.loads(text)
-        except (json.JSONDecodeError, TypeError) as e:
-            raise SpecParseError(f"not valid JSON: {e}") from e
+                doc = json.loads(f.read())
+        except ValueError as e:
+            raise SpecParseError(f"spec file {source!r} is not valid JSON: {e}") from e
+        except (OSError, TypeError) as unread:
+            try:
+                doc = json.loads(source)
+            except (ValueError, TypeError) as e:
+                reason = getattr(unread, "strerror", None) or unread
+                raise SpecParseError(f"{source!r} is neither a readable file ({reason}) "
+                                     f"nor valid JSON: {e}") from e
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SpecParseError("spec must be an object with a 'kind' field")
     kind = doc["kind"]

@@ -34,6 +34,8 @@ import json
 import math
 import os
 
+import numpy as np
+
 from .errors import BadProfile
 
 
@@ -139,6 +141,10 @@ _DRAW_CAPS = ("compare_max_draws", "ae_m_cap", "ae_m_min")
 
 
 def _check_value(key, v):
+    """v, a numpy number as the Python int or float it is, if it passes
+    the rule for key; BadProfile otherwise."""
+    if isinstance(v, (np.integer, np.floating)):
+        v = v.item()
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise BadProfile(f"profile key {key!r} must be a number, got {v!r}")
     if key in _COUNTS:
@@ -151,6 +157,7 @@ def _check_value(key, v):
         ok, want = 0.0 < v < math.inf, "a finite number > 0"
     if not ok:
         raise BadProfile(f"profile key {key!r} must be {want}, got {v!r}")
+    return v
 
 
 class ConstantsProfile:
@@ -166,8 +173,7 @@ class ConstantsProfile:
             unknown = set(overrides) - set(table)
             if unknown:
                 raise BadProfile(f"unknown profile keys: {sorted(unknown)}")
-            for key, v in overrides.items():
-                _check_value(key, v)
+            overrides = {key: _check_value(key, v) for key, v in overrides.items()}
             table.update(overrides)
         self.name = name
         self.overrides = dict(overrides or {})

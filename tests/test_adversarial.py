@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from condtest.adversarial import (
     staircase_domain_size,
     valid_block_exponents,
 )
-from condtest.distcore import load_spec, tv_distance, uniform
+from condtest.distcore import load_spec, make_distribution, tv_distance, uniform
 from condtest.errors import (
     BadBlockGeometry,
     BadGeneratorParam,
@@ -97,10 +98,11 @@ class TestStaircase:
         assert down.weights[0] == pytest.approx(0.125)
         assert tv_distance(up, down) == pytest.approx(0.5)
 
-    def test_domain_guard(self):
-        with pytest.raises(DomainTooLarge):
-            gen_staircase(16, 4)
+    def test_domain_size(self):
         assert staircase_domain_size(2, 4) == 510
+        # Past 2^20 too: the size rule alone bounds a staircase.
+        d = gen_staircase(2, 10)
+        assert d.n == staircase_domain_size(2, 10) == 2_097_150
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -143,6 +145,21 @@ class TestBlockProfile:
                 delta / n
             )
 
+    def test_one_geometry_rule(self):
+        """x is valid for n exactly when 2^x blocks of n points have an
+        even size of at least 2, the rule as first written."""
+        for n in range(-4, 200):
+            sizes = {x: n // 2**x for x in range(10) if n > 0 and n % 2**x == 0}
+            want = [x for x, size in sizes.items() if size >= 2 and size % 2 == 0]
+            assert valid_block_exponents(n) == want
+            if 0 < n <= 64 and n % 2 == 0:
+                for x in range(-1, 7):
+                    if x in want:
+                        assert gen_block_profile(n, x, 0, ["up_down"] * 2**x, 0.25).n == n
+                    else:
+                        with pytest.raises(BadBlockGeometry):
+                            gen_block_profile(n, x, 0, [], 0.25)
+
     def test_geometry_guards(self):
         with pytest.raises(BadBlockGeometry):
             gen_block_profile(10, 2, 0, ["up_down"] * 4, 0.25)  # 10/4 not integer
@@ -152,18 +169,22 @@ class TestBlockProfile:
             gen_block_profile(16, 2, 0, ["up_down"] * 3, 0.25)
 
 
-@pytest.mark.parametrize("call", [
-    "gen_half_split(10**12, 0.25)",
-    "gen_block_profile(10**12, 0, 0, ['up_down'], 0.25)",
-])
-def test_past_memory_names_n(call):
+PAST_MEMORY = [
+    ("gen_half_split(10**12, 0.25)", 10**12),
+    ("gen_block_profile(10**12, 0, 0, ['up_down'], 0.25)", 10**12),
+    ("gen_staircase(16, 4)", staircase_domain_size(16, 4)),
+]
+
+
+@pytest.mark.parametrize("call, n", PAST_MEMORY, ids=[call for call, _ in PAST_MEMORY])
+def test_past_memory_names_n(call, n):
     """In a process whose address space is capped at 1.5 GB, so that
     the arrays are refused, not allocated."""
     code = "\n".join((
         "import resource",
         "cap = (1_500_000_000, resource.getrlimit(resource.RLIMIT_AS)[1])",
         "resource.setrlimit(resource.RLIMIT_AS, cap)",
-        "from condtest.adversarial import gen_block_profile, gen_half_split",
+        "from condtest.adversarial import gen_block_profile, gen_half_split, gen_staircase",
         "from condtest.errors import DomainTooLarge",
         "try:",
         f"    {call}",
@@ -173,7 +194,7 @@ def test_past_memory_names_n(call):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    assert "n=1000000000000" in out.stdout
+    assert f"n={n} " in out.stdout
 
 
 @pytest.mark.parametrize("call, name", [
@@ -185,6 +206,29 @@ def test_past_numpy_arrays_names_n(call, name):
     bare ValueError unless the generator refuses first."""
     with pytest.raises(DomainTooLarge, match=f"{name} with n={2**62} "):
         call(2**62)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: uniform(10**5000),
+    lambda rng: gen_half_split(10**5000, 0.25),
+    lambda rng: gen_block_profile(10**5000, 1, 0, ["up_down", "down_up"], 0.25),
+    lambda rng: rand_block_profile(2**64, 0.25, rng),
+    lambda rng: rand_staircase(2, 10**5, rng),
+    lambda rng: gen_staircase(2, 10**5),
+    lambda rng: gen_staircase(2, 31),
+], ids=["uniform", "half_split", "block_profile", "rand_block_profile",
+        "rand_staircase", "staircase", "staircase_past_numpy_arrays"])
+def test_past_memory_refused_at_once(call):
+    """Each builder applies the size rule before it computes anything
+    from n or draws: a domain far past memory is refused in well under
+    0.1 s, with a message that formats n at any size."""
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    start = time.perf_counter()
+    with pytest.raises(DomainTooLarge, match="needs more weights than fit in memory"):
+        call(rng)
+    assert time.perf_counter() - start < 0.1
+    assert rng.bit_generator.state == state
 
 
 class TestParamRefusals:
@@ -210,6 +254,10 @@ class TestParamRefusals:
                            "profile": ["up_down", "down_up"], "eps": -0.1}, "eps must lie"),
         ("block_profile", {"n": 8, "x": 1, "offset": 0,
                            "profile": ["up_down", "left"], "eps": 0.25}, "flag 'left'"),
+        ("half_split", {"n": 4, "eps": "x"}, "eps must lie in .* got 'x'"),
+        ("half_split", {"n": 8, "eps": False}, "eps must lie in .* got False"),
+        ("block_profile", {"n": 8, "x": 1, "offset": 0,
+                           "profile": ["up_down", "down_up"], "eps": False}, "got False"),
     ])
     def test_refused_with_a_typed_error(self, name, params, match):
         with pytest.raises(BadGeneratorParam, match=match) as info:
@@ -254,10 +302,52 @@ class TestParamRefusals:
         ]:
             assert a.weights.tobytes() == b.weights.tobytes()
 
-    def test_eps_not_a_number(self):
-        # Not through GENERATORS, whose float(eps) refuses "x" first.
-        with pytest.raises(BadGeneratorParam, match="eps must lie in .* got 'x'"):
-            gen_half_split(4, "x")
+
+def _loop_weights(name, *args):
+    """The weights each generator first built, slice by slice in a loop:
+    the reference its array code must match bit for bit."""
+    if name == "half_split":
+        n, eps = args
+        w = np.empty(n)
+        w[: n // 2] = (1.0 + 2.0 * eps) / n
+        w[n // 2 :] = (1.0 - 2.0 * eps) / n
+    elif name == "staircase":
+        k, r, profile = args
+        masses = np.full(2 * r, 1.0 / (2.0 * r))
+        for i, flag in enumerate(profile or []):
+            heavy, light = (2 * i, 2 * i + 1) if flag == "up_down" else (2 * i + 1, 2 * i)
+            masses[heavy], masses[light] = 3.0 / (4.0 * r), 1.0 / (4.0 * r)
+        w, pos = np.empty(staircase_domain_size(k, r)), 0
+        for i in range(1, 2 * r + 1):
+            w[pos : pos + k**i] = masses[i - 1] / k**i
+            pos += k**i
+    else:
+        n, x, offset, profile, eps = args
+        delta, hi, lo = n // 2**x, (1.0 + 2.0 * eps) / n, (1.0 - 2.0 * eps) / n
+        w = np.empty(n)
+        for j, flag in enumerate(profile):
+            first, second = (hi, lo) if flag == "up_down" else (lo, hi)
+            w[j * delta : j * delta + delta // 2] = first
+            w[j * delta + delta // 2 : (j + 1) * delta] = second
+        w = np.roll(w, offset % n)
+    return make_distribution(w).weights
+
+
+def test_generators_match_the_loop_reference():
+    rng = np.random.default_rng(12)
+    for n in (2, 8, 96, 1000):
+        for eps in (0.0, 0.1, 0.25, 0.5):
+            assert (gen_half_split(n, eps).weights.tobytes()
+                    == _loop_weights("half_split", n, eps).tobytes())
+    for k, r in ((2, 1), (2, 5), (3, 3), (7, 2)):
+        for profile in (None, rand_profile(rng, r)):
+            assert (gen_staircase(k, r, profile).weights.tobytes()
+                    == _loop_weights("staircase", k, r, profile).tobytes())
+    for n in (8, 96, 256):
+        for x in valid_block_exponents(n):
+            args = (n, x, int(rng.integers(0, 2 * n)), rand_profile(rng, 2**x), 0.3)
+            assert (gen_block_profile(*args).weights.tobytes()
+                    == _loop_weights("block_profile", *args).tobytes())
 
 
 class TestRandomWrappers:
@@ -274,8 +364,13 @@ class TestRandomWrappers:
         assert tv_distance(d, uniform(128)) == pytest.approx(0.5, abs=1e-12)
 
     def test_exponent_validation(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(BadBlockGeometry):
-            rand_block_profile(64, 0.25, np.random.default_rng(0), x=6)  # size 1
+            rand_block_profile(64, 0.25, rng, x=6)  # size 1
+        with pytest.raises(BadBlockGeometry):
+            rand_block_profile(63, 0.25, rng)  # no even block size
+        assert rng.bit_generator.state == state
 
 
 class TestRegistry:

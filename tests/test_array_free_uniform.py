@@ -74,13 +74,13 @@ class TestDistribution:
         env = dict(os.environ, PYTHONPATH=str(SRC))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=60)
-        assert "uniform(1000000000000)" in out.stdout
+        assert "uniform with n=1000000000000 " in out.stdout
 
     @pytest.mark.parametrize("n", [2**60, 2**62, 2**63 + 2])
     def test_past_numpy_arrays_names_n(self, n):
         """Past MAX_WEIGHTS numpy refuses even a zero-stride view."""
         assert n > MAX_WEIGHTS >= 2**59
-        with pytest.raises(DomainTooLarge, match=rf"uniform\({n}\)"):
+        with pytest.raises(DomainTooLarge, match=f"uniform with n={n} "):
             uniform(n)
 
     def test_largest_dyadic_size_stays_array_free(self):

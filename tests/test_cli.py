@@ -117,17 +117,6 @@ class TestRun:
         assert r.output.strip().splitlines() == [
             f"Error: need at least one trial, got {int(trials)}"]
 
-    def test_domain_mismatch_fails_with_one_line(self, tmp_path):
-        d1 = uniform_spec(tmp_path, n=64, name="a.json")
-        d2 = uniform_spec(tmp_path, n=32, name="b.json")
-        r = CliRunner().invoke(main, [
-            "run", "--tester", "cond_known", "--dist", d1, "--dist2", d2,
-            "--eps", "0.5",
-        ])
-        assert r.exit_code == 1
-        assert r.output.strip().splitlines() == [
-            "Error: the two inputs have domain sizes 64 and 32"]
-
     @pytest.mark.parametrize("text, message", [
         (None, "'nonsense' is neither a preset nor a readable file"),
         ('{"overrides": {"mystery_c": 1}}', "unknown profile keys: ['mystery_c']"),
@@ -197,8 +186,7 @@ class TestSweep:
         ])
         assert r.exit_code == 1
         assert r.output.strip().splitlines() == [
-            f"Error: uniform({2**60}) needs arrays of {2**60} weights, "
-            "which do not fit in memory"]
+            f"Error: uniform with n={2**60} needs more weights than fit in memory"]
 
     def test_empty_grid_fails_with_one_line(self):
         r = CliRunner().invoke(main, [
@@ -255,6 +243,25 @@ class TestDistValidate:
         assert r.exit_code == 1
         assert r.output.strip().splitlines() == [
             "Error: bad weights: 'weights' must be a flat list of numbers"]
+
+    @pytest.mark.parametrize("text, line", [
+        (json.dumps({"kind": "generator", "name": "block_profile",
+                     "params": {"n": 10**400, "x": 1, "offset": 0,
+                                "profile": ["up_down", "down_up"], "eps": 0.25}}),
+         "Error: block_profile with n >= 2^1328 needs more weights than fit in memory"),
+        (json.dumps({"kind": "generator", "name": "staircase", "params": {"k": 2, "r": 31}}),
+         f"Error: staircase with n={2**63 - 2} needs more weights than fit in memory"),
+        ('{"kind": "explicit", "weights": [1%s]}' % ("0" * 5000),
+         "Error: spec file 'w.json' is not valid JSON: Exceeds the limit"),
+    ], ids=["block_profile_401_digits", "staircase_past_numpy_arrays", "5001_digits"])
+    def test_validate_unbuildable_spec_fails_with_one_line(self, tmp_path, monkeypatch,
+                                                            text, line):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "w.json").write_text(text)
+        r = CliRunner().invoke(main, ["dist", "validate", "w.json"])
+        assert r.exit_code == 1
+        assert len(r.output.strip().splitlines()) == 1
+        assert r.output.startswith(line)
 
     def test_validate_out_of_range_generator_param(self, tmp_path):
         spec = write_spec(tmp_path, "hs.json", {

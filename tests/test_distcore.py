@@ -518,6 +518,25 @@ class TestLoadSpec:
         with pytest.raises(SpecParseError):
             load_spec('{"kind": "explicit", "weights": [1, NaN]}')
 
+    def test_every_unparsable_text_is_spec_error(self, tmp_path):
+        # Past Python's 4300 digits json raises a ValueError that is no
+        # JSONDecodeError.
+        text = '{"kind": "explicit", "weights": [1%s]}' % ("0" * 5000)
+        p = tmp_path / "long.json"
+        p.write_text(text)
+        with pytest.raises(SpecParseError, match=r"spec file .*long\.json' is not valid JSON: Exceeds"):
+            load_spec(str(p))
+        with pytest.raises(SpecParseError, match="nor valid JSON: Exceeds"):
+            load_spec(text)
+
+    def test_neither_file_nor_json_names_both(self, tmp_path):
+        path = str(tmp_path / "spec.jsn")
+        with pytest.raises(SpecParseError) as err:
+            load_spec(path)
+        assert str(err.value) == (f"{path!r} is neither a readable file (No such file or "
+                                  "directory) nor valid JSON: Expecting value: line 1 "
+                                  "column 1 (char 0)")
+
     def test_generator_range_error_is_spec_error(self):
         with pytest.raises(SpecParseError, match="bad generator params"):
             load_spec({"kind": "generator", "name": "half_split",

@@ -14,7 +14,6 @@ from condtest.equality import (
     pcond_schedule,
     pcond_test_equality,
 )
-from condtest.errors import DomainMismatch
 from condtest.harness import run_trial
 from condtest.oracles import COND, OracleHandle, PCOND, PERMISSIVE, STRICT
 from condtest.profiles import DESK
@@ -182,18 +181,3 @@ class TestEvalEquality:
             for s in range(15)
         )
         assert rej >= 13
-
-
-class TestRefusals:
-    """Each refusal raises before either handle draws or is charged."""
-
-    @pytest.mark.parametrize("tester, pair", [(pcond_test_equality, pcond_pair),
-                                              (eval_test_equality, cond_pair)])
-    @pytest.mark.parametrize("n1, n2", [(256, 64), (64, 256)])
-    def test_domain_mismatch(self, tester, pair, n1, n2):
-        h1, h2 = pair(uniform(n1), uniform(n2))
-        states = [h.rng.bit_generator.state for h in (h1, h2)]
-        with pytest.raises(DomainMismatch):
-            tester(h1, h2, 0.5)
-        assert [h.rng.bit_generator.state for h in (h1, h2)] == states
-        assert h1.ledger.total == h2.ledger.total == 0

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from condtest.adversarial import gen_half_split, gen_block_profile, gen_staircase
 from condtest.distcore import QuerySet, bucketize, make_distribution, uniform
-from condtest.errors import DomainMismatch
 from condtest.identity import (
     KnownTarget,
     WitnessChain,
@@ -344,17 +343,6 @@ class TestWitnessChainTable:
         assert len({t.weight_at(int(j)) for j in js}) > KnownTarget.MAX_CHAINS
         assert self._check(t, [int(j) for j in js]) > KnownTarget.MAX_CHAINS
         assert len(t._chains) == KnownTarget.MAX_CHAINS
-
-
-@pytest.mark.parametrize("tester, handle", [(pcond_test_known, pcond_handle),
-                                             (cond_test_known, cond_handle)])
-@pytest.mark.parametrize("n, n_target", [(64, 32), (32, 64)])
-def test_domain_mismatch_refused_before_any_draw(tester, handle, n, n_target):
-    h = handle(uniform(n))
-    state = h.rng.bit_generator.state
-    with pytest.raises(DomainMismatch, match=f"domain sizes {n} and {n_target}"):
-        tester(h, KnownTarget(uniform(n_target)), 0.5)
-    assert h.rng.bit_generator.state == state and h.ledger.total == 0
 
 
 class TestPcondTestKnown:

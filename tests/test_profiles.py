@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from condtest.distcore import uniform
@@ -65,6 +66,15 @@ class TestConstantsProfile:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_values_pass_the_rules(self, name):
         ConstantsProfile(name, dict(PRESETS[name]))
+
+    def test_numpy_numbers_are_taken_as_python_numbers(self):
+        p = ConstantsProfile("desk", {"unif_q": np.int64(4), "compare_c": np.float32(0.5)})
+        assert type(p["unif_q"]) is int and p["unif_q"] == 4
+        assert type(p["compare_c"]) is float and p["compare_c"] == 0.5
+        assert json.loads(json.dumps(p.echo()))["overrides"] == {"unif_q": 4,
+                                                                  "compare_c": 0.5}
+        with pytest.raises(BadProfile, match="integer >= 1"):
+            ConstantsProfile("desk", {"unif_q": np.float64(4.0)})
 
     def test_echo_serializable(self):
         p = ConstantsProfile("desk", {"compare_c": 4.0})
